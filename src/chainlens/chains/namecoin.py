@@ -10,14 +10,15 @@ expiry window, after which the name can be registered again from scratch.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Callable
 
 from ..errors import AuxPowBeforeActivation, EmptyChain, MalformedNameOp
 from ..model import (ChainKind, NameOpKind, NameOpPayload, Transaction,
-                     iso_week_key, utc_date)
-from ..store import Store, week_span
+                     fill_periods, iso_week_key, utc_date)
+from ..store import Store
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +83,7 @@ def weekly_fee_sums(store: Store) -> list[tuple[str, str, int]]:
     observed span with no operations of such a kind are emitted with 0.
     """
     times = store.block_times(ChainKind.NAMECOIN)
-    sums: dict[tuple[str, NameOpKind], int] = {}
+    sums: dict[str, Counter[NameOpKind]] = {}
     kinds_seen: set[NameOpKind] = set()
     for tx in store.iter_txs(ChainKind.NAMECOIN):
         op = classify_name_op(tx)
@@ -92,15 +93,11 @@ def weekly_fee_sums(store: Store) -> list[tuple[str, str, int]]:
         if block_time is None:
             continue
         week = iso_week_key(block_time)
-        key = (week, op.kind)
-        sums[key] = sums.get(key, 0) + op.paid_fee
+        sums.setdefault(week, Counter())[op.kind] += op.paid_fee
         kinds_seen.add(op.kind)
-    if not sums:
-        return []
-    weeks = sorted({week for week, _ in sums})
     kinds = [kind for kind in NameOpKind if kind in kinds_seen]
-    return [(week, kind.value, sums.get((week, kind), 0))
-            for week in week_span(weeks[0], weeks[-1])
+    return [(week, kind.value, by_kind[kind])
+            for week, by_kind in fill_periods(sums, Counter())
             for kind in kinds]
 
 

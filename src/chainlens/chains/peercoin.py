@@ -7,32 +7,20 @@ not keep.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from ..errors import EmptyChain, MissingProofTag
-from ..model import ChainKind, ProofKind, month_key
-from ..store import Store, _month_span
+from ..model import ChainKind, ProofKind, fill_periods, month_key
+from ..store import Store
 
 
-def pos_pow_counts(store: Store, granularity: str = "month"
-                   ) -> list[tuple[str, int, int]]:
-    """(period, pos_count, pow_count) per calendar period, zero-filled."""
-    if granularity != "month":
-        raise ValueError(f"unsupported granularity: {granularity!r}")
-    pos: Counter[str] = Counter()
-    pow_: Counter[str] = Counter()
-    saw_block = False
+def pos_pow_counts(store: Store) -> list[tuple[str, int, int]]:
+    """(month, pos_count, pow_count) per UTC calendar month, zero-filled."""
+    counts: dict[str, list[int]] = {}
     for block in store.iter_blocks(ChainKind.PEERCOIN):
-        saw_block = True
         if block.proof is None:
             raise MissingProofTag(block.height)
-        period = month_key(block.timestamp)
-        if block.proof is ProofKind.POS:
-            pos[period] += 1
-        else:
-            pow_[period] += 1
-    if not saw_block:
+        tally = counts.setdefault(month_key(block.timestamp), [0, 0])
+        tally[block.proof is ProofKind.POW] += 1
+    if not counts:
         raise EmptyChain(ChainKind.PEERCOIN.value)
-    months = sorted(set(pos) | set(pow_))
-    return [(month, pos.get(month, 0), pow_.get(month, 0))
-            for month in _month_span(months[0], months[-1])]
+    return [(month, pos, pow_)
+            for month, (pos, pow_) in fill_periods(counts, (0, 0))]

@@ -22,8 +22,7 @@ from .bootstrap import (ConnectResult, LiveProber, LiveResolver, ScriptedProber,
 from .chains.namecoin import (FeeSchedule, detect_reregistrations,
                               merge_mine_split, weekly_fee_sums)
 from .chains.peercoin import pos_pow_counts
-from .discovery.crawler import (CrawlConfig, crawl, endpoint_stats,
-                                load_topology)
+from .discovery.crawler import CrawlConfig, crawl, load_topology
 from .discovery.identity import PeerInfo
 from .discovery.simulator import build_sim_overlay
 from .errors import ChainLensError
@@ -43,6 +42,9 @@ from .store import (Store, apply_cutoff, ingest_blocks, monthly_tx_counts,
 log = logging.getLogger(__name__)
 
 _CHAIN_CHOICE = click.Choice([kind.value for kind in ChainKind])
+# Top-level commands whose analyses honour --cutoff (every `report`
+# subcommand does); the rest refuse the flag rather than ignore it.
+_CUTOFF_COMMANDS = ("summarize", "report")
 
 
 class AppState:
@@ -97,14 +99,19 @@ pass_state = click.make_pass_decorator(AppState)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--cutoff", default=None, metavar="TIMESTAMP",
-              help="RFC 3339 timestamp (or epoch seconds); analyses ignore "
-                   "blocks whose time is not strictly before it.")
+              help="RFC 3339 timestamp (or epoch seconds); summarize and "
+                   "report ignore blocks whose time is not strictly before "
+                   "it. Other commands refuse it.")
 @click.option("--stamp", is_flag=True,
               help="Write run metadata to OUT.stamp.json (requires --out).")
 @click.pass_context
 def cli(ctx: click.Context, db_path: str, out: str | None, fmt: str,
         cutoff: str | None, stamp: bool) -> None:
     """Blockchain ledger forensics and peer-discovery measurement."""
+    if cutoff is not None and ctx.invoked_subcommand not in _CUTOFF_COMMANDS:
+        raise click.UsageError(
+            f"--cutoff is honoured only by {' and '.join(_CUTOFF_COMMANDS)}, "
+            f"not by {ctx.invoked_subcommand}")
     argv = sys.argv[1:] if sys.argv else []
     ctx.obj = AppState(db_path, out, fmt, cutoff, stamp, argv)
 
@@ -527,7 +534,7 @@ def cmd_crawl(state: AppState, topology_path, bootnodes_path, prefix_bits: int,
         transport = UdpV4Transport(private_key=os.urandom(32),
                                    neighbor_k=neighbor_k)
         seeds = _read_bootnodes(bootnodes_path)
-    report = endpoint_stats(crawl(transport, seeds, config))
+    report = crawl(transport, seeds, config)
     doc = json.loads(report.to_json())
     if geo_path is not None:
         geo = read_geo_table(geo_path)

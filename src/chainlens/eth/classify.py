@@ -13,8 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import EmptyChain
-from ..model import ChainKind, Transaction, month_key
-from ..store import Store, _month_span
+from ..model import ChainKind, Transaction, fill_periods, month_key
+from ..store import Store
 from .contracts import ContractRegistry, iter_creations
 
 
@@ -48,12 +48,8 @@ def monthly_class_counts(store: Store, registry: ContractRegistry
             continue
         month = month_key(block_time)
         buckets.setdefault(month, Counter())[classify_transaction(tx, registry)] += 1
-    if not buckets:
-        return []
-    months = sorted(buckets)
-    return [(month, {cls: buckets.get(month, Counter()).get(cls, 0)
-                     for cls in TxClass})
-            for month in _month_span(months[0], months[-1])]
+    return [(month, {cls: counts[cls] for cls in TxClass})
+            for month, counts in fill_periods(buckets, Counter())]
 
 
 @dataclass

@@ -11,17 +11,15 @@ as NDJSON side-files with the shapes:
 from __future__ import annotations
 
 import enum
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterator
 
 from .. import rlp
-from ..errors import AddressMismatch, MalformedJson, SchemaViolation
+from ..errors import AddressMismatch, SchemaViolation
 from ..keccak import keccak256
 from ..model import ChainKind, Transaction, normalize_hex
-from ..store import Store
+from ..store import RecordSource, Store, read_records
 
 log = logging.getLogger(__name__)
 
@@ -101,30 +99,9 @@ def iter_creations(store: Store) -> Iterator[tuple[Transaction, str]]:
             yield tx, derive_contract_address(tx.sender, nonce)
 
 
-def _read_side_records(source, expected_type: str) -> Iterator[tuple[int, dict]]:
-    if source is None:
-        return
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            yield from _read_side_records(fh, expected_type)
-        return
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedJson(line_no, exc.msg)
-        if not isinstance(obj, dict) or obj.get("type") != expected_type:
-            raise SchemaViolation(line_no, "type",
-                                  f"expected {expected_type!r}")
-        yield line_no, obj
-
-
 def build_contract_registry(store: Store,
-                            internal_creations: Iterable[str] | IO[str] | str | Path | None = None,
-                            terminations: Iterable[str] | IO[str] | str | Path | None = None,
+                            internal_creations: RecordSource | None = None,
+                            terminations: RecordSource | None = None,
                             supplied_addresses: dict[str, str] | None = None
                             ) -> ContractRegistry:
     """Assemble the contract lifecycle registry from the ledger and side-files.
@@ -147,7 +124,8 @@ def build_contract_registry(store: Store,
             creation_index=tx.index_in_block,
             balance=tx.value,
             code=tx.input_data))
-    for line_no, obj in _read_side_records(internal_creations, "internal_create"):
+    for line_no, obj in read_records(internal_creations or (),
+                                     ("internal_create",)):
         try:
             address = normalize_hex(obj["address"], byte_len=20)
             parent = normalize_hex(obj["parent"], byte_len=20)
@@ -157,7 +135,7 @@ def build_contract_registry(store: Store,
         registry.add(ContractRecord(
             address=address, creation_height=height, creator=parent,
             creator_kind=CreatorKind.BY_CONTRACT))
-    for line_no, obj in _read_side_records(terminations, "terminate"):
+    for line_no, obj in read_records(terminations or (), ("terminate",)):
         try:
             address = normalize_hex(obj["address"], byte_len=20)
             height = int(obj["height"])

@@ -17,12 +17,12 @@ import logging
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from ..errors import ExecutorFailure, MalformedJson, SchemaViolation
+from ..errors import ExecutorFailure, SchemaViolation
 from ..keccak import keccak256
 from ..model import normalize_hex
+from ..store import RecordSource, read_records
 from .contracts import NULL_ADDRESS, ContractRecord
 
 log = logging.getLogger(__name__)
@@ -141,7 +141,9 @@ class FixtureExecutor:
     Record shape: {"type":"gas_fixture","address":"0x..","selector":"0x..",
     "estimate":N,"terminates":bool,"refund_to":"0x..|null|caller"}.
     Unknown (address, selector) pairs estimate at `default_estimate`,
-    comfortably above any sane threshold.
+    comfortably above any sane threshold. A record that does not fit the
+    shape raises SchemaViolation naming its line (its 1-based position
+    when records are passed as dicts).
     """
 
     concurrent_safe = True
@@ -151,30 +153,29 @@ class FixtureExecutor:
         self._estimates: dict[tuple[str, bytes], int] = {}
         self._behavior: dict[tuple[str, bytes], tuple[bool, str | None]] = {}
         self._terminated: set[str] = set()
-        for obj in records:
-            address = normalize_hex(obj["address"], byte_len=20)
-            selector = bytes.fromhex(normalize_hex(obj["selector"], byte_len=4))
-            key = (address, selector)
-            self._estimates[key] = int(obj["estimate"])
-            self._behavior[key] = (bool(obj.get("terminates", False)),
-                                   obj.get("refund_to"))
+        self._load(enumerate(records, start=1))
 
     @classmethod
-    def from_file(cls, path: str | Path, **kwargs) -> "FixtureExecutor":
-        records = []
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedJson(line_no, exc.msg)
-                if obj.get("type") != "gas_fixture":
-                    raise SchemaViolation(line_no, "type", "expected gas_fixture")
-                records.append(obj)
-        return cls(records, **kwargs)
+    def from_file(cls, source: RecordSource, **kwargs) -> "FixtureExecutor":
+        executor = cls([], **kwargs)
+        executor._load(read_records(source, ("gas_fixture",)))
+        return executor
+
+    def _load(self, numbered: Iterable[tuple[int, dict]]) -> None:
+        for line_no, obj in numbered:
+            key = (_hex_field(obj, line_no, "address", 20),
+                   bytes.fromhex(_hex_field(obj, line_no, "selector", 4)))
+            estimate = obj.get("estimate")
+            if not isinstance(estimate, int) or isinstance(estimate, bool) \
+                    or estimate < 0:
+                raise SchemaViolation(line_no, "estimate",
+                                      "expected a non-negative integer")
+            refund_to = obj.get("refund_to")
+            if refund_to not in (None, "caller"):
+                refund_to = _hex_field(obj, line_no, "refund_to", 20)
+            self._estimates[key] = estimate
+            self._behavior[key] = (bool(obj.get("terminates", False)),
+                                   refund_to)
 
     def addresses(self) -> list[str]:
         """Distinct contract addresses the fixture scripts, sorted."""
@@ -190,13 +191,21 @@ class FixtureExecutor:
         refund_to = None
         if terminates:
             self._terminated.add(contract)
-            if refund_spec == "caller":
-                refund_to = caller
-            elif refund_spec is not None:
-                refund_to = normalize_hex(refund_spec, byte_len=20)
+            refund_to = caller if refund_spec == "caller" else refund_spec
         gas = self._estimates.get((contract, selector), self.default_estimate)
         return InvokeOutcome(terminated=terminates, refund_to=refund_to,
                              gas_used=gas)
+
+
+def _hex_field(obj: dict, line_no: int, name: str, byte_len: int) -> str:
+    """Normalized hex of `obj[name]`, or a SchemaViolation naming the line."""
+    raw = obj.get(name)
+    if not isinstance(raw, str):
+        raise SchemaViolation(line_no, name, "expected a hex string")
+    try:
+        return normalize_hex(raw, byte_len=byte_len)
+    except ValueError as exc:
+        raise SchemaViolation(line_no, name, str(exc)) from None
 
 
 class RpcExecutor:

@@ -13,8 +13,6 @@ of thousands of 64-byte candidates; the scalar path would dominate runtime.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -87,12 +85,6 @@ def keccak256(data: bytes) -> bytes:
             state[i] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
         _keccak_f(state)
     return b"".join(state[i].to_bytes(8, "little") for i in range(4))
-
-
-@lru_cache(maxsize=65536)
-def keccak256_cached(data: bytes) -> bytes:
-    """Memoised keccak256 for hot paths that rehash the same identities."""
-    return keccak256(data)
 
 
 _RC_VEC = np.array(_ROUND_CONSTANTS, dtype=np.uint64)

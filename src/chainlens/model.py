@@ -5,10 +5,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from typing import Mapping, TypeVar
 
 from .errors import ChainLensError
 
 HEX_DIGITS = frozenset("0123456789abcdef")
+T = TypeVar("T")
 
 
 class ChainKind(str, enum.Enum):
@@ -55,6 +57,33 @@ def utc_date(timestamp: int) -> date:
 def iso_week_key(timestamp: int) -> str:
     year, week, _ = utc_date(timestamp).isocalendar()
     return f"{year}-W{week:02d}"
+
+
+def fill_periods(values: Mapping[str, T], zero: T) -> list[tuple[str, T]]:
+    """(period, value) rows for every period from the first key to the last.
+
+    Keys are either all `month_key` months or all `iso_week_key` weeks;
+    periods missing from `values` get `zero`. An empty mapping gives [].
+    """
+    if not values:
+        return []
+    first, last = min(values), max(values)
+    if "-W" in first:
+        key_of = iso_week_key
+        year, week = map(int, first.split("-W"))
+        start = datetime.fromisocalendar(year, week, 1)
+    else:
+        key_of = month_key
+        start = datetime.strptime(first, "%Y-%m")
+    moment = int(start.replace(tzinfo=timezone.utc).timestamp())
+    rows = []
+    key = first
+    while key <= last:
+        rows.append((key, values.get(key, zero)))
+        while key_of(moment) == key:
+            moment += 7 * 86_400  # no month is shorter, so none is skipped
+        key = key_of(moment)
+    return rows
 
 
 @dataclass

@@ -10,15 +10,15 @@ from __future__ import annotations
 import json
 import logging
 import sqlite3
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import (ChainLensError, ConflictingBlock, EmptyChain,
                      MalformedJson, SchemaViolation)
 from .model import (Block, ChainKind, ChainSummary, IngestSummary,
                     NameOpKind, NameOpPayload, ProofKind, RejectedLine,
-                    Transaction, month_key, normalize_hex)
+                    Transaction, fill_periods, month_key, normalize_hex)
 
 log = logging.getLogger(__name__)
 
@@ -156,13 +156,6 @@ class Store:
         for row in self._conn.execute(sql + " ORDER BY height, idx", args):
             yield _row_to_tx(row)
 
-    def get_block(self, chain: ChainKind, height: int) -> Block | None:
-        cur = self._conn.execute(
-            "SELECT * FROM blocks WHERE chain=? AND height=?",
-            (chain.value, height))
-        row = cur.fetchone()
-        return None if row is None else _row_to_block(row)
-
     def block_times(self, chain: ChainKind) -> dict[int, int]:
         """Map height -> timestamp for the whole chain."""
         cur = self._conn.execute(
@@ -172,11 +165,6 @@ class Store:
     def block_count(self, chain: ChainKind) -> int:
         cur = self._conn.execute(
             "SELECT COUNT(*) FROM blocks WHERE chain=?", (chain.value,))
-        return cur.fetchone()[0]
-
-    def max_height(self, chain: ChainKind) -> int | None:
-        cur = self._conn.execute(
-            "SELECT MAX(height) FROM blocks WHERE chain=?", (chain.value,))
         return cur.fetchone()[0]
 
 
@@ -207,6 +195,48 @@ def _row_to_tx(row: tuple) -> Transaction:
 
 
 # -- line parsing -------------------------------------------------------
+
+RecordSource = Iterable[str] | IO[str] | str | Path
+
+
+def read_records(source: RecordSource, types: tuple[str, ...],
+                 reject: Callable[[int, ChainLensError], None] | None = None
+                 ) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each NDJSON record whose `type` is in `types`.
+
+    `source` is a file path or an iterable of lines. Blank lines are
+    skipped but counted, so line numbers are those of the file. A line that
+    is not JSON raises MalformedJson; one that is not an object, or not of
+    an accepted type, raises SchemaViolation on field "type". With a
+    `reject` callback, the error goes to it instead and reading goes on.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            yield from read_records(fh, types, reject)
+        return
+    for line_no, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            err: ChainLensError = MalformedJson(line_no, exc.msg)
+        else:
+            if not isinstance(obj, dict):
+                err = SchemaViolation(line_no, "type", "line is not an object")
+            elif obj.get("type") not in types:
+                err = SchemaViolation(
+                    line_no, "type",
+                    f"expected {' or '.join(map(repr, types))}, "
+                    f"got {obj.get('type')!r}")
+            else:
+                yield line_no, obj
+                continue
+        if reject is None:
+            raise err
+        reject(line_no, err)
+
 
 
 def _require(cond: bool, line_no: int, field: str, detail: str) -> None:
@@ -329,7 +359,7 @@ def _parse_tx_line(obj: dict, chain: ChainKind, line_no: int) -> Transaction:
 # -- operations ----------------------------------------------------------
 
 
-def ingest_blocks(source: Iterable[str] | IO[str], chain: ChainKind,
+def ingest_blocks(source: RecordSource, chain: ChainKind,
                   store: Store, strict: bool = False) -> IngestSummary:
     """Load an NDJSON dump into the store.
 
@@ -345,26 +375,13 @@ def ingest_blocks(source: Iterable[str] | IO[str], chain: ChainKind,
         log.warning("rejected %s", RejectedLine(line_no, err))
         summary.rejected.append(RejectedLine(line_no, err))
 
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_no, obj in read_records(source, ("block", "tx"), reject):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            reject(line_no, MalformedJson(line_no, exc.msg))
-            continue
-        try:
-            if not isinstance(obj, dict):
-                raise SchemaViolation(line_no, "type", "line is not an object")
-            rec_type = obj.get("type")
-            if rec_type not in ("block", "tx"):
-                raise SchemaViolation(line_no, "type", f"unknown type {rec_type!r}")
             rec_chain = obj.get("chain")
             if rec_chain != chain.value:
                 raise SchemaViolation(line_no, "chain",
                                       f"expected {chain.value!r}, got {rec_chain!r}")
-            if rec_type == "block":
+            if obj["type"] == "block":
                 if store.put_block(_parse_block_line(obj, chain, line_no)):
                     summary.blocks_loaded += 1
             else:
@@ -428,21 +445,7 @@ def monthly_tx_counts(store: Store, chain: ChainKind,
             continue
         key = month_key(block_time)
         counts[key] = counts.get(key, 0) + 1
-    if not counts:
-        return []
-    months = sorted(counts)
-    return [(m, counts.get(m, 0)) for m in _month_span(months[0], months[-1])]
-
-
-def _month_span(first: str, last: str) -> Iterator[str]:
-    year, month = map(int, first.split("-"))
-    end_year, end_month = map(int, last.split("-"))
-    while (year, month) <= (end_year, end_month):
-        yield f"{year:04d}-{month:02d}"
-        month += 1
-        if month == 13:
-            month = 1
-            year += 1
+    return fill_periods(counts, 0)
 
 
 def parse_rfc3339(text: str) -> int:
@@ -455,17 +458,3 @@ def parse_rfc3339(text: str) -> int:
         moment = moment.replace(tzinfo=timezone.utc)
     return int(moment.timestamp())
 
-
-# re-export for callers that iterate weeks in reports
-def week_span(first: str, last: str) -> Iterator[str]:
-    """ISO week keys from `first` to `last` inclusive (e.g. 2014-W07)."""
-    def monday(key: str) -> datetime:
-        year, week = key.split("-W")
-        return datetime.fromisocalendar(int(year), int(week), 1)
-
-    current = monday(first)
-    stop = monday(last)
-    while current <= stop:
-        year, week, _ = current.isocalendar()
-        yield f"{year}-W{week:02d}"
-        current += timedelta(days=7)

@@ -94,6 +94,30 @@ def test_cutoff_flag(eth_db, capsys):
                     "--chain", "eth"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "dump.ndjson", "--chain", "eth"],
+    ["eth", "classify"],
+    ["eth", "zombies"],
+    ["eth", "lifetimes"],
+    ["eth", "precreation"],
+    ["eth", "probe", "--gas-fixture", "gas.ndjson"],
+    ["eth", "similarity", "--references", "refs.json", "--corpus", "c.txt"],
+    ["nmc", "fees"],
+    ["nmc", "mergemine"],
+    ["nmc", "rereg", "--day", "2011-05-17"],
+    ["ppc", "pos-pow"],
+    ["poison", "scan"],
+    ["crawl", "--sim", "topo.json"],
+    ["bootstrap", "harvest", "--seeds", "seeds.json"],
+    ["bootstrap", "probe", "--seeds", "seeds.json"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_cutoff_refused_where_not_honoured(tmp_path, capsys, argv):
+    db = str(tmp_path / "db")
+    assert run_cli(["--db", db, "--cutoff", "2015-10-01T00:00:00Z",
+                    *argv]) == 1
+    assert "--cutoff is honoured only by" in capsys.readouterr().err
+
+
 def test_out_file_and_stamp(eth_db, tmp_path, capsys):
     out_path = tmp_path / "monthly.csv"
     run_ok(capsys, ["--db", eth_db, "--out", str(out_path), "--stamp",
@@ -172,6 +196,19 @@ def test_eth_probe_fixture_flow(tmp_path, capsys):
     assert run_cli(["eth", "probe"]) == 1
     assert run_cli(["eth", "probe", "--gas-fixture", str(fixture),
                     "--rpc", "http://localhost:1"]) == 1
+
+
+def test_eth_probe_bad_fixture_is_data_error(tmp_path, capsys):
+    good = {"type": "gas_fixture", "address": addr(1),
+            "selector": "41c0e1b5", "estimate": 300}
+    no_address = {key: value for key, value in good.items()
+                  if key != "address"}
+    fixture = tmp_path / "gas.ndjson"
+    for record in ([1, 2], no_address, dict(good, selector="41c0"),
+                   dict(good, estimate="cheap"), dict(good, refund_to="me")):
+        fixture.write_text(json.dumps(record) + "\n")
+        assert run_cli(["eth", "probe", "--gas-fixture", str(fixture)]) == 2
+        assert "line 1" in capsys.readouterr().err
 
 
 def test_eth_probe_contract_list_override(tmp_path, capsys):

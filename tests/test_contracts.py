@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from chainlens.errors import AddressMismatch, SchemaViolation
+from chainlens.errors import AddressMismatch, MalformedJson, SchemaViolation
 from chainlens.eth.contracts import (ContractRecord, ContractRegistry,
                                      CreatorKind, build_contract_registry,
                                      derive_contract_address,
@@ -144,6 +144,28 @@ def test_termination_of_unknown_contract_ignored():
                           "height": 3})]
     registry = build_contract_registry(store, terminations=orphan)
     assert registry.get(addr(0xFEED)) is None
+    store.close()
+
+
+def test_side_file_errors_keep_file_line_numbers():
+    store = _fixture_store()
+    kill = json.dumps({"type": "terminate", "address": CONTRACT_C1,
+                       "height": 5})
+    with pytest.raises(MalformedJson) as caught:
+        build_contract_registry(store, terminations=["", kill, "  ", "{oops"])
+    assert caught.value.line_no == 4
+    no_height = json.dumps({"type": "terminate", "address": CONTRACT_C1})
+    with pytest.raises(SchemaViolation) as caught:
+        build_contract_registry(store, terminations=["", "", no_height])
+    assert caught.value.line_no == 3
+    store.close()
+
+
+def test_side_file_line_must_be_an_object():
+    store = _fixture_store()
+    with pytest.raises(SchemaViolation) as caught:
+        build_contract_registry(store, internal_creations=["", "[1, 2]"])
+    assert (caught.value.line_no, caught.value.field) == (2, "type")
     store.close()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlens.keccak import keccak256, keccak256_batch64, keccak256_cached
+from chainlens.keccak import keccak256, keccak256_batch64
 
 import oracles
 
@@ -45,11 +45,6 @@ def test_matches_oracle_at_padding_boundaries(size):
 @settings(max_examples=200, deadline=None)
 def test_matches_oracle_random(data):
     assert keccak256(data) == oracles.keccak256_oracle(data)
-
-
-def test_cached_variant_agrees():
-    for data in (b"", b"x", b"\x00" * 64, b"spam" * 50):
-        assert keccak256_cached(data) == keccak256(data)
 
 
 def test_batch_matches_scalar():

@@ -57,10 +57,3 @@ def test_empty_chain():
     with pytest.raises(EmptyChain):
         pos_pow_counts(store)
     store.close()
-
-
-def test_unsupported_granularity():
-    store = _ppc_store()
-    with pytest.raises(ValueError):
-        pos_pow_counts(store, granularity="day")
-    store.close()

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from chainlens.errors import (ConflictingBlock, EmptyChain, MalformedJson,
                               SchemaViolation)
-from chainlens.model import ChainKind, iso_week_key, month_key, normalize_hex
+from chainlens.model import (ChainKind, fill_periods, iso_week_key, month_key,
+                             normalize_hex)
 from chainlens.store import (Store, apply_cutoff, ingest_blocks,
-                             monthly_tx_counts, parse_rfc3339,
-                             summarize_chain, week_span)
+                             monthly_tx_counts, parse_rfc3339, summarize_chain)
 
 from conftest import block_line, h32, load_store, tx_line
 
@@ -43,8 +43,21 @@ def test_parse_rfc3339():
 
 
 def test_week_span_crosses_year():
-    weeks = list(week_span("2014-W52", "2015-W02"))
-    assert weeks == ["2014-W52", "2015-W01", "2015-W02"]
+    assert fill_periods({"2015-W02": 2, "2014-W52": 1}, 0) == [
+        ("2014-W52", 1), ("2015-W01", 0), ("2015-W02", 2)]
+    # 2015 is an ISO year with 53 weeks
+    assert fill_periods({"2015-W52": 1, "2016-W01": 3}, 0) == [
+        ("2015-W52", 1), ("2015-W53", 0), ("2016-W01", 3)]
+    assert fill_periods({"2014-11": 4, "2015-02": 5}, 0) == [
+        ("2014-11", 4), ("2014-12", 0), ("2015-01", 0), ("2015-02", 5)]
+    assert fill_periods({"2015-08": 7}, 0) == [("2015-08", 7)]
+    assert fill_periods({"2015-W31": 7}, 0) == [("2015-W31", 7)]
+    assert fill_periods({}, 0) == []
+    # every month of five years, leap February included, exactly once
+    months = [month for month, _ in fill_periods({"2012-01": 1,
+                                                  "2016-12": 1}, 0)]
+    assert months == [f"{year}-{month:02d}" for year in range(2012, 2017)
+                      for month in range(1, 13)]
 
 
 def test_ingest_and_reject_counts():

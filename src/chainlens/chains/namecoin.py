@@ -13,7 +13,6 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable
 
 from ..errors import AuxPowBeforeActivation, EmptyChain, MalformedNameOp
 from ..model import (ChainKind, NameOpKind, NameOpPayload, Transaction,
@@ -22,27 +21,9 @@ from ..store import Store
 
 log = logging.getLogger(__name__)
 
-UNITS_PER_NMC = 10**8
-
-_LAUNCH_NETWORK_FEE = 50 * UNITS_PER_NMC
-_HALVING_BLOCKS = 8192
-
-
-def default_network_fee(height: int) -> int:
-    """Approximate decaying network fee: 50 NMC at launch, halving every
-    8192 blocks, zero once below one unit. The historical formula is not
-    fully specified anywhere convenient; treat this as a stand-in and
-    supply your own curve for exact work."""
-    if height < 0:
-        raise ValueError("height must be >= 0")
-    return _LAUNCH_NETWORK_FEE >> (height // _HALVING_BLOCKS)
-
 
 @dataclass
 class FeeSchedule:
-    name_new_fee: int = UNITS_PER_NMC // 100          # 0.01 NMC
-    fixed_op_fee: int = UNITS_PER_NMC // 200          # 0.005 NMC
-    network_fee_curve: Callable[[int], int] = default_network_fee
     merge_mining_start_height: int = 19_200
     expiry_window_blocks: int = 36_000
 
@@ -66,14 +47,6 @@ def classify_name_op(tx: Transaction) -> NameOpPayload | None:
             raise MalformedNameOp(
                 f"tx {tx.hash}: {op.kind.value} without a name")
     return op
-
-
-def expected_fee(kind: NameOpKind, height: int, schedule: FeeSchedule) -> int:
-    if kind is NameOpKind.NEW:
-        return schedule.name_new_fee
-    if kind is NameOpKind.UPDATE:
-        return schedule.fixed_op_fee
-    return schedule.fixed_op_fee + schedule.network_fee_curve(height)
 
 
 def weekly_fee_sums(store: Store) -> list[tuple[str, str, int]]:

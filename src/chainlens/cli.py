@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 from datetime import date
+from typing import Iterator
 
 import click
 
@@ -27,7 +28,8 @@ from .discovery.identity import PeerInfo
 from .discovery.simulator import build_sim_overlay
 from .errors import ChainLensError
 from .eth.classify import TxClass, monthly_class_counts, zombie_report
-from .eth.contracts import (build_contract_registry, find_precreation_funding,
+from .eth.contracts import (NULL_ADDRESS, ContractRecord, CreatorKind,
+                            build_contract_registry, find_precreation_funding,
                             lifetime_histogram)
 from .eth.probe import (DEFAULT_PROBE_CALLER, FixtureExecutor, GasPolicy,
                         RpcExecutor, SelectorDictionary, probe_suicidal)
@@ -90,6 +92,23 @@ class AppState:
 pass_state = click.make_pass_decorator(AppState)
 
 
+def _list_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of a list file's lines, skipping blank
+    lines and `#` comment lines."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text and not text.startswith("#"):
+                yield line_no, text
+
+
+def _address_arg(text: str, where: str) -> str:
+    try:
+        return normalize_hex(text, byte_len=20)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=where)
+
+
 @click.group()
 @click.version_option(__version__, prog_name="chainlens")
 @click.option("--db", "db_path", default="chainlens.db", show_default=True,
@@ -126,12 +145,9 @@ def cli(ctx: click.Context, db_path: str, out: str | None, fmt: str,
 @pass_state
 def cmd_ingest(state: AppState, source: str, chain: str, strict: bool) -> None:
     """Load an NDJSON block/transaction file into the store."""
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         with open(source, encoding="utf-8") as fh:
             summary = ingest_blocks(fh, ChainKind(chain), store, strict=strict)
-    finally:
-        store.close()
     for rejected in summary.rejected:
         click.echo(f"rejected {rejected}", err=True)
     state.emit_rows(("blocks", "txs", "rejected"),
@@ -145,12 +161,9 @@ def cmd_ingest(state: AppState, source: str, chain: str, strict: bool) -> None:
 def cmd_summarize(state: AppState, chain: str) -> None:
     """One-row chain overview: time range, height, tx count and volume."""
     kind = ChainKind(chain)
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         height = state.cutoff_height(store, kind)
         summary = summarize_chain(store, kind, cutoff_height=height)
-    finally:
-        store.close()
     state.emit_rows(
         ("chain", "first_block_time", "cutoff_time", "cutoff_height",
          "tx_count", "tx_volume"),
@@ -169,12 +182,9 @@ def report_group() -> None:
 def cmd_tx_monthly(state: AppState, chain: str) -> None:
     """Transactions per UTC month, zero-filled, ascending."""
     kind = ChainKind(chain)
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         height = state.cutoff_height(store, kind)
         rows = monthly_tx_counts(store, kind, cutoff_height=height)
-    finally:
-        store.close()
     state.emit_rows(("month", "txs"), rows)
 
 
@@ -202,13 +212,10 @@ def eth_group() -> None:
 @pass_state
 def cmd_eth_classify(state: AppState, internal_path, terminated_path) -> None:
     """Monthly transaction counts split into the four interaction classes."""
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         registry = build_contract_registry(store, internal_path,
                                            terminated_path)
         rows = monthly_class_counts(store, registry)
-    finally:
-        store.close()
     header = ("month",) + tuple(cls.value for cls in TxClass)
     state.emit_rows(header, [(month,) + tuple(counts[cls] for cls in TxClass)
                              for month, counts in rows])
@@ -216,17 +223,15 @@ def cmd_eth_classify(state: AppState, internal_path, terminated_path) -> None:
 
 @eth_group.command("zombies")
 @click.option("--top", default=10, show_default=True,
+              type=click.IntRange(min=0),
               help="Size of the top-by-balance table.")
 @click.option("--view", type=click.Choice(["summary", "cdf", "top", "creators"]),
               default="summary", show_default=True)
 @pass_state
 def cmd_eth_zombies(state: AppState, top: int, view: str) -> None:
     """Contracts created with empty code: counts, endowments, creators."""
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         report = zombie_report(store, top_k=top)
-    finally:
-        store.close()
     if view == "summary":
         state.emit_rows(("zombie_count", "total_balance"),
                         [(report.count, report.total_balance)])
@@ -250,13 +255,13 @@ def cmd_eth_lifetimes(state: AppState, internal_path, terminated_path,
         edge_values = tuple(int(part) for part in edges.split(","))
     except ValueError:
         raise click.BadParameter(f"bad --edges {edges!r}")
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         registry = build_contract_registry(store, internal_path,
                                            terminated_path)
-    finally:
-        store.close()
-    histogram = lifetime_histogram(registry, bucket_edges=edge_values)
+    try:
+        histogram = lifetime_histogram(registry, bucket_edges=edge_values)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--edges")
     state.emit_rows(("bucket", "contracts"), list(histogram.items()))
 
 
@@ -265,13 +270,10 @@ def cmd_eth_lifetimes(state: AppState, internal_path, terminated_path,
 @pass_state
 def cmd_eth_precreation(state: AppState, internal_path, terminated_path) -> None:
     """Value sent to contract addresses before the contract existed."""
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         registry = build_contract_registry(store, internal_path,
                                            terminated_path)
         rows = find_precreation_funding(store, registry)
-    finally:
-        store.close()
     state.emit_rows(("funding_tx", "contract", "creation_height"), rows)
 
 
@@ -307,11 +309,15 @@ def cmd_eth_probe(state: AppState, fixture_path, rpc_url, contracts_path,
         executor = RpcExecutor(rpc_url)
         addresses = []
     if contracts_path is not None:
-        addresses = _read_address_lines(contracts_path)
+        addresses = [_address_arg(text, f"--contracts line {line_no}")
+                     for line_no, text in _list_lines(contracts_path)]
     if not addresses:
         raise click.UsageError("no contracts to probe; pass --contracts")
-    caller = normalize_hex(caller, byte_len=20)
-    records = [_address_record(address) for address in addresses]
+    caller = _address_arg(caller, "--caller")
+    records = [ContractRecord(address=address, creation_height=0,
+                              creator=NULL_ADDRESS,
+                              creator_kind=CreatorKind.BY_TRANSACTION)
+               for address in addresses]
     results = probe_suicidal(records, executor, dictionary, GasPolicy(),
                              caller=caller)
     state.emit_rows(
@@ -325,23 +331,6 @@ def cmd_eth_probe(state: AppState, fixture_path, rpc_url, contracts_path,
           r.executor_error or "") for r in results])
 
 
-def _read_address_lines(path: str) -> list[str]:
-    addresses = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                addresses.append(normalize_hex(line, byte_len=20))
-    return addresses
-
-
-def _address_record(address: str):
-    from .eth.contracts import ContractRecord, CreatorKind
-    return ContractRecord(address=normalize_hex(address, byte_len=20),
-                          creation_height=0, creator="0" * 40,
-                          creator_kind=CreatorKind.BY_TRANSACTION)
-
-
 @eth_group.command("similarity")
 @click.option("--references", "references_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
@@ -349,24 +338,23 @@ def _address_record(address: str):
 @click.option("--corpus", "corpus_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Contract bytecode corpus, one hex string per line.")
-@click.option("--minor", default=100, show_default=True)
-@click.option("--heavy", default=1000, show_default=True)
+@click.option("--minor", default=100, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--heavy", default=1000, show_default=True,
+              type=click.IntRange(min=1))
 @pass_state
 def cmd_eth_similarity(state: AppState, references_path, corpus_path,
                        minor: int, heavy: int) -> None:
     """Bucket corpus contracts by edit distance to reference bytecodes."""
+    try:
+        buckets = SimilarityBuckets(minor_max=minor, heavy_max=heavy)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--minor/--heavy")
     with open(references_path, encoding="utf-8") as fh:
         raw = json.load(fh)
     references = [(entry["name"], entry["bytecode"],
                    bool(entry.get("optimized", False))) for entry in raw]
-    corpus = []
-    with open(corpus_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                corpus.append(line)
-    buckets = SimilarityBuckets(minor_max=minor, heavy_max=heavy,
-                                cutoff=max(heavy, 1000))
+    corpus = [text for _, text in _list_lines(corpus_path)]
     rows = bucket_similarity(corpus, references, buckets)
     state.emit_rows(("reference", "optimized", "exact", "minor", "heavy"),
                     [(r.reference, int(r.optimized), r.exact, r.minor, r.heavy)
@@ -387,11 +375,8 @@ def nmc_group() -> None:
 @pass_state
 def cmd_nmc_fees(state: AppState, rates_path) -> None:
     """Weekly sums of fees actually paid, by operation kind."""
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         rows = weekly_fee_sums(store)
-    finally:
-        store.close()
     if rates_path is None:
         state.emit_rows(("week", "kind", "fee_units"), rows)
         return
@@ -404,11 +389,8 @@ def cmd_nmc_fees(state: AppState, rates_path) -> None:
 @pass_state
 def cmd_nmc_mergemine(state: AppState) -> None:
     """Blocks, txs, and name ops split by merge-mined vs normally mined."""
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         split = merge_mine_split(store)
-    finally:
-        store.close()
     state.emit_rows(
         ("metric", "normal", "merged", "total", "merged_pct"),
         [(metric, normal, merged, normal + merged,
@@ -418,7 +400,7 @@ def cmd_nmc_mergemine(state: AppState) -> None:
 
 @nmc_group.command("rereg")
 @click.option("--day", "day_text", required=True, metavar="YYYY-MM-DD")
-@click.option("--window", default=None, type=int,
+@click.option("--window", default=None, type=click.IntRange(min=0),
               help="Override the expiry window in blocks.")
 @pass_state
 def cmd_nmc_rereg(state: AppState, day_text: str, window: int | None) -> None:
@@ -429,11 +411,8 @@ def cmd_nmc_rereg(state: AppState, day_text: str, window: int | None) -> None:
         raise click.BadParameter(f"bad --day {day_text!r}")
     schedule = FeeSchedule() if window is None \
         else FeeSchedule(expiry_window_blocks=window)
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         report = detect_reregistrations(store, schedule, day)
-    finally:
-        store.close()
     click.echo(f"first-updates on {day}: {report.firstupdates_on_day}", err=True)
     rows = [(name, "reregistration", ";".join(map(str, heights)))
             for name, heights in report.reregistrations]
@@ -453,11 +432,8 @@ def ppc_group() -> None:
 @pass_state
 def cmd_ppc_pos_pow(state: AppState) -> None:
     """Monthly proof-of-stake vs proof-of-work block counts."""
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         rows = pos_pow_counts(store)
-    finally:
-        store.close()
     state.emit_rows(("month", "pos", "pow"), rows)
 
 
@@ -480,12 +456,9 @@ def cmd_poison(state: AppState, action: str, chain: str, save_dir,
                verify_full: bool, signatures_path) -> None:
     """Scan transaction payloads for embedded file-format signatures."""
     db = load_signatures(signatures_path)
-    store = state.open_store()
-    try:
+    with state.open_store() as store:
         report = scan_corpus(store, ChainKind(chain), db, out_dir=save_dir,
                              verify_full=verify_full)
-    finally:
-        store.close()
     for err in report.write_errors:
         click.echo(f"write failed: {err}", err=True)
     state.emit_rows(("format", "tx_hash", "payload_size"),
@@ -502,9 +475,12 @@ def cmd_poison(state: AppState, action: str, chain: str, save_dir,
 @click.option("--live", "bootnodes_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Bootstrap node list, one <node_id_hex>@ip:port per line.")
-@click.option("--prefix-bits", default=13, show_default=True)
-@click.option("--k", "neighbor_k", default=16, show_default=True)
-@click.option("--max-inflight", default=500, show_default=True)
+@click.option("--prefix-bits", default=13, show_default=True,
+              type=click.IntRange(0, 32))
+@click.option("--k", "neighbor_k", default=16, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--max-inflight", default=500, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--seed", "rng_seed", default=None, type=int,
               help="Deterministic seed for target generation and simulation.")
 @click.option("--geo", "geo_path", default=None,
@@ -516,8 +492,8 @@ def cmd_crawl(state: AppState, topology_path, bootnodes_path, prefix_bits: int,
     """Enumerate a discovery overlay and report endpoint statistics (JSON)."""
     if (topology_path is None) == (bootnodes_path is None):
         raise click.UsageError("exactly one of --sim / --live required")
-    config = CrawlConfig(prefix_bits=prefix_bits, neighbor_k=neighbor_k,
-                         max_in_flight=max_inflight, rng_seed=rng_seed)
+    config = CrawlConfig(prefix_bits=prefix_bits, max_in_flight=max_inflight,
+                         rng_seed=rng_seed)
     if topology_path is not None:
         topology = load_topology(topology_path)
         if rng_seed is not None:
@@ -546,18 +522,14 @@ def cmd_crawl(state: AppState, topology_path, bootnodes_path, prefix_bits: int,
 
 def _read_bootnodes(path: str) -> list[PeerInfo]:
     peers = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                node_hex, endpoint = line.split("@", 1)
-                ip, port_text = endpoint.rsplit(":", 1)
-                peers.append(PeerInfo(node_id=bytes.fromhex(node_hex),
-                                      ip=ip, port=int(port_text)))
-            except ValueError as exc:
-                raise click.UsageError(f"bootnode line {line_no}: {exc}")
+    for line_no, text in _list_lines(path):
+        try:
+            node_hex, endpoint = text.split("@", 1)
+            ip, port_text = endpoint.rsplit(":", 1)
+            peers.append(PeerInfo(node_id=bytes.fromhex(node_hex),
+                                  ip=ip, port=int(port_text)))
+        except ValueError as exc:
+            raise click.UsageError(f"bootnode line {line_no}: {exc}")
     return peers
 
 
@@ -572,7 +544,8 @@ def bootstrap_group() -> None:
 @click.option("--seeds", "seeds_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Seed source JSON: {port, hardcoded, dns}.")
-@click.option("--rounds", default=1, show_default=True)
+@click.option("--rounds", default=1, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--script", "script_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Scripted resolver answers (JSON) instead of live DNS.")
@@ -600,12 +573,13 @@ def cmd_bootstrap_harvest(state: AppState, seeds_path, rounds: int,
 @click.option("--ips", "ips_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Address list, one per line (overrides the seed list).")
-@click.option("--port", default=None, type=int,
+@click.option("--port", default=None, type=click.IntRange(1, 65535),
               help="Port to probe (overrides the seed source port).")
 @click.option("--script", "script_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Scripted prober outcomes (JSON) instead of live TCP.")
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True,
+              type=click.IntRange(min=1))
 @pass_state
 def cmd_bootstrap_probe(state: AppState, seeds_path, ips_path, port,
                         script_path, workers: int) -> None:
@@ -617,9 +591,7 @@ def cmd_bootstrap_probe(state: AppState, seeds_path, ips_path, port,
         if port is None:
             port = source.port
     if ips_path is not None:
-        with open(ips_path, encoding="utf-8") as fh:
-            ips = [line.strip() for line in fh
-                   if line.strip() and not line.startswith("#")]
+        ips = [text for _, text in _list_lines(ips_path)]
     if not ips:
         raise click.UsageError("no addresses; pass --seeds or --ips")
     if port is None:

@@ -2,12 +2,11 @@
 
 from .crawler import CrawlConfig, CrawlReport, DiscoveryTransport, crawl, endpoint_stats
 from .identity import (NODE_ID_LEN, PeerInfo, hash_prefix, node_hash,
-                       precompute_targets, select_neighbors, xor_distance)
+                       precompute_targets, select_neighbors)
 from .simulator import GroundTruth, SimTransport, build_sim_overlay
 
 __all__ = [
     "CrawlConfig", "CrawlReport", "DiscoveryTransport", "crawl", "endpoint_stats",
     "NODE_ID_LEN", "PeerInfo", "hash_prefix", "node_hash", "precompute_targets",
-    "select_neighbors", "xor_distance", "GroundTruth", "SimTransport",
-    "build_sim_overlay",
+    "select_neighbors", "GroundTruth", "SimTransport", "build_sim_overlay",
 ]

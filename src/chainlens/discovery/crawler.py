@@ -43,17 +43,12 @@ class DiscoveryTransport(Protocol):
 @dataclass
 class CrawlConfig:
     prefix_bits: int = 13
-    neighbor_k: int = 16
     max_in_flight: int = 500
-    ping_timeout: float = 1.0
-    query_timeout: float = 2.0
     rng_seed: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.prefix_bits <= 32:
             raise ValueError("prefix_bits must be in [0, 32]")
-        if self.neighbor_k < 1:
-            raise ValueError("neighbor_k must be >= 1")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 

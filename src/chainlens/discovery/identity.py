@@ -44,10 +44,6 @@ def _hash_as_int(node_id: bytes) -> int:
     return int.from_bytes(node_hash(node_id), "big")
 
 
-def xor_distance(a: bytes, b: bytes) -> int:
-    return int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-
-
 def select_neighbors(candidates: Sequence[PeerInfo], target: bytes,
                      k: int) -> list[PeerInfo]:
     """The k candidates closest to `target`, ascending, ties by node id."""

@@ -40,8 +40,6 @@ class ContractRecord:
     creator_kind: CreatorKind
     creation_index: int = -1  # index in block; -1 = before any tx (internal)
     termination_height: int | None = None
-    balance: int = 0
-    code: str = ""
 
 
 class ContractRegistry:
@@ -121,9 +119,7 @@ def build_contract_registry(store: Store,
             creation_height=tx.block_height,
             creator=tx.sender,
             creator_kind=CreatorKind.BY_TRANSACTION,
-            creation_index=tx.index_in_block,
-            balance=tx.value,
-            code=tx.input_data))
+            creation_index=tx.index_in_block))
     for line_no, obj in read_records(internal_creations or (),
                                      ("internal_create",)):
         try:

@@ -29,6 +29,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_PROBE_CALLER = "00000000000000000000000000000000000000aa"
 _SELECTOR_FILE = "termination_selectors.txt"
+BASE_CALL_GAS = 21_000  # intrinsic gas of a plain call
+_UNSCRIPTED_ESTIMATE = 100_000  # FixtureExecutor, unscripted pairs
 
 
 def function_selector(signature_text: str) -> bytes:
@@ -89,12 +91,10 @@ class SelectorDictionary:
 
 @dataclass
 class GasPolicy:
-    base_call_gas: int = 21_000
-    suicide_refund: int = 24_000
-    vulnerability_threshold: int = 21_000
+    vulnerability_threshold: int = BASE_CALL_GAS
 
     def __post_init__(self) -> None:
-        if self.vulnerability_threshold > self.base_call_gas:
+        if self.vulnerability_threshold > BASE_CALL_GAS:
             raise ValueError("threshold above base call gas would flag "
                              "ordinary calls")
 
@@ -127,8 +127,6 @@ class ProbeResult:
 
 
 class ContractExecutor(Protocol):
-    concurrent_safe: bool
-
     def estimate_gas(self, contract: str, selector: bytes) -> int: ...
 
     def invoke(self, contract: str, selector: bytes,
@@ -140,24 +138,21 @@ class FixtureExecutor:
 
     Record shape: {"type":"gas_fixture","address":"0x..","selector":"0x..",
     "estimate":N,"terminates":bool,"refund_to":"0x..|null|caller"}.
-    Unknown (address, selector) pairs estimate at `default_estimate`,
-    comfortably above any sane threshold. A record that does not fit the
+    Unknown (address, selector) pairs estimate at 100,000 gas, above any
+    threshold GasPolicy accepts. A record that does not fit the
     shape raises SchemaViolation naming its line (its 1-based position
     when records are passed as dicts).
     """
 
-    concurrent_safe = True
-
-    def __init__(self, records: Iterable[dict], default_estimate: int = 100_000):
-        self.default_estimate = default_estimate
+    def __init__(self, records: Iterable[dict]):
         self._estimates: dict[tuple[str, bytes], int] = {}
         self._behavior: dict[tuple[str, bytes], tuple[bool, str | None]] = {}
         self._terminated: set[str] = set()
         self._load(enumerate(records, start=1))
 
     @classmethod
-    def from_file(cls, source: RecordSource, **kwargs) -> "FixtureExecutor":
-        executor = cls([], **kwargs)
+    def from_file(cls, source: RecordSource) -> "FixtureExecutor":
+        executor = cls([])
         executor._load(read_records(source, ("gas_fixture",)))
         return executor
 
@@ -182,7 +177,7 @@ class FixtureExecutor:
         return sorted({address for address, _ in self._estimates})
 
     def estimate_gas(self, contract: str, selector: bytes) -> int:
-        return self._estimates.get((contract, selector), self.default_estimate)
+        return self._estimates.get((contract, selector), _UNSCRIPTED_ESTIMATE)
 
     def invoke(self, contract: str, selector: bytes, caller: str) -> InvokeOutcome:
         terminates, refund_spec = self._behavior.get((contract, selector),
@@ -192,7 +187,7 @@ class FixtureExecutor:
         if terminates:
             self._terminated.add(contract)
             refund_to = caller if refund_spec == "caller" else refund_spec
-        gas = self._estimates.get((contract, selector), self.default_estimate)
+        gas = self._estimates.get((contract, selector), _UNSCRIPTED_ESTIMATE)
         return InvokeOutcome(terminated=terminates, refund_to=refund_to,
                              gas_used=gas)
 
@@ -215,8 +210,6 @@ class RpcExecutor:
     call; refund destinations are not observable without tracing, so they
     come back as None. Not exercised by the offline test gate.
     """
-
-    concurrent_safe = False
 
     def __init__(self, url: str, timeout: float = 10.0):
         self.url = url
@@ -260,10 +253,11 @@ def classify_refund(refund_to: str | None, caller: str,
         return RefundDestination.NONE, None
     if refund_to == caller:
         return RefundDestination.CALLER, None
-    if refund_to == creator:
-        return RefundDestination.CREATOR, None
+    # before the creator test: an unknown creator is given as NULL_ADDRESS
     if refund_to == NULL_ADDRESS:
         return RefundDestination.NULL_ADDRESS, None
+    if refund_to == creator:
+        return RefundDestination.CREATOR, None
     return RefundDestination.OTHER, refund_to
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..model import strip_0x
-from .contracts import ContractRecord
 
 
 def levenshtein(a: str, b: str, cutoff: int) -> int | None:
@@ -58,12 +57,11 @@ class SimilarityBuckets:
     """Exact is distance 0; minor is (0, minor_max]; heavy is (minor_max, heavy_max]."""
     minor_max: int = 100
     heavy_max: int = 1000
-    cutoff: int = 1000
 
     def __post_init__(self) -> None:
-        if not 0 < self.minor_max < self.heavy_max <= self.cutoff:
+        if not 0 < self.minor_max < self.heavy_max:
             raise ValueError("bucket bounds must satisfy "
-                             "0 < minor_max < heavy_max <= cutoff")
+                             "0 < minor_max < heavy_max")
 
 
 @dataclass
@@ -75,32 +73,32 @@ class SimilarityRow:
     heavy: int = 0
 
 
-def bucket_similarity(corpus: Sequence[ContractRecord | str],
+def bucket_similarity(corpus: Sequence[str],
                       references: Sequence[tuple[str, str, bool]],
                       buckets: SimilarityBuckets | None = None
                       ) -> list[SimilarityRow]:
     """Count corpus contracts per distance bucket against each reference.
 
-    `references` entries are (name, bytecode_hex, optimized). Distances
-    beyond the cutoff are discarded entirely.
+    `corpus` holds bytecode hex strings; `references` entries are
+    (name, bytecode_hex, optimized). Distances beyond heavy_max are
+    discarded entirely.
     """
     if buckets is None:
         buckets = SimilarityBuckets()
-    codes = [strip_0x(c.code if isinstance(c, ContractRecord) else c).lower()
-             for c in corpus]
+    codes = [strip_0x(code).lower() for code in corpus]
     rows = []
     for name, bytecode, optimized in references:
         reference_code = strip_0x(bytecode).lower()
         row = SimilarityRow(reference=name, optimized=optimized)
         for code in codes:
-            distance = levenshtein(code, reference_code, buckets.cutoff)
+            distance = levenshtein(code, reference_code, buckets.heavy_max)
             if distance is None:
                 continue
             if distance == 0:
                 row.exact += 1
             elif distance <= buckets.minor_max:
                 row.minor += 1
-            elif distance <= buckets.heavy_max:
+            else:
                 row.heavy += 1
         rows.append(row)
     return rows

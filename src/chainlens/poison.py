@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 
 _SIGNATURE_FILE = "signatures.csv"
 _MAX_MAGIC_BYTES = 16
+MATCH_PREFIX_BYTES = 2  # leading magic bytes the candidate filter compares
 
 
 def extract_payload(input_hex: str) -> bytes:
@@ -55,13 +56,10 @@ class SignatureEntry:
 @dataclass
 class SignatureDb:
     entries: list[SignatureEntry]
-    match_prefix_bytes: int = 2
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("signature table is empty")
-        if self.match_prefix_bytes < 1:
-            raise ValueError("match_prefix_bytes must be >= 1")
         seen = set()
         for entry in self.entries:
             key = (entry.format_name, entry.magic, entry.offset)
@@ -76,8 +74,7 @@ class SignatureDb:
         raise KeyError(format_name)
 
 
-def load_signatures(path: str | Path | None = None,
-                    match_prefix_bytes: int = 2) -> SignatureDb:
+def load_signatures(path: str | Path | None = None) -> SignatureDb:
     """Load a `format,magic_hex,offset,extension` CSV; None loads the bundled table."""
     if path is None:
         text = resources.files("chainlens").joinpath(
@@ -97,7 +94,7 @@ def load_signatures(path: str | Path | None = None,
                                       magic=bytes.fromhex(magic_hex),
                                       offset=int(offset),
                                       extension=extension))
-    return SignatureDb(entries=entries, match_prefix_bytes=match_prefix_bytes)
+    return SignatureDb(entries=entries)
 
 
 def _entry_matches(payload: bytes, entry: SignatureEntry,
@@ -112,11 +109,11 @@ def match_signatures(payload: bytes, db: SignatureDb,
                      full_magic: bool = False) -> list[str]:
     """Names of all candidate formats, in table order.
 
-    The default mode compares only db.match_prefix_bytes leading magic
+    The default mode compares only MATCH_PREFIX_BYTES leading magic
     bytes and is a high-recall, false-positive-prone filter; full_magic
     re-checks complete magic sequences instead.
     """
-    prefix = None if full_magic else db.match_prefix_bytes
+    prefix = None if full_magic else MATCH_PREFIX_BYTES
     return [entry.format_name for entry in db.entries
             if _entry_matches(payload, entry, prefix)]
 

@@ -118,6 +118,50 @@ def test_cutoff_refused_where_not_honoured(tmp_path, capsys, argv):
     assert "--cutoff is honoured only by" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["eth", "similarity", "--references", "refs.json", "--corpus", "c.txt",
+      "--minor", "5", "--heavy", "3"], "--minor/--heavy"),
+    (["crawl", "--sim", "topo.json", "--prefix-bits", "40"], "--prefix-bits"),
+    (["crawl", "--sim", "topo.json", "--max-inflight", "0"], "--max-inflight"),
+    (["crawl", "--sim", "topo.json", "--k", "0"], "--k"),
+    (["eth", "lifetimes", "--edges", "10,5"], "--edges"),
+    (["bootstrap", "harvest", "--seeds", "seeds.json", "--rounds", "0"],
+     "--rounds"),
+    (["bootstrap", "probe", "--seeds", "seeds.json", "--script", "probes.json",
+      "--port", "0"], "--port"),
+    (["bootstrap", "probe", "--seeds", "seeds.json", "--script", "probes.json",
+      "--workers", "0"], "--workers"),
+    (["eth", "zombies", "--top", "-1"], "--top"),
+    (["nmc", "rereg", "--day", "2011-05-17", "--window", "-5"], "--window"),
+    (["eth", "probe", "--gas-fixture", "gas.ndjson", "--caller", "zz"],
+     "--caller"),
+    (["eth", "probe", "--gas-fixture", "gas.ndjson", "--contracts",
+      "contracts.txt"], "--contracts line 2"),
+], ids=["similarity minor>heavy", "crawl prefix-bits", "crawl max-inflight",
+        "crawl k", "lifetimes edges", "harvest rounds", "probe port",
+        "probe workers", "zombies top", "rereg window", "probe caller",
+        "probe contracts"])
+def test_bad_option_value_is_usage_error(eth_db, tmp_path, monkeypatch,
+                                         capsys, argv, option):
+    # every file the commands read exists, so only the value is at fault
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "refs.json").write_text(json.dumps(
+        [{"name": "token", "bytecode": "6001", "optimized": False}]))
+    (tmp_path / "c.txt").write_text("6001\n")
+    (tmp_path / "topo.json").write_text(json.dumps(
+        {"n_peers": 10, "degree": 4, "seed": 1}))
+    (tmp_path / "seeds.json").write_text(json.dumps(
+        {"port": 8333, "hardcoded": ["5.5.5.5"], "dns": []}))
+    (tmp_path / "probes.json").write_text(json.dumps({"5.5.5.5": "accepted"}))
+    (tmp_path / "gas.ndjson").write_text(json.dumps(
+        {"type": "gas_fixture", "address": addr(1), "selector": "41c0e1b5",
+         "estimate": 300}) + "\n")
+    (tmp_path / "contracts.txt").write_text(f"{addr(1)}\nnot-an-address\n")
+    assert run_cli(["--db", eth_db, *argv]) == 1
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
+
+
 def test_out_file_and_stamp(eth_db, tmp_path, capsys):
     out_path = tmp_path / "monthly.csv"
     run_ok(capsys, ["--db", eth_db, "--out", str(out_path), "--stamp",
@@ -196,6 +240,17 @@ def test_eth_probe_fixture_flow(tmp_path, capsys):
     assert run_cli(["eth", "probe"]) == 1
     assert run_cli(["eth", "probe", "--gas-fixture", str(fixture),
                     "--rpc", "http://localhost:1"]) == 1
+
+
+def test_eth_probe_refund_to_null_address(tmp_path, capsys):
+    fixture = tmp_path / "gas.ndjson"
+    fixture.write_text(json.dumps(
+        {"type": "gas_fixture", "address": addr(1), "selector": "41c0e1b5",
+         "estimate": 300, "terminates": True,
+         "refund_to": "0x" + "00" * 20}) + "\n")
+    out = run_ok(capsys, ["eth", "probe", "--gas-fixture", str(fixture)])
+    assert parse_csv(out.out)[1:] == [[addr(1), "41c0e1b5", "300", "1",
+                                       "null_address", "", "0", ""]]
 
 
 def test_eth_probe_bad_fixture_is_data_error(tmp_path, capsys):
@@ -349,3 +404,15 @@ def test_bootstrap_harvest_and_probe(tmp_path, capsys):
     assert doc["summary"]["pct_open"] == 50.0
     # no address source at all
     assert run_cli(["bootstrap", "probe", "--port", "1"]) == 1
+
+
+def test_bootstrap_probe_ip_list_skips_comments(tmp_path, capsys):
+    ips = tmp_path / "ips.txt"
+    ips.write_text("5.5.5.5\n  # note\n\n\t6.6.6.6\n")
+    probes = tmp_path / "prober.json"
+    probes.write_text(json.dumps({"5.5.5.5": "accepted",
+                                  "6.6.6.6": "refused"}))
+    out = run_ok(capsys, ["bootstrap", "probe", "--ips", str(ips),
+                          "--port", "8333", "--script", str(probes)])
+    assert parse_csv(out.out)[1:] == [["5.5.5.5", "open"],
+                                      ["6.6.6.6", "closed"]]

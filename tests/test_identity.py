@@ -6,7 +6,7 @@ import pytest
 
 from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo, hash_prefix,
                                           node_hash, precompute_targets,
-                                          select_neighbors, xor_distance)
+                                          select_neighbors)
 from chainlens.keccak import keccak256
 
 import oracles
@@ -29,13 +29,6 @@ def test_node_hash_is_keccak_of_identity():
     node_id = bytes(range(64))
     assert node_hash(node_id) == keccak256(node_id)
     assert node_hash(node_id) == oracles.keccak256_oracle(node_id)
-
-
-def test_xor_distance_axioms():
-    a, b = keccak256(b"a"), keccak256(b"b")
-    assert xor_distance(a, a) == 0
-    assert xor_distance(a, b) == xor_distance(b, a)
-    assert xor_distance(a, b) > 0
 
 
 def test_select_neighbors_matches_bruteforce_small():

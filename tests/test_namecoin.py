@@ -6,8 +6,7 @@ import pytest
 
 from chainlens.chains.namecoin import (FeeSchedule, build_name_histories,
                                        classify_name_op,
-                                       default_network_fee,
-                                       detect_reregistrations, expected_fee,
+                                       detect_reregistrations,
                                        merge_mine_split, weekly_fee_sums)
 from chainlens.errors import (AuxPowBeforeActivation, EmptyChain,
                               MalformedNameOp)
@@ -105,28 +104,6 @@ def test_classify_rejects_incomplete_payloads():
     with pytest.raises(MalformedNameOp):
         classify_name_op(nmc_tx(NameOpPayload(kind=NameOpKind.UPDATE,
                                               paid_fee=0)))
-
-
-def test_default_network_fee_curve():
-    assert default_network_fee(0) == 50 * NMC
-    assert default_network_fee(8191) == 50 * NMC
-    assert default_network_fee(8192) == 25 * NMC
-    assert default_network_fee(16384) == 125 * NMC // 10
-    samples = [default_network_fee(h) for h in range(0, 400_000, 1000)]
-    assert all(a >= b for a, b in zip(samples, samples[1:]))
-    assert default_network_fee(8192 * 33) == 0
-    with pytest.raises(ValueError):
-        default_network_fee(-1)
-
-
-def test_expected_fee():
-    schedule = FeeSchedule()
-    assert expected_fee(NameOpKind.NEW, 0, schedule) == NMC // 100
-    assert expected_fee(NameOpKind.UPDATE, 12345, schedule) == NMC // 200
-    assert expected_fee(NameOpKind.FIRST_UPDATE, 0, schedule) == \
-        NMC // 200 + 50 * NMC
-    flat = FeeSchedule(network_fee_curve=lambda height: 7)
-    assert expected_fee(NameOpKind.FIRST_UPDATE, 99, flat) == NMC // 200 + 7
 
 
 def test_weekly_fee_sums_zero_filled(nmc_store):

@@ -41,7 +41,6 @@ def test_extract_payload_inverts_hex(blob):
 def test_bundled_table_loads():
     db = load_signatures()
     assert len(db.entries) == 75
-    assert db.match_prefix_bytes == 2
     assert db.extension_for("png") == "png"
     assert db.extension_for("gzip") == "gz"
     with pytest.raises(KeyError):
@@ -66,17 +65,14 @@ def test_db_validation():
         SignatureDb(entries=[])
     with pytest.raises(ValueError):
         SignatureDb(entries=[entry, entry])
-    with pytest.raises(ValueError):
-        SignatureDb(entries=[entry], match_prefix_bytes=0)
 
 
 def test_custom_table_loading(tmp_path):
     path = tmp_path / "sigs.csv"
     path.write_text("format,magic_hex,offset,extension\n"
                     "demo,cafe,0,bin\n")
-    db = load_signatures(path, match_prefix_bytes=1)
+    db = load_signatures(path)
     assert [entry.format_name for entry in db.entries] == ["demo"]
-    assert db.match_prefix_bytes == 1
     bad = tmp_path / "bad.csv"
     bad.write_text("demo,cafe,0\n")
     with pytest.raises(ValueError):

@@ -90,8 +90,6 @@ def test_fixture_executor_rejects_wrong_type(tmp_path):
 
 
 class RecordingExecutor:
-    concurrent_safe = True
-
     def __init__(self, inner):
         self.inner = inner
         self.invocations = []
@@ -105,8 +103,6 @@ class RecordingExecutor:
 
 
 class FailingExecutor:
-    concurrent_safe = True
-
     def __init__(self, inner, fail_on):
         self.inner = inner
         self.fail_on = fail_on

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlens.eth.contracts import ContractRecord, CreatorKind
 from chainlens.eth.similarity import (SimilarityBuckets, SimilarityRow,
                                       bucket_similarity, levenshtein)
 
-from conftest import addr
 import oracles
 
 HEX_TEXT = st.text(alphabet="0123456789abcdef", max_size=40)
@@ -55,7 +53,7 @@ def test_band_respects_cutoff(a, b, cutoff):
 
 
 def test_bucket_boundaries_hand_case():
-    buckets = SimilarityBuckets(minor_max=1, heavy_max=3, cutoff=3)
+    buckets = SimilarityBuckets(minor_max=1, heavy_max=3)
     corpus = ["aabb", "aabc", "abcd", "ffff"]
     rows = bucket_similarity(corpus, [("r", "aabb", True)], buckets)
     assert rows == [SimilarityRow(reference="r", optimized=True,
@@ -65,21 +63,6 @@ def test_bucket_boundaries_hand_case():
 def test_bucket_normalizes_prefix_and_case():
     rows = bucket_similarity(["0xAABB"], [("r", "aabb", False)])
     assert rows[0].exact == 1
-
-
-def test_bucket_accepts_contract_records():
-    corpus = [ContractRecord(address=addr(1), creation_height=0,
-                             creator=addr(2),
-                             creator_kind=CreatorKind.BY_TRANSACTION,
-                             code="6001"),
-              ContractRecord(address=addr(3), creation_height=0,
-                             creator=addr(2),
-                             creator_kind=CreatorKind.BY_TRANSACTION,
-                             code="6002")]
-    rows = bucket_similarity(corpus, [("r", "6001", False)],
-                             SimilarityBuckets(minor_max=1, heavy_max=2,
-                                               cutoff=2))
-    assert rows[0].exact == 1 and rows[0].minor == 1
 
 
 def test_bucket_counts_match_oracle():
@@ -98,7 +81,7 @@ def test_bucket_counts_match_oracle():
               mutate(reference, 40),
               mutate(reference, 120),
               "".join(rng.choice("0123456789abcdef") for _ in range(200))]
-    buckets = SimilarityBuckets(minor_max=50, heavy_max=130, cutoff=130)
+    buckets = SimilarityBuckets(minor_max=50, heavy_max=130)
     rows = bucket_similarity(corpus, [("r", reference, False)], buckets)
     expected = SimilarityRow(reference="r", optimized=False)
     for code in corpus:
@@ -110,7 +93,7 @@ def test_bucket_counts_match_oracle():
         elif distance <= buckets.heavy_max:
             expected.heavy += 1
     assert rows == [expected]
-    # the random 200-char string really was discarded by the cutoff
+    # the random 200-char string really was discarded beyond heavy_max
     assert rows[0].exact + rows[0].minor + rows[0].heavy == 4
 
 
@@ -118,14 +101,14 @@ def test_bucket_bounds_validation():
     with pytest.raises(ValueError):
         SimilarityBuckets(minor_max=100, heavy_max=100)
     with pytest.raises(ValueError):
-        SimilarityBuckets(minor_max=10, heavy_max=20, cutoff=15)
+        SimilarityBuckets(minor_max=20, heavy_max=10)
     with pytest.raises(ValueError):
         SimilarityBuckets(minor_max=0)
 
 
 def test_multiple_references_counted_independently():
     corpus = ["aaaa", "bbbb"]
-    buckets = SimilarityBuckets(minor_max=1, heavy_max=4, cutoff=4)
+    buckets = SimilarityBuckets(minor_max=1, heavy_max=4)
     rows = bucket_similarity(corpus,
                              [("a", "aaaa", False), ("b", "bbbb", True)],
                              buckets)

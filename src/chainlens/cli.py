@@ -29,8 +29,8 @@ from .discovery.simulator import build_sim_overlay
 from .errors import ChainLensError
 from .eth.classify import TxClass, monthly_class_counts, zombie_report
 from .eth.contracts import (NULL_ADDRESS, ContractRecord, CreatorKind,
-                            build_contract_registry, find_precreation_funding,
-                            lifetime_histogram)
+                            build_contract_registry, check_lifetime_edges,
+                            find_precreation_funding, lifetime_histogram)
 from .eth.probe import (DEFAULT_PROBE_CALLER, FixtureExecutor, GasPolicy,
                         RpcExecutor, SelectorDictionary, probe_suicidal)
 from .eth.similarity import SimilarityBuckets, bucket_similarity
@@ -255,13 +255,14 @@ def cmd_eth_lifetimes(state: AppState, internal_path, terminated_path,
         edge_values = tuple(int(part) for part in edges.split(","))
     except ValueError:
         raise click.BadParameter(f"bad --edges {edges!r}")
+    try:
+        check_lifetime_edges(edge_values)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--edges")
     with state.open_store() as store:
         registry = build_contract_registry(store, internal_path,
                                            terminated_path)
-    try:
-        histogram = lifetime_histogram(registry, bucket_edges=edge_values)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--edges")
+    histogram = lifetime_histogram(registry, bucket_edges=edge_values)
     state.emit_rows(("bucket", "contracts"), list(histogram.items()))
 
 
@@ -350,15 +351,34 @@ def cmd_eth_similarity(state: AppState, references_path, corpus_path,
         buckets = SimilarityBuckets(minor_max=minor, heavy_max=heavy)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--minor/--heavy")
-    with open(references_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    references = [(entry["name"], entry["bytecode"],
-                   bool(entry.get("optimized", False))) for entry in raw]
+    references = _read_references(references_path)
     corpus = [text for _, text in _list_lines(corpus_path)]
     rows = bucket_similarity(corpus, references, buckets)
     state.emit_rows(("reference", "optimized", "exact", "minor", "heavy"),
                     [(r.reference, int(r.optimized), r.exact, r.minor, r.heavy)
                      for r in rows])
+
+
+def _read_references(path: str) -> list[tuple[str, str, bool]]:
+    """(name, bytecode, optimized) of each entry in a --references list."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint="--references")
+    if not isinstance(raw, list):
+        raise click.BadParameter("expected a JSON list of references",
+                                 param_hint="--references")
+    references = []
+    for index, entry in enumerate(raw):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("bytecode"), str)):
+            raise click.BadParameter(
+                f"entry {index} is not an object with string 'name' and "
+                f"'bytecode'", param_hint="--references")
+        references.append((entry["name"], entry["bytecode"],
+                           bool(entry.get("optimized", False))))
+    return references
 
 
 # -- Namecoin ------------------------------------------------------------------
@@ -495,7 +515,10 @@ def cmd_crawl(state: AppState, topology_path, bootnodes_path, prefix_bits: int,
     config = CrawlConfig(prefix_bits=prefix_bits, max_in_flight=max_inflight,
                          rng_seed=rng_seed)
     if topology_path is not None:
-        topology = load_topology(topology_path)
+        try:
+            topology = load_topology(topology_path)
+        except (TypeError, ValueError) as exc:
+            raise click.BadParameter(str(exc), param_hint="--sim")
         if rng_seed is not None:
             topology["rng_seed"] = rng_seed
         transport, truth = build_sim_overlay(

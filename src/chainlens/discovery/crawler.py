@@ -201,9 +201,18 @@ def _is_private(ip: str) -> bool:
 
 
 def load_topology(path: str | Path) -> dict:
-    """Read a simulator topology description from a JSON file."""
+    """Read a simulator topology description from a JSON file.
+
+    Raises ValueError, naming the fault, unless the file holds a JSON object
+    with `n_peers` and `degree`.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("topology must be a JSON object")
+    for key in ("n_peers", "degree"):
+        if key not in raw:
+            raise ValueError(f"topology lacks {key!r}")
     return {
         "n_peers": int(raw["n_peers"]),
         "degree": int(raw["degree"]),

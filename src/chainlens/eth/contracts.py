@@ -166,6 +166,12 @@ def find_precreation_funding(store: Store, registry: ContractRegistry
     return hits
 
 
+def check_lifetime_edges(bucket_edges: tuple[int, ...]) -> None:
+    """Raise ValueError unless the histogram bucket edges strictly increase."""
+    if list(bucket_edges) != sorted(set(bucket_edges)):
+        raise ValueError("bucket edges must be strictly increasing")
+
+
 def lifetime_histogram(registry: ContractRegistry,
                        bucket_edges: tuple[int, ...] = DEFAULT_LIFETIME_EDGES
                        ) -> dict[str, int]:
@@ -174,8 +180,7 @@ def lifetime_histogram(registry: ContractRegistry,
     Buckets are closed above: an edge of 100 takes every lifetime <= 100.
     Returns an empty mapping when nothing has terminated.
     """
-    if list(bucket_edges) != sorted(set(bucket_edges)):
-        raise ValueError("bucket edges must be strictly increasing")
+    check_lifetime_edges(bucket_edges)
     lifetimes = [record.termination_height - record.creation_height
                  for record in registry if record.termination_height is not None]
     if not lifetimes:

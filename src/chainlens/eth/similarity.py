@@ -2,12 +2,14 @@
 
 Distances are computed over the hex-character text of the bytecode (two
 characters per byte), so a substitution budget of 1000 corresponds to 500
-bytes of ASCII source. The banded computation gives up as soon as the
-distance provably exceeds the cutoff and reports that as None.
+bytes of ASCII source. `levenshtein` is the bit-parallel edit distance of
+Myers (J. ACM 46(3), 1999) and Hyyrö (2003). Its cutoff is inclusive: a
+distance beyond it is reported as None, as soon as it is proven.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,33 +25,30 @@ def levenshtein(a: str, b: str, cutoff: int) -> int | None:
     len_a, len_b = len(a), len(b)
     if abs(len_a - len_b) > cutoff:
         return None
-    big = cutoff + 1
-    prev = [j if j <= cutoff else big for j in range(len_b + 1)]
-    for i in range(1, len_a + 1):
-        lo = max(1, i - cutoff)
-        hi = min(len_b, i + cutoff)
-        cur = [big] * (len_b + 1)
-        if i <= cutoff:
-            cur[0] = i
-            row_min = i
-        else:
-            row_min = big
-        char_a = a[i - 1]
-        for j in range(lo, hi + 1):
-            best = prev[j - 1] + (char_a != b[j - 1])
-            up = prev[j] + 1
-            if up < best:
-                best = up
-            left = cur[j - 1] + 1
-            if left < best:
-                best = left
-            cur[j] = best
-            if best < row_min:
-                row_min = best
-        if row_min > cutoff:
+    if not b:
+        return len_a
+    # bit j stands for b[j], DP index j + 1; a char absent from b has mask 0
+    match: dict[str, int] = {}
+    for j, char in enumerate(b):
+        match[char] = match.get(char, 0) | (1 << j)
+    full, last = (1 << len_b) - 1, 1 << (len_b - 1)
+    plus, minus = full, 0   # D[i][j+1] - D[i][j] is +1 / -1; all +1 at i = 0
+    score = len_b
+    for i, char in enumerate(a, start=1):
+        eq = match.get(char, 0)
+        x_v = eq | minus
+        x_h = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | (full & ~(x_h | plus))
+        h_minus = plus & x_h
+        score += bool(h_plus & last) - bool(h_minus & last)
+        if score - (len_a - i) > cutoff:
             return None
-        prev = cur
-    return prev[len_b] if prev[len_b] <= cutoff else None
+        # the carry in at j = 0 is +1, because D[i][0] = i
+        h_plus = (h_plus << 1) | 1
+        h_minus <<= 1
+        plus = h_minus | (full & ~(x_v | h_plus))
+        minus = h_plus & x_v
+    return score if score <= cutoff else None
 
 
 @dataclass
@@ -85,20 +84,20 @@ def bucket_similarity(corpus: Sequence[str],
     """
     if buckets is None:
         buckets = SimilarityBuckets()
-    codes = [strip_0x(code).lower() for code in corpus]
+    codes = Counter(strip_0x(code).lower() for code in corpus)
     rows = []
     for name, bytecode, optimized in references:
         reference_code = strip_0x(bytecode).lower()
         row = SimilarityRow(reference=name, optimized=optimized)
-        for code in codes:
+        for code, copies in codes.items():
             distance = levenshtein(code, reference_code, buckets.heavy_max)
             if distance is None:
                 continue
             if distance == 0:
-                row.exact += 1
+                row.exact += copies
             elif distance <= buckets.minor_max:
-                row.minor += 1
+                row.minor += copies
             else:
-                row.heavy += 1
+                row.heavy += copies
         rows.append(row)
     return rows

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from chainlens import cli as cli_module
 from chainlens.cli import run_cli
 
 from conftest import (CONTRACT_C2, addr, block_line, eth_labeled_fixture,
@@ -162,6 +163,42 @@ def test_bad_option_value_is_usage_error(eth_db, tmp_path, monkeypatch,
     assert option in err and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("name, content, argv, expected", [
+    ("refs.json", [{"bytecode": "6001"}],
+     ["eth", "similarity", "--references", "refs.json", "--corpus", "c.txt"],
+     ("--references", "entry 0")),
+    ("refs.json", [{"name": "token", "bytecode": "6001"}, {"name": "x"}],
+     ["eth", "similarity", "--references", "refs.json", "--corpus", "c.txt"],
+     ("--references", "entry 1")),
+    ("refs.json", [{"name": "token", "bytecode": "6001"}, "6002"],
+     ["eth", "similarity", "--references", "refs.json", "--corpus", "c.txt"],
+     ("--references", "entry 1")),
+    ("refs.json", {"name": "token", "bytecode": "6001"},
+     ["eth", "similarity", "--references", "refs.json", "--corpus", "c.txt"],
+     ("--references", "list")),
+    ("topo.json", {"degree": 4},
+     ["crawl", "--sim", "topo.json"], ("--sim", "n_peers")),
+    ("topo.json", {"n_peers": 10},
+     ["crawl", "--sim", "topo.json"], ("--sim", "degree")),
+    ("topo.json", [10, 4], ["crawl", "--sim", "topo.json"], ("--sim",)),
+    ("topo.json", {"n_peers": None, "degree": 4},
+     ["crawl", "--sim", "topo.json"], ("--sim",)),
+], ids=["reference without name", "reference without bytecode",
+        "reference not an object", "references not a list",
+        "topology without n_peers", "topology without degree",
+        "topology not an object", "topology with null n_peers"])
+def test_malformed_input_file_is_usage_error(tmp_path, monkeypatch, capsys,
+                                             name, content, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(content))
+    (tmp_path / "c.txt").write_text("6001\n")
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for part in expected:
+        assert part in err
+
 def test_out_file_and_stamp(eth_db, tmp_path, capsys):
     out_path = tmp_path / "monthly.csv"
     run_ok(capsys, ["--db", eth_db, "--out", str(out_path), "--stamp",
@@ -214,6 +251,30 @@ def test_eth_lifetimes(eth_db, tmp_path, capsys):
     assert run_cli(["--db", eth_db, "eth", "lifetimes", "--terminated",
                     str(side), "--edges", "ten,20"]) == 1
 
+
+
+def test_lifetimes_edges_checked_before_registry(eth_db, tmp_path,
+                                                 monkeypatch, capsys):
+    side = tmp_path / "terminated.ndjson"
+    side.write_text("\n".join(eth_termination_sidefile()) + "\n")
+    built = []
+
+    def spy(*args):
+        registry = real_build(*args)
+        built.append(len(registry))
+        return registry
+
+    real_build = cli_module.build_contract_registry
+    monkeypatch.setattr(cli_module, "build_contract_registry", spy)
+    argv = ["--db", eth_db, "eth", "lifetimes", "--terminated", str(side)]
+    assert run_cli(argv + ["--edges", "10,20"]) == 0
+    assert len(built) == 1 and built[0] > 0
+    capsys.readouterr()
+    assert run_cli(argv + ["--edges", "10,5"]) == 1
+    err = capsys.readouterr().err
+    assert "--edges" in err and "strictly increasing" in err
+    # the bad edges were refused before any registry pass
+    assert len(built) == 1
 
 def test_eth_precreation(eth_db, capsys):
     out = run_ok(capsys, ["--db", eth_db, "eth", "precreation"])

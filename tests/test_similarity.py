@@ -1,4 +1,4 @@
-"""Banded edit distance and reference-similarity bucketing."""
+"""Bit-parallel edit distance and reference-similarity bucketing."""
 
 import random
 
@@ -52,6 +52,62 @@ def test_band_respects_cutoff(a, b, cutoff):
         assert banded is None
 
 
+# letters g-j occur only in `a`, w-z only in `b`: match masks of 0 included
+A_ALPHABET = "0123456789abcdefghij"
+B_ALPHABET = "0123456789abcdefwxyz"
+
+
+def _text(draw, alphabet):
+    # draw the size first: st.text alone rarely goes past a few dozen chars
+    size = draw(st.integers(min_value=0, max_value=300))
+    return draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
+
+
+@st.composite
+def long_pairs(draw):
+    """Pairs up to 300 chars, so masks are wider than a 64-bit word."""
+    a = _text(draw, A_ALPHABET)
+    if draw(st.booleans()):
+        return a, _text(draw, B_ALPHABET)
+    chars = list(a)   # a few edits away, to hit distances near the cutoff
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        position = draw(st.integers(min_value=0, max_value=len(chars)))
+        edit = draw(st.sampled_from(("insert", "substitute", "delete")))
+        if edit == "insert" or position == len(chars):
+            chars.insert(position, draw(st.sampled_from("wxyz")))
+        elif edit == "substitute":
+            chars[position] = draw(st.sampled_from("wxyz"))
+        else:
+            del chars[position]
+    return a, "".join(chars)
+
+
+@given(long_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_long_pairs_match_oracle_at_every_cutoff(pair, data):
+    a, b = pair
+    cutoff = data.draw(st.integers(min_value=0,
+                                   max_value=max(len(a), len(b)) + 2))
+    true_distance = oracles.levenshtein_oracle(a, b)
+    expected = true_distance if true_distance <= cutoff else None
+    assert levenshtein(a, b, cutoff) == expected
+
+
+@pytest.mark.parametrize("a, b, cutoff, expected", [
+    ("", "", 0, 0),
+    ("", "0f", 2, 2),
+    ("", "0f", 1, None),
+    ("0f", "", 2, 2),
+    ("0f", "", 1, None),
+    ("0f", "0f", 0, 0),
+    ("0f", "0e", 0, None),
+    ("a" * 100, "a" * 99 + "x", 0, None),
+    ("a" * 100, "a" * 99 + "x", 1, 1),
+    ("x" + "a" * 99, "a" * 100, 1, 1),
+])
+def test_empty_strings_and_zero_cutoff(a, b, cutoff, expected):
+    assert levenshtein(a, b, cutoff) == expected
+
 def test_bucket_boundaries_hand_case():
     buckets = SimilarityBuckets(minor_max=1, heavy_max=3)
     corpus = ["aabb", "aabc", "abcd", "ffff"]
@@ -96,6 +152,38 @@ def test_bucket_counts_match_oracle():
     # the random 200-char string really was discarded beyond heavy_max
     assert rows[0].exact + rows[0].minor + rows[0].heavy == 4
 
+
+
+def test_repeated_entries_count_like_a_per_entry_oracle():
+    rng = random.Random(7)
+    reference = "".join(rng.choice("0123456789abcdef") for _ in range(120))
+    minor = reference[:50] + "zz" + reference[52:]
+    heavy = reference[:40] + "z" * 30 + reference[70:]
+    dropped = "f" * 120
+    corpus = [reference, "0x" + reference, reference.upper(), minor,
+              "0X" + minor.upper(), heavy, heavy, "0x" + heavy, dropped,
+              dropped.upper(), reference]
+    references = [("r", reference, True), ("m", "0x" + minor.upper(), False)]
+    buckets = SimilarityBuckets(minor_max=5, heavy_max=40)
+    rows = bucket_similarity(corpus, references, buckets)
+    expected = []
+    for name, bytecode, optimized in references:
+        row = SimilarityRow(reference=name, optimized=optimized)
+        for code in corpus:
+            distance = oracles.levenshtein_oracle(
+                code.lower().removeprefix("0x"),
+                bytecode.lower().removeprefix("0x"))
+            if distance == 0:
+                row.exact += 1
+            elif distance <= buckets.minor_max:
+                row.minor += 1
+            elif distance <= buckets.heavy_max:
+                row.heavy += 1
+        expected.append(row)
+    assert rows == expected
+    # every bucket is hit, and the two copies of `dropped` are discarded
+    assert (rows[0].exact, rows[0].minor, rows[0].heavy) == (4, 2, 3)
+    assert rows[1].exact == 2
 
 def test_bucket_bounds_validation():
     with pytest.raises(ValueError):

@@ -63,12 +63,24 @@ class SeedSource:
 
 
 def load_seed_source(path: str | Path) -> SeedSource:
-    """Read `{"port":N,"hardcoded":[..],"dns":[..]}` from a JSON file."""
+    """Read `{"port":N,"hardcoded":[..],"dns":[..]}` from a JSON file.
+
+    Raises ValueError, naming the fault, for any other shape.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict) or "port" not in raw:
+        raise ValueError("seed source must be a JSON object with a 'port'")
+    for key in ("hardcoded", "dns"):
+        if not _is_str_list(raw.get(key, [])):
+            raise ValueError(f"seed source {key!r} must be a list of strings")
     return SeedSource(port=int(raw["port"]),
                       hardcoded_ips=list(raw.get("hardcoded", [])),
                       dns_names=list(raw.get("dns", [])))
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 class Resolver(Protocol):
@@ -86,10 +98,20 @@ class ScriptedResolver:
     """Answers from a per-name list of per-round results.
 
     A result is either a list of IPs or an error kind string; the last
-    scripted round repeats once the script is exhausted.
+    scripted round repeats once the script is exhausted. Any other script
+    shape raises ValueError.
     """
 
     def __init__(self, script: dict[str, list[list[str] | str]]):
+        if not isinstance(script, dict):
+            raise ValueError("resolver script must map names to rounds")
+        kinds = [kind.value for kind in ResolveErrorKind]
+        for name, rounds in script.items():
+            if not (isinstance(rounds, list) and rounds and all(
+                    _is_str_list(r) or r in kinds for r in rounds)):
+                raise ValueError(
+                    f"{name!r}: rounds must be a non-empty list of IP lists "
+                    f"or error kinds ({', '.join(kinds)})")
         self._script = script
         self._calls: dict[str, int] = {}
 
@@ -164,8 +186,12 @@ class LiveResolver:
 
 
 class ScriptedProber:
+    """Outcomes from an ip -> connect result map; others get `default`."""
+
     def __init__(self, script: dict[str, ConnectResult | str],
                  default: ConnectResult = ConnectResult.TIMED_OUT):
+        if not isinstance(script, dict):
+            raise ValueError("prober script must map addresses to outcomes")
         self._script = {ip: ConnectResult(result)
                         for ip, result in script.items()}
         self._default = default
@@ -319,37 +345,3 @@ def probe_ports(prober: Prober, ips: Iterable[str], port: int,
         else:
             scan.summary.filtered += 1
     return scan
-
-
-# -- reverse-DNS classification ----------------------------------------------
-
-CATEGORY_RESIDENTIAL = "ResidentialISP"
-CATEGORY_HOSTED = "Hosted"
-CATEGORY_NO_PTR = "NoPtr"
-CATEGORY_OTHER = "Other"
-
-
-def classify_rdns(names: dict[str, str | None],
-                  rules: Sequence[tuple[str, str]]) -> dict[str, str]:
-    """Categorize reverse-DNS names with a first-match-wins rule table.
-
-    A pattern starting with '.' is a suffix match, anything else a
-    substring match. Missing PTR records map to NoPtr and unmatched names
-    to Other.
-    """
-    categories = {}
-    for ip, name in names.items():
-        if name is None:
-            categories[ip] = CATEGORY_NO_PTR
-            continue
-        for pattern, category in rules:
-            if pattern.startswith("."):
-                if name.endswith(pattern) or name == pattern[1:]:
-                    categories[ip] = category
-                    break
-            elif pattern in name:
-                categories[ip] = category
-                break
-        else:
-            categories[ip] = CATEGORY_OTHER
-    return categories

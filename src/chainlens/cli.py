@@ -12,12 +12,14 @@ import logging
 import os
 import sys
 from datetime import date
-from typing import Iterator
+from functools import partial
+from typing import Any, Callable
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
-from .bootstrap import (ConnectResult, LiveProber, LiveResolver, ScriptedProber,
+from .bootstrap import (LiveProber, LiveResolver, ScriptedProber,
                         ScriptedResolver, harvest_seeds, load_seed_source,
                         probe_ports)
 from .chains.namecoin import (FeeSchedule, detect_reregistrations,
@@ -92,21 +94,43 @@ class AppState:
 pass_state = click.make_pass_decorator(AppState)
 
 
-def _list_lines(path: str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of a list file's lines, skipping blank
-    lines and `#` comment lines."""
+class LoadedFile(click.Path):
+    """An existing file option whose value is `load(path)`.
+
+    A ValueError, KeyError or TypeError from the loader is a usage error
+    naming the option; a ChainLensError stays a data error.
+    """
+
+    def __init__(self, load: Callable[[str], Any]):
+        super().__init__(exists=True, dir_okay=False)
+        self.load = load
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        try:
+            return self.load(path)
+        except (ValueError, KeyError, TypeError) as exc:
+            self.fail(str(exc), param, ctx)
+
+
+def _list_lines(path: str, parse: Callable[[str], Any] = str) -> list:
+    """parse(text) of each stripped line of a list file, skipping blank
+    lines and `#` comment lines; a ValueError names the line."""
+    values = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if text and not text.startswith("#"):
-                yield line_no, text
+                try:
+                    values.append(parse(text))
+                except ValueError as exc:
+                    raise ValueError(f"line {line_no}: {exc}") from None
+    return values
 
 
-def _address_arg(text: str, where: str) -> str:
-    try:
-        return normalize_hex(text, byte_len=20)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint=where)
+def _json_file(path: str) -> Any:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @click.group()
@@ -131,6 +155,9 @@ def cli(ctx: click.Context, db_path: str, out: str | None, fmt: str,
         raise click.UsageError(
             f"--cutoff is honoured only by {' and '.join(_CUTOFF_COMMANDS)}, "
             f"not by {ctx.invoked_subcommand}")
+    if (ctx.invoked_subcommand == "crawl" and fmt == "csv"
+            and ctx.get_parameter_source("fmt") is not ParameterSource.DEFAULT):
+        raise click.UsageError("crawl writes JSON only; --format csv is refused")
     argv = sys.argv[1:] if sys.argv else []
     ctx.obj = AppState(db_path, out, fmt, cutoff, stamp, argv)
 
@@ -146,8 +173,7 @@ def cli(ctx: click.Context, db_path: str, out: str | None, fmt: str,
 def cmd_ingest(state: AppState, source: str, chain: str, strict: bool) -> None:
     """Load an NDJSON block/transaction file into the store."""
     with state.open_store() as store:
-        with open(source, encoding="utf-8") as fh:
-            summary = ingest_blocks(fh, ChainKind(chain), store, strict=strict)
+        summary = ingest_blocks(source, ChainKind(chain), store, strict=strict)
     for rejected in summary.rejected:
         click.echo(f"rejected {rejected}", err=True)
     state.emit_rows(("blocks", "txs", "rejected"),
@@ -279,42 +305,42 @@ def cmd_eth_precreation(state: AppState, internal_path, terminated_path) -> None
 
 
 @eth_group.command("probe")
-@click.option("--gas-fixture", "fixture_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--gas-fixture", "executor", default=None,
+              type=LoadedFile(FixtureExecutor.from_file),
               help="Scripted executor fixture (NDJSON).")
 @click.option("--rpc", "rpc_url", default=None,
               help="JSON-RPC endpoint of a node you control.")
-@click.option("--contracts", "contracts_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--contracts", default=None,
+              type=LoadedFile(partial(_list_lines, parse=partial(
+                  normalize_hex, byte_len=20))),
               help="Address list, one per line; defaults to every address "
                    "in the gas fixture.")
-@click.option("--selectors", "selectors_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--selectors", "dictionary", default=None,
+              type=LoadedFile(lambda path: SelectorDictionary.from_lines(
+                  _list_lines(path))),
               help="Alternative termination-selector dictionary.")
 @click.option("--caller", default=DEFAULT_PROBE_CALLER, show_default=True)
 @pass_state
-def cmd_eth_probe(state: AppState, fixture_path, rpc_url, contracts_path,
-                  selectors_path, caller: str) -> None:
+def cmd_eth_probe(state: AppState, executor, rpc_url, contracts, dictionary,
+                  caller: str) -> None:
     """Find contracts anyone can terminate, and confirm by invoking them."""
-    if (fixture_path is None) == (rpc_url is None):
+    if (executor is None) == (rpc_url is None):
         raise click.UsageError("exactly one of --gas-fixture / --rpc required")
-    if selectors_path is None:
+    if dictionary is None:
         dictionary = SelectorDictionary.default()
-    else:
-        with open(selectors_path, encoding="utf-8") as fh:
-            dictionary = SelectorDictionary.from_lines(fh)
-    if fixture_path is not None:
-        executor = FixtureExecutor.from_file(fixture_path)
+    if executor is not None:
         addresses = executor.addresses()
     else:
         executor = RpcExecutor(rpc_url)
         addresses = []
-    if contracts_path is not None:
-        addresses = [_address_arg(text, f"--contracts line {line_no}")
-                     for line_no, text in _list_lines(contracts_path)]
+    if contracts is not None:
+        addresses = contracts
     if not addresses:
         raise click.UsageError("no contracts to probe; pass --contracts")
-    caller = _address_arg(caller, "--caller")
+    try:
+        caller = normalize_hex(caller, byte_len=20)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--caller")
     records = [ContractRecord(address=address, creation_height=0,
                               creator=NULL_ADDRESS,
                               creator_kind=CreatorKind.BY_TRANSACTION)
@@ -332,53 +358,44 @@ def cmd_eth_probe(state: AppState, fixture_path, rpc_url, contracts_path,
           r.executor_error or "") for r in results])
 
 
+def _read_references(path: str) -> list[tuple[str, str, bool]]:
+    """(name, bytecode, optimized) of each entry in a --references list."""
+    raw = _json_file(path)
+    if not isinstance(raw, list):
+        raise ValueError("expected a JSON list of references")
+    references = []
+    for index, entry in enumerate(raw):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("bytecode"), str)):
+            raise ValueError(f"entry {index} is not an object with string "
+                             f"'name' and 'bytecode'")
+        references.append((entry["name"], entry["bytecode"],
+                           bool(entry.get("optimized", False))))
+    return references
+
+
 @eth_group.command("similarity")
-@click.option("--references", "references_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--references", required=True,
+              type=LoadedFile(_read_references),
               help="JSON list of {name, bytecode, optimized} references.")
-@click.option("--corpus", "corpus_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--corpus", required=True, type=LoadedFile(_list_lines),
               help="Contract bytecode corpus, one hex string per line.")
 @click.option("--minor", default=100, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--heavy", default=1000, show_default=True,
               type=click.IntRange(min=1))
 @pass_state
-def cmd_eth_similarity(state: AppState, references_path, corpus_path,
-                       minor: int, heavy: int) -> None:
+def cmd_eth_similarity(state: AppState, references, corpus, minor: int,
+                       heavy: int) -> None:
     """Bucket corpus contracts by edit distance to reference bytecodes."""
     try:
         buckets = SimilarityBuckets(minor_max=minor, heavy_max=heavy)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--minor/--heavy")
-    references = _read_references(references_path)
-    corpus = [text for _, text in _list_lines(corpus_path)]
     rows = bucket_similarity(corpus, references, buckets)
     state.emit_rows(("reference", "optimized", "exact", "minor", "heavy"),
                     [(r.reference, int(r.optimized), r.exact, r.minor, r.heavy)
                      for r in rows])
-
-
-def _read_references(path: str) -> list[tuple[str, str, bool]]:
-    """(name, bytecode, optimized) of each entry in a --references list."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint="--references")
-    if not isinstance(raw, list):
-        raise click.BadParameter("expected a JSON list of references",
-                                 param_hint="--references")
-    references = []
-    for index, entry in enumerate(raw):
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("bytecode"), str)):
-            raise click.BadParameter(
-                f"entry {index} is not an object with string 'name' and "
-                f"'bytecode'", param_hint="--references")
-        references.append((entry["name"], entry["bytecode"],
-                           bool(entry.get("optimized", False))))
-    return references
 
 
 # -- Namecoin ------------------------------------------------------------------
@@ -389,18 +406,16 @@ def nmc_group() -> None:
 
 
 @nmc_group.command("fees")
-@click.option("--rates", "rates_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--rates", default=None, type=LoadedFile(read_rate_table),
               help="Weekly USD-per-NMC rate CSV to join.")
 @pass_state
-def cmd_nmc_fees(state: AppState, rates_path) -> None:
+def cmd_nmc_fees(state: AppState, rates) -> None:
     """Weekly sums of fees actually paid, by operation kind."""
     with state.open_store() as store:
         rows = weekly_fee_sums(store)
-    if rates_path is None:
+    if rates is None:
         state.emit_rows(("week", "kind", "fee_units"), rows)
         return
-    rates = read_rate_table(rates_path)
     state.emit_rows(("week", "kind", "fee_units", "usd"),
                     join_usd(rows, rates))
 
@@ -468,14 +483,13 @@ def cmd_ppc_pos_pow(state: AppState) -> None:
               help="Also write each candidate payload into this directory.")
 @click.option("--verify-full", is_flag=True,
               help="Drop candidates whose complete magic does not match.")
-@click.option("--signatures", "signatures_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--signatures", default=None, type=LoadedFile(load_signatures),
               help="Alternative signature table CSV.")
 @pass_state
 def cmd_poison(state: AppState, action: str, chain: str, save_dir,
-               verify_full: bool, signatures_path) -> None:
+               verify_full: bool, signatures) -> None:
     """Scan transaction payloads for embedded file-format signatures."""
-    db = load_signatures(signatures_path)
+    db = signatures or load_signatures()
     with state.open_store() as store:
         report = scan_corpus(store, ChainKind(chain), db, out_dir=save_dir,
                              verify_full=verify_full)
@@ -488,12 +502,18 @@ def cmd_poison(state: AppState, action: str, chain: str, save_dir,
 
 # -- discovery crawl -------------------------------------------------------------
 
+def _bootnode(text: str) -> PeerInfo:
+    node_hex, endpoint = text.split("@", 1)
+    ip, port_text = endpoint.rsplit(":", 1)
+    return PeerInfo(node_id=bytes.fromhex(node_hex), ip=ip, port=int(port_text))
+
+
 @cli.command("crawl")
-@click.option("--sim", "topology_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--sim", "topology", default=None,
+              type=LoadedFile(load_topology),
               help="Simulated overlay topology JSON.")
-@click.option("--live", "bootnodes_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--live", "bootnodes", default=None,
+              type=LoadedFile(partial(_list_lines, parse=_bootnode)),
               help="Bootstrap node list, one <node_id_hex>@ip:port per line.")
 @click.option("--prefix-bits", default=13, show_default=True,
               type=click.IntRange(0, 32))
@@ -503,57 +523,41 @@ def cmd_poison(state: AppState, action: str, chain: str, save_dir,
               type=click.IntRange(min=1))
 @click.option("--seed", "rng_seed", default=None, type=int,
               help="Deterministic seed for target generation and simulation.")
-@click.option("--geo", "geo_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--geo", default=None, type=LoadedFile(read_geo_table),
               help="CIDR-to-country CSV; adds a country histogram.")
 @pass_state
-def cmd_crawl(state: AppState, topology_path, bootnodes_path, prefix_bits: int,
-              neighbor_k: int, max_inflight: int, rng_seed, geo_path) -> None:
+def cmd_crawl(state: AppState, topology, bootnodes, prefix_bits: int,
+              neighbor_k: int, max_inflight: int, rng_seed, geo) -> None:
     """Enumerate a discovery overlay and report endpoint statistics (JSON)."""
-    if (topology_path is None) == (bootnodes_path is None):
+    if (topology is None) == (bootnodes is None):
         raise click.UsageError("exactly one of --sim / --live required")
     config = CrawlConfig(prefix_bits=prefix_bits, max_in_flight=max_inflight,
                          rng_seed=rng_seed)
-    if topology_path is not None:
-        try:
-            topology = load_topology(topology_path)
-        except (TypeError, ValueError) as exc:
-            raise click.BadParameter(str(exc), param_hint="--sim")
+    if topology is not None:
         if rng_seed is not None:
             topology["rng_seed"] = rng_seed
-        transport, truth = build_sim_overlay(
-            topology["n_peers"], topology["degree"],
-            unreachable_fraction=topology["unreachable_fraction"],
-            churn_failure_rate=topology["churn_failure_rate"],
-            rng_seed=topology["rng_seed"], neighbor_k=neighbor_k)
+        try:
+            transport, truth = build_sim_overlay(
+                topology["n_peers"], topology["degree"],
+                unreachable_fraction=topology["unreachable_fraction"],
+                churn_failure_rate=topology["churn_failure_rate"],
+                rng_seed=topology["rng_seed"], neighbor_k=neighbor_k)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint="--sim")
         reachable = [p for p in truth.peers if p.node_id in truth.reachable_ids]
         seeds = reachable[:3]
     else:
         from .discovery.live import UdpV4Transport
         transport = UdpV4Transport(private_key=os.urandom(32),
                                    neighbor_k=neighbor_k)
-        seeds = _read_bootnodes(bootnodes_path)
+        seeds = bootnodes
     report = crawl(transport, seeds, config)
     doc = json.loads(report.to_json())
-    if geo_path is not None:
-        geo = read_geo_table(geo_path)
+    if geo is not None:
         doc["countries"] = [list(row) for row in
                             join_country((p.ip for p in report.known_peers),
                                          geo)]
     state.emit_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _read_bootnodes(path: str) -> list[PeerInfo]:
-    peers = []
-    for line_no, text in _list_lines(path):
-        try:
-            node_hex, endpoint = text.split("@", 1)
-            ip, port_text = endpoint.rsplit(":", 1)
-            peers.append(PeerInfo(node_id=bytes.fromhex(node_hex),
-                                  ip=ip, port=int(port_text)))
-        except ValueError as exc:
-            raise click.UsageError(f"bootnode line {line_no}: {exc}")
-    return peers
 
 
 # -- bootstrap-seed measurement -------------------------------------------------
@@ -564,25 +568,19 @@ def bootstrap_group() -> None:
 
 
 @bootstrap_group.command("harvest")
-@click.option("--seeds", "seeds_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--seeds", "source", required=True,
+              type=LoadedFile(load_seed_source),
               help="Seed source JSON: {port, hardcoded, dns}.")
 @click.option("--rounds", default=1, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--script", "script_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--script", "resolver", default=None,
+              type=LoadedFile(lambda path: ScriptedResolver(_json_file(path))),
               help="Scripted resolver answers (JSON) instead of live DNS.")
 @pass_state
-def cmd_bootstrap_harvest(state: AppState, seeds_path, rounds: int,
-                          script_path) -> None:
+def cmd_bootstrap_harvest(state: AppState, source, rounds: int,
+                          resolver) -> None:
     """Resolve seed names repeatedly and measure address-set growth."""
-    source = load_seed_source(seeds_path)
-    if script_path is not None:
-        with open(script_path, encoding="utf-8") as fh:
-            resolver = ScriptedResolver(json.load(fh))
-    else:
-        resolver = LiveResolver()
-    harvest = harvest_seeds(resolver, source, rounds)
+    harvest = harvest_seeds(resolver or LiveResolver(), source, rounds)
     if state.fmt == "csv":
         state.emit_rows(("round", "new_ips", "cumulative_ips"), harvest.rounds)
     else:
@@ -590,42 +588,34 @@ def cmd_bootstrap_harvest(state: AppState, seeds_path, rounds: int,
 
 
 @bootstrap_group.command("probe")
-@click.option("--seeds", "seeds_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--seeds", "source", default=None,
+              type=LoadedFile(load_seed_source),
               help="Seed source JSON; probes its hardcoded list on its port.")
-@click.option("--ips", "ips_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--ips", "ip_list", default=None, type=LoadedFile(_list_lines),
               help="Address list, one per line (overrides the seed list).")
 @click.option("--port", default=None, type=click.IntRange(1, 65535),
               help="Port to probe (overrides the seed source port).")
-@click.option("--script", "script_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--script", "prober", default=None,
+              type=LoadedFile(lambda path: ScriptedProber(_json_file(path))),
               help="Scripted prober outcomes (JSON) instead of live TCP.")
 @click.option("--workers", default=1, show_default=True,
               type=click.IntRange(min=1))
 @pass_state
-def cmd_bootstrap_probe(state: AppState, seeds_path, ips_path, port,
-                        script_path, workers: int) -> None:
+def cmd_bootstrap_probe(state: AppState, source, ip_list, port, prober,
+                        workers: int) -> None:
     """TCP-probe a set of addresses and classify open/filtered/closed."""
     ips: list[str] = []
-    if seeds_path is not None:
-        source = load_seed_source(seeds_path)
+    if source is not None:
         ips = list(source.hardcoded_ips)
         if port is None:
             port = source.port
-    if ips_path is not None:
-        ips = [text for _, text in _list_lines(ips_path)]
+    if ip_list is not None:
+        ips = ip_list
     if not ips:
         raise click.UsageError("no addresses; pass --seeds or --ips")
     if port is None:
         raise click.UsageError("no port; pass --port or --seeds")
-    if script_path is not None:
-        with open(script_path, encoding="utf-8") as fh:
-            prober = ScriptedProber(json.load(fh),
-                                    default=ConnectResult.TIMED_OUT)
-    else:
-        prober = LiveProber()
-    scan = probe_ports(prober, ips, port, workers=workers)
+    scan = probe_ports(prober or LiveProber(), ips, port, workers=workers)
     if state.fmt == "csv":
         state.emit_rows(("ip", "outcome"),
                         [(ip, outcome.value)

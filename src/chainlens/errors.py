@@ -34,6 +34,12 @@ class ConflictingBlock(ChainLensError):
         super().__init__(f"conflicting block at height {height}: different hash already stored")
 
 
+class ConflictingTx(ChainLensError):
+    def __init__(self, tx_hash: str):
+        self.tx_hash = tx_hash
+        super().__init__(f"conflicting tx {tx_hash}: different contents already stored")
+
+
 class EmptyChain(ChainLensError):
     def __init__(self, chain: str, detail: str = ""):
         self.chain = chain

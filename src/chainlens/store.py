@@ -14,8 +14,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
-from .errors import (ChainLensError, ConflictingBlock, EmptyChain,
-                     MalformedJson, SchemaViolation)
+from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
+                     EmptyChain, MalformedJson, SchemaViolation)
 from .model import (Block, ChainKind, ChainSummary, IngestSummary,
                     NameOpKind, NameOpPayload, ProofKind, RejectedLine,
                     Transaction, fill_periods, month_key, normalize_hex)
@@ -102,10 +102,25 @@ class Store:
         return True
 
     def put_tx(self, tx: Transaction) -> bool:
-        """Insert a transaction; returns False when its hash is already stored."""
+        """Insert a transaction; returns False if the identical tx already exists."""
+        name_op = None
+        if tx.name_op is not None:
+            name_op = json.dumps({
+                "kind": tx.name_op.kind.value,
+                "name": tx.name_op.name,
+                "name_hash": tx.name_op.name_hash,
+                "paid_fee": str(tx.name_op.paid_fee),
+            })
+        values = (tx.chain.value, tx.hash, tx.block_height, tx.index_in_block,
+                  tx.sender, tx.recipient, str(tx.value), tx.input_data,
+                  None if tx.fee is None else str(tx.fee), tx.gas_limit,
+                  name_op)
         cur = self._conn.execute(
-            "SELECT 1 FROM txs WHERE chain=? AND hash=?", (tx.chain.value, tx.hash))
-        if cur.fetchone() is not None:
+            "SELECT * FROM txs WHERE chain=? AND hash=?", (tx.chain.value, tx.hash))
+        row = cur.fetchone()
+        if row is not None:
+            if row != values:
+                raise ConflictingTx(tx.hash)
             return False
         cur = self._conn.execute(
             "SELECT hash FROM txs WHERE chain=? AND height=? AND idx=?",
@@ -116,19 +131,8 @@ class Store:
                 0, "index",
                 f"position ({tx.block_height}, {tx.index_in_block}) already "
                 f"held by tx {row[0]}")
-        name_op = None
-        if tx.name_op is not None:
-            name_op = json.dumps({
-                "kind": tx.name_op.kind.value,
-                "name": tx.name_op.name,
-                "name_hash": tx.name_op.name_hash,
-                "paid_fee": str(tx.name_op.paid_fee),
-            })
-        self._conn.execute(
-            "INSERT INTO txs VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-            (tx.chain.value, tx.hash, tx.block_height, tx.index_in_block,
-             tx.sender, tx.recipient, str(tx.value), tx.input_data,
-             None if tx.fee is None else str(tx.fee), tx.gas_limit, name_op))
+        self._conn.execute("INSERT INTO txs VALUES (?,?,?,?,?,?,?,?,?,?,?)",
+                           values)
         return True
 
     def commit(self) -> None:
@@ -365,7 +369,8 @@ def ingest_blocks(source: RecordSource, chain: ChainKind,
 
     Lines that fail to parse or violate an invariant are rejected and
     counted, not fatal, unless `strict` upgrades them to an exception.
-    Re-ingesting a file already loaded is a no-op reporting zero loads.
+    Re-ingesting a file already loaded is a no-op reporting zero loads; a
+    stored block height or tx hash with different contents is a conflict.
     """
     summary = IngestSummary()
 

@@ -1,4 +1,4 @@
-"""Seed harvesting, port probing, and reverse-DNS categorization."""
+"""Seed harvesting and port probing."""
 
 import json
 import random
@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlens.bootstrap import (CATEGORY_HOSTED, CATEGORY_NO_PTR,
-                                 CATEGORY_OTHER, CATEGORY_RESIDENTIAL,
-                                 ConnectResult, ProbeOutcome,
+from chainlens.bootstrap import (ConnectResult, ProbeOutcome,
                                  ResolveErrorKind, ResolveFailure,
                                  RoundRobinResolver, ScriptedProber,
                                  ScriptedResolver, SeedSource,
                                  SimulatedProber, SimulatedResolver,
-                                 classify_rdns, harvest_seeds,
-                                 load_seed_source, probe_ports)
+                                 harvest_seeds, load_seed_source,
+                                 probe_ports)
 
 
 def ip(n: int) -> str:
@@ -39,6 +37,29 @@ def test_load_seed_source(tmp_path):
     assert source.port == 8333
     assert source.hardcoded_ips == ["1.2.3.4"]
     assert source.dns_names == ["seed.example.org"]
+
+
+@pytest.mark.parametrize("raw", [
+    [8333], {"hardcoded": []}, {"port": 8333, "hardcoded": "1.2.3.4"},
+    {"port": 8333, "dns": [1]}, {"port": 8333, "dns": None},
+], ids=["not an object", "no port", "hardcoded not a list",
+        "dns entry not a string", "dns null"])
+def test_load_seed_source_refuses_bad_shapes(tmp_path, raw):
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError):
+        load_seed_source(path)
+
+
+@pytest.mark.parametrize("script", [
+    ["seed.a"], {"seed.a": "NXDOMAIN"}, {"seed.a": []},
+    {"seed.a": [["1.1.1.1"], "BOGUS"]}, {"seed.a": [[1]]},
+    {"seed.a": [{"ip": "1.1.1.1"}]},
+], ids=["not an object", "bare string", "no rounds", "unknown error kind",
+        "non-string ip", "object round"])
+def test_scripted_resolver_refuses_bad_scripts(script):
+    with pytest.raises(ValueError):
+        ScriptedResolver(script)
 
 
 def test_scripted_resolver_repeats_last_round():
@@ -175,33 +196,3 @@ def test_probe_ports_parallel_matches_serial():
 def test_simulated_prober_validation():
     with pytest.raises(ValueError):
         SimulatedProber(p_open=0.8, p_closed=0.3)
-
-
-def test_classify_rdns():
-    rules = [(".dsl.example-isp.net", CATEGORY_RESIDENTIAL),
-             ("dyn", CATEGORY_RESIDENTIAL),
-             (".cloud-host.example", CATEGORY_HOSTED)]
-    names = {
-        "1.1.1.1": "line-77.dsl.example-isp.net",
-        "2.2.2.2": "dsl.example-isp.net",          # exact match of a suffix rule
-        "3.3.3.3": "host-12.dyn.other.org",        # substring rule
-        "4.4.4.4": "vm-3.cloud-host.example",
-        "5.5.5.5": None,
-        "6.6.6.6": "static.anonymous.example",
-        "7.7.7.7": "notdsl.example-isp.net.evil.example",  # suffix must anchor
-    }
-    categories = classify_rdns(names, rules)
-    assert categories == {
-        "1.1.1.1": CATEGORY_RESIDENTIAL,
-        "2.2.2.2": CATEGORY_RESIDENTIAL,
-        "3.3.3.3": CATEGORY_RESIDENTIAL,
-        "4.4.4.4": CATEGORY_HOSTED,
-        "5.5.5.5": CATEGORY_NO_PTR,
-        "6.6.6.6": CATEGORY_OTHER,
-        "7.7.7.7": CATEGORY_OTHER,
-    }
-
-
-def test_classify_rdns_first_match_wins():
-    rules = [("a", "First"), ("ab", "Second")]
-    assert classify_rdns({"1.1.1.1": "xxabxx"}, rules) == {"1.1.1.1": "First"}

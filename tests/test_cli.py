@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import click
 import pytest
 
 from chainlens import cli as cli_module
@@ -137,7 +138,7 @@ def test_cutoff_refused_where_not_honoured(tmp_path, capsys, argv):
     (["eth", "probe", "--gas-fixture", "gas.ndjson", "--caller", "zz"],
      "--caller"),
     (["eth", "probe", "--gas-fixture", "gas.ndjson", "--contracts",
-      "contracts.txt"], "--contracts line 2"),
+      "contracts.txt"], "'--contracts': line 2"),
 ], ids=["similarity minor>heavy", "crawl prefix-bits", "crawl max-inflight",
         "crawl k", "lifetimes edges", "harvest rounds", "probe port",
         "probe workers", "zombies top", "rereg window", "probe caller",
@@ -163,6 +164,11 @@ def test_bad_option_value_is_usage_error(eth_db, tmp_path, monkeypatch,
     assert option in err and "Traceback" not in err
 
 
+HARVEST = ["bootstrap", "harvest", "--seeds", "seeds.json", "--script",
+           "resolver.json"]
+PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
+         "probes.json"]
+
 
 @pytest.mark.parametrize("name, content, argv, expected", [
     ("refs.json", [{"bytecode": "6001"}],
@@ -184,20 +190,58 @@ def test_bad_option_value_is_usage_error(eth_db, tmp_path, monkeypatch,
     ("topo.json", [10, 4], ["crawl", "--sim", "topo.json"], ("--sim",)),
     ("topo.json", {"n_peers": None, "degree": 4},
      ["crawl", "--sim", "topo.json"], ("--sim",)),
+    ("topo.json", {"n_peers": 4, "degree": 4},
+     ["crawl", "--sim", "topo.json"], ("--sim", "degree")),
+    ("topo.json", {"n_peers": 10, "degree": 4, "unreachable_fraction": 2.0},
+     ["crawl", "--sim", "topo.json"], ("--sim", "unreachable_fraction")),
+    ("seeds.json", '{"port": 8333, "hardcoded": ', HARVEST, ("--seeds",)),
+    ("seeds.json", {"hardcoded": ["5.5.5.5"], "dns": ["seed.a"]}, HARVEST,
+     ("--seeds", "port")),
+    ("seeds.json", {"port": 0, "hardcoded": ["5.5.5.5"]}, PROBE,
+     ("--seeds", "port")),
+    ("resolver.json", "seed.a: 1.1.1.1\n", HARVEST, ("--script",)),
+    ("resolver.json", [["1.1.1.1"]], HARVEST, ("--script", "names")),
+    ("resolver.json", {"seed.a": "BOGUS"}, HARVEST, ("--script", "seed.a")),
+    ("probes.json", "5.5.5.5 accepted\n", PROBE, ("--script",)),
+    ("probes.json", ["5.5.5.5"], PROBE, ("--script", "addresses")),
+    ("probes.json", {"5.5.5.5": "maybe"}, PROBE, ("--script", "maybe")),
+    ("selectors.txt", "kill()\n0x1234\n",
+     ["eth", "probe", "--gas-fixture", "gas.ndjson", "--selectors",
+      "selectors.txt"], ("--selectors", "0x1234")),
+    ("sigs.csv", "format,magic_hex,offset,extension\npng,4D5Z,0,png\n",
+     ["poison", "scan", "--signatures", "sigs.csv"], ("--signatures",)),
 ], ids=["reference without name", "reference without bytecode",
         "reference not an object", "references not a list",
         "topology without n_peers", "topology without degree",
-        "topology not an object", "topology with null n_peers"])
+        "topology not an object", "topology with null n_peers",
+        "topology degree too high", "topology unreachable above 1",
+        "seeds not json", "seeds without port", "seeds port 0",
+        "resolver script not json", "resolver script a list",
+        "resolver rounds a string", "prober script not json",
+        "prober script a list", "prober outcome unknown",
+        "selector not 4 bytes", "signature magic not hex"])
 def test_malformed_input_file_is_usage_error(tmp_path, monkeypatch, capsys,
                                              name, content, argv, expected):
+    # the other files are well formed, so only `name` is at fault; every
+    # bootstrap case is scripted, so no case reaches the network
     monkeypatch.chdir(tmp_path)
-    (tmp_path / name).write_text(json.dumps(content))
     (tmp_path / "c.txt").write_text("6001\n")
+    (tmp_path / "seeds.json").write_text(json.dumps(
+        {"port": 8333, "hardcoded": ["5.5.5.5"], "dns": ["seed.a"]}))
+    (tmp_path / "resolver.json").write_text(json.dumps(
+        {"seed.a": [["1.1.1.1"]]}))
+    (tmp_path / "probes.json").write_text(json.dumps({"5.5.5.5": "accepted"}))
+    (tmp_path / "gas.ndjson").write_text(json.dumps(
+        {"type": "gas_fixture", "address": addr(1), "selector": "41c0e1b5",
+         "estimate": 300}) + "\n")
+    (tmp_path / name).write_text(
+        content if isinstance(content, str) else json.dumps(content))
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     for part in expected:
         assert part in err
+
 
 def test_out_file_and_stamp(eth_db, tmp_path, capsys):
     out_path = tmp_path / "monthly.csv"
@@ -435,6 +479,16 @@ def test_crawl_sim(tmp_path, capsys):
     assert run_cli(["crawl"]) == 1
 
 
+def test_crawl_refuses_csv_format(tmp_path, capsys):
+    topology = tmp_path / "topo.json"
+    topology.write_text(json.dumps({"n_peers": 10, "degree": 4, "seed": 1}))
+    argv = ["crawl", "--sim", str(topology), "--prefix-bits", "4"]
+    assert run_cli(["--format", "csv", *argv]) == 1
+    assert "--format csv" in capsys.readouterr().err
+    out = run_ok(capsys, ["--format", "json", *argv])
+    assert json.loads(out.out)["unique_node_ids"] == 10
+
+
 def test_bootstrap_harvest_and_probe(tmp_path, capsys):
     seeds = tmp_path / "seeds.json"
     seeds.write_text(json.dumps({"port": 8333,
@@ -477,3 +531,34 @@ def test_bootstrap_probe_ip_list_skips_comments(tmp_path, capsys):
                           "--port", "8333", "--script", str(probes)])
     assert parse_csv(out.out)[1:] == [["5.5.5.5", "open"],
                                       ["6.6.6.6", "closed"]]
+
+
+# Path inputs that their consumer streams line by line instead of loading
+# whole, so they are exempt from LoadedFile; each with its reason.
+_STREAMED_INPUTS = {("ingest", "source"):
+                    "NDJSON dump, ingested line by line into the store"}
+_STREAMED_INPUTS.update({
+    (f"eth {command}", name): "NDJSON side-file, read line by line by "
+                              "build_contract_registry"
+    for command in ("classify", "lifetimes", "precreation")
+    for name in ("internal_path", "terminated_path")})
+
+
+def _walk(command, path=()):
+    yield " ".join(path), command
+    for name, sub in getattr(command, "commands", {}).items():
+        yield from _walk(sub, path + (name,))
+
+
+def test_every_input_file_is_read_by_its_option_type():
+    streamed = set()
+    for path, command in _walk(cli_module.cli):
+        for param in command.params:
+            if not (isinstance(param.type, click.Path) and param.type.exists):
+                continue
+            if (path, param.name) in _STREAMED_INPUTS:
+                streamed.add((path, param.name))
+            else:
+                assert isinstance(param.type, cli_module.LoadedFile), \
+                    f"{path} {param.name} is an unloaded input file"
+    assert streamed == set(_STREAMED_INPUTS)

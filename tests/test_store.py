@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlens.errors import (ConflictingBlock, EmptyChain, MalformedJson,
-                              SchemaViolation)
+from chainlens.errors import (ConflictingBlock, ConflictingTx, EmptyChain,
+                              MalformedJson, SchemaViolation)
 from chainlens.model import (ChainKind, fill_periods, iso_week_key, month_key,
                              normalize_hex)
 from chainlens.store import (Store, apply_cutoff, ingest_blocks,
@@ -113,6 +113,27 @@ def test_conflicting_block_same_height():
         "parent": h32(0), "time": 1000, "txs": []})
     with pytest.raises(ConflictingBlock):
         ingest_blocks([conflicting], ChainKind.ETHEREUM, store, strict=True)
+    store.close()
+
+
+def test_conflicting_tx_same_hash():
+    lines = [block_line("eth", 0, 1000, [h32(1)]),
+             tx_line("eth", h32(1), 0, 0, "aa" * 20, None, "5")]
+    store = Store(":memory:")
+    ingest_blocks(lines, ChainKind.ETHEREUM, store)
+    stored = list(store.iter_txs(ChainKind.ETHEREUM))
+    changed = [tx_line("eth", h32(1), 0, 0, "bb" * 20, None, "5"),
+               tx_line("eth", h32(1), 0, 0, "aa" * 20, None, "6")]
+    summary = ingest_blocks(changed, ChainKind.ETHEREUM, store)
+    assert (summary.txs_loaded, summary.rejected_count) == (0, 2)
+    assert [r.line_no for r in summary.rejected] == [1, 2]
+    assert all(isinstance(r.error, ConflictingTx) for r in summary.rejected)
+    with pytest.raises(ConflictingTx):
+        ingest_blocks(changed[1:], ChainKind.ETHEREUM, store, strict=True)
+    assert list(store.iter_txs(ChainKind.ETHEREUM)) == stored
+    # an identical re-delivery is still a silent no-op
+    again = ingest_blocks(lines, ChainKind.ETHEREUM, store, strict=True)
+    assert (again.txs_loaded, again.rejected_count) == (0, 0)
     store.close()
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
+from .model import int_field
+
 log = logging.getLogger(__name__)
 
 
@@ -69,12 +71,12 @@ def load_seed_source(path: str | Path) -> SeedSource:
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict) or "port" not in raw:
+    if not isinstance(raw, dict):
         raise ValueError("seed source must be a JSON object with a 'port'")
     for key in ("hardcoded", "dns"):
         if not _is_str_list(raw.get(key, [])):
             raise ValueError(f"seed source {key!r} must be a list of strings")
-    return SeedSource(port=int(raw["port"]),
+    return SeedSource(port=int_field(raw, "port"),
                       hardcoded_ips=list(raw.get("hardcoded", [])),
                       dns_names=list(raw.get("dns", [])))
 

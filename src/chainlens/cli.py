@@ -13,6 +13,7 @@ import os
 import sys
 from datetime import date
 from functools import partial
+from pathlib import Path
 from typing import Any, Callable
 
 import click
@@ -317,7 +318,7 @@ def cmd_eth_precreation(state: AppState, internal_path, terminated_path) -> None
                    "in the gas fixture.")
 @click.option("--selectors", "dictionary", default=None,
               type=LoadedFile(lambda path: SelectorDictionary.from_lines(
-                  _list_lines(path))),
+                  Path(path).read_text(encoding="utf-8").splitlines())),
               help="Alternative termination-selector dictionary.")
 @click.option("--caller", default=DEFAULT_PROBE_CALLER, show_default=True)
 @pass_state

@@ -21,6 +21,7 @@ from queue import SimpleQueue
 from typing import Protocol
 
 from ..errors import NoSeedsReachable
+from ..model import int_field
 from .identity import PeerInfo, hash_prefix, node_hash, precompute_targets
 
 log = logging.getLogger(__name__)
@@ -210,12 +211,9 @@ def load_topology(path: str | Path) -> dict:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("topology must be a JSON object")
-    for key in ("n_peers", "degree"):
-        if key not in raw:
-            raise ValueError(f"topology lacks {key!r}")
     return {
-        "n_peers": int(raw["n_peers"]),
-        "degree": int(raw["degree"]),
+        "n_peers": int_field(raw, "n_peers"),
+        "degree": int_field(raw, "degree", minimum=0),
         "unreachable_fraction": float(raw.get("unreachable_fraction", 0.0)),
         "churn_failure_rate": float(raw.get("churn", 0.0)),
         "rng_seed": raw.get("seed"),

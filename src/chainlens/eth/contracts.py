@@ -17,8 +17,8 @@ from typing import Iterator
 
 from .. import rlp
 from ..errors import AddressMismatch, SchemaViolation
-from ..keccak import keccak256
-from ..model import ChainKind, Transaction, normalize_hex
+from ..keccak import keccak256, keccak256_batch
+from ..model import ChainKind, Transaction, int_field, normalize_hex
 from ..store import RecordSource, Store, read_records
 
 log = logging.getLogger(__name__)
@@ -75,11 +75,15 @@ class ContractRegistry:
         return (record.creation_height, record.creation_index) < (height, index)
 
 
+def _creation_rlp(sender: str, nonce: int) -> bytes:
+    """RLP(sender, nonce), the preimage of a created contract's address."""
+    sender_bytes = bytes.fromhex(normalize_hex(sender, byte_len=20))
+    return rlp.encode([sender_bytes, rlp.encode_uint(nonce)])
+
+
 def derive_contract_address(sender: str, nonce: int) -> str:
     """Address of the contract created by `sender` at account nonce `nonce`."""
-    sender_bytes = bytes.fromhex(normalize_hex(sender, byte_len=20))
-    digest = keccak256(rlp.encode([sender_bytes, rlp.encode_uint(nonce)]))
-    return digest[-20:].hex()
+    return keccak256(_creation_rlp(sender, nonce))[-20:].hex()
 
 
 def iter_creations(store: Store) -> Iterator[tuple[Transaction, str]]:
@@ -87,14 +91,21 @@ def iter_creations(store: Store) -> Iterator[tuple[Transaction, str]]:
 
     The account nonce of each sender is inferred by counting its earlier
     transactions, which assumes the ingested dump is complete for every
-    creating sender from its first transaction onward.
+    creating sender from its first transaction onward. Every address is
+    derived as `derive_contract_address` would, in one batch hash after
+    the ledger scan.
     """
     nonces: dict[str, int] = {}
+    creations: list[Transaction] = []
+    preimages: list[bytes] = []
     for tx in store.iter_txs(ChainKind.ETHEREUM):
         nonce = nonces.get(tx.sender, 0)
         nonces[tx.sender] = nonce + 1
         if tx.recipient is None:
-            yield tx, derive_contract_address(tx.sender, nonce)
+            creations.append(tx)
+            preimages.append(_creation_rlp(tx.sender, nonce))
+    for tx, digest in zip(creations, keccak256_batch(preimages)):
+        yield tx, digest[-20:].hex()
 
 
 def build_contract_registry(store: Store,
@@ -125,7 +136,7 @@ def build_contract_registry(store: Store,
         try:
             address = normalize_hex(obj["address"], byte_len=20)
             parent = normalize_hex(obj["parent"], byte_len=20)
-            height = int(obj["height"])
+            height = int_field(obj, "height", minimum=0)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(line_no, "internal_create", str(exc))
         registry.add(ContractRecord(
@@ -134,7 +145,7 @@ def build_contract_registry(store: Store,
     for line_no, obj in read_records(terminations or (), ("terminate",)):
         try:
             address = normalize_hex(obj["address"], byte_len=20)
-            height = int(obj["height"])
+            height = int_field(obj, "height", minimum=0)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(line_no, "terminate", str(exc))
         record = registry.get(address)

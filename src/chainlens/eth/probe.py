@@ -47,15 +47,19 @@ class SelectorEntry:
         return self.name if self.name else "0x" + self.selector.hex()
 
 
+def _selector_entry(text: str) -> SelectorEntry:
+    if text.startswith("0x"):
+        selector = bytes.fromhex(text[2:])
+        if len(selector) != 4:
+            raise ValueError(f"selector {text!r} is not 4 bytes")
+        return SelectorEntry(selector=selector)
+    return SelectorEntry(selector=function_selector(text), name=text)
+
+
 class SelectorDictionary:
     """Ordered, duplicate-free collection of candidate termination selectors."""
 
     def __init__(self, entries: Sequence[SelectorEntry]):
-        seen = set()
-        for entry in entries:
-            if entry.selector in seen:
-                raise ValueError(f"duplicate selector 0x{entry.selector.hex()}")
-            seen.add(entry.selector)
         self.entries = list(entries)
 
     def __iter__(self) -> Iterator[SelectorEntry]:
@@ -66,20 +70,25 @@ class SelectorDictionary:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "SelectorDictionary":
-        """Parse one entry per line: either `name()` or a raw `0x`-hex selector."""
+        """Parse one entry per line: either `name()` or a raw `0x`-hex selector.
+
+        `#` starts a comment. A bad or duplicate entry raises ValueError
+        naming its line.
+        """
         entries = []
-        for raw in lines:
+        seen = set()
+        for line_no, raw in enumerate(lines, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
-            if text.startswith("0x"):
-                selector = bytes.fromhex(text[2:])
-                if len(selector) != 4:
-                    raise ValueError(f"selector {text!r} is not 4 bytes")
-                entries.append(SelectorEntry(selector=selector))
-            else:
-                entries.append(SelectorEntry(selector=function_selector(text),
-                                             name=text))
+            try:
+                entry = _selector_entry(text)
+                if entry.selector in seen:
+                    raise ValueError(f"duplicate selector 0x{entry.selector.hex()}")
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+            seen.add(entry.selector)
+            entries.append(entry)
         return cls(entries)
 
     @classmethod

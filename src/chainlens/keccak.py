@@ -2,16 +2,23 @@
 
 This is the pre-standardisation Keccak with multi-rate padding 0x01..0x80,
 NOT the FIPS-202 SHA3-256 from hashlib (which pads with 0x06 and produces
-different digests). Two entry points:
+different digests). Three entry points:
 
-  keccak256(data)          -- scalar, arbitrary length
-  keccak256_batch64(lanes) -- numpy-vectorised, fixed 64-byte messages only
+  keccak256(data)              -- scalar, arbitrary length
+  keccak256_batch(messages)    -- numpy-vectorised, any messages of at most
+                                  135 bytes (one absorb block each)
+  keccak256_batch64(lanes)     -- numpy-vectorised, 64-byte messages given
+                                  as (N, 8) uint64 lanes
 
-The batch variant exists because bulk target-ID precomputation hashes tens
-of thousands of 64-byte candidates; the scalar path would dominate runtime.
+The batch variants share one vectorised permutation. They exist because
+contract-address derivation hashes every creation's RLP(sender, nonce) and
+target-ID precomputation hashes thousands of 64-byte candidates; the scalar
+path would dominate runtime.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -96,20 +103,8 @@ def _rotl_vec(v: np.ndarray, n: int) -> np.ndarray:
     return (v << np.uint64(n)) | (v >> np.uint64(64 - n))
 
 
-def keccak256_batch64(lanes: np.ndarray) -> np.ndarray:
-    """Hash a batch of 64-byte messages given as (N, 8) little-endian uint64 lanes.
-
-    Returns the (N, 4) digest lanes; `digest_lanes[i].astype('<u8').tobytes()`
-    reconstructs the i-th 32-byte digest. Agreement with the scalar path is
-    enforced by tests.
-    """
-    if lanes.ndim != 2 or lanes.shape[1] != 8 or lanes.dtype != np.uint64:
-        raise ValueError("expected a (N, 8) uint64 array of message lanes")
-    n = lanes.shape[0]
-    state = np.zeros((n, 25), dtype=np.uint64)
-    state[:, :8] = lanes
-    state[:, 8] ^= np.uint64(0x01)                     # pad byte at offset 64
-    state[:, 16] ^= np.uint64(0x80) << np.uint64(56)   # final pad byte at offset 135
+def _permute(state: np.ndarray) -> None:
+    """Apply Keccak-f[1600] in place to every row of an (N, 25) uint64 state."""
     rot = _ROTATIONS
     for rc in _RC_VEC:
         c = [state[:, x] ^ state[:, x + 5] ^ state[:, x + 10]
@@ -128,4 +123,44 @@ def keccak256_batch64(lanes: np.ndarray) -> np.ndarray:
             for x in range(5):
                 state[:, x + y] = t[x] ^ (~t[(x + 1) % 5] & t[(x + 2) % 5])
         state[:, 0] ^= rc
+
+
+def keccak256_batch(messages: Sequence[bytes]) -> list[bytes]:
+    """32-byte digests of `messages`, in order, from one vectorised pass.
+
+    Every message must fit one absorb block with its padding, so at most
+    135 bytes; a longer one raises ValueError (use `keccak256`).
+    """
+    n = len(messages)
+    block = bytearray(n * _RATE)
+    for i, message in enumerate(messages):
+        if len(message) >= _RATE:
+            raise ValueError(f"message {i} is {len(message)} bytes; the batch "
+                             f"path takes at most {_RATE - 1}")
+        start = i * _RATE
+        block[start:start + len(message)] = message
+        block[start + len(message)] ^= 0x01
+        block[start + _RATE - 1] ^= 0x80
+    state = np.zeros((n, 25), dtype=np.uint64)
+    state[:, :_RATE // 8] = np.frombuffer(block, dtype="<u8").reshape(n, _RATE // 8)
+    _permute(state)
+    digests = state[:, :4].astype("<u8").tobytes()
+    return [digests[32 * i:32 * (i + 1)] for i in range(n)]
+
+
+def keccak256_batch64(lanes: np.ndarray) -> np.ndarray:
+    """Hash a batch of 64-byte messages given as (N, 8) little-endian uint64 lanes.
+
+    Returns the (N, 4) digest lanes; `digest_lanes[i].astype('<u8').tobytes()`
+    reconstructs the i-th 32-byte digest. Agreement with the scalar path is
+    enforced by tests.
+    """
+    if lanes.ndim != 2 or lanes.shape[1] != 8 or lanes.dtype != np.uint64:
+        raise ValueError("expected a (N, 8) uint64 array of message lanes")
+    n = lanes.shape[0]
+    state = np.zeros((n, 25), dtype=np.uint64)
+    state[:, :8] = lanes
+    state[:, 8] ^= np.uint64(0x01)                     # pad byte at offset 64
+    state[:, 16] ^= np.uint64(0x80) << np.uint64(56)   # final pad byte at offset 135
+    _permute(state)
     return state[:, :4].copy()

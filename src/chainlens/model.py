@@ -46,6 +46,21 @@ def normalize_hex(text: str, byte_len: int | None = None) -> str:
     return digits
 
 
+def int_field(obj: Mapping[str, object], key: str,
+              minimum: int | None = None) -> int:
+    """obj[key] as an int; raises ValueError naming `key` unless it is
+    present, a JSON integer (not a bool, fraction or string) and, when
+    `minimum` is given, at least `minimum`."""
+    if key not in obj:
+        raise ValueError(f"{key!r} is missing")
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key!r} must be >= {minimum}, got {value}")
+    return value
+
+
 def month_key(timestamp: int) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m")
 

@@ -31,12 +31,12 @@ MATCH_PREFIX_BYTES = 2  # leading magic bytes the candidate filter compares
 def extract_payload(input_hex: str) -> bytes:
     """Decode raw payload bytes from a transaction input hex string."""
     digits = strip_0x(input_hex)
+    if not len(digits) % 2 and set(digits.lower()) <= HEX_DIGITS:
+        return bytes.fromhex(digits)
     for position, char in enumerate(digits):
         if char.lower() not in HEX_DIGITS:
             raise InvalidHex(position, f"character {char!r}")
-    if len(digits) % 2:
-        raise InvalidHex(len(digits), "odd number of hex digits")
-    return bytes.fromhex(digits)
+    raise InvalidHex(len(digits), "odd number of hex digits")
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,25 @@ class SignatureEntry:
 @dataclass
 class SignatureDb:
     entries: list[SignatureEntry]
+    # (offset, compared length) -> {leading magic bytes: [(row, format)]},
+    # the candidate filter's view of the table
+    _prefix_index: dict[tuple[int, int], dict[bytes, list[tuple[int, str]]]] = \
+        field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("signature table is empty")
         seen = set()
-        for entry in self.entries:
+        self._prefix_index = {}
+        for row, entry in enumerate(self.entries):
             key = (entry.format_name, entry.magic, entry.offset)
             if key in seen:
                 raise ValueError(f"duplicate signature row {key}")
             seen.add(key)
+            length = min(len(entry.magic), MATCH_PREFIX_BYTES)
+            by_prefix = self._prefix_index.setdefault((entry.offset, length), {})
+            by_prefix.setdefault(entry.magic[:length], []).append(
+                (row, entry.format_name))
 
     def extension_for(self, format_name: str) -> str:
         for entry in self.entries:
@@ -113,9 +122,14 @@ def match_signatures(payload: bytes, db: SignatureDb,
     bytes and is a high-recall, false-positive-prone filter; full_magic
     re-checks complete magic sequences instead.
     """
-    prefix = None if full_magic else MATCH_PREFIX_BYTES
-    return [entry.format_name for entry in db.entries
-            if _entry_matches(payload, entry, prefix)]
+    if full_magic:
+        return [entry.format_name for entry in db.entries
+                if _entry_matches(payload, entry, None)]
+    hits: list[tuple[int, str]] = []
+    for (offset, length), by_prefix in db._prefix_index.items():
+        hits += by_prefix.get(payload[offset:offset + length], ())
+    hits.sort()
+    return [name for _, name in hits]
 
 
 @dataclass

@@ -207,7 +207,7 @@ PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
     ("probes.json", {"5.5.5.5": "maybe"}, PROBE, ("--script", "maybe")),
     ("selectors.txt", "kill()\n0x1234\n",
      ["eth", "probe", "--gas-fixture", "gas.ndjson", "--selectors",
-      "selectors.txt"], ("--selectors", "0x1234")),
+      "selectors.txt"], ("--selectors", "line 2:", "0x1234")),
     ("sigs.csv", "format,magic_hex,offset,extension\npng,4D5Z,0,png\n",
      ["poison", "scan", "--signatures", "sigs.csv"], ("--signatures",)),
 ], ids=["reference without name", "reference without bytecode",
@@ -241,6 +241,43 @@ def test_malformed_input_file_is_usage_error(tmp_path, monkeypatch, capsys,
     assert "Traceback" not in err
     for part in expected:
         assert part in err
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "1", -1],
+                         ids=["bool", "fraction", "string", "negative"])
+@pytest.mark.parametrize("name, base, key, argv, option", [
+    ("seeds.json", {"hardcoded": ["5.5.5.5"]}, "port", PROBE, "--seeds"),
+    ("topo.json", {"degree": 4}, "n_peers", ["crawl", "--sim", "topo.json"],
+     "--sim"),
+    ("topo.json", {"n_peers": 10}, "degree", ["crawl", "--sim", "topo.json"],
+     "--sim"),
+], ids=["seeds port", "sim n_peers", "sim degree"])
+def test_option_file_integer_fields_are_strict(tmp_path, monkeypatch, capsys,
+                                               name, base, key, argv, option,
+                                               value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "probes.json").write_text(json.dumps({"5.5.5.5": "accepted"}))
+    (tmp_path / name).write_text(json.dumps({**base, key: value}))
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert option in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "1", -1],
+                         ids=["bool", "fraction", "string", "negative"])
+@pytest.mark.parametrize("option, record", [
+    ("--internal", {"type": "internal_create", "address": addr(0xC1DE),
+                    "parent": CONTRACT_C2}),
+    ("--terminated", {"type": "terminate", "address": CONTRACT_C2}),
+], ids=["internal", "terminated"])
+def test_side_file_height_is_strict(eth_db, tmp_path, capsys, option, record,
+                                    value):
+    side = tmp_path / "side.ndjson"
+    side.write_text(json.dumps({**record, "height": value}) + "\n")
+    assert run_cli(["--db", eth_db, "eth", "classify", option,
+                    str(side)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "height" in err and "Traceback" not in err
 
 
 def test_out_file_and_stamp(eth_db, tmp_path, capsys):

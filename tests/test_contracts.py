@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlens.errors import AddressMismatch, MalformedJson, SchemaViolation
 from chainlens.eth.contracts import (ContractRecord, ContractRegistry,
@@ -14,8 +16,8 @@ from chainlens.model import ChainKind
 
 from conftest import (CONTRACT_C1, CONTRACT_C2, CONTRACT_C3, ZOMBIE_Z1,
                       ZOMBIE_Z2, ZOMBIE_Z3, SENDER_A, SENDER_B, addr,
-                      eth_internal_sidefile, eth_labeled_fixture,
-                      eth_termination_sidefile, load_store)
+                      block_line, eth_internal_sidefile, eth_labeled_fixture,
+                      eth_termination_sidefile, h32, load_store, tx_line)
 import oracles
 
 # frozen from the independent RLP+Keccak oracle; the first two pairs are
@@ -195,3 +197,63 @@ def test_duplicate_registration_keeps_first():
 def test_lifetime_histogram_rejects_bad_edges():
     with pytest.raises(ValueError):
         lifetime_histogram(ContractRegistry(), bucket_edges=(100, 100))
+
+
+@st.composite
+def _creation_chain(draw):
+    """NDJSON lines of a random chain, and the (tx hash, sender, nonce) of
+    each creation in ledger order."""
+    senders = [addr(0x5E00 + i) for i in range(draw(st.integers(1, 4)))]
+    lines, creations, nonces = [], [], {}
+    for height in range(draw(st.integers(1, 6))):
+        hashes, txs = [], []
+        for index in range(draw(st.integers(0, 8))):
+            sender = draw(st.sampled_from(senders))
+            to = draw(st.one_of(st.none(), st.sampled_from(senders)))
+            tx_hash = h32(0x7000 + 100 * height + index)
+            hashes.append(tx_hash)
+            txs.append(tx_line("eth", tx_hash, height, index, sender, to))
+            nonce = nonces.get(sender, 0)
+            nonces[sender] = nonce + 1
+            if to is None:
+                creations.append((tx_hash, sender, nonce))
+        lines += [block_line("eth", height, 1_438_387_200 + 600 * height,
+                             hashes), *txs]
+    return lines, creations
+
+
+@given(_creation_chain())
+@settings(max_examples=40, deadline=None)
+def test_iter_creations_matches_scalar_derivation(chain):
+    lines, creations = chain
+    store = load_store(lines, ChainKind.ETHEREUM)
+    derived = [(tx.hash, address) for tx, address in iter_creations(store)]
+    store.close()
+    assert derived == [(tx_hash, derive_contract_address(sender, nonce))
+                       for tx_hash, sender, nonce in creations]
+    assert derived == [(tx_hash, oracles.contract_address_oracle(sender, nonce))
+                       for tx_hash, sender, nonce in creations]
+
+
+def test_iter_creations_without_creations():
+    lines = [block_line("eth", 0, 1_438_387_200, [h32(1)]),
+             tx_line("eth", h32(1), 0, 0, SENDER_A, SENDER_B, value="5")]
+    store = load_store(lines, ChainKind.ETHEREUM)
+    assert list(iter_creations(store)) == []
+    store.close()
+
+
+@pytest.mark.parametrize("height", [True, 1.5, "1", -1],
+                         ids=["bool", "fraction", "string", "negative"])
+@pytest.mark.parametrize("kind", ["internal_create", "terminate"])
+def test_side_file_height_must_be_a_natural_integer(kind, height):
+    store = _fixture_store()
+    record = {"type": kind, "address": CONTRACT_C1, "height": height}
+    if kind == "internal_create":
+        record.update(address=addr(0xC1DE), parent=CONTRACT_C1)
+    side = {"internal_create": "internal_creations",
+            "terminate": "terminations"}[kind]
+    with pytest.raises(SchemaViolation) as caught:
+        build_contract_registry(store, **{side: ["", json.dumps(record)]})
+    assert caught.value.line_no == 2 and "height" in str(caught.value)
+    store.close()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlens.keccak import keccak256, keccak256_batch64
+from chainlens.keccak import keccak256, keccak256_batch, keccak256_batch64
 
 import oracles
 
@@ -61,3 +61,30 @@ def test_batch_matches_scalar():
 def test_batch_single_row():
     lanes = np.zeros((1, 8), dtype="<u8")
     assert keccak256_batch64(lanes)[0].tobytes().hex() == ZERO_NODE_DIGEST
+
+
+def test_batch_every_single_block_length():
+    # 135 bytes leave room for one pad byte only, which becomes 0x81
+    messages = [bytes(range(256))[:size] for size in range(136)]
+    digests = keccak256_batch(messages)
+    assert len(digests) == 136
+    for message, digest in zip(messages, digests):
+        assert digest == keccak256(message) == oracles.keccak256_oracle(message)
+    assert keccak256_batch([messages[135]]) == [digests[135]]
+
+
+@given(st.lists(st.binary(max_size=135), max_size=24))
+@settings(max_examples=60, deadline=None)
+def test_batch_mixed_lengths_match_scalar_and_oracle(messages):
+    assert keccak256_batch(messages) == [keccak256(m) for m in messages]
+    assert keccak256_batch(messages) == [oracles.keccak256_oracle(m)
+                                         for m in messages]
+
+
+def test_batch_empty():
+    assert keccak256_batch([]) == []
+
+
+def test_batch_refuses_message_past_one_block():
+    with pytest.raises(ValueError):
+        keccak256_batch([b"ok", b"\x00" * 136])

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from chainlens.errors import InvalidHex
 from chainlens.model import ChainKind
-from chainlens.poison import (SignatureDb, SignatureEntry, extract_payload,
-                              load_signatures, match_signatures, scan_corpus)
+from chainlens.poison import (MATCH_PREFIX_BYTES, SignatureDb, SignatureEntry,
+                              _entry_matches, extract_payload, load_signatures,
+                              match_signatures, scan_corpus)
 
 from conftest import addr, block_line, h32, load_store, tx_line
 
@@ -28,6 +29,14 @@ def test_extract_payload_reports_bad_digit_position():
     assert excinfo.value.position == 3
     with pytest.raises(InvalidHex) as excinfo:
         extract_payload("abc")
+    assert excinfo.value.position == 3
+    # bytes.fromhex would skip the space; the payload check does not
+    with pytest.raises(InvalidHex) as excinfo:
+        extract_payload("ab cd")
+    assert excinfo.value.position == 2
+    # an odd-length string reports its first bad digit before its length
+    with pytest.raises(InvalidHex) as excinfo:
+        extract_payload("abcg1")
     assert excinfo.value.position == 3
 
 
@@ -106,6 +115,30 @@ def test_offset_signature_requires_full_window():
     db = load_signatures()
     # a payload shorter than offset+prefix cannot match the offset entry
     assert "webp" not in match_signatures(b"RIFF\x00\x00\x00\x00W", db)
+
+
+def _few_bytes(min_size, max_size):
+    # few byte values, so magics share prefixes across formats and payloads hit
+    return st.lists(st.sampled_from([0x00, 0x1F, 0xFF]), min_size=min_size,
+                    max_size=max_size).map(bytes)
+
+
+_TABLES = st.lists(
+    st.builds(SignatureEntry, format_name=st.sampled_from("abcde"),
+              magic=_few_bytes(1, 4), offset=st.integers(0, 6),
+              extension=st.just("bin")),
+    min_size=1, max_size=12,
+    unique_by=lambda e: (e.format_name, e.magic, e.offset))
+
+
+@given(_TABLES, st.lists(_few_bytes(0, 10), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_indexed_filter_matches_linear_scan(entries, payloads):
+    db = SignatureDb(entries=entries)
+    for payload in payloads:
+        assert match_signatures(payload, db) == [
+            entry.format_name for entry in entries
+            if _entry_matches(payload, entry, MATCH_PREFIX_BYTES)]
 
 
 def _poison_store():

@@ -64,6 +64,17 @@ def test_dictionary_rejects_duplicates():
         SelectorDictionary.from_lines(["kill()", "0x41c0e1b5"])
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["kill()", "0x1234"], "line 2: selector '0x1234' is not 4 bytes"),
+    (["kill()", "0xzzzzzzzz"], "line 2: "),
+    (["# header", "kill()", "", "0x41c0e1b5"], "line 4: duplicate selector"),
+])
+def test_dictionary_error_names_its_line(lines, message):
+    with pytest.raises(ValueError) as caught:
+        SelectorDictionary.from_lines(lines)
+    assert str(caught.value).startswith(message)
+
+
 def test_gas_policy_guard():
     with pytest.raises(ValueError):
         GasPolicy(vulnerability_threshold=25_000)

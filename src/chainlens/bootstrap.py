@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
-from .model import int_field
+from .model import int_field, is_str_list, str_list_field
 
 log = logging.getLogger(__name__)
 
@@ -73,16 +73,9 @@ def load_seed_source(path: str | Path) -> SeedSource:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("seed source must be a JSON object with a 'port'")
-    for key in ("hardcoded", "dns"):
-        if not _is_str_list(raw.get(key, [])):
-            raise ValueError(f"seed source {key!r} must be a list of strings")
     return SeedSource(port=int_field(raw, "port"),
-                      hardcoded_ips=list(raw.get("hardcoded", [])),
-                      dns_names=list(raw.get("dns", [])))
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+                      hardcoded_ips=str_list_field(raw, "hardcoded", []),
+                      dns_names=str_list_field(raw, "dns", []))
 
 
 class Resolver(Protocol):
@@ -110,7 +103,7 @@ class ScriptedResolver:
         kinds = [kind.value for kind in ResolveErrorKind]
         for name, rounds in script.items():
             if not (isinstance(rounds, list) and rounds and all(
-                    _is_str_list(r) or r in kinds for r in rounds)):
+                    is_str_list(r) or r in kinds for r in rounds)):
                 raise ValueError(
                     f"{name!r}: rounds must be a non-empty list of IP lists "
                     f"or error kinds ({', '.join(kinds)})")

@@ -37,7 +37,7 @@ from .eth.contracts import (NULL_ADDRESS, ContractRecord, CreatorKind,
 from .eth.probe import (DEFAULT_PROBE_CALLER, FixtureExecutor, GasPolicy,
                         RpcExecutor, SelectorDictionary, probe_suicidal)
 from .eth.similarity import SimilarityBuckets, bucket_similarity
-from .model import ChainKind, normalize_hex
+from .model import ChainKind, bool_field, normalize_hex, str_field
 from .poison import load_signatures, scan_corpus
 from .report import (emit, emit_rows, join_country, join_usd, read_geo_table,
                      read_rate_table, write_stamp)
@@ -366,12 +366,14 @@ def _read_references(path: str) -> list[tuple[str, str, bool]]:
         raise ValueError("expected a JSON list of references")
     references = []
     for index, entry in enumerate(raw):
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("bytecode"), str)):
-            raise ValueError(f"entry {index} is not an object with string "
-                             f"'name' and 'bytecode'")
-        references.append((entry["name"], entry["bytecode"],
-                           bool(entry.get("optimized", False))))
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError("not an object")
+            references.append((str_field(entry, "name"),
+                               str_field(entry, "bytecode"),
+                               bool_field(entry, "optimized", default=False)))
+        except ValueError as exc:
+            raise ValueError(f"entry {index}: {exc}") from None
     return references
 
 
@@ -538,11 +540,8 @@ def cmd_crawl(state: AppState, topology, bootnodes, prefix_bits: int,
         if rng_seed is not None:
             topology["rng_seed"] = rng_seed
         try:
-            transport, truth = build_sim_overlay(
-                topology["n_peers"], topology["degree"],
-                unreachable_fraction=topology["unreachable_fraction"],
-                churn_failure_rate=topology["churn_failure_rate"],
-                rng_seed=topology["rng_seed"], neighbor_k=neighbor_k)
+            transport, truth = build_sim_overlay(**topology,
+                                                 neighbor_k=neighbor_k)
         except ValueError as exc:
             raise click.BadParameter(str(exc), param_hint="--sim")
         reachable = [p for p in truth.peers if p.node_id in truth.reachable_ids]

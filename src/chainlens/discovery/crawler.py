@@ -21,7 +21,7 @@ from queue import SimpleQueue
 from typing import Protocol
 
 from ..errors import NoSeedsReachable
-from ..model import int_field
+from ..model import int_field, number_field
 from .identity import PeerInfo, hash_prefix, node_hash, precompute_targets
 
 log = logging.getLogger(__name__)
@@ -202,10 +202,10 @@ def _is_private(ip: str) -> bool:
 
 
 def load_topology(path: str | Path) -> dict:
-    """Read a simulator topology description from a JSON file.
+    """`build_sim_overlay` arguments from a topology JSON file.
 
     Raises ValueError, naming the fault, unless the file holds a JSON object
-    with `n_peers` and `degree`.
+    whose fields are of the types read below.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -214,7 +214,7 @@ def load_topology(path: str | Path) -> dict:
     return {
         "n_peers": int_field(raw, "n_peers"),
         "degree": int_field(raw, "degree", minimum=0),
-        "unreachable_fraction": float(raw.get("unreachable_fraction", 0.0)),
-        "churn_failure_rate": float(raw.get("churn", 0.0)),
-        "rng_seed": raw.get("seed"),
+        "unreachable_fraction": number_field(raw, "unreachable_fraction", 0.0),
+        "churn_failure_rate": number_field(raw, "churn", 0.0),
+        "rng_seed": int_field(raw, "seed", default=None),
     }

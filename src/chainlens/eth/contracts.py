@@ -18,7 +18,8 @@ from typing import Iterator
 from .. import rlp
 from ..errors import AddressMismatch, SchemaViolation
 from ..keccak import keccak256, keccak256_batch
-from ..model import ChainKind, Transaction, int_field, normalize_hex
+from ..model import (ChainKind, Transaction, hex_field, int_field,
+                     normalize_hex)
 from ..store import RecordSource, Store, read_records
 
 log = logging.getLogger(__name__)
@@ -108,6 +109,17 @@ def iter_creations(store: Store) -> Iterator[tuple[Transaction, str]]:
         yield tx, digest[-20:].hex()
 
 
+def _internal_create(obj: dict) -> ContractRecord:
+    return ContractRecord(address=hex_field(obj, "address", 20),
+                          creator=hex_field(obj, "parent", 20),
+                          creation_height=int_field(obj, "height", minimum=0),
+                          creator_kind=CreatorKind.BY_CONTRACT)
+
+
+def _termination(obj: dict) -> tuple[str, int]:
+    return hex_field(obj, "address", 20), int_field(obj, "height", minimum=0)
+
+
 def build_contract_registry(store: Store,
                             internal_creations: RecordSource | None = None,
                             terminations: RecordSource | None = None,
@@ -131,23 +143,11 @@ def build_contract_registry(store: Store,
             creator=tx.sender,
             creator_kind=CreatorKind.BY_TRANSACTION,
             creation_index=tx.index_in_block))
-    for line_no, obj in read_records(internal_creations or (),
-                                     ("internal_create",)):
-        try:
-            address = normalize_hex(obj["address"], byte_len=20)
-            parent = normalize_hex(obj["parent"], byte_len=20)
-            height = int_field(obj, "height", minimum=0)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(line_no, "internal_create", str(exc))
-        registry.add(ContractRecord(
-            address=address, creation_height=height, creator=parent,
-            creator_kind=CreatorKind.BY_CONTRACT))
-    for line_no, obj in read_records(terminations or (), ("terminate",)):
-        try:
-            address = normalize_hex(obj["address"], byte_len=20)
-            height = int_field(obj, "height", minimum=0)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(line_no, "terminate", str(exc))
+    for _, record in read_records(internal_creations or (),
+                                  ("internal_create",), _internal_create):
+        registry.add(record)
+    for line_no, (address, height) in read_records(
+            terminations or (), ("terminate",), _termination):
         record = registry.get(address)
         if record is None:
             log.warning("termination for unknown contract %s ignored", address)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from ..errors import ExecutorFailure, SchemaViolation
+from ..errors import ExecutorFailure
 from ..keccak import keccak256
-from ..model import normalize_hex
+from ..model import bool_field, hex_field, int_field, strip_0x
 from ..store import RecordSource, read_records
 from .contracts import NULL_ADDRESS, ContractRecord
 
@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 DEFAULT_PROBE_CALLER = "00000000000000000000000000000000000000aa"
 _SELECTOR_FILE = "termination_selectors.txt"
 BASE_CALL_GAS = 21_000  # intrinsic gas of a plain call
-_UNSCRIPTED_ESTIMATE = 100_000  # FixtureExecutor, unscripted pairs
+_UNSCRIPTED = (100_000, False, None)  # FixtureExecutor, unscripted pairs
 
 
 def function_selector(signature_text: str) -> bytes:
@@ -48,8 +48,9 @@ class SelectorEntry:
 
 
 def _selector_entry(text: str) -> SelectorEntry:
-    if text.startswith("0x"):
-        selector = bytes.fromhex(text[2:])
+    digits = strip_0x(text)
+    if digits != text:
+        selector = bytes.fromhex(digits)
         if len(selector) != 4:
             raise ValueError(f"selector {text!r} is not 4 bytes")
         return SelectorEntry(selector=selector)
@@ -75,21 +76,19 @@ class SelectorDictionary:
         `#` starts a comment. A bad or duplicate entry raises ValueError
         naming its line.
         """
-        entries = []
-        seen = set()
+        entries: dict[bytes, SelectorEntry] = {}
         for line_no, raw in enumerate(lines, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
             try:
                 entry = _selector_entry(text)
-                if entry.selector in seen:
+                if entry.selector in entries:
                     raise ValueError(f"duplicate selector 0x{entry.selector.hex()}")
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
-            seen.add(entry.selector)
-            entries.append(entry)
-        return cls(entries)
+            entries[entry.selector] = entry
+        return cls(list(entries.values()))
 
     @classmethod
     def default(cls) -> "SelectorDictionary":
@@ -142,74 +141,60 @@ class ContractExecutor(Protocol):
                caller: str) -> InvokeOutcome: ...
 
 
+def _fixture_entry(obj: dict) -> tuple:
+    """((address, selector), (estimate, terminates, refund_to))."""
+    key = (hex_field(obj, "address", 20),
+           bytes.fromhex(hex_field(obj, "selector", 4)))
+    estimate = int_field(obj, "estimate", minimum=0)
+    refund_to = obj.get("refund_to")
+    if refund_to != "caller":
+        refund_to = hex_field(obj, "refund_to", 20, default=None)
+    return key, (estimate, bool_field(obj, "terminates", default=False),
+                 refund_to)
+
+
 class FixtureExecutor:
     """Executor scripted by gas_fixture NDJSON records.
 
     Record shape: {"type":"gas_fixture","address":"0x..","selector":"0x..",
     "estimate":N,"terminates":bool,"refund_to":"0x..|null|caller"}.
     Unknown (address, selector) pairs estimate at 100,000 gas, above any
-    threshold GasPolicy accepts. A record that does not fit the
-    shape raises SchemaViolation naming its line (its 1-based position
-    when records are passed as dicts).
+    threshold GasPolicy accepts. Records passed as dicts are read as the
+    lines of a file, so one that does not fit the shape raises
+    SchemaViolation naming its 1-based position and its field.
     """
 
     def __init__(self, records: Iterable[dict]):
-        self._estimates: dict[tuple[str, bytes], int] = {}
-        self._behavior: dict[tuple[str, bytes], tuple[bool, str | None]] = {}
-        self._terminated: set[str] = set()
-        self._load(enumerate(records, start=1))
+        self._load(map(json.dumps, records))
 
     @classmethod
     def from_file(cls, source: RecordSource) -> "FixtureExecutor":
         executor = cls([])
-        executor._load(read_records(source, ("gas_fixture",)))
+        executor._load(source)
         return executor
 
-    def _load(self, numbered: Iterable[tuple[int, dict]]) -> None:
-        for line_no, obj in numbered:
-            key = (_hex_field(obj, line_no, "address", 20),
-                   bytes.fromhex(_hex_field(obj, line_no, "selector", 4)))
-            estimate = obj.get("estimate")
-            if not isinstance(estimate, int) or isinstance(estimate, bool) \
-                    or estimate < 0:
-                raise SchemaViolation(line_no, "estimate",
-                                      "expected a non-negative integer")
-            refund_to = obj.get("refund_to")
-            if refund_to not in (None, "caller"):
-                refund_to = _hex_field(obj, line_no, "refund_to", 20)
-            self._estimates[key] = estimate
-            self._behavior[key] = (bool(obj.get("terminates", False)),
-                                   refund_to)
+    def _load(self, source: RecordSource) -> None:
+        self._scripted = dict(entry for _, entry in read_records(
+            source, ("gas_fixture",), _fixture_entry))
+        self._terminated: set[str] = set()
 
     def addresses(self) -> list[str]:
         """Distinct contract addresses the fixture scripts, sorted."""
-        return sorted({address for address, _ in self._estimates})
+        return sorted({address for address, _ in self._scripted})
 
     def estimate_gas(self, contract: str, selector: bytes) -> int:
-        return self._estimates.get((contract, selector), _UNSCRIPTED_ESTIMATE)
+        return self._scripted.get((contract, selector), _UNSCRIPTED)[0]
 
     def invoke(self, contract: str, selector: bytes, caller: str) -> InvokeOutcome:
-        terminates, refund_spec = self._behavior.get((contract, selector),
-                                                     (False, None))
+        gas, terminates, refund_spec = self._scripted.get((contract, selector),
+                                                          _UNSCRIPTED)
         terminates = terminates and contract not in self._terminated
         refund_to = None
         if terminates:
             self._terminated.add(contract)
             refund_to = caller if refund_spec == "caller" else refund_spec
-        gas = self._estimates.get((contract, selector), _UNSCRIPTED_ESTIMATE)
         return InvokeOutcome(terminated=terminates, refund_to=refund_to,
                              gas_used=gas)
-
-
-def _hex_field(obj: dict, line_no: int, name: str, byte_len: int) -> str:
-    """Normalized hex of `obj[name]`, or a SchemaViolation naming the line."""
-    raw = obj.get(name)
-    if not isinstance(raw, str):
-        raise SchemaViolation(line_no, name, "expected a hex string")
-    try:
-        return normalize_hex(raw, byte_len=byte_len)
-    except ValueError as exc:
-        raise SchemaViolation(line_no, name, str(exc)) from None
 
 
 class RpcExecutor:

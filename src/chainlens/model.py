@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from typing import Mapping, TypeVar
+from typing import Any, Mapping, TypeVar
 
 from .errors import ChainLensError
 
@@ -39,26 +39,101 @@ def normalize_hex(text: str, byte_len: int | None = None) -> str:
     digits = strip_0x(text).lower()
     if len(digits) % 2:
         raise ValueError(f"odd-length hex string: {text!r}")
-    if not set(digits) <= HEX_DIGITS:
+    if not HEX_DIGITS.issuperset(digits):
         raise ValueError(f"non-hex digits in {text!r}")
     if byte_len is not None and len(digits) != 2 * byte_len:
         raise ValueError(f"expected {byte_len} bytes of hex, got {len(digits) // 2}")
     return digits
 
 
-def int_field(obj: Mapping[str, object], key: str,
-              minimum: int | None = None) -> int:
-    """obj[key] as an int; raises ValueError naming `key` unless it is
-    present, a JSON integer (not a bool, fraction or string) and, when
-    `minimum` is given, at least `minimum`."""
-    if key not in obj:
-        raise ValueError(f"{key!r} is missing")
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{key!r} must be >= {minimum}, got {value}")
+# Each reader below returns obj[key] checked against its type, or raises a
+# FieldError naming `key`. An absent key gives `default`, as does a JSON
+# null where the default is None; without a default the key is required.
+REQUIRED: Any = object()
+
+
+class FieldError(ValueError):
+    """A field of an input record that is missing or not of its type."""
+
+    def __init__(self, key: str, detail: str):
+        super().__init__(f"{key!r} {detail}")
+        self.key = key
+        self.detail = detail
+
+
+def _field(obj: dict, key: str, default: Any, kinds: tuple[type, ...],
+           expected: str) -> Any:
+    """obj[key] if its JSON type is one of `kinds`; a bool is not an int."""
+    value = obj.get(key, default)
+    if value is default:
+        if default is REQUIRED:
+            raise FieldError(key, "is missing")
+    elif type(value) not in kinds:
+        raise FieldError(key, f"must be {expected}, got {value!r}")
     return value
+
+
+def int_field(obj: dict, key: str, minimum: int | None = None,
+              default: Any = REQUIRED) -> int:
+    """A JSON integer (not a bool, fraction or string), at least `minimum`."""
+    value = _field(obj, key, default, (int,), "an integer")
+    if minimum is not None and value is not default and value < minimum:
+        raise FieldError(key, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def amount_field(obj: dict, key: str, default: Any = REQUIRED) -> int:
+    """A non-negative integer of any size, as a decimal string or integer."""
+    value = _field(obj, key, default, (str, int), "a decimal string or integer")
+    if value is default:
+        return value
+    try:
+        amount = int(value)
+    except ValueError:
+        raise FieldError(key, f"not a decimal integer: {value!r}") from None
+    if amount < 0:
+        raise FieldError(key, "negative amount")
+    return amount
+
+
+def hex_field(obj: dict, key: str, byte_len: int | None = None,
+              default: Any = REQUIRED) -> str:
+    """`normalize_hex` of a string, `byte_len` bytes long when given."""
+    value = _field(obj, key, default, (str,), "a hex string")
+    if value is default:
+        return value
+    try:
+        return normalize_hex(value, byte_len)
+    except ValueError as exc:
+        raise FieldError(key, str(exc)) from None
+
+
+def bool_field(obj: dict, key: str, default: Any = REQUIRED) -> bool:
+    return _field(obj, key, default, (bool,), "true or false")
+
+
+def number_field(obj: dict, key: str, default: Any = REQUIRED) -> float:
+    return _field(obj, key, default, (int, float), "a number")
+
+
+def str_field(obj: dict, key: str, default: Any = REQUIRED) -> str:
+    return _field(obj, key, default, (str,), "a string")
+
+
+def is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def str_list_field(obj: dict, key: str, default: Any = REQUIRED,
+                   byte_len: int | None = None) -> list[str]:
+    """A list of strings (the default, if any, is a list); with `byte_len`,
+    each is read as `hex_field` reads hex of that many bytes."""
+    value = _field(obj, key, default, (list,), "a list of strings")
+    if not is_str_list(value):
+        raise FieldError(key, f"must be a list of strings, got {value!r}")
+    if byte_len is None:
+        return value
+    return [hex_field({key: item}, key, byte_len) for item in value]
 
 
 def month_key(timestamp: int) -> str:

@@ -16,9 +16,11 @@ from typing import IO, Callable, Iterable, Iterator
 
 from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                      EmptyChain, MalformedJson, SchemaViolation)
-from .model import (Block, ChainKind, ChainSummary, IngestSummary,
-                    NameOpKind, NameOpPayload, ProofKind, RejectedLine,
-                    Transaction, fill_periods, month_key, normalize_hex)
+from .model import (REQUIRED, Block, ChainKind, ChainSummary, FieldError,
+                    IngestSummary, NameOpKind, NameOpPayload, ProofKind,
+                    RejectedLine, T, Transaction, amount_field, bool_field,
+                    fill_periods, hex_field, int_field, month_key, str_field,
+                    str_list_field)
 
 log = logging.getLogger(__name__)
 
@@ -204,19 +206,21 @@ RecordSource = Iterable[str] | IO[str] | str | Path
 
 
 def read_records(source: RecordSource, types: tuple[str, ...],
+                 parse: Callable[[dict], T],
                  reject: Callable[[int, ChainLensError], None] | None = None
-                 ) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each NDJSON record whose `type` is in `types`.
+                 ) -> Iterator[tuple[int, T]]:
+    """(line number, parse(obj)) for each NDJSON object whose `type` is in `types`.
 
     `source` is a file path or an iterable of lines. Blank lines are
     skipped but counted, so line numbers are those of the file. A line that
     is not JSON raises MalformedJson; one that is not an object, or not of
-    an accepted type, raises SchemaViolation on field "type". With a
-    `reject` callback, the error goes to it instead and reading goes on.
+    an accepted type, raises SchemaViolation on field "type"; a FieldError
+    from `parse` is a SchemaViolation on its field. With a `reject`
+    callback, the error goes to it instead and reading goes on.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            yield from read_records(fh, types, reject)
+            yield from read_records(fh, types, parse, reject)
         return
     for line_no, line in enumerate(source, start=1):
         line = line.strip()
@@ -224,140 +228,79 @@ def read_records(source: RecordSource, types: tuple[str, ...],
             continue
         try:
             obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise FieldError("type", "line is not an object")
+            if obj.get("type") not in types:
+                raise FieldError("type", f"expected {' or '.join(map(repr, types))}"
+                                         f", got {obj.get('type')!r}")
+            record = parse(obj)
         except json.JSONDecodeError as exc:
             err: ChainLensError = MalformedJson(line_no, exc.msg)
+        except FieldError as exc:
+            err = SchemaViolation(line_no, exc.key, exc.detail)
         else:
-            if not isinstance(obj, dict):
-                err = SchemaViolation(line_no, "type", "line is not an object")
-            elif obj.get("type") not in types:
-                err = SchemaViolation(
-                    line_no, "type",
-                    f"expected {' or '.join(map(repr, types))}, "
-                    f"got {obj.get('type')!r}")
-            else:
-                yield line_no, obj
-                continue
+            yield line_no, record
+            continue
         if reject is None:
             raise err
         reject(line_no, err)
 
 
-
-def _require(cond: bool, line_no: int, field: str, detail: str) -> None:
-    if not cond:
-        raise SchemaViolation(line_no, field, detail)
-
-
-def _parse_amount(raw, line_no: int, field: str) -> int:
-    _require(isinstance(raw, (str, int)) and not isinstance(raw, bool),
-             line_no, field, "expected a decimal string or integer")
-    try:
-        amount = int(raw)
-    except ValueError:
-        raise SchemaViolation(line_no, field, f"not a decimal integer: {raw!r}")
-    _require(amount >= 0, line_no, field, "negative amount")
-    return amount
+def _address(obj: dict, key: str, chain: ChainKind, default=REQUIRED):
+    """An Ethereum address as 20 bytes of hex; a non-empty string elsewhere."""
+    if chain is ChainKind.ETHEREUM:
+        return hex_field(obj, key, 20, default)
+    address = str_field(obj, key, default)
+    if address == "":
+        raise FieldError(key, "must not be empty")
+    return address
 
 
-def _parse_hash(raw, line_no: int, field: str) -> str:
-    _require(isinstance(raw, str), line_no, field, "expected a hex string")
-    try:
-        return normalize_hex(raw, byte_len=32)
-    except ValueError as exc:
-        raise SchemaViolation(line_no, field, str(exc))
+def _parse_block(obj: dict, chain: ChainKind) -> Block:
+    height = int_field(obj, "height", minimum=0)
+    time_ = int_field(obj, "time", minimum=1)
+    tx_hashes = str_list_field(obj, "txs", [], byte_len=32)
+    if len(set(tx_hashes)) != len(tx_hashes):
+        raise FieldError("txs", "duplicate transaction hashes")
+    auxpow = bool_field(obj, "auxpow", default=None)
+    proof = obj.get("proof")
+    if proof is not None and proof not in ("pow", "pos"):
+        raise FieldError("proof", "must be 'pow' or 'pos'")
+    return Block(chain=chain, height=height, hash=hex_field(obj, "hash", 32),
+                 parent_hash=hex_field(obj, "parent", 32),
+                 timestamp=time_, tx_hashes=tx_hashes, is_auxpow=auxpow,
+                 proof=ProofKind(proof) if proof else None)
 
 
-def _parse_address(raw, line_no: int, field: str, chain: ChainKind) -> str:
-    _require(isinstance(raw, str) and raw != "", line_no, field,
-             "expected a non-empty string")
-    if chain is not ChainKind.ETHEREUM:
-        return raw
-    try:
-        return normalize_hex(raw, byte_len=20)
-    except ValueError as exc:
-        raise SchemaViolation(line_no, field, str(exc))
-
-
-def _parse_block_line(obj: dict, chain: ChainKind, line_no: int) -> Block:
-    height = obj.get("height")
-    _require(isinstance(height, int) and not isinstance(height, bool)
-             and height >= 0, line_no, "height", "must be a non-negative integer")
-    time_ = obj.get("time")
-    _require(isinstance(time_, int) and not isinstance(time_, bool)
-             and time_ > 0, line_no, "time", "must be a positive integer")
-    tx_hashes_raw = obj.get("txs", [])
-    _require(isinstance(tx_hashes_raw, list), line_no, "txs", "must be a list")
-    tx_hashes = [_parse_hash(h, line_no, "txs") for h in tx_hashes_raw]
-    _require(len(set(tx_hashes)) == len(tx_hashes), line_no, "txs",
-             "duplicate transaction hashes")
-    auxpow = obj.get("auxpow")
-    _require(auxpow is None or isinstance(auxpow, bool), line_no, "auxpow",
-             "must be a boolean")
-    proof_raw = obj.get("proof")
-    proof = None
-    if proof_raw is not None:
-        _require(proof_raw in ("pow", "pos"), line_no, "proof",
-                 "must be 'pow' or 'pos'")
-        proof = ProofKind(proof_raw)
-    return Block(chain=chain, height=height,
-                 hash=_parse_hash(obj.get("hash"), line_no, "hash"),
-                 parent_hash=_parse_hash(obj.get("parent"), line_no, "parent"),
-                 timestamp=time_, tx_hashes=tx_hashes,
-                 is_auxpow=auxpow, proof=proof)
-
-
-def _parse_name_op(raw, line_no: int) -> NameOpPayload | None:
+def _parse_name_op(obj: dict) -> NameOpPayload | None:
+    raw = obj.get("name_op")
     if raw is None:
         return None
-    _require(isinstance(raw, dict), line_no, "name_op", "must be an object")
-    kind_raw = raw.get("kind")
-    _require(kind_raw in ("new", "firstupdate", "update"), line_no,
-             "name_op.kind", "must be new|firstupdate|update")
-    name = raw.get("name")
-    _require(name is None or isinstance(name, str), line_no, "name_op.name",
-             "must be a string")
-    name_hash = raw.get("name_hash")
-    _require(name_hash is None or isinstance(name_hash, str), line_no,
-             "name_op.name_hash", "must be a string")
-    return NameOpPayload(kind=NameOpKind(kind_raw),
-                         paid_fee=_parse_amount(raw.get("paid_fee", 0),
-                                                line_no, "name_op.paid_fee"),
-                         name=name, name_hash=name_hash)
+    if not isinstance(raw, dict):
+        raise FieldError("name_op", "must be an object")
+    op = {f"name_op.{key}": value for key, value in raw.items()}
+    if op.get("name_op.kind") not in ("new", "firstupdate", "update"):
+        raise FieldError("name_op.kind", "must be new|firstupdate|update")
+    return NameOpPayload(kind=NameOpKind(raw["kind"]),
+                         name=str_field(op, "name_op.name", None),
+                         name_hash=str_field(op, "name_op.name_hash", None),
+                         paid_fee=amount_field(op, "name_op.paid_fee", 0))
 
 
-def _parse_tx_line(obj: dict, chain: ChainKind, line_no: int) -> Transaction:
-    height = obj.get("height")
-    _require(isinstance(height, int) and not isinstance(height, bool)
-             and height >= 0, line_no, "height", "must be a non-negative integer")
-    index = obj.get("index")
-    _require(isinstance(index, int) and not isinstance(index, bool)
-             and index >= 0, line_no, "index", "must be a non-negative integer")
-    recipient_raw = obj.get("to")
-    recipient = None
-    if recipient_raw is not None:
-        recipient = _parse_address(recipient_raw, line_no, "to", chain)
-    input_raw = obj.get("input", "")
-    _require(isinstance(input_raw, str), line_no, "input", "must be a string")
-    try:
-        input_data = normalize_hex(input_raw)
-    except ValueError as exc:
-        raise SchemaViolation(line_no, "input", str(exc))
-    fee_raw = obj.get("fee")
-    gas_raw = obj.get("gas")
-    _require(gas_raw is None or (isinstance(gas_raw, int)
-             and not isinstance(gas_raw, bool) and gas_raw >= 0),
-             line_no, "gas", "must be a non-negative integer")
+def _parse_tx(obj: dict, chain: ChainKind) -> Transaction:
+    # the first bad field, in this order, names a rejected line
     return Transaction(
         chain=chain,
-        hash=_parse_hash(obj.get("hash"), line_no, "hash"),
-        block_height=height, index_in_block=index,
-        sender=_parse_address(obj.get("from"), line_no, "from", chain),
-        recipient=recipient,
-        value=_parse_amount(obj.get("value", 0), line_no, "value"),
-        input_data=input_data,
-        fee=None if fee_raw is None else _parse_amount(fee_raw, line_no, "fee"),
-        gas_limit=gas_raw,
-        name_op=_parse_name_op(obj.get("name_op"), line_no))
+        block_height=int_field(obj, "height", minimum=0),
+        index_in_block=int_field(obj, "index", minimum=0),
+        recipient=_address(obj, "to", chain, default=None),
+        input_data=hex_field(obj, "input", default=""),
+        gas_limit=int_field(obj, "gas", minimum=0, default=None),
+        hash=hex_field(obj, "hash", 32),
+        sender=_address(obj, "from", chain),
+        value=amount_field(obj, "value", default=0),
+        fee=amount_field(obj, "fee", default=None),
+        name_op=_parse_name_op(obj))
 
 
 # -- operations ----------------------------------------------------------
@@ -380,18 +323,22 @@ def ingest_blocks(source: RecordSource, chain: ChainKind,
         log.warning("rejected %s", RejectedLine(line_no, err))
         summary.rejected.append(RejectedLine(line_no, err))
 
-    for line_no, obj in read_records(source, ("block", "tx"), reject):
+    def parse(obj: dict) -> Block | Transaction:
+        if obj.get("chain") != chain.value:
+            raise FieldError(
+                "chain", f"expected {chain.value!r}, got {obj.get('chain')!r}")
+        if obj["type"] == "block":
+            return _parse_block(obj, chain)
+        return _parse_tx(obj, chain)
+
+    for line_no, record in read_records(source, ("block", "tx"), parse,
+                                        reject):
         try:
-            rec_chain = obj.get("chain")
-            if rec_chain != chain.value:
-                raise SchemaViolation(line_no, "chain",
-                                      f"expected {chain.value!r}, got {rec_chain!r}")
-            if obj["type"] == "block":
-                if store.put_block(_parse_block_line(obj, chain, line_no)):
+            if isinstance(record, Block):
+                if store.put_block(record):
                     summary.blocks_loaded += 1
-            else:
-                if store.put_tx(_parse_tx_line(obj, chain, line_no)):
-                    summary.txs_loaded += 1
+            elif store.put_tx(record):
+                summary.txs_loaded += 1
         except ChainLensError as err:
             if isinstance(err, SchemaViolation) and err.line_no == 0:
                 err = SchemaViolation(line_no, err.field, err.detail)

@@ -263,6 +263,53 @@ def test_option_file_integer_fields_are_strict(tmp_path, monkeypatch, capsys,
     assert option in err and key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("unreachable_fraction", "0.5"), ("unreachable_fraction", True),
+    ("churn", "0.5"), ("churn", True),
+    ("seed", "abc"), ("seed", 1.5), ("seed", True),
+])
+def test_sim_topology_numbers_are_strict(tmp_path, capsys, key, value):
+    topology = tmp_path / "topo.json"
+    topology.write_text(json.dumps({"n_peers": 10, "degree": 4, key: value}))
+    assert run_cli(["crawl", "--sim", str(topology)]) == 1
+    err = capsys.readouterr().err
+    assert "--sim" in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [{}, {"seed": None}, {"churn": 0}],
+                         ids=["seed absent", "seed null", "integer churn"])
+def test_sim_topology_optional_fields(tmp_path, capsys, extra):
+    topology = tmp_path / "topo.json"
+    topology.write_text(json.dumps({"n_peers": 10, "degree": 4, **extra}))
+    out = run_ok(capsys, ["crawl", "--sim", str(topology), "--prefix-bits",
+                          "2"])
+    assert json.loads(out.out)["unique_node_ids"] >= 1
+
+
+@pytest.mark.parametrize("value", ["false", "no", 0, None])
+def test_reference_optimized_is_strict(tmp_path, capsys, value):
+    references = tmp_path / "refs.json"
+    references.write_text(json.dumps(
+        [{"name": "token", "bytecode": "6001", "optimized": value}]))
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("6001\n")
+    assert run_cli(["eth", "similarity", "--references", str(references),
+                    "--corpus", str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert "--references" in err and "entry 0" in err and "optimized" in err
+
+
+@pytest.mark.parametrize("value", ["no", "true", 1, None])
+def test_gas_fixture_terminates_is_strict(tmp_path, capsys, value):
+    fixture = tmp_path / "gas.ndjson"
+    fixture.write_text(json.dumps(
+        {"type": "gas_fixture", "address": addr(1), "selector": "41c0e1b5",
+         "estimate": 300, "terminates": value}) + "\n")
+    assert run_cli(["eth", "probe", "--gas-fixture", str(fixture)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1: invalid field 'terminates'" in err
+
+
 @pytest.mark.parametrize("value", [True, 1.5, "1", -1],
                          ids=["bool", "fraction", "string", "negative"])
 @pytest.mark.parametrize("option, record", [

@@ -163,6 +163,27 @@ def test_side_file_errors_keep_file_line_numbers():
     store.close()
 
 
+@pytest.mark.parametrize("side, record, field", [
+    ("internal_creations", {"type": "internal_create", "parent": CONTRACT_C1,
+                            "height": 3}, "address"),
+    ("internal_creations", {"type": "internal_create", "address": addr(7),
+                            "parent": "0x1234", "height": 3}, "parent"),
+    ("internal_creations", {"type": "internal_create", "address": addr(7),
+                            "parent": CONTRACT_C1}, "height"),
+    ("terminations", {"type": "terminate", "address": 5, "height": 3},
+     "address"),
+    ("terminations", {"type": "terminate", "address": CONTRACT_C1,
+                      "height": None}, "height"),
+], ids=["internal address", "internal parent", "internal height",
+        "terminate address", "terminate height"])
+def test_side_file_errors_name_the_field(side, record, field):
+    store = _fixture_store()
+    with pytest.raises(SchemaViolation) as caught:
+        build_contract_registry(store, **{side: ["", json.dumps(record)]})
+    assert (caught.value.line_no, caught.value.field) == (2, field)
+    store.close()
+
+
 def test_side_file_line_must_be_an_object():
     store = _fixture_store()
     with pytest.raises(SchemaViolation) as caught:

@@ -68,6 +68,7 @@ def test_dictionary_rejects_duplicates():
     (["kill()", "0x1234"], "line 2: selector '0x1234' is not 4 bytes"),
     (["kill()", "0xzzzzzzzz"], "line 2: "),
     (["# header", "kill()", "", "0x41c0e1b5"], "line 4: duplicate selector"),
+    (["0X41C0E1B5", "kill()"], "line 2: duplicate selector 0x41c0e1b5"),
 ])
 def test_dictionary_error_names_its_line(lines, message):
     with pytest.raises(ValueError) as caught:

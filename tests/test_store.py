@@ -1,11 +1,14 @@
 """Ledger store: ingestion, rejection, cutoff, summaries."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainlens
 from chainlens.errors import (ConflictingBlock, ConflictingTx, EmptyChain,
                               MalformedJson, SchemaViolation)
 from chainlens.model import (ChainKind, fill_periods, iso_week_key, month_key,
@@ -289,3 +292,134 @@ def test_ingest_properties_random_chains(chain):
             == len(times) - 1
     finally:
         store.close()
+
+
+# -- field rules of ingest records ------------------------------------------
+
+_ABSENT = object()
+_NOT_INTEGERS = [True, 1.5, "1", -1, None, _ABSENT]
+_BLOCK = {"type": "block", "chain": "eth", "height": 1, "hash": h32(0xB1),
+          "parent": h32(0xB0), "time": 1000, "txs": [h32(1)],
+          "auxpow": True, "proof": "pow"}
+_TX = {"type": "tx", "chain": "eth", "hash": h32(1), "height": 1, "index": 0,
+       "from": "aa" * 20, "to": "bb" * 20, "value": "5", "input": "00",
+       "fee": "1", "gas": 21000,
+       "name_op": {"kind": "new", "name": "d/x", "name_hash": "ab",
+                   "paid_fee": "1"}}
+_REJECTED = {
+    "block": {
+        "chain": [True, 1.5, "1", -1, None, "nmc", _ABSENT],
+        "height": _NOT_INTEGERS,
+        "time": _NOT_INTEGERS + [0],
+        "hash": _NOT_INTEGERS + ["ab" * 31, "zz" * 32],
+        "parent": _NOT_INTEGERS + ["ab" * 31],
+        "txs": [True, 1.5, "1", -1, None, [True], ["ab" * 31],
+                [h32(1), h32(1)]],
+        "auxpow": [1.5, "1", -1, 1],
+        "proof": [True, 1.5, "1", -1, "pos "],
+    },
+    "tx": {
+        "chain": [True, 1.5, "1", -1, None, _ABSENT],
+        "height": _NOT_INTEGERS,
+        "index": _NOT_INTEGERS,
+        "hash": _NOT_INTEGERS + ["ab" * 31],
+        "from": _NOT_INTEGERS + ["", "ab" * 19],
+        "to": [True, 1.5, "1", -1, "", "ab" * 19],
+        "value": [True, 1.5, -1, None, "-1", "five"],
+        "input": [True, 1.5, "1", -1, None, "0xzz"],
+        "fee": [True, 1.5, -1, "-1", "five"],
+        "gas": [True, 1.5, "1", -1],
+        "name_op": [True, 1.5, "1", -1, []],
+        "name_op.kind": [True, 1.5, "1", -1, None, "renew", _ABSENT],
+        "name_op.name": [True, 1.5, -1],
+        "name_op.name_hash": [True, 1.5, -1],
+        "name_op.paid_fee": [True, 1.5, -1, None, "-1"],
+    },
+}
+
+
+def _with(record: dict, key: str, value) -> dict:
+    """A copy of `record` with `key` (dotted for name_op) set or removed."""
+    record = json.loads(json.dumps(record))
+    target = record
+    *path, last = key.split(".")
+    for part in path:
+        target = target[part]
+    if value is _ABSENT:
+        del target[last]
+    else:
+        target[last] = value
+    return record
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    pytest.param(kind, key, value,
+                 id=f"{kind} {key}={'absent' if value is _ABSENT else value!r}")
+    for kind, fields in _REJECTED.items()
+    for key, values in fields.items() for value in values])
+def test_ingest_names_the_rejected_field(kind, key, value):
+    base = _BLOCK if kind == "block" else _TX
+    lines = [block_line("eth", 0, 500), "",
+             json.dumps(_with(base, key, value))]
+    store = Store(":memory:")
+    summary = ingest_blocks(lines, ChainKind.ETHEREUM, store)
+    assert (summary.blocks_loaded, summary.txs_loaded) == (1, 0)
+    [rejected] = summary.rejected
+    assert isinstance(rejected.error, SchemaViolation)
+    assert (rejected.line_no, rejected.error.field) == (3, key)
+    with pytest.raises(SchemaViolation) as caught:
+        ingest_blocks(lines[2:], ChainKind.ETHEREUM, store, strict=True)
+    assert (caught.value.line_no, caught.value.field) == (1, key)
+    store.close()
+
+
+@pytest.mark.parametrize("kind, key, first, second", [
+    ("tx", "value", "123", 123),
+    ("tx", "value", _ABSENT, 0),
+    ("tx", "to", _ABSENT, None),
+    ("tx", "fee", _ABSENT, None),
+    ("tx", "fee", "7", 7),
+    ("tx", "gas", _ABSENT, None),
+    ("tx", "input", _ABSENT, ""),
+    ("tx", "input", "0XAB", "ab"),
+    ("tx", "from", "0x" + "AA" * 20, "aa" * 20),
+    ("tx", "name_op", _ABSENT, None),
+    ("tx", "name_op.name", _ABSENT, None),
+    ("tx", "name_op.name_hash", _ABSENT, None),
+    ("tx", "name_op.paid_fee", _ABSENT, 0),
+    ("block", "txs", _ABSENT, []),
+    ("block", "auxpow", _ABSENT, None),
+    ("block", "proof", _ABSENT, None),
+    ("block", "hash", "0x" + h32(0xB1).upper(), h32(0xB1)),
+], ids=lambda value: "absent" if value is _ABSENT else repr(value))
+def test_ingest_field_forms_load_the_same_rows(kind, key, first, second):
+    base = _BLOCK if kind == "block" else _TX
+    if kind == "block":
+        base = _with(base, "txs", [])
+    stored = []
+    for value in (first, second):
+        store = Store(":memory:")
+        summary = ingest_blocks([json.dumps(_with(base, key, value))],
+                                ChainKind.ETHEREUM, store, strict=True)
+        assert summary.blocks_loaded + summary.txs_loaded == 1
+        stored.append((list(store.iter_blocks(ChainKind.ETHEREUM)),
+                       list(store.iter_txs(ChainKind.ETHEREUM))))
+        store.close()
+    assert stored[0] == stored[1]
+
+
+def test_bool_checks_live_only_in_the_field_readers():
+    # a hand-rolled field type check needs isinstance(x, bool) to refuse
+    # true/false as a number; every such decision belongs to model's readers
+    package = Path(chainlens.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(name, ast.Name) and name.id == "bool"
+                            for name in ast.walk(node.args[1]))):
+                found.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert found == []

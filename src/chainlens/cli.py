@@ -523,7 +523,9 @@ def _bootnode(text: str) -> PeerInfo:
 @click.option("--k", "neighbor_k", default=16, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--max-inflight", default=500, show_default=True,
-              type=click.IntRange(min=1))
+              type=click.IntRange(min=1),
+              help="Most transport calls open at once; a --live crawl runs "
+                   "them on up to 32 threads, a --sim crawl one at a time.")
 @click.option("--seed", "rng_seed", default=None, type=int,
               help="Deterministic seed for target generation and simulation.")
 @click.option("--geo", default=None, type=LoadedFile(read_geo_table),

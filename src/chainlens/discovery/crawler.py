@@ -3,9 +3,10 @@
 The crawl keeps a FIFO work queue: newly admitted peers are queried for
 every precomputed target, and every previously unseen peer returned by a
 query is ping-ponged exactly once before admission. All bookkeeping runs
-on the coordinating thread; workers only execute transport calls, so the
-final peer set is the closure of the seed set and does not depend on
-completion order.
+on the coordinating thread. A live crawl runs transport calls on up to 32
+worker threads; a simulated one (SimTransport, in memory and CPU-bound)
+runs them inline on the coordinating thread. Either way the final peer set
+is the closure of the seed set and does not depend on completion order.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ import ipaddress
 import json
 import logging
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from queue import SimpleQueue
 from typing import Protocol
 
 from ..errors import NoSeedsReachable
+from ..keccak import keccak256_batch
 from ..model import int_field, number_field
-from .identity import PeerInfo, hash_prefix, node_hash, precompute_targets
+from .identity import PeerInfo, hash_prefix, precompute_targets
+from .simulator import SimTransport
 
 log = logging.getLogger(__name__)
 
@@ -107,6 +111,15 @@ def _run_task(transport: DiscoveryTransport, task: tuple):
     return results
 
 
+class _InlineExecutor:
+    """Stands in for the thread pool: runs each task when it is submitted."""
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
           config: CrawlConfig) -> CrawlReport:
     """Run the full discovery crawl and return the finished report."""
@@ -126,10 +139,15 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
             claimed.add(seed.node_id)
             work.append(("ping", seed))
 
+    if isinstance(transport, SimTransport):
+        # in memory and CPU-bound: worker threads would only trade the GIL
+        runner = nullcontext(_InlineExecutor())
+    else:
+        runner = ThreadPoolExecutor(
+            max_workers=min(config.max_in_flight, _MAX_WORKERS))
     done_q: SimpleQueue = SimpleQueue()
     in_flight = 0
-    with ThreadPoolExecutor(
-            max_workers=min(config.max_in_flight, _MAX_WORKERS)) as pool:
+    with runner as pool:
         def submit(task: tuple) -> None:
             nonlocal in_flight
             future = pool.submit(_run_task, transport, task)
@@ -184,9 +202,8 @@ def endpoint_stats(report: CrawlReport) -> CrawlReport:
     report.node_ids_per_ip = sorted(per_ip.items(),
                                     key=lambda kv: (-kv[1], kv[0]))
     histogram = {p: 0 for p in range(1 << report.prefix_bits)}
-    for peer in peers:
-        histogram[hash_prefix(node_hash(peer.node_id),
-                              report.prefix_bits)] += 1
+    for digest in keccak256_batch([p.node_id for p in peers]):
+        histogram[hash_prefix(digest, report.prefix_bits)] += 1
     report.prefix_histogram = histogram
     return report
 

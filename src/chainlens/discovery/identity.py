@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..keccak import keccak256, keccak256_batch64
+from ..keccak import keccak256, keccak256_batch, keccak256_batch64
 
 NODE_ID_LEN = 64
 HASH_LEN = 32
@@ -39,9 +40,36 @@ def node_hash(node_id: bytes) -> bytes:
     return keccak256(node_id)
 
 
-@lru_cache(maxsize=1 << 17)
-def _hash_as_int(node_id: bytes) -> int:
-    return int.from_bytes(node_hash(node_id), "big")
+# A routing table ready for repeated ranking: the peers, stably sorted by
+# node id, and the digest of each as a big-endian integer, in that order.
+KeyedTable = tuple[list[int], list[PeerInfo]]
+
+
+def hash_ints(node_ids: Iterable[bytes]) -> dict[bytes, int]:
+    """The digest of each distinct node id as an integer, from one batch."""
+    unique = list(dict.fromkeys(node_ids))
+    return {node_id: int.from_bytes(digest, "big")
+            for node_id, digest in zip(unique, keccak256_batch(unique))}
+
+
+def key_table(peers: Iterable[PeerInfo],
+              hash_of: Mapping[bytes, int]) -> KeyedTable:
+    """`peers` pre-keyed for `closest`, with digests looked up in `hash_of`."""
+    ordered = sorted(peers, key=attrgetter("node_id"))
+    return [hash_of[p.node_id] for p in ordered], ordered
+
+
+def closest(table: KeyedTable, target_int: int, k: int) -> list[PeerInfo]:
+    """The k peers of `table` closest to the digest `target_int`, ascending.
+
+    Sorting positions stably by distance alone keeps the table's node-id
+    order among equal distances, so the order is (distance, node id,
+    position in the caller's list) and no PeerInfo is ever compared.
+    """
+    keys, peers = table
+    distances = [h ^ target_int for h in keys]
+    order = sorted(range(len(peers)), key=distances.__getitem__)
+    return [peers[i] for i in order[:k]]
 
 
 def select_neighbors(candidates: Sequence[PeerInfo], target: bytes,
@@ -49,11 +77,10 @@ def select_neighbors(candidates: Sequence[PeerInfo], target: bytes,
     """The k candidates closest to `target`, ascending, ties by node id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    target_int = int.from_bytes(target, "big")
-    ranked = sorted(candidates,
-                    key=lambda p: (_hash_as_int(p.node_id) ^ target_int,
-                                   p.node_id))
-    return ranked[:k]
+    hash_of = {p.node_id: int.from_bytes(node_hash(p.node_id), "big")
+               for p in candidates}
+    return closest(key_table(candidates, hash_of),
+                   int.from_bytes(target, "big"), k)
 
 
 def hash_prefix(digest: bytes, prefix_bits: int) -> int:

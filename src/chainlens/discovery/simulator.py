@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import QueryTimeout
-from .identity import NODE_ID_LEN, PeerInfo, node_hash, select_neighbors
+from .identity import (NODE_ID_LEN, PeerInfo, closest, hash_ints, key_table,
+                       node_hash)
 
 _CHURN_SCALE = float(1 << 64)
+_NO_TABLE = ([], [])
 
 
 @dataclass
@@ -31,12 +33,21 @@ class GroundTruth:
 
 
 class SimTransport:
-    """In-memory DiscoveryTransport over a generated topology."""
+    """In-memory DiscoveryTransport over a generated topology.
+
+    Every id in a routing table is hashed once, in one batch, when the
+    transport is built; a query then only ranks precomputed integers.
+    """
 
     def __init__(self, tables: dict[bytes, list[PeerInfo]],
                  unreachable: frozenset[bytes], churn_failure_rate: float,
                  neighbor_k: int, seed_tag: bytes):
-        self._tables = tables
+        if neighbor_k < 1:
+            raise ValueError("neighbor_k must be >= 1")
+        hash_of = hash_ints(p.node_id for table in tables.values()
+                            for p in table)
+        self._tables = {node_id: key_table(table, hash_of)
+                        for node_id, table in tables.items()}
         self._unreachable = unreachable
         self._churn = churn_failure_rate
         self._k = neighbor_k
@@ -61,8 +72,9 @@ class SimTransport:
             raise QueryTimeout(f"peer {peer.ip}:{peer.port} unreachable")
         if self._churn_drop(b"find", peer.node_id, target):
             raise QueryTimeout(f"query to {peer.ip}:{peer.port} dropped")
-        table = self._tables.get(peer.node_id, [])
-        return select_neighbors(table, node_hash(target), self._k)
+        target_int = int.from_bytes(node_hash(target), "big")
+        return closest(self._tables.get(peer.node_id, _NO_TABLE), target_int,
+                       self._k)
 
 
 def build_sim_overlay(n_peers: int, degree: int,

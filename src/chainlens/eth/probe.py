@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from ..errors import ExecutorFailure
+from ..errors import ExecutorFailure, SchemaViolation
 from ..keccak import keccak256
 from ..model import bool_field, hex_field, int_field, strip_0x
 from ..store import RecordSource, read_records
@@ -161,7 +161,9 @@ class FixtureExecutor:
     Unknown (address, selector) pairs estimate at 100,000 gas, above any
     threshold GasPolicy accepts. Records passed as dicts are read as the
     lines of a file, so one that does not fit the shape raises
-    SchemaViolation naming its 1-based position and its field.
+    SchemaViolation naming its 1-based position and its field. A repeated
+    (address, selector) pair is a no-op if identical and a SchemaViolation
+    on field "selector" otherwise.
     """
 
     def __init__(self, records: Iterable[dict]):
@@ -174,8 +176,14 @@ class FixtureExecutor:
         return executor
 
     def _load(self, source: RecordSource) -> None:
-        self._scripted = dict(entry for _, entry in read_records(
-            source, ("gas_fixture",), _fixture_entry))
+        self._scripted: dict[tuple[str, bytes], tuple] = {}
+        for line_no, (key, entry) in read_records(source, ("gas_fixture",),
+                                                  _fixture_entry):
+            if self._scripted.setdefault(key, entry) != entry:
+                raise SchemaViolation(
+                    line_no, "selector",
+                    f"0x{key[1].hex()} on {key[0]} is already scripted "
+                    "with different contents")
         self._terminated: set[str] = set()
 
     def addresses(self) -> list[str]:

@@ -11,9 +11,10 @@ different digests). Three entry points:
                                   as (N, 8) uint64 lanes
 
 The batch variants share one vectorised permutation. They exist because
-contract-address derivation hashes every creation's RLP(sender, nonce) and
-target-ID precomputation hashes thousands of 64-byte candidates; the scalar
-path would dominate runtime.
+contract-address derivation hashes every creation's RLP(sender, nonce),
+target-ID precomputation hashes thousands of 64-byte candidates and the
+simulated overlay hashes every node id; the scalar path would dominate
+runtime.
 """
 
 from __future__ import annotations

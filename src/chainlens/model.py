@@ -74,11 +74,15 @@ def _field(obj: dict, key: str, default: Any, kinds: tuple[type, ...],
 
 
 def int_field(obj: dict, key: str, minimum: int | None = None,
-              default: Any = REQUIRED) -> int:
-    """A JSON integer (not a bool, fraction or string), at least `minimum`."""
+              default: Any = REQUIRED, maximum: int | None = None) -> int:
+    """A JSON integer (not a bool, fraction or string) in [minimum, maximum]."""
     value = _field(obj, key, default, (int,), "an integer")
-    if minimum is not None and value is not default and value < minimum:
+    if value is default:
+        return value
+    if minimum is not None and value < minimum:
         raise FieldError(key, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise FieldError(key, f"must be <= {maximum}, got {value}")
     return value
 
 

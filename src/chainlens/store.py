@@ -24,6 +24,7 @@ from .model import (REQUIRED, Block, ChainKind, ChainSummary, FieldError,
 
 log = logging.getLogger(__name__)
 
+_SQLITE_INT_MAX = (1 << 63) - 1  # an INTEGER column holds at most 8 signed bytes
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS blocks (
     chain     TEXT NOT NULL,
@@ -257,8 +258,8 @@ def _address(obj: dict, key: str, chain: ChainKind, default=REQUIRED):
 
 
 def _parse_block(obj: dict, chain: ChainKind) -> Block:
-    height = int_field(obj, "height", minimum=0)
-    time_ = int_field(obj, "time", minimum=1)
+    height = int_field(obj, "height", minimum=0, maximum=_SQLITE_INT_MAX)
+    time_ = int_field(obj, "time", minimum=1, maximum=_SQLITE_INT_MAX)
     tx_hashes = str_list_field(obj, "txs", [], byte_len=32)
     if len(set(tx_hashes)) != len(tx_hashes):
         raise FieldError("txs", "duplicate transaction hashes")
@@ -291,11 +292,14 @@ def _parse_tx(obj: dict, chain: ChainKind) -> Transaction:
     # the first bad field, in this order, names a rejected line
     return Transaction(
         chain=chain,
-        block_height=int_field(obj, "height", minimum=0),
-        index_in_block=int_field(obj, "index", minimum=0),
+        block_height=int_field(obj, "height", minimum=0,
+                               maximum=_SQLITE_INT_MAX),
+        index_in_block=int_field(obj, "index", minimum=0,
+                                 maximum=_SQLITE_INT_MAX),
         recipient=_address(obj, "to", chain, default=None),
         input_data=hex_field(obj, "input", default=""),
-        gas_limit=int_field(obj, "gas", minimum=0, default=None),
+        gas_limit=int_field(obj, "gas", minimum=0, default=None,
+                            maximum=_SQLITE_INT_MAX),
         hash=hex_field(obj, "hash", 32),
         sender=_address(obj, "from", chain),
         value=amount_field(obj, "value", default=0),

@@ -74,6 +74,23 @@ def test_ingest_echoes_rejects_to_stderr(tmp_path, capsys):
                     "--strict"]) == 2
 
 
+def test_ingest_rejects_integers_past_sqlite_range(tmp_path, capsys):
+    source = tmp_path / "big.ndjson"
+    big = json.loads(block_line("eth", 1, 100, []))
+    big["height"] = 1 << 63
+    source.write_text(block_line("eth", 0, 100, []) + "\n"
+                      + json.dumps(big) + "\n")
+    db = str(tmp_path / "db")
+    assert run_cli(["--db", db, "ingest", str(source), "--chain", "eth"]) == 0
+    captured = capsys.readouterr()
+    assert parse_csv(captured.out)[1] == ["1", "0", "1"]
+    assert "line 2: invalid field 'height'" in captured.err
+    assert run_cli(["--db", str(tmp_path / "db2"), "ingest", str(source),
+                    "--chain", "eth", "--strict"]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: invalid field 'height'" in err and "Traceback" not in err
+
+
 def test_tx_monthly_csv_and_json(eth_db, capsys):
     out = run_ok(capsys, ["--db", eth_db, "report", "tx-monthly",
                           "--chain", "eth"])
@@ -453,6 +470,24 @@ def test_eth_probe_bad_fixture_is_data_error(tmp_path, capsys):
         fixture.write_text(json.dumps(record) + "\n")
         assert run_cli(["eth", "probe", "--gas-fixture", str(fixture)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+
+def test_eth_probe_repeated_fixture_pair(tmp_path, capsys):
+    first = {"type": "gas_fixture", "address": addr(1),
+             "selector": "41c0e1b5", "estimate": 300, "terminates": True}
+    fixture = tmp_path / "gas.ndjson"
+    fixture.write_text(json.dumps(first) + "\n")
+    once = run_ok(capsys, ["eth", "probe", "--gas-fixture", str(fixture)]).out
+    # an identical repeat, spelled differently, is a no-op
+    again = dict(first, address="0x" + addr(1).upper(), selector="0x41c0e1b5")
+    fixture.write_text(json.dumps(first) + "\n" + json.dumps(again) + "\n")
+    assert run_ok(capsys, ["eth", "probe", "--gas-fixture",
+                           str(fixture)]).out == once
+    # a repeat with other contents is refused at the later line
+    fixture.write_text(json.dumps(first) + "\n"
+                       + json.dumps(dict(first, estimate=60_000)) + "\n")
+    assert run_cli(["eth", "probe", "--gas-fixture", str(fixture)]) == 2
+    assert "line 2: invalid field 'selector'" in capsys.readouterr().err
 
 
 def test_eth_probe_contract_list_override(tmp_path, capsys):

@@ -1,13 +1,17 @@
 """Overlay crawler on simulated transports."""
 
 import json
+import sys
 import threading
 
 import pytest
 
+from chainlens import keccak
+from chainlens.discovery import crawler
 from chainlens.discovery.crawler import (CrawlConfig, CrawlReport, crawl,
                                          endpoint_stats, load_topology)
-from chainlens.discovery.identity import hash_prefix, node_hash
+from chainlens.discovery.identity import (hash_prefix, node_hash,
+                                          precompute_targets)
 from chainlens.discovery.simulator import build_sim_overlay
 from chainlens.errors import NoSeedsReachable
 
@@ -102,6 +106,54 @@ def test_in_flight_cap_respected():
     assert len(report.known_peers) == 80
 
 
+def test_inline_and_pooled_crawls_write_the_same_json():
+    transport, truth = build_sim_overlay(120, 10, unreachable_fraction=0.1,
+                                         churn_failure_rate=0.05, rng_seed=17)
+    seeds = [p for p in truth.peers if p.node_id in truth.reachable_ids][:3]
+    config = CrawlConfig(prefix_bits=5, max_in_flight=7, rng_seed=17)
+    inline = crawl(transport, seeds, config)
+    pooled = crawl(_CountingTransport(transport), seeds, config)
+    assert inline.failed_endpoints
+    assert inline.to_json() == pooled.to_json()
+
+
+def test_sim_crawl_starts_no_worker_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a simulated crawl started a thread pool")
+
+    monkeypatch.setattr(crawler, "ThreadPoolExecutor", no_pool)
+    report, truth = _crawl_overlay(40, 8, seed=3, churn_failure_rate=0.05)
+    assert {p.node_id for p in report.known_peers} <= truth.reachable_ids
+    # a transport the crawler does not know to be in-memory keeps the pool
+    transport, truth = build_sim_overlay(10, 3, rng_seed=3)
+    with pytest.raises(AssertionError, match="thread pool"):
+        crawl(_CountingTransport(transport), truth.peers[:1],
+              CrawlConfig(prefix_bits=1))
+
+
+def test_sim_crawl_hashes_each_target_once_and_no_peer(monkeypatch):
+    scalar = keccak.keccak256
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return scalar(data)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("chainlens")
+                and getattr(module, "keccak256", None) is scalar):
+            monkeypatch.setattr(module, "keccak256", counting)
+    targets = set(precompute_targets(4, rng_seed=9).values())
+    counts = []
+    for _ in range(2):
+        node_hash.cache_clear()
+        calls.clear()
+        _crawl_overlay(80, 10, seed=9, prefix_bits=4)
+        assert len(set(calls)) == len(calls) and set(calls) <= targets
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_endpoint_stats():
     report, truth = _crawl_overlay(40, 10, seed=30, prefix_bits=3)
     stats = endpoint_stats(report)
@@ -157,3 +209,5 @@ def test_overlay_validation():
         build_sim_overlay(0, 0)
     with pytest.raises(ValueError):
         build_sim_overlay(5, 2, unreachable_fraction=1.5)
+    with pytest.raises(ValueError):
+        build_sim_overlay(5, 2, neighbor_k=0)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo, hash_prefix,
+from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo, closest,
+                                          hash_ints, hash_prefix, key_table,
                                           node_hash, precompute_targets,
                                           select_neighbors)
 from chainlens.keccak import keccak256
@@ -52,6 +53,28 @@ def test_select_neighbors_tie_order_by_node_id():
     second = select_neighbors([twin_b, twin_a], target_digest, 2)
     assert {first[0].node_id, first[1].node_id} == {node_id}
     assert [p.node_id for p in first] == [p.node_id for p in second]
+
+
+def test_keyed_ranking_matches_bruteforce_with_twins():
+    # the pre-keyed ranking against the keccak-oracle (distance, node id)
+    # stable sort, twins (one id at two endpoints) included, k past the end
+    rng = random.Random(11)
+    for _ in range(60):
+        peers = _random_peers(rng, rng.randint(0, 24))
+        for _ in range(rng.randint(0, 3) if peers else 0):
+            twin = rng.choice(peers)
+            peers.insert(rng.randrange(len(peers) + 1),
+                         PeerInfo(twin.node_id, "203.0.113.7",
+                                  rng.randint(1, 65535)))
+        table = key_table(peers, hash_ints(p.node_id for p in peers))
+        target_digest = rng.randbytes(32)
+        ranked = oracles.brute_force_neighbors(peers, target_digest,
+                                               len(peers))
+        for k in {1, max(1, len(peers) // 2), max(1, len(peers)),
+                  len(peers) + 5}:
+            assert closest(table, int.from_bytes(target_digest, "big"),
+                           k) == ranked[:k]
+            assert select_neighbors(peers, target_digest, k) == ranked[:k]
 
 
 def test_select_neighbors_k_validation():

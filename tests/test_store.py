@@ -298,6 +298,7 @@ def test_ingest_properties_random_chains(chain):
 
 _ABSENT = object()
 _NOT_INTEGERS = [True, 1.5, "1", -1, None, _ABSENT]
+_PAST_INT64 = 1 << 63  # one more than an SQLite INTEGER column holds
 _BLOCK = {"type": "block", "chain": "eth", "height": 1, "hash": h32(0xB1),
           "parent": h32(0xB0), "time": 1000, "txs": [h32(1)],
           "auxpow": True, "proof": "pow"}
@@ -309,8 +310,8 @@ _TX = {"type": "tx", "chain": "eth", "hash": h32(1), "height": 1, "index": 0,
 _REJECTED = {
     "block": {
         "chain": [True, 1.5, "1", -1, None, "nmc", _ABSENT],
-        "height": _NOT_INTEGERS,
-        "time": _NOT_INTEGERS + [0],
+        "height": _NOT_INTEGERS + [_PAST_INT64],
+        "time": _NOT_INTEGERS + [0, _PAST_INT64],
         "hash": _NOT_INTEGERS + ["ab" * 31, "zz" * 32],
         "parent": _NOT_INTEGERS + ["ab" * 31],
         "txs": [True, 1.5, "1", -1, None, [True], ["ab" * 31],
@@ -320,15 +321,15 @@ _REJECTED = {
     },
     "tx": {
         "chain": [True, 1.5, "1", -1, None, _ABSENT],
-        "height": _NOT_INTEGERS,
-        "index": _NOT_INTEGERS,
+        "height": _NOT_INTEGERS + [_PAST_INT64],
+        "index": _NOT_INTEGERS + [_PAST_INT64],
         "hash": _NOT_INTEGERS + ["ab" * 31],
         "from": _NOT_INTEGERS + ["", "ab" * 19],
         "to": [True, 1.5, "1", -1, "", "ab" * 19],
         "value": [True, 1.5, -1, None, "-1", "five"],
         "input": [True, 1.5, "1", -1, None, "0xzz"],
         "fee": [True, 1.5, -1, "-1", "five"],
-        "gas": [True, 1.5, "1", -1],
+        "gas": [True, 1.5, "1", -1, _PAST_INT64],
         "name_op": [True, 1.5, "1", -1, []],
         "name_op.kind": [True, 1.5, "1", -1, None, "renew", _ABSENT],
         "name_op.name": [True, 1.5, -1],

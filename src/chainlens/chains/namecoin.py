@@ -10,13 +10,12 @@ expiry window, after which the name can be registered again from scratch.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 
 from ..errors import AuxPowBeforeActivation, EmptyChain, MalformedNameOp
 from ..model import (ChainKind, NameOpKind, NameOpPayload, Transaction,
-                     fill_periods, iso_week_key, utc_date)
+                     iso_week_key, tally_periods, utc_date)
 from ..store import Store
 
 log = logging.getLogger(__name__)
@@ -55,23 +54,15 @@ def weekly_fee_sums(store: Store) -> list[tuple[str, str, int]]:
     Only operation kinds that occur at all get rows; weeks inside the
     observed span with no operations of such a kind are emitted with 0.
     """
-    times = store.block_times(ChainKind.NAMECOIN)
-    sums: dict[str, Counter[NameOpKind]] = {}
-    kinds_seen: set[NameOpKind] = set()
-    for tx in store.iter_txs(ChainKind.NAMECOIN):
-        op = classify_name_op(tx)
-        if op is None:
-            continue
-        block_time = times.get(tx.block_height)
-        if block_time is None:
-            continue
-        week = iso_week_key(block_time)
-        sums.setdefault(week, Counter())[op.kind] += op.paid_fee
-        kinds_seen.add(op.kind)
-    kinds = [kind for kind in NameOpKind if kind in kinds_seen]
+    # an orphan's op is checked too, so a malformed one still raises
+    items = ((block_time, op.kind, op.paid_fee)
+             for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN)
+             if (op := classify_name_op(tx)) is not None)
+    rows = tally_periods(items, iso_week_key)
+    kinds = [kind for kind in NameOpKind
+             if any(kind in by_kind for _, by_kind in rows)]
     return [(week, kind.value, by_kind[kind])
-            for week, by_kind in fill_periods(sums, Counter())
-            for kind in kinds]
+            for week, by_kind in rows for kind in kinds]
 
 
 _SPLIT_METRICS = ("blocks", "txs", "name_new", "name_firstupdate", "name_update")
@@ -126,7 +117,9 @@ def merge_mine_split(store: Store,
 @dataclass
 class NameHistory:
     name: str
-    events: list[tuple[int, NameOpKind, str]] = field(default_factory=list)
+    # (height, kind, block time, or None when the block is not stored)
+    events: list[tuple[int, NameOpKind, int | None]] = field(
+        default_factory=list)
 
 
 def build_name_histories(store: Store) -> dict[str, NameHistory]:
@@ -136,12 +129,12 @@ def build_name_histories(store: Store) -> dict[str, NameHistory]:
     so they do not participate.
     """
     histories: dict[str, NameHistory] = {}
-    for tx in store.iter_txs(ChainKind.NAMECOIN):
+    for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN):
         op = classify_name_op(tx)
         if op is None or op.kind is NameOpKind.NEW:
             continue
         history = histories.setdefault(op.name, NameHistory(name=op.name))
-        history.events.append((tx.block_height, op.kind, tx.hash))
+        history.events.append((tx.block_height, op.kind, block_time))
     return histories
 
 
@@ -162,14 +155,12 @@ def detect_reregistrations(store: Store, schedule: FeeSchedule,
     height. A re-registration of a name that was still active is reported
     as an anomaly rather than silently dropped.
     """
-    times = store.block_times(ChainKind.NAMECOIN)
     histories = build_name_histories(store)
     report = ReregReport(day=day)
     for history in sorted(histories.values(), key=lambda h: h.name):
-        for position, (height, kind, _tx_hash) in enumerate(history.events):
+        for position, (height, kind, block_time) in enumerate(history.events):
             if kind is not NameOpKind.FIRST_UPDATE:
                 continue
-            block_time = times.get(height)
             if block_time is None or utc_date(block_time) != day:
                 continue
             report.firstupdates_on_day += 1

@@ -8,19 +8,22 @@ not keep.
 from __future__ import annotations
 
 from ..errors import EmptyChain, MissingProofTag
-from ..model import ChainKind, ProofKind, fill_periods, month_key
+from ..model import Block, ChainKind, ProofKind, month_key, tally_periods
 from ..store import Store
 
 
 def pos_pow_counts(store: Store) -> list[tuple[str, int, int]]:
     """(month, pos_count, pow_count) per UTC calendar month, zero-filled."""
-    counts: dict[str, list[int]] = {}
-    for block in store.iter_blocks(ChainKind.PEERCOIN):
-        if block.proof is None:
-            raise MissingProofTag(block.height)
-        tally = counts.setdefault(month_key(block.timestamp), [0, 0])
-        tally[block.proof is ProofKind.POW] += 1
-    if not counts:
+    rows = tally_periods(((block.timestamp, _proof(block), 1)
+                          for block in store.iter_blocks(ChainKind.PEERCOIN)),
+                         month_key)
+    if not rows:
         raise EmptyChain(ChainKind.PEERCOIN.value)
-    return [(month, pos, pow_)
-            for month, (pos, pow_) in fill_periods(counts, (0, 0))]
+    return [(month, counts[ProofKind.POS], counts[ProofKind.POW])
+            for month, counts in rows]
+
+
+def _proof(block: Block) -> ProofKind:
+    if block.proof is None:
+        raise MissingProofTag(block.height)
+    return block.proof

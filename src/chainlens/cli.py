@@ -144,8 +144,8 @@ def _json_file(path: str) -> Any:
               default="csv", show_default=True)
 @click.option("--cutoff", default=None, metavar="TIMESTAMP",
               help="RFC 3339 timestamp (or epoch seconds); summarize and "
-                   "report ignore blocks whose time is not strictly before "
-                   "it. Other commands refuse it.")
+                   "report read the chain up to the highest block whose "
+                   "time is strictly before it. Other commands refuse it.")
 @click.option("--stamp", is_flag=True,
               help="Write run metadata to OUT.stamp.json (requires --out).")
 @click.pass_context

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import EmptyChain
-from ..model import ChainKind, Transaction, fill_periods, month_key
+from ..model import ChainKind, Transaction, month_key, tally_periods
 from ..store import Store
 from .contracts import ContractRegistry, iter_creations
 
@@ -40,16 +40,10 @@ def monthly_class_counts(store: Store, registry: ContractRegistry
     """Per-UTC-month transaction counts split by class, zero-filled."""
     if store.block_count(ChainKind.ETHEREUM) == 0:
         raise EmptyChain(ChainKind.ETHEREUM.value)
-    times = store.block_times(ChainKind.ETHEREUM)
-    buckets: dict[str, Counter] = {}
-    for tx in store.iter_txs(ChainKind.ETHEREUM):
-        block_time = times.get(tx.block_height)
-        if block_time is None:
-            continue
-        month = month_key(block_time)
-        buckets.setdefault(month, Counter())[classify_transaction(tx, registry)] += 1
+    items = ((block_time, classify_transaction(tx, registry), 1)
+             for block_time, tx in store.iter_dated_txs(ChainKind.ETHEREUM))
     return [(month, {cls: counts[cls] for cls in TxClass})
-            for month, counts in fill_periods(buckets, Counter())]
+            for month, counts in tally_periods(items, month_key)]
 
 
 @dataclass

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from typing import Any, Mapping, TypeVar
+from typing import Any, Callable, Hashable, Iterable, TypeVar
 
 from .errors import ChainLensError
 
@@ -153,30 +154,38 @@ def iso_week_key(timestamp: int) -> str:
     return f"{year}-W{week:02d}"
 
 
-def fill_periods(values: Mapping[str, T], zero: T) -> list[tuple[str, T]]:
-    """(period, value) rows for every period from the first key to the last.
+def tally_periods(items: Iterable[tuple[int | None, Hashable, int]],
+                  key_of: Callable[[int], str]) -> list[tuple[str, Counter]]:
+    """(period, amounts by label) for every period from the first to the last.
 
-    Keys are either all `month_key` months or all `iso_week_key` weeks;
-    periods missing from `values` get `zero`. An empty mapping gives [].
+    Each (timestamp, label, amount) item adds `amount` to `label` in the
+    period `key_of(timestamp)`, where `key_of` is `month_key` or
+    `iso_week_key`; a label seen only with amount 0 is still a key. An
+    item whose timestamp is None (a tx whose block is not stored) belongs
+    to no period. A period without items gets an empty Counter, and no
+    dated item at all gives [].
     """
-    if not values:
+    tallies: dict[str, Counter] = {}
+    moments: dict[str, int] = {}  # one timestamp inside each period
+    for timestamp, label, amount in items:
+        if timestamp is None:
+            continue
+        key = key_of(timestamp)
+        tally = tallies.get(key)
+        if tally is None:
+            tally = tallies[key] = Counter()
+            moments[key] = timestamp
+        tally[label] += amount
+    if not tallies:
         return []
-    first, last = min(values), max(values)
-    if "-W" in first:
-        key_of = iso_week_key
-        year, week = map(int, first.split("-W"))
-        start = datetime.fromisocalendar(year, week, 1)
-    else:
-        key_of = month_key
-        start = datetime.strptime(first, "%Y-%m")
-    moment = int(start.replace(tzinfo=timezone.utc).timestamp())
-    rows = []
-    key = first
-    while key <= last:
-        rows.append((key, values.get(key, zero)))
-        while key_of(moment) == key:
-            moment += 7 * 86_400  # no month is shorter, so none is skipped
+    first, last = min(moments, key=moments.get), max(moments, key=moments.get)
+    moment = moments[first]
+    rows = [(first, tallies[first])]
+    while rows[-1][0] != last:
+        moment += 7 * 86_400  # no month is shorter, so none is skipped
         key = key_of(moment)
+        if key != rows[-1][0]:
+            rows.append((key, tallies.get(key, Counter())))
     return rows
 
 

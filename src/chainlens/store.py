@@ -19,12 +19,14 @@ from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
 from .model import (REQUIRED, Block, ChainKind, ChainSummary, FieldError,
                     IngestSummary, NameOpKind, NameOpPayload, ProofKind,
                     RejectedLine, T, Transaction, amount_field, bool_field,
-                    fill_periods, hex_field, int_field, month_key, str_field,
-                    str_list_field)
+                    hex_field, int_field, month_key, str_field, str_list_field,
+                    tally_periods)
 
 log = logging.getLogger(__name__)
 
 _SQLITE_INT_MAX = (1 << 63) - 1  # an INTEGER column holds at most 8 signed bytes
+# 9999-12-31T23:59:59Z: a later time has no datetime, so no month or week
+_LAST_BLOCK_TIME = 253_402_300_799
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS blocks (
     chain     TEXT NOT NULL,
@@ -145,23 +147,25 @@ class Store:
 
     def iter_blocks(self, chain: ChainKind,
                     max_height: int | None = None) -> Iterator[Block]:
-        sql = "SELECT * FROM blocks WHERE chain=?"
-        args: list = [chain.value]
-        if max_height is not None:
-            sql += " AND height<=?"
-            args.append(max_height)
-        for row in self._conn.execute(sql + " ORDER BY height", args):
+        where, args = _up_to(chain, max_height)
+        for row in self._conn.execute(
+                f"SELECT * FROM blocks WHERE {where} ORDER BY height", args):
             yield _row_to_block(row)
 
     def iter_txs(self, chain: ChainKind,
                  max_height: int | None = None) -> Iterator[Transaction]:
-        sql = "SELECT * FROM txs WHERE chain=?"
-        args: list = [chain.value]
-        if max_height is not None:
-            sql += " AND height<=?"
-            args.append(max_height)
-        for row in self._conn.execute(sql + " ORDER BY height, idx", args):
+        where, args = _up_to(chain, max_height)
+        for row in self._conn.execute(
+                f"SELECT * FROM txs WHERE {where} ORDER BY height, idx", args):
             yield _row_to_tx(row)
+
+    def iter_dated_txs(self, chain: ChainKind, max_height: int | None = None
+                       ) -> Iterator[tuple[int | None, Transaction]]:
+        """(block time, tx) in ledger order; the time is None for an orphan,
+        a tx whose block is not stored."""
+        times = self.block_times(chain)
+        for tx in self.iter_txs(chain, max_height):
+            yield times.get(tx.block_height), tx
 
     def block_times(self, chain: ChainKind) -> dict[int, int]:
         """Map height -> timestamp for the whole chain."""
@@ -173,6 +177,13 @@ class Store:
         cur = self._conn.execute(
             "SELECT COUNT(*) FROM blocks WHERE chain=?", (chain.value,))
         return cur.fetchone()[0]
+
+
+def _up_to(chain: ChainKind, max_height: int | None) -> tuple[str, list]:
+    """WHERE clause and arguments for a chain's rows up to `max_height`."""
+    if max_height is None:
+        return "chain=?", [chain.value]
+    return "chain=? AND height<=?", [chain.value, max_height]
 
 
 def _row_to_block(row: tuple) -> Block:
@@ -259,7 +270,7 @@ def _address(obj: dict, key: str, chain: ChainKind, default=REQUIRED):
 
 def _parse_block(obj: dict, chain: ChainKind) -> Block:
     height = int_field(obj, "height", minimum=0, maximum=_SQLITE_INT_MAX)
-    time_ = int_field(obj, "time", minimum=1, maximum=_SQLITE_INT_MAX)
+    time_ = int_field(obj, "time", minimum=1, maximum=_LAST_BLOCK_TIME)
     tx_hashes = str_list_field(obj, "txs", [], byte_len=32)
     if len(set(tx_hashes)) != len(tx_hashes):
         raise FieldError("txs", "duplicate transaction hashes")
@@ -365,22 +376,15 @@ def apply_cutoff(store: Store, chain: ChainKind, cutoff: int) -> int:
 def summarize_chain(store: Store, chain: ChainKind,
                     cutoff_height: int | None = None) -> ChainSummary:
     conn = store._conn
-    sql = "SELECT MIN(time), MAX(time), MAX(height) FROM blocks WHERE chain=?"
-    args: list = [chain.value]
-    if cutoff_height is not None:
-        sql += " AND height<=?"
-        args.append(cutoff_height)
-    first_time, last_time, last_height = conn.execute(sql, args).fetchone()
+    where, args = _up_to(chain, cutoff_height)
+    first_time, last_time, last_height = conn.execute(
+        f"SELECT MIN(time), MAX(time), MAX(height) FROM blocks WHERE {where}",
+        args).fetchone()
     if first_time is None:
         raise EmptyChain(chain.value)
-    tx_sql = "SELECT value FROM txs WHERE chain=?"
-    tx_args: list = [chain.value]
-    if cutoff_height is not None:
-        tx_sql += " AND height<=?"
-        tx_args.append(cutoff_height)
     count = 0
     volume = 0
-    for (value,) in conn.execute(tx_sql, tx_args):
+    for (value,) in conn.execute(f"SELECT value FROM txs WHERE {where}", args):
         count += 1
         volume += int(value)
     return ChainSummary(chain=chain, first_block_time=first_time,
@@ -393,15 +397,10 @@ def monthly_tx_counts(store: Store, chain: ChainKind,
     """Transactions per UTC calendar month, zero-filled across the span."""
     if store.block_count(chain) == 0:
         raise EmptyChain(chain.value)
-    times = store.block_times(chain)
-    counts: dict[str, int] = {}
-    for tx in store.iter_txs(chain, max_height=cutoff_height):
-        block_time = times.get(tx.block_height)
-        if block_time is None:
-            continue
-        key = month_key(block_time)
-        counts[key] = counts.get(key, 0) + 1
-    return fill_periods(counts, 0)
+    dated = store.iter_dated_txs(chain, max_height=cutoff_height)
+    rows = tally_periods(((block_time, "txs", 1) for block_time, _ in dated),
+                         month_key)
+    return [(month, tally["txs"]) for month, tally in rows]
 
 
 def parse_rfc3339(text: str) -> int:

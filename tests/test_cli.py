@@ -113,6 +113,45 @@ def test_cutoff_flag(eth_db, capsys):
                     "--chain", "eth"]) == 1
 
 
+def test_cutoff_keeps_lower_blocks_with_later_times(tmp_path, capsys):
+    # block 1 is timed after the cutoff but lies below block 2, before it
+    lines = []
+    for height, time in enumerate((100, 400, 300)):
+        lines += [block_line("eth", height, time, [h32(height + 1)]),
+                  tx_line("eth", h32(height + 1), height, 0, addr(1), addr(2),
+                          "1")]
+    source = tmp_path / "eth.ndjson"
+    source.write_text("\n".join(lines) + "\n")
+    db = str(tmp_path / "db")
+    run_ok(capsys, ["--db", db, "ingest", str(source), "--chain", "eth"])
+    out = run_ok(capsys, ["--db", db, "--cutoff", "350", "summarize",
+                          "--chain", "eth"])
+    assert parse_csv(out.out)[1] == ["eth", "100", "400", "2", "3", "3"]
+    out = run_ok(capsys, ["--db", db, "--cutoff", "350", "report",
+                          "tx-monthly", "--chain", "eth"])
+    assert parse_csv(out.out) == [["month", "txs"], ["1970-01", "3"]]
+
+
+def test_block_times_end_with_year_9999(tmp_path, capsys):
+    last = 253402300799  # 9999-12-31T23:59:59Z
+    eth = tmp_path / "eth.ndjson"
+    eth.write_text("\n".join([
+        block_line("eth", 0, last, [h32(1)]),
+        tx_line("eth", h32(1), 0, 0, addr(1), addr(2)),
+        block_line("eth", 1, last + 1)]) + "\n")
+    ppc = tmp_path / "ppc.ndjson"
+    ppc.write_text(block_line("ppc", 0, last, [], proof="pos") + "\n")
+    db = str(tmp_path / "db")
+    out = run_ok(capsys, ["--db", db, "ingest", str(eth), "--chain", "eth"])
+    assert parse_csv(out.out)[1] == ["1", "1", "1"]
+    assert "line 3: invalid field 'time'" in out.err
+    run_ok(capsys, ["--db", db, "ingest", str(ppc), "--chain", "ppc"])
+    out = run_ok(capsys, ["--db", db, "report", "tx-monthly", "--chain", "eth"])
+    assert parse_csv(out.out) == [["month", "txs"], ["9999-12", "1"]]
+    out = run_ok(capsys, ["--db", db, "ppc", "pos-pow"])
+    assert parse_csv(out.out) == [["month", "pos", "pow"], ["9999-12", "1", "0"]]
+
+
 @pytest.mark.parametrize("argv", [
     ["ingest", "dump.ndjson", "--chain", "eth"],
     ["eth", "classify"],

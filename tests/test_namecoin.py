@@ -186,3 +186,37 @@ def test_reregistration_quiet_day(nmc_store):
                                     date(2011, 5, 9))
     assert report.firstupdates_on_day == 0
     assert report.reregistrations == [] and report.anomalies == []
+
+
+def test_orphan_name_ops():
+    # the txs at height 19201 have no stored block
+    t = [h32(0xC000 + i) for i in range(4)]
+    lines = [
+        block_line("nmc", 19200, _ts(2011, 5, 2), [t[0]]),
+        block_line("nmc", 19204, _ts(2011, 5, 17), [t[2]]),
+        tx_line("nmc", t[0], 19200, 0, "n1", None, "0",
+                name_op=name_op("new", 1_000_000, name_hash="ab" * 16)),
+        tx_line("nmc", t[1], 19201, 0, "n1", None, "0",
+                name_op=name_op("firstupdate", 3_000_000, name="d/alpha")),
+        tx_line("nmc", t[2], 19204, 0, "n1", None, "0",
+                name_op=name_op("firstupdate", 600_000, name="d/alpha")),
+    ]
+    store = load_store(lines, ChainKind.NAMECOIN)
+    # fees skip the orphan: 2011-W19 holds nothing
+    assert weekly_fee_sums(store) == [
+        ("2011-W18", "new", 1_000_000), ("2011-W18", "firstupdate", 0),
+        ("2011-W19", "new", 0), ("2011-W19", "firstupdate", 0),
+        ("2011-W20", "new", 0), ("2011-W20", "firstupdate", 600_000)]
+    # an orphan registration still precedes the later one
+    report = detect_reregistrations(store, FeeSchedule(expiry_window_blocks=1),
+                                    date(2011, 5, 17))
+    assert (report.firstupdates_on_day, report.reregistrations) == \
+        (1, [("d/alpha", [19201])])
+    store.close()
+    # an orphan's malformed op is still refused
+    malformed = tx_line("nmc", t[3], 19201, 1, "n1", None, "0",
+                        name_op=name_op("update", 500_000))
+    store = load_store(lines + [malformed], ChainKind.NAMECOIN)
+    with pytest.raises(MalformedNameOp):
+        weekly_fee_sums(store)
+    store.close()

@@ -2,6 +2,7 @@
 
 import ast
 import json
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import chainlens
 from chainlens.errors import (ConflictingBlock, ConflictingTx, EmptyChain,
                               MalformedJson, SchemaViolation)
-from chainlens.model import (ChainKind, fill_periods, iso_week_key, month_key,
-                             normalize_hex)
+from chainlens.model import (ChainKind, iso_week_key, month_key, normalize_hex,
+                             tally_periods)
 from chainlens.store import (Store, apply_cutoff, ingest_blocks,
                              monthly_tx_counts, parse_rfc3339, summarize_chain)
 
@@ -45,22 +46,46 @@ def test_parse_rfc3339():
     assert parse_rfc3339("2015-08-01T00:00:00+00:00") == 1438387200
 
 
+def _tally(amounts: dict[str, int], key_of) -> list[tuple[str, int]]:
+    """(period, amount) rows of one item per UTC day ("YYYY-MM-DD")."""
+    items = [(int(datetime.fromisoformat(day).replace(
+        tzinfo=timezone.utc).timestamp()), "n", amount)
+        for day, amount in amounts.items()]
+    return [(key, tally["n"]) for key, tally in tally_periods(items, key_of)]
+
+
 def test_week_span_crosses_year():
-    assert fill_periods({"2015-W02": 2, "2014-W52": 1}, 0) == [
+    # Mondays of 2015-W02 and 2014-W52
+    assert _tally({"2015-01-05": 2, "2014-12-22": 1}, iso_week_key) == [
         ("2014-W52", 1), ("2015-W01", 0), ("2015-W02", 2)]
     # 2015 is an ISO year with 53 weeks
-    assert fill_periods({"2015-W52": 1, "2016-W01": 3}, 0) == [
+    assert _tally({"2015-12-21": 1, "2016-01-04": 3}, iso_week_key) == [
         ("2015-W52", 1), ("2015-W53", 0), ("2016-W01", 3)]
-    assert fill_periods({"2014-11": 4, "2015-02": 5}, 0) == [
+    assert _tally({"2014-11-30": 4, "2015-02-01": 5}, month_key) == [
         ("2014-11", 4), ("2014-12", 0), ("2015-01", 0), ("2015-02", 5)]
-    assert fill_periods({"2015-08": 7}, 0) == [("2015-08", 7)]
-    assert fill_periods({"2015-W31": 7}, 0) == [("2015-W31", 7)]
-    assert fill_periods({}, 0) == []
+    assert _tally({"2015-08-15": 7}, month_key) == [("2015-08", 7)]
+    assert _tally({"2015-08-01": 7}, iso_week_key) == [("2015-W31", 7)]
+    assert _tally({}, month_key) == []
     # every month of five years, leap February included, exactly once
-    months = [month for month, _ in fill_periods({"2012-01": 1,
-                                                  "2016-12": 1}, 0)]
+    months = [month for month, _ in _tally({"2012-01-31": 1,
+                                            "2016-12-01": 1}, month_key)]
     assert months == [f"{year}-{month:02d}" for year in range(2012, 2017)
                       for month in range(1, 13)]
+
+
+def test_tally_periods_skips_orphans_and_keeps_zero_amounts():
+    items = [(1441065600, "a", 2), (None, "a", 5), (1438387200, "b", 0),
+             (1441065601, "a", 3), (None, "c", 1)]
+    # "b" stays a key at amount 0: nmc fees lists the op kinds seen that way
+    assert tally_periods(items, month_key) == [
+        ("2015-08", {"b": 0}), ("2015-09", {"a": 5})]
+    assert tally_periods([(None, "a", 1)], month_key) == []
+    # the last second a block may carry closes its period
+    last = 253402300799
+    assert tally_periods([(last, "a", 1)], month_key) == [("9999-12", {"a": 1})]
+    assert [week for week, _ in tally_periods(
+        [(last - 8 * 86_400, "a", 1), (last, "a", 1)], iso_week_key)] == [
+        "9999-W51", "9999-W52"]
 
 
 def test_ingest_and_reject_counts():
@@ -294,11 +319,57 @@ def test_ingest_properties_random_chains(chain):
         store.close()
 
 
+@st.composite
+def _chain_with_orphans_strategy(draw):
+    """A ledger in which the txs of some heights have no stored block."""
+    n_heights = draw(st.integers(min_value=1, max_value=10))
+    stored = draw(st.lists(st.booleans(), min_size=n_heights,
+                           max_size=n_heights))
+    lines, orphans = [], set()
+    time = draw(st.integers(min_value=1, max_value=2**31))
+    for height, has_block in enumerate(stored):
+        time += draw(st.integers(min_value=1, max_value=40 * 86_400))
+        hashes = [h32(0xE000 + 8 * height + i)
+                  for i in range(draw(st.integers(min_value=0, max_value=3)))]
+        if has_block:
+            lines.append(block_line("eth", height, time, hashes))
+        else:
+            orphans.update(hashes)
+        lines += [tx_line("eth", tx_hash, height, index, "aa" * 20, None)
+                  for index, tx_hash in enumerate(hashes)]
+    max_height = draw(st.none() | st.integers(min_value=0,
+                                              max_value=n_heights))
+    return lines, orphans, max_height
+
+
+@given(_chain_with_orphans_strategy())
+@settings(max_examples=50, deadline=None)
+def test_dated_txs_match_the_block_time_join(chain):
+    lines, orphans, max_height = chain
+    store = load_store(lines, ChainKind.ETHEREUM)
+    try:
+        times = store.block_times(ChainKind.ETHEREUM)
+        dated = list(store.iter_dated_txs(ChainKind.ETHEREUM, max_height))
+        assert dated == [
+            (times.get(tx.block_height), tx)
+            for tx in store.iter_txs(ChainKind.ETHEREUM, max_height)]
+        undated = {tx.hash for block_time, tx in dated if block_time is None}
+        assert undated == {tx.hash for _, tx in dated} & orphans
+        if times and max_height is None:
+            # per-month counts skip orphans; summarize counts them
+            months = monthly_tx_counts(store, ChainKind.ETHEREUM)
+            assert sum(n for _, n in months) + len(undated) \
+                == summarize_chain(store, ChainKind.ETHEREUM).tx_count
+    finally:
+        store.close()
+
+
 # -- field rules of ingest records ------------------------------------------
 
 _ABSENT = object()
 _NOT_INTEGERS = [True, 1.5, "1", -1, None, _ABSENT]
 _PAST_INT64 = 1 << 63  # one more than an SQLite INTEGER column holds
+_PAST_YEAR_9999 = 253402300800  # 10000-01-01T00:00:00Z
 _BLOCK = {"type": "block", "chain": "eth", "height": 1, "hash": h32(0xB1),
           "parent": h32(0xB0), "time": 1000, "txs": [h32(1)],
           "auxpow": True, "proof": "pow"}
@@ -311,7 +382,7 @@ _REJECTED = {
     "block": {
         "chain": [True, 1.5, "1", -1, None, "nmc", _ABSENT],
         "height": _NOT_INTEGERS + [_PAST_INT64],
-        "time": _NOT_INTEGERS + [0, _PAST_INT64],
+        "time": _NOT_INTEGERS + [0, _PAST_YEAR_9999, _PAST_INT64],
         "hash": _NOT_INTEGERS + ["ab" * 31, "zz" * 32],
         "parent": _NOT_INTEGERS + ["ab" * 31],
         "txs": [True, 1.5, "1", -1, None, [True], ["ab" * 31],
@@ -423,4 +494,31 @@ def test_bool_checks_live_only_in_the_field_readers():
                     and any(isinstance(name, ast.Name) and name.id == "bool"
                             for name in ast.walk(node.args[1]))):
                 found.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert found == []
+
+
+def test_block_times_and_period_keys_have_one_owner():
+    # Store alone joins txs to block times; model alone turns a time into
+    # a month or week, and tally_periods is the one zero-filled tally
+    package = Path(chainlens.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_store = {id(node) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) and cls.name == "Store"
+                    and path == package / "store.py" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(package)}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", getattr(node, "attr",
+                                               getattr(node, "name", None)))
+            if name == "fill_periods":
+                found.append(f"{where} fill_periods")
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called == "block_times" and id(node) not in in_store:
+                found.append(f"{where} block_times(")
+            if (called in ("month_key", "iso_week_key")
+                    and path != package / "model.py"):
+                found.append(f"{where} {called}(")
     assert found == []

@@ -87,7 +87,8 @@ def merge_mine_split(store: Store,
     """Split block/tx/name-op counts by whether the block was merge-mined.
 
     Blocks without an auxpow tag count as normally mined. An auxpow block
-    below the activation height is corrupt input and fatal.
+    below the activation height is corrupt input and fatal. An orphan tx,
+    whose block is not stored, is mined in neither way and not counted.
     """
     if schedule is None:
         schedule = FeeSchedule()
@@ -105,10 +106,13 @@ def merge_mine_split(store: Store,
         counts["blocks"][merged] += 1
     if not saw_block:
         raise EmptyChain(ChainKind.NAMECOIN.value)
-    for tx in store.iter_txs(ChainKind.NAMECOIN):
+    for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN):
+        # an orphan's op is checked too, so a malformed one still raises
+        op = classify_name_op(tx)
+        if block_time is None:
+            continue
         merged = tx.block_height in merged_heights
         counts["txs"][merged] += 1
-        op = classify_name_op(tx)
         if op is not None:
             counts[f"name_{op.kind.value}"][merged] += 1
     return MergeMineSplit(rows={m: (c[0], c[1]) for m, c in counts.items()})

@@ -1,12 +1,15 @@
 """Bounded-concurrency discovery crawl over a pluggable transport.
 
 The crawl keeps a FIFO work queue: newly admitted peers are queried for
-every precomputed target, and every previously unseen peer returned by a
-query is ping-ponged exactly once before admission. All bookkeeping runs
-on the coordinating thread. A live crawl runs transport calls on up to 32
-worker threads; a simulated one (SimTransport, in memory and CPU-bound)
-runs them inline on the coordinating thread. Either way the final peer set
-is the closure of the seed set and does not depend on completion order.
+every precomputed target, one chunk of targets per task, and every
+previously unseen peer returned by a query is ping-ponged exactly once
+before admission. All bookkeeping runs on the coordinating thread. A live
+crawl runs transport calls on up to 32 worker threads and sends one
+find_node per target. A simulated one (SimTransport, in memory and
+CPU-bound) runs inline on the coordinating thread and answers each chunk
+with one vectorised ranking, hashing each target once, in one batch per
+chunk. Either way the final peer set is the closure of the seed set and
+does not depend on completion order.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from queue import SimpleQueue
 from typing import Protocol
@@ -89,26 +93,26 @@ class CrawlReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-class _FindFailed:
-    def __init__(self, reason: str):
-        self.reason = reason
+def _ping(transport: DiscoveryTransport, peer: PeerInfo) -> bool:
+    try:
+        return bool(transport.ping_pong(peer))
+    except Exception as exc:  # noqa: BLE001 - transport faults are data
+        log.debug("ping_pong raised: %s", exc)
+        return False
 
 
-def _run_task(transport: DiscoveryTransport, task: tuple):
-    if task[0] == "ping":
-        try:
-            return bool(transport.ping_pong(task[1]))
-        except Exception as exc:  # noqa: BLE001 - transport faults are data
-            log.debug("ping_pong raised: %s", exc)
-            return False
-    _, peer, targets = task
-    results = []
+def _find_each(transport: DiscoveryTransport, peer: PeerInfo,
+               targets: tuple[bytes, ...]) -> tuple[list[PeerInfo], bool]:
+    """One find_node per target: the peers returned, and whether any failed."""
+    found: list[PeerInfo] = []
+    failed = False
     for target in targets:
         try:
-            results.append(transport.find_node(peer, target))
+            found.extend(transport.find_node(peer, target))
         except Exception as exc:  # noqa: BLE001
-            results.append(_FindFailed(str(exc)))
-    return results
+            log.debug("find_node raised: %s", exc)
+            failed = True
+    return found, failed
 
 
 class _InlineExecutor:
@@ -142,15 +146,19 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
     if isinstance(transport, SimTransport):
         # in memory and CPU-bound: worker threads would only trade the GIL
         runner = nullcontext(_InlineExecutor())
+        find = transport.find_nodes
     else:
         runner = ThreadPoolExecutor(
             max_workers=min(config.max_in_flight, _MAX_WORKERS))
+        find = partial(_find_each, transport)
+    ping = partial(_ping, transport)
     done_q: SimpleQueue = SimpleQueue()
     in_flight = 0
     with runner as pool:
         def submit(task: tuple) -> None:
             nonlocal in_flight
-            future = pool.submit(_run_task, transport, task)
+            future = pool.submit(ping if task[0] == "ping" else find,
+                                 *task[1:])
             future.crawl_task = task  # type: ignore[attr-defined]
             future.add_done_callback(done_q.put)
             in_flight += 1
@@ -172,14 +180,13 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
                     failed.add((peer.ip, peer.port, "ping_pong"))
             else:
                 peer = task[1]
-                for result in outcome:
-                    if isinstance(result, _FindFailed):
-                        failed.add((peer.ip, peer.port, "find_node"))
-                        continue
-                    for candidate in result:
-                        if candidate.node_id not in claimed:
-                            claimed.add(candidate.node_id)
-                            work.append(("ping", candidate))
+                found, find_failed = outcome
+                if find_failed:
+                    failed.add((peer.ip, peer.port, "find_node"))
+                for candidate in found:
+                    if candidate.node_id not in claimed:
+                        claimed.add(candidate.node_id)
+                        work.append(("ping", candidate))
     if not known:
         raise NoSeedsReachable()
     report = CrawlReport(

@@ -1,19 +1,21 @@
 """Overlay crawler on simulated transports."""
 
 import json
+import random
 import sys
 import threading
 
 import pytest
 
 from chainlens import keccak
-from chainlens.discovery import crawler
+from chainlens.discovery import crawler, simulator
 from chainlens.discovery.crawler import (CrawlConfig, CrawlReport, crawl,
                                          endpoint_stats, load_topology)
-from chainlens.discovery.identity import (hash_prefix, node_hash,
+from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo, hash_ints,
+                                          hash_prefix, node_hash,
                                           precompute_targets)
-from chainlens.discovery.simulator import build_sim_overlay
-from chainlens.errors import NoSeedsReachable
+from chainlens.discovery.simulator import SimTransport, build_sim_overlay
+from chainlens.errors import NoSeedsReachable, QueryTimeout
 
 
 def _crawl_overlay(n_peers, degree, seed, prefix_bits=6, **overlay_kwargs):
@@ -106,15 +108,40 @@ def test_in_flight_cap_respected():
     assert len(report.known_peers) == 80
 
 
+def _pinged(transport, pings):
+    """Record every peer `transport` is asked to ping, in order."""
+    inner = transport.ping_pong
+
+    def ping_pong(peer):
+        pings.append(peer.node_id)
+        return inner(peer)
+    transport.ping_pong = ping_pong
+    return transport
+
+
 def test_inline_and_pooled_crawls_write_the_same_json():
-    transport, truth = build_sim_overlay(120, 10, unreachable_fraction=0.1,
-                                         churn_failure_rate=0.05, rng_seed=17)
-    seeds = [p for p in truth.peers if p.node_id in truth.reachable_ids][:3]
-    config = CrawlConfig(prefix_bits=5, max_in_flight=7, rng_seed=17)
-    inline = crawl(transport, seeds, config)
-    pooled = crawl(_CountingTransport(transport), seeds, config)
-    assert inline.failed_endpoints
-    assert inline.to_json() == pooled.to_json()
+    # the inline crawl answers a chunk with SimTransport.find_nodes, the
+    # pooled one sends one find_node per target through a wrapper
+    for seed, prefix_bits, churn in ((17, 5, 0.05), (4, 3, 0.3), (29, 7, 0.0),
+                                     (8, 0, 0.1)):
+        transport, truth = build_sim_overlay(120, 10, unreachable_fraction=0.1,
+                                             churn_failure_rate=churn,
+                                             rng_seed=seed)
+        seeds = [p for p in truth.peers
+                 if p.node_id in truth.reachable_ids][:3]
+        config = CrawlConfig(prefix_bits=prefix_bits, max_in_flight=7,
+                             rng_seed=seed)
+        inline = crawl(transport, seeds, config)
+        pooled = crawl(_CountingTransport(transport), seeds, config)
+        assert inline.failed_endpoints
+        assert inline.to_json() == pooled.to_json()
+        # one task at a time, both claim new peers in the same order
+        config.max_in_flight = 1
+        pooled_pings, inline_pings = [], []
+        crawl(_pinged(_CountingTransport(transport), pooled_pings), seeds,
+              config)
+        crawl(_pinged(transport, inline_pings), seeds, config)
+        assert inline_pings == pooled_pings
 
 
 def test_sim_crawl_starts_no_worker_thread(monkeypatch):
@@ -143,15 +170,104 @@ def test_sim_crawl_hashes_each_target_once_and_no_peer(monkeypatch):
         if (getattr(module, "__name__", "").startswith("chainlens")
                 and getattr(module, "keccak256", None) is scalar):
             monkeypatch.setattr(module, "keccak256", counting)
+    batch = simulator.keccak256_batch
+    batches = []
+
+    def counting_batch(messages):
+        batches.append(list(messages))
+        return batch(messages)
+
+    monkeypatch.setattr(simulator, "keccak256_batch", counting_batch)
     targets = set(precompute_targets(4, rng_seed=9).values())
-    counts = []
-    for _ in range(2):
-        node_hash.cache_clear()
-        calls.clear()
-        _crawl_overlay(80, 10, seed=9, prefix_bits=4)
-        assert len(set(calls)) == len(calls) and set(calls) <= targets
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    node_hash.cache_clear()
+    _crawl_overlay(80, 10, seed=9, prefix_bits=4)
+    assert calls == []
+    hashed = [m for messages in batches for m in messages]
+    # each target hashed in exactly one batch, and nothing else hashed there
+    assert len(set(hashed)) == len(hashed) and set(hashed) == targets
+    assert node_hash.cache_info().misses == 0
+
+
+def _slow_find(transport, peer, targets):
+    """find_nodes' answer rebuilt from one find_node per target."""
+    found, failed = {}, False
+    for target in targets:
+        try:
+            for entry in transport.find_node(peer, target):
+                found.setdefault(id(entry), entry)
+        except QueryTimeout:
+            failed = True
+    return list(found.values()), failed
+
+
+def _assert_chunks_agree(transport, peers, rng, targets):
+    for peer in peers:
+        for _ in range(3):
+            chunk = tuple(rng.choice(targets)
+                          for _ in range(rng.randint(1, 40)))
+            assert transport.find_nodes(peer, chunk) == \
+                _slow_find(transport, peer, chunk)
+
+
+def test_find_nodes_matches_find_node_per_target():
+    rng = random.Random(41)
+    targets = [rng.randbytes(NODE_ID_LEN) for _ in range(60)]
+    for seed, n_peers, degree, unreachable, churn, k in (
+            (1, 40, 10, 0.2, 0.3, 4), (2, 30, 0, 0.1, 0.2, 16),
+            (3, 25, 6, 0.0, 0.0, 16), (4, 50, 49, 0.3, 0.05, 60)):
+        transport, truth = build_sim_overlay(
+            n_peers, degree, unreachable_fraction=unreachable,
+            churn_failure_rate=churn, rng_seed=seed, neighbor_k=k)
+        outsider = PeerInfo(rng.randbytes(NODE_ID_LEN), "192.0.2.1", 1)
+        _assert_chunks_agree(transport, truth.peers + [outsider], rng,
+                             targets)
+    assert transport.find_nodes(truth.peers[0], ()) == ([], False)
+
+
+def _twin_tables(rng, n_tables):
+    """Tables built directly, with twins: one node id at two endpoints."""
+    pool = [PeerInfo(rng.randbytes(NODE_ID_LEN), f"198.51.100.{i}", 30303)
+            for i in range(30)]
+    tables = {}
+    for owner in pool[:n_tables]:
+        table = rng.sample(pool, rng.randint(0, 12))
+        for _ in range(rng.randint(0, 3) if table else 0):
+            twin = rng.choice(table)
+            table.insert(rng.randrange(len(table) + 1),
+                         PeerInfo(twin.node_id, "203.0.113.7",
+                                  rng.randint(1, 65535)))
+        tables[owner.node_id] = table
+    return pool, tables
+
+
+def test_find_nodes_keeps_twins_in_position_order():
+    rng = random.Random(43)
+    targets = [rng.randbytes(NODE_ID_LEN) for _ in range(50)]
+    pool, tables = _twin_tables(rng, 20)
+    for churn, k in ((0.0, 3), (0.25, 8), (0.1, 40)):
+        transport = SimTransport(tables, frozenset([pool[0].node_id]), churn,
+                                 k, b"twins")
+        _assert_chunks_agree(transport, pool, rng, targets)
+
+
+def test_find_nodes_ranks_digests_sharing_their_top_64_bits(monkeypatch):
+    # a 64-bit digest prefix collision is out of reach, so give table ids
+    # digests in pairs that agree on their top lane and differ below it
+    rng = random.Random(47)
+    targets = [rng.randbytes(NODE_ID_LEN) for _ in range(50)]
+    pool, tables = _twin_tables(rng, 20)
+
+    def colliding(node_ids):
+        real = hash_ints(node_ids)
+        shared = {}
+        for i, node_id in enumerate(sorted(real)):
+            top = shared.setdefault(i // 2, real[node_id] >> 192)
+            real[node_id] = top << 192 | real[node_id] & ((1 << 192) - 1)
+        return real
+
+    monkeypatch.setattr(simulator, "hash_ints", colliding)
+    transport = SimTransport(tables, frozenset(), 0.1, 6, b"collide")
+    _assert_chunks_agree(transport, pool, rng, targets)
 
 
 def test_endpoint_stats():

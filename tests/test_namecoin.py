@@ -139,6 +139,23 @@ def test_merge_mine_split_counts(nmc_store):
     assert split.merged_pct("name_update") == 0.0
 
 
+def test_merge_mine_split_skips_orphans():
+    # an orphan firstupdate: its block at height 19199 is not stored
+    orphan = tx_line("nmc", h32(0xA0FF), 19199, 0, "n5sender", None, "0",
+                     name_op=name_op("firstupdate", 400_000, name="d/delta"))
+    store = load_store(nmc_fixture() + [orphan], ChainKind.NAMECOIN)
+    split = merge_mine_split(store)
+    assert split.rows["txs"] == (7, 2)
+    assert split.rows["name_firstupdate"] == (3, 2)
+    store.close()
+    malformed = tx_line("nmc", h32(0xA0FE), 19199, 1, "n5sender", None, "0",
+                        name_op=name_op("update", 500_000))
+    store = load_store(nmc_fixture() + [orphan, malformed], ChainKind.NAMECOIN)
+    with pytest.raises(MalformedNameOp):
+        merge_mine_split(store)
+    store.close()
+
+
 def test_merge_mine_split_rejects_early_auxpow():
     lines = [block_line("nmc", 100, _ts(2011, 5, 2), [], auxpow=True)]
     store = load_store(lines, ChainKind.NAMECOIN)

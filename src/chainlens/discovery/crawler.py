@@ -6,10 +6,10 @@ previously unseen peer returned by a query is ping-ponged exactly once
 before admission. All bookkeeping runs on the coordinating thread. A live
 crawl runs transport calls on up to 32 worker threads and sends one
 find_node per target. A simulated one (SimTransport, in memory and
-CPU-bound) runs inline on the coordinating thread and answers each chunk
-with one vectorised ranking, hashing each target once, in one batch per
-chunk. Either way the final peer set is the closure of the seed set and
-does not depend on completion order.
+CPU-bound) runs inline on the coordinating thread; it hashes all of the
+crawl's targets in one Keccak batch up front and answers each chunk with
+one vectorised ranking. Either way the final peer set is the closure of
+the seed set and does not depend on completion order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..errors import NoSeedsReachable
 from ..keccak import keccak256_batch
 from ..model import int_field, number_field
 from .identity import PeerInfo, hash_prefix, precompute_targets
-from .simulator import SimTransport
+from .simulator import SimTransport, digest_lanes
 
 log = logging.getLogger(__name__)
 
@@ -131,8 +131,8 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
         raise NoSeedsReachable()
     targets = precompute_targets(config.prefix_bits, config.rng_seed)
     target_list = [targets[p] for p in sorted(targets)]
-    target_chunks = [tuple(target_list[i:i + _FIND_CHUNK])
-                     for i in range(0, len(target_list), _FIND_CHUNK)]
+    starts = range(0, len(target_list), _FIND_CHUNK)
+    target_chunks = [tuple(target_list[i:i + _FIND_CHUNK]) for i in starts]
 
     known: dict[bytes, PeerInfo] = {}
     claimed: set[bytes] = set()
@@ -144,13 +144,18 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
             work.append(("ping", seed))
 
     if isinstance(transport, SimTransport):
-        # in memory and CPU-bound: worker threads would only trade the GIL
+        # in memory and CPU-bound: worker threads would only trade the GIL.
+        # Every target is hashed here, in one batch, for find_nodes' ranking
         runner = nullcontext(_InlineExecutor())
         find = transport.find_nodes
+        lanes = digest_lanes(keccak256_batch(target_list))
+        find_args = [(chunk, lanes[i:i + _FIND_CHUNK])
+                     for i, chunk in zip(starts, target_chunks)]
     else:
         runner = ThreadPoolExecutor(
             max_workers=min(config.max_in_flight, _MAX_WORKERS))
         find = partial(_find_each, transport)
+        find_args = [(chunk,) for chunk in target_chunks]
     ping = partial(_ping, transport)
     done_q: SimpleQueue = SimpleQueue()
     in_flight = 0
@@ -174,8 +179,8 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
                 peer = task[1]
                 if outcome:
                     known[peer.node_id] = peer
-                    for chunk in target_chunks:
-                        work.append(("find", peer, chunk))
+                    for args in find_args:
+                        work.append(("find", peer, *args))
                 else:
                     failed.add((peer.ip, peer.port, "ping_pong"))
             else:

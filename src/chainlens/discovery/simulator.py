@@ -6,9 +6,9 @@ Churn makes individual queries fail as a pure function of (operation, peer,
 target) under the overlay seed, so identical runs see identical failures.
 
 find_nodes answers a whole chunk of targets for one peer: it ranks the
-peer's table against every answered target in one vectorised XOR pass and
-hashes the targets it has not seen before in one Keccak batch, so a crawl
-that uses it makes no scalar Keccak call.
+peer's table against every answered target in one vectorised XOR pass, over
+target digests the caller hashed beforehand (the crawler hashes all of a
+crawl's targets in one Keccak batch), so it makes no Keccak call itself.
 """
 
 from __future__ import annotations
@@ -20,18 +20,32 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import QueryTimeout
-from ..keccak import keccak256_batch
 from .identity import (HASH_LEN, NODE_ID_LEN, PeerInfo, closest, hash_ints,
                        key_table, node_hash)
 
 _CHURN_SCALE = float(1 << 64)
 _NO_TABLE = ([], [])
+_LANES = HASH_LEN // 8
 
 
-def _digest_lanes(digests: list[bytes]) -> np.ndarray:
+def digest_lanes(digests: Sequence[bytes]) -> np.ndarray:
     """32-byte digests as an (N, 4) array of big-endian 64-bit lanes."""
     joined = np.frombuffer(b"".join(digests), dtype=">u8")
-    return joined.reshape(-1, HASH_LEN // 8).astype(np.uint64)
+    return joined.reshape(-1, _LANES).astype(np.uint64)
+
+
+def _ranking_lanes(keys: list[int]) -> np.ndarray:
+    """A keyed table's digests as the (w, 1, N) lanes find_nodes ranks by.
+
+    w is the fewest leading 64-bit lanes that tell the table's distinct
+    digests apart: 1 unless two of them share their top 64 bits. Lanes run
+    least significant first, the order np.lexsort takes its keys in.
+    """
+    distinct = len(set(keys))
+    width = next(w for w in range(1, _LANES + 1)
+                 if len({h >> 64 * (_LANES - w) for h in keys}) == distinct)
+    lanes = digest_lanes([h.to_bytes(HASH_LEN, "big") for h in keys])
+    return np.ascontiguousarray(lanes[:, width - 1::-1].T)[:, None, :]
 
 
 @dataclass
@@ -61,16 +75,8 @@ class SimTransport:
                             for p in table)
         self._tables = {node_id: key_table(table, hash_of)
                         for node_id, table in tables.items()}
-        # find_nodes' view of each keyed table: its digests as lanes, and
-        # whether the top lane alone orders them (no two distinct digests
-        # share their first 64 bits, so ties there are twins' equal digests)
-        self._lanes = {}
-        for node_id, (keys, _) in self._tables.items():
-            lanes = _digest_lanes([h.to_bytes(HASH_LEN, "big") for h in keys])
-            top_decides = len(set(lanes[:, 0].tolist())) == len(set(keys))
-            self._lanes[node_id] = (lanes, top_decides)
-        self._target_row: dict[bytes, int] = {}
-        self._target_lanes = np.empty((0, HASH_LEN // 8), dtype=np.uint64)
+        self._lanes = {node_id: _ranking_lanes(keys)
+                       for node_id, (keys, _) in self._tables.items()}
         self._unreachable = unreachable
         self._churn = churn_failure_rate
         self._k = neighbor_k
@@ -83,7 +89,8 @@ class SimTransport:
                                            digest_size=8))
 
     def _drops(self, hasher) -> bool:
-        return int.from_bytes(hasher.digest(), "big") / _CHURN_SCALE < self._churn
+        drawn = int.from_bytes(hasher.digest(), "big") / _CHURN_SCALE
+        return drawn < self._churn
 
     def ping_pong(self, peer: PeerInfo) -> bool:
         if peer.node_id in self._unreachable:
@@ -101,60 +108,41 @@ class SimTransport:
         return closest(self._tables.get(peer.node_id, _NO_TABLE), target_int,
                        self._k)
 
-    def find_nodes(self, peer: PeerInfo, targets: Sequence[bytes]
-                   ) -> tuple[list[PeerInfo], bool]:
+    def find_nodes(self, peer: PeerInfo, targets: Sequence[bytes],
+                   target_lanes: np.ndarray) -> tuple[list[PeerInfo], bool]:
         """`find_node(peer, t)` for every target t, answered in one pass.
 
-        Returns the distinct table entries that the answered queries
-        return, first seen in target order and then in rank order, and
-        whether any query failed (the peer is unreachable or churn dropped
-        it), where find_node would have raised.
+        `target_lanes` holds the targets' Keccak digests, row for row, as
+        `digest_lanes` gives them. Returns the distinct table entries that
+        the answered queries return, first seen in target order and then in
+        rank order, and whether any query failed (the peer is unreachable
+        or churn dropped it), where find_node would have raised.
         """
         if peer.node_id in self._unreachable:
             return [], len(targets) > 0
-        answered = list(targets)
+        answered = list(range(len(targets)))
         if self._churn > 0.0:
             # the keyed digest of b"find" + node id + target, as in
             # _churn_drop, with the common prefix absorbed once
             primed = hashlib.blake2b(b"find" + peer.node_id,
                                      key=self._seed_tag, digest_size=8)
             answered = []
-            for target in targets:
+            for row, target in enumerate(targets):
                 hasher = primed.copy()
                 hasher.update(target)
                 if not self._drops(hasher):
-                    answered.append(target)
+                    answered.append(row)
         failed = len(answered) < len(targets)
         peers = self._tables.get(peer.node_id, _NO_TABLE)[1]
         if not peers or not answered:
             return [], failed
-        lanes, top_decides = self._lanes[peer.node_id]
-        wanted = self._digests_of(answered)
         # rank positions stably by distance, as closest does: ties keep the
         # table's (node id, position) order
-        if top_decides:
-            distances = wanted[:, :1] ^ lanes[:, 0]
-            order = distances.argsort(axis=1, kind="stable")
-        else:
-            distances = wanted[:, None, :] ^ lanes
-            order = np.lexsort(distances.transpose(2, 0, 1)[::-1], axis=-1)
+        lanes = self._lanes[peer.node_id]
+        wanted = target_lanes[answered, len(lanes) - 1::-1].T[:, :, None]
+        order = np.lexsort(wanted ^ lanes, axis=-1)
         ranked = order[:, :self._k].ravel().tolist()
         return [peers[i] for i in dict.fromkeys(ranked)], failed
-
-    def _digests_of(self, targets: list[bytes]) -> np.ndarray:
-        """The targets' digest lanes; unseen targets are hashed in one batch."""
-        row = self._target_row
-        unseen = [t for t in dict.fromkeys(targets) if t not in row]
-        if unseen:
-            start, end = len(row), len(row) + len(unseen)
-            if end > len(self._target_lanes):  # grow by doubling
-                grown = np.empty((2 * end, HASH_LEN // 8), dtype=np.uint64)
-                grown[:start] = self._target_lanes[:start]
-                self._target_lanes = grown
-            self._target_lanes[start:end] = _digest_lanes(
-                keccak256_batch(unseen))
-            row.update(zip(unseen, range(start, end)))
-        return self._target_lanes[[row[t] for t in targets]]
 
 
 def build_sim_overlay(n_peers: int, degree: int,

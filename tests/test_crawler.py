@@ -170,22 +170,25 @@ def test_sim_crawl_hashes_each_target_once_and_no_peer(monkeypatch):
         if (getattr(module, "__name__", "").startswith("chainlens")
                 and getattr(module, "keccak256", None) is scalar):
             monkeypatch.setattr(module, "keccak256", counting)
-    batch = simulator.keccak256_batch
+    batch = crawler.keccak256_batch
     batches = []
 
     def counting_batch(messages):
         batches.append(list(messages))
         return batch(messages)
 
-    monkeypatch.setattr(simulator, "keccak256_batch", counting_batch)
-    targets = set(precompute_targets(4, rng_seed=9).values())
+    monkeypatch.setattr(crawler, "keccak256_batch", counting_batch)
+    # targets drawn from a seed other than the overlay's, so that no target
+    # is a peer id that endpoint_stats hashes as well
+    targets = precompute_targets(4, rng_seed=10)
+    target_list = [targets[p] for p in sorted(targets)]
+    transport, truth = build_sim_overlay(80, 10, rng_seed=9)
     node_hash.cache_clear()
-    _crawl_overlay(80, 10, seed=9, prefix_bits=4)
+    crawl(transport, truth.peers[:3], CrawlConfig(prefix_bits=4, rng_seed=10))
     assert calls == []
-    hashed = [m for messages in batches for m in messages]
-    # each target hashed in exactly one batch, and nothing else hashed there
-    assert len(set(hashed)) == len(hashed) and set(hashed) == targets
     assert node_hash.cache_info().misses == 0
+    # all targets hashed in one batch, and in no other
+    assert [b for b in batches if set(b) & set(target_list)] == [target_list]
 
 
 def _slow_find(transport, peer, targets):
@@ -201,11 +204,13 @@ def _slow_find(transport, peer, targets):
 
 
 def _assert_chunks_agree(transport, peers, rng, targets):
+    lanes = simulator.digest_lanes(keccak.keccak256_batch(targets))
     for peer in peers:
         for _ in range(3):
-            chunk = tuple(rng.choice(targets)
-                          for _ in range(rng.randint(1, 40)))
-            assert transport.find_nodes(peer, chunk) == \
+            rows = [rng.randrange(len(targets))
+                    for _ in range(rng.randint(1, 40))]
+            chunk = tuple(targets[i] for i in rows)
+            assert transport.find_nodes(peer, chunk, lanes[rows]) == \
                 _slow_find(transport, peer, chunk)
 
 
@@ -221,7 +226,8 @@ def test_find_nodes_matches_find_node_per_target():
         outsider = PeerInfo(rng.randbytes(NODE_ID_LEN), "192.0.2.1", 1)
         _assert_chunks_agree(transport, truth.peers + [outsider], rng,
                              targets)
-    assert transport.find_nodes(truth.peers[0], ()) == ([], False)
+    assert transport.find_nodes(truth.peers[0], (),
+                                simulator.digest_lanes([])) == ([], False)
 
 
 def _twin_tables(rng, n_tables):
@@ -240,34 +246,37 @@ def _twin_tables(rng, n_tables):
     return pool, tables
 
 
-def test_find_nodes_keeps_twins_in_position_order():
+def _sharing_top_bits(bits):
+    """hash_ints, but digests agree in pairs on their top `bits` bits.
+
+    A real 64-bit digest prefix collision is out of reach, so this stands in
+    for one: the ranking must then look past the top 64-bit lane.
+    """
+    low = (1 << (256 - bits)) - 1
+
+    def keys_of(node_ids):
+        keys = hash_ints(node_ids)
+        shared = {}
+        for i, node_id in enumerate(sorted(keys)):
+            top = shared.setdefault(i // 2, keys[node_id] & ~low)
+            keys[node_id] = top | keys[node_id] & low
+        return keys
+    return keys_of
+
+
+def test_find_nodes_matches_find_node_on_built_tables(monkeypatch):
     rng = random.Random(43)
     targets = [rng.randbytes(NODE_ID_LEN) for _ in range(50)]
     pool, tables = _twin_tables(rng, 20)
-    for churn, k in ((0.0, 3), (0.25, 8), (0.1, 40)):
+    for churn, k, keys in ((0.0, 3, hash_ints), (0.25, 8, hash_ints),
+                           (0.1, 40, hash_ints),
+                           (0.1, 6, _sharing_top_bits(64)),
+                           (0.0, 40, _sharing_top_bits(64)),
+                           (0.2, 5, _sharing_top_bits(192))):
+        monkeypatch.setattr(simulator, "hash_ints", keys)
         transport = SimTransport(tables, frozenset([pool[0].node_id]), churn,
                                  k, b"twins")
         _assert_chunks_agree(transport, pool, rng, targets)
-
-
-def test_find_nodes_ranks_digests_sharing_their_top_64_bits(monkeypatch):
-    # a 64-bit digest prefix collision is out of reach, so give table ids
-    # digests in pairs that agree on their top lane and differ below it
-    rng = random.Random(47)
-    targets = [rng.randbytes(NODE_ID_LEN) for _ in range(50)]
-    pool, tables = _twin_tables(rng, 20)
-
-    def colliding(node_ids):
-        real = hash_ints(node_ids)
-        shared = {}
-        for i, node_id in enumerate(sorted(real)):
-            top = shared.setdefault(i // 2, real[node_id] >> 192)
-            real[node_id] = top << 192 | real[node_id] & ((1 << 192) - 1)
-        return real
-
-    monkeypatch.setattr(simulator, "hash_ints", colliding)
-    transport = SimTransport(tables, frozenset(), 0.1, 6, b"collide")
-    _assert_chunks_agree(transport, pool, rng, targets)
 
 
 def test_endpoint_stats():

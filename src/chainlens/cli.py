@@ -41,8 +41,7 @@ from .model import ChainKind, bool_field, normalize_hex, str_field
 from .poison import load_signatures, scan_corpus
 from .report import (emit, emit_rows, join_country, join_usd, read_geo_table,
                      read_rate_table, write_stamp)
-from .store import (Store, apply_cutoff, ingest_blocks, monthly_tx_counts,
-                    parse_rfc3339, summarize_chain)
+from .store import Store, ingest_blocks, monthly_tx_counts, parse_rfc3339
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +73,7 @@ class AppState:
             moment = parse_rfc3339(self.cutoff)
         except ValueError:
             raise click.BadParameter(f"unparseable --cutoff {self.cutoff!r}")
-        return apply_cutoff(store, chain, moment)
+        return store.apply_cutoff(chain, moment)
 
     def emit_rows(self, header, rows) -> None:
         emit_rows(header, rows, fmt=self.fmt, out=self.out)
@@ -190,7 +189,7 @@ def cmd_summarize(state: AppState, chain: str) -> None:
     kind = ChainKind(chain)
     with state.open_store() as store:
         height = state.cutoff_height(store, kind)
-        summary = summarize_chain(store, kind, cutoff_height=height)
+        summary = store.summarize_chain(kind, cutoff_height=height)
     state.emit_rows(
         ("chain", "first_block_time", "cutoff_time", "cutoff_height",
          "tx_count", "tx_volume"),

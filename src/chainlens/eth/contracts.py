@@ -90,22 +90,17 @@ def derive_contract_address(sender: str, nonce: int) -> str:
 def iter_creations(store: Store) -> Iterator[tuple[Transaction, str]]:
     """Yield (creation_tx, derived_address) in ledger order.
 
-    The account nonce of each sender is inferred by counting its earlier
-    transactions, which assumes the ingested dump is complete for every
-    creating sender from its first transaction onward. Every address is
-    derived as `derive_contract_address` would, in one batch hash after
-    the ledger scan.
+    The account nonce of each creation is the number of its sender's
+    earlier stored eth txs, counted by the store through its sender index;
+    this assumes the ingested dump is complete for every creating sender
+    from its first transaction onward. Only the creations are decoded, and
+    every address is derived as `derive_contract_address` would, in one
+    batch hash.
     """
-    nonces: dict[str, int] = {}
-    creations: list[Transaction] = []
-    preimages: list[bytes] = []
-    for tx in store.iter_txs(ChainKind.ETHEREUM):
-        nonce = nonces.get(tx.sender, 0)
-        nonces[tx.sender] = nonce + 1
-        if tx.recipient is None:
-            creations.append(tx)
-            preimages.append(_creation_rlp(tx.sender, nonce))
-    for tx, digest in zip(creations, keccak256_batch(preimages)):
+    creations = list(store.iter_eth_creations())
+    digests = keccak256_batch([_creation_rlp(tx.sender, nonce)
+                               for tx, nonce in creations])
+    for (tx, _), digest in zip(creations, digests):
         yield tx, digest[-20:].hex()
 
 

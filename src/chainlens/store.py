@@ -27,6 +27,8 @@ log = logging.getLogger(__name__)
 _SQLITE_INT_MAX = (1 << 63) - 1  # an INTEGER column holds at most 8 signed bytes
 # 9999-12-31T23:59:59Z: a later time has no datetime, so no month or week
 _LAST_BLOCK_TIME = 253_402_300_799
+# The two partial indexes cover Ethereum only: each creation in ledger
+# order, and each sender's txs in ledger order, which counts its nonce.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS blocks (
     chain     TEXT NOT NULL,
@@ -55,7 +57,22 @@ CREATE TABLE IF NOT EXISTS txs (
     PRIMARY KEY (chain, hash),
     UNIQUE (chain, height, idx)
 );
-CREATE INDEX IF NOT EXISTS txs_by_height ON txs (chain, height, idx);
+CREATE INDEX IF NOT EXISTS eth_txs_by_sender ON txs (sender, height, idx)
+    WHERE chain = 'eth';
+CREATE INDEX IF NOT EXISTS eth_creations ON txs (height, idx)
+    WHERE chain = 'eth' AND recipient IS NULL;
+"""
+# The chain is spelled as the literal 'eth': the planner uses a partial
+# index only when the query's WHERE implies the index's, which a bound ?
+# never does. Left to itself it would rather walk every eth tx through the
+# UNIQUE autoindex than the few creations, hence INDEXED BY.
+_ETH_CREATIONS = """
+SELECT c.*, (SELECT COUNT(*) FROM txs AS p
+             WHERE p.chain = 'eth' AND p.sender = c.sender
+               AND (p.height, p.idx) < (c.height, c.idx))
+FROM txs AS c INDEXED BY eth_creations
+WHERE c.chain = 'eth' AND c.recipient IS NULL
+ORDER BY c.height, c.idx
 """
 
 
@@ -167,6 +184,25 @@ class Store:
         for tx in self.iter_txs(chain, max_height):
             yield times.get(tx.block_height), tx
 
+    def iter_eth_creations(self) -> Iterator[tuple[Transaction, int]]:
+        """(creation tx, its sender's nonce) for each Ethereum contract
+        creation in ledger order. The nonce is the number of the sender's
+        stored eth txs before the creation, orphans included."""
+        for row in self._conn.execute(_ETH_CREATIONS):
+            yield _row_to_tx(row[:-1]), row[-1]
+
+    def iter_monthly_tx_counts(self, chain: ChainKind,
+                               max_height: int | None = None
+                               ) -> Iterator[tuple[int, int]]:
+        """(first block time, tx count) of each UTC month that has a dated
+        tx up to `max_height`; an orphan, a tx whose block is not stored,
+        is in no month."""
+        where, args = _up_to(chain, max_height)
+        yield from self._conn.execute(
+            "SELECT MIN(time), COUNT(*) FROM txs JOIN blocks USING (chain, height)"
+            f" WHERE {where} GROUP BY strftime('%Y-%m', time, 'unixepoch')",
+            args)
+
     def block_times(self, chain: ChainKind) -> dict[int, int]:
         """Map height -> timestamp for the whole chain."""
         cur = self._conn.execute(
@@ -177,6 +213,34 @@ class Store:
         cur = self._conn.execute(
             "SELECT COUNT(*) FROM blocks WHERE chain=?", (chain.value,))
         return cur.fetchone()[0]
+
+    def apply_cutoff(self, chain: ChainKind, cutoff: int) -> int:
+        """Greatest height whose block timestamp is strictly before `cutoff`."""
+        cur = self._conn.execute(
+            "SELECT MAX(height) FROM blocks WHERE chain=? AND time<?",
+            (chain.value, cutoff))
+        height = cur.fetchone()[0]
+        if height is None:
+            raise EmptyChain(chain.value, f"no block before timestamp {cutoff}")
+        return height
+
+    def summarize_chain(self, chain: ChainKind,
+                        cutoff_height: int | None = None) -> ChainSummary:
+        where, args = _up_to(chain, cutoff_height)
+        first_time, last_time, last_height = self._conn.execute(
+            f"SELECT MIN(time), MAX(time), MAX(height) FROM blocks WHERE {where}",
+            args).fetchone()
+        if first_time is None:
+            raise EmptyChain(chain.value)
+        count = 0
+        volume = 0
+        for (value,) in self._conn.execute(
+                f"SELECT value FROM txs WHERE {where}", args):
+            count += 1
+            volume += int(value)
+        return ChainSummary(chain=chain, first_block_time=first_time,
+                            cutoff_time=last_time, cutoff_height=last_height,
+                            tx_count=count, tx_volume=volume)
 
 
 def _up_to(chain: ChainKind, max_height: int | None) -> tuple[str, list]:
@@ -362,44 +426,14 @@ def ingest_blocks(source: RecordSource, chain: ChainKind,
     return summary
 
 
-def apply_cutoff(store: Store, chain: ChainKind, cutoff: int) -> int:
-    """Greatest height whose block timestamp is strictly before `cutoff`."""
-    cur = store._conn.execute(
-        "SELECT MAX(height) FROM blocks WHERE chain=? AND time<?",
-        (chain.value, cutoff))
-    height = cur.fetchone()[0]
-    if height is None:
-        raise EmptyChain(chain.value, f"no block before timestamp {cutoff}")
-    return height
-
-
-def summarize_chain(store: Store, chain: ChainKind,
-                    cutoff_height: int | None = None) -> ChainSummary:
-    conn = store._conn
-    where, args = _up_to(chain, cutoff_height)
-    first_time, last_time, last_height = conn.execute(
-        f"SELECT MIN(time), MAX(time), MAX(height) FROM blocks WHERE {where}",
-        args).fetchone()
-    if first_time is None:
-        raise EmptyChain(chain.value)
-    count = 0
-    volume = 0
-    for (value,) in conn.execute(f"SELECT value FROM txs WHERE {where}", args):
-        count += 1
-        volume += int(value)
-    return ChainSummary(chain=chain, first_block_time=first_time,
-                        cutoff_time=last_time, cutoff_height=last_height,
-                        tx_count=count, tx_volume=volume)
-
-
 def monthly_tx_counts(store: Store, chain: ChainKind,
                       cutoff_height: int | None = None) -> list[tuple[str, int]]:
     """Transactions per UTC calendar month, zero-filled across the span."""
     if store.block_count(chain) == 0:
         raise EmptyChain(chain.value)
-    dated = store.iter_dated_txs(chain, max_height=cutoff_height)
-    rows = tally_periods(((block_time, "txs", 1) for block_time, _ in dated),
-                         month_key)
+    months = store.iter_monthly_tx_counts(chain, max_height=cutoff_height)
+    rows = tally_periods(((first_time, "txs", count)
+                          for first_time, count in months), month_key)
     return [(month, tally["txs"]) for month, tally in rows]
 
 

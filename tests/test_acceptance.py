@@ -38,8 +38,7 @@ from chainlens.eth.similarity import (SimilarityBuckets, bucket_similarity,
                                       levenshtein)
 from chainlens.model import ChainKind
 from chainlens.poison import extract_payload, load_signatures, scan_corpus
-from chainlens.store import (Store, apply_cutoff, ingest_blocks,
-                             summarize_chain)
+from chainlens.store import Store, ingest_blocks
 
 from conftest import (addr, block_line, eth_labeled_fixture, h32, load_store,
                       tx_line)
@@ -409,7 +408,7 @@ def test_criterion_13_ingestion_properties():
         store = Store(":memory:")
         first = ingest_blocks(lines, ChainKind.ETHEREUM, store, strict=True)
         assert first.rejected_count == 0
-        summary = summarize_chain(store, ChainKind.ETHEREUM)
+        summary = store.summarize_chain(ChainKind.ETHEREUM)
         assert summary.tx_count == tx_count
         assert summary.tx_volume == total_value
 
@@ -417,15 +416,15 @@ def test_criterion_13_ingestion_properties():
         second = ingest_blocks(lines, ChainKind.ETHEREUM, store)
         assert (second.blocks_loaded, second.txs_loaded,
                 second.rejected_count) == (0, 0, 0)
-        assert summarize_chain(store, ChainKind.ETHEREUM) == summary
+        assert store.summarize_chain(ChainKind.ETHEREUM) == summary
 
         # cutoffs later in time never lose blocks or transactions
         cut_moments = sorted(rng.randint(times[0] + 1, times[-1] + 50_001)
                              for _ in range(4))
-        heights = [apply_cutoff(store, ChainKind.ETHEREUM, moment)
+        heights = [store.apply_cutoff(ChainKind.ETHEREUM, moment)
                    for moment in cut_moments]
         assert heights == sorted(heights)
-        counts = [summarize_chain(store, ChainKind.ETHEREUM,
+        counts = [store.summarize_chain(ChainKind.ETHEREUM,
                                   cutoff_height=height).tx_count
                   for height in heights]
         assert counts == sorted(counts)

@@ -1,6 +1,7 @@
 """Contract lifecycle registry: derivation, creations, lifetimes, funding."""
 
 import json
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from chainlens.eth.contracts import (ContractRecord, ContractRegistry,
                                      find_precreation_funding, iter_creations,
                                      lifetime_histogram)
 from chainlens.model import ChainKind
+from chainlens.store import Store, ingest_blocks
 
 from conftest import (CONTRACT_C1, CONTRACT_C2, CONTRACT_C3, ZOMBIE_Z1,
                       ZOMBIE_Z2, ZOMBIE_Z3, SENDER_A, SENDER_B, addr,
@@ -222,11 +224,18 @@ def test_lifetime_histogram_rejects_bad_edges():
 
 @st.composite
 def _creation_chain(draw):
-    """NDJSON lines of a random chain, and the (tx hash, sender, nonce) of
-    each creation in ledger order."""
+    """A random eth chain as two deliveries, later heights first; NDJSON
+    lines of Namecoin txs from the same senders with no recipient; and the
+    (tx hash, sender, nonce) of each eth creation in ledger order.
+
+    The block of a height is sometimes never stored: its txs are orphans,
+    which still count toward their sender's nonce.
+    """
     senders = [addr(0x5E00 + i) for i in range(draw(st.integers(1, 4)))]
-    lines, creations, nonces = [], [], {}
-    for height in range(draw(st.integers(1, 6))):
+    n_heights = draw(st.integers(1, 6))
+    split = draw(st.integers(0, n_heights))
+    early, late, nmc, creations, nonces = [], [], [], [], {}
+    for height in range(n_heights):
         hashes, txs = [], []
         for index in range(draw(st.integers(0, 8))):
             sender = draw(st.sampled_from(senders))
@@ -238,22 +247,51 @@ def _creation_chain(draw):
             nonces[sender] = nonce + 1
             if to is None:
                 creations.append((tx_hash, sender, nonce))
-        lines += [block_line("eth", height, 1_438_387_200 + 600 * height,
-                             hashes), *txs]
-    return lines, creations
+        if draw(st.integers(0, 3)):  # else the txs of this height are orphans
+            txs.insert(0, block_line("eth", height,
+                                     1_438_387_200 + 600 * height, hashes))
+        (early if height < split else late).extend(txs)
+        if draw(st.booleans()):
+            nmc_hash = h32(0x9000 + height)
+            nmc += [block_line("nmc", height, 1_438_387_200 + 600 * height,
+                               [nmc_hash]),
+                    tx_line("nmc", nmc_hash, height, 0,
+                            draw(st.sampled_from(senders)), None)]
+    return [late, early], nmc, creations
 
 
 @given(_creation_chain())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_iter_creations_matches_scalar_derivation(chain):
-    lines, creations = chain
-    store = load_store(lines, ChainKind.ETHEREUM)
+    deliveries, nmc_lines, creations = chain
+    store = Store(":memory:")
+    for lines in deliveries:
+        ingest_blocks(lines, ChainKind.ETHEREUM, store, strict=True)
+    ingest_blocks(nmc_lines, ChainKind.NAMECOIN, store, strict=True)
     derived = [(tx.hash, address) for tx, address in iter_creations(store)]
     store.close()
     assert derived == [(tx_hash, derive_contract_address(sender, nonce))
                        for tx_hash, sender, nonce in creations]
     assert derived == [(tx_hash, oracles.contract_address_oracle(sender, nonce))
                        for tx_hash, sender, nonce in creations]
+
+
+def test_iter_creations_after_the_indexes_are_dropped(tmp_path):
+    # a store file written before the partial indexes existed (it still has
+    # the old index txs_by_height) gets them back when it is opened
+    lines, _ = eth_labeled_fixture()
+    with Store(tmp_path) as store:
+        ingest_blocks(lines, ChainKind.ETHEREUM, store, strict=True)
+        expected = [(tx.hash, address) for tx, address in iter_creations(store)]
+    conn = sqlite3.connect(tmp_path / "chainlens.sqlite")
+    conn.executescript(
+        "DROP INDEX eth_txs_by_sender; DROP INDEX eth_creations;"
+        " CREATE INDEX txs_by_height ON txs (chain, height, idx);")
+    conn.close()
+    with Store(tmp_path) as store:
+        derived = [(tx.hash, address) for tx, address in iter_creations(store)]
+    assert len(expected) == 6
+    assert derived == expected
 
 
 def test_iter_creations_without_creations():

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 import chainlens
 from chainlens.errors import (ConflictingBlock, ConflictingTx, EmptyChain,
                               MalformedJson, SchemaViolation)
+from chainlens.eth.contracts import iter_creations
 from chainlens.model import (ChainKind, iso_week_key, month_key, normalize_hex,
                              tally_periods)
-from chainlens.store import (Store, apply_cutoff, ingest_blocks,
-                             monthly_tx_counts, parse_rfc3339, summarize_chain)
+from chainlens.store import (Store, ingest_blocks, monthly_tx_counts,
+                             parse_rfc3339)
 
-from conftest import block_line, h32, load_store, tx_line
+from conftest import (block_line, eth_labeled_fixture, h32, load_store,
+                      tx_line)
 
 
 def test_normalize_hex():
@@ -216,19 +218,19 @@ def _three_block_store() -> Store:
 
 def test_apply_cutoff_strictly_before():
     store = _three_block_store()
-    assert apply_cutoff(store, ChainKind.ETHEREUM, 301) == 2
-    assert apply_cutoff(store, ChainKind.ETHEREUM, 300) == 1
-    assert apply_cutoff(store, ChainKind.ETHEREUM, 101) == 0
+    assert store.apply_cutoff(ChainKind.ETHEREUM, 301) == 2
+    assert store.apply_cutoff(ChainKind.ETHEREUM, 300) == 1
+    assert store.apply_cutoff(ChainKind.ETHEREUM, 101) == 0
     with pytest.raises(EmptyChain):
-        apply_cutoff(store, ChainKind.ETHEREUM, 100)
+        store.apply_cutoff(ChainKind.ETHEREUM, 100)
     store.close()
 
 
 def test_summarize_respects_cutoff():
     store = _three_block_store()
-    full = summarize_chain(store, ChainKind.ETHEREUM)
+    full = store.summarize_chain(ChainKind.ETHEREUM)
     assert (full.tx_count, full.tx_volume, full.cutoff_height) == (2, 12, 2)
-    clipped = summarize_chain(store, ChainKind.ETHEREUM, cutoff_height=0)
+    clipped = store.summarize_chain(ChainKind.ETHEREUM, cutoff_height=0)
     assert (clipped.tx_count, clipped.tx_volume, clipped.cutoff_height) == (1, 7, 0)
     store.close()
 
@@ -236,7 +238,7 @@ def test_summarize_respects_cutoff():
 def test_summarize_empty_chain():
     store = Store(":memory:")
     with pytest.raises(EmptyChain):
-        summarize_chain(store, ChainKind.PEERCOIN)
+        store.summarize_chain(ChainKind.PEERCOIN)
     store.close()
 
 
@@ -262,7 +264,7 @@ def test_value_precision_beyond_float():
         tx_line("eth", h32(2), 0, 1, "aa" * 20, None, big),
     ]
     store = load_store(lines, ChainKind.ETHEREUM)
-    assert summarize_chain(store, ChainKind.ETHEREUM).tx_volume == 2 * (2**63 + 1)
+    assert store.summarize_chain(ChainKind.ETHEREUM).tx_volume == 2 * (2**63 + 1)
     store.close()
 
 
@@ -301,7 +303,7 @@ def test_ingest_properties_random_chains(chain):
         again = ingest_blocks(lines, ChainKind.ETHEREUM, store)
         assert (again.blocks_loaded, again.txs_loaded) == (0, 0)
 
-        summary = summarize_chain(store, ChainKind.ETHEREUM)
+        summary = store.summarize_chain(ChainKind.ETHEREUM)
         assert summary.tx_count == first.txs_loaded
         assert summary.tx_volume == sum(
             tx.value for tx in store.iter_txs(ChainKind.ETHEREUM))
@@ -309,11 +311,11 @@ def test_ingest_properties_random_chains(chain):
         # cutoff monotonicity: later cutoffs never lower the height
         cut_points = sorted({t for t in (times[0] + 1, times[-1],
                                          times[-1] + 1) if t > times[0]})
-        heights = [apply_cutoff(store, ChainKind.ETHEREUM, c)
+        heights = [store.apply_cutoff(ChainKind.ETHEREUM, c)
                    for c in cut_points]
         assert heights == sorted(heights)
         # strictly-before semantics at the exact boundary
-        assert apply_cutoff(store, ChainKind.ETHEREUM, times[-1] + 1) \
+        assert store.apply_cutoff(ChainKind.ETHEREUM, times[-1] + 1) \
             == len(times) - 1
     finally:
         store.close()
@@ -359,9 +361,95 @@ def test_dated_txs_match_the_block_time_join(chain):
             # per-month counts skip orphans; summarize counts them
             months = monthly_tx_counts(store, ChainKind.ETHEREUM)
             assert sum(n for _, n in months) + len(undated) \
-                == summarize_chain(store, ChainKind.ETHEREUM).tx_count
+                == store.summarize_chain(ChainKind.ETHEREUM).tx_count
     finally:
         store.close()
+
+
+def _month_edges(year: int, month: int) -> tuple[int, int]:
+    """First and last second of a UTC calendar month, the first no earlier
+    than the first block time ingest accepts (1)."""
+    def start(year: int, month: int) -> int:
+        return int(datetime(year, month, 1, tzinfo=timezone.utc).timestamp())
+    if (year, month) == (9999, 12):
+        last = 253_402_300_799
+    else:
+        last = start(year + month // 12, month % 12 + 1) - 1
+    return max(start(year, month), 1), last
+
+
+@st.composite
+def _monthly_chain_strategy(draw):
+    """Eth blocks at times on month edges or inside months of a span of at
+    most three years (one span reaches December 9999), orphan txs,
+    Namecoin blocks at the same heights with other times, and a cutoff."""
+    first_year = draw(st.sampled_from([1970, 2015, 9997]))
+    lines, nmc_lines = [], []
+    for height in range(draw(st.integers(min_value=1, max_value=10))):
+        year = first_year + draw(st.integers(min_value=0, max_value=2))
+        first, last = _month_edges(year, draw(st.integers(1, 12)))
+        time = draw(st.sampled_from([first, last]) | st.integers(first, last))
+        hashes = [h32(0xD000 + 8 * height + i)
+                  for i in range(draw(st.integers(min_value=0, max_value=3)))]
+        if draw(st.integers(min_value=0, max_value=3)):  # else orphans
+            lines.append(block_line("eth", height, time, hashes))
+        lines += [tx_line("eth", tx_hash, height, index, "aa" * 20, None)
+                  for index, tx_hash in enumerate(hashes)]
+        if draw(st.booleans()):
+            nmc_hash = h32(0xC000 + height)
+            nmc_lines += [block_line("nmc", height, draw(
+                st.integers(min_value=1, max_value=253_402_300_799)),
+                [nmc_hash]),
+                tx_line("nmc", nmc_hash, height, 0, "aa" * 20, None)]
+    max_height = draw(st.none() | st.integers(min_value=0, max_value=10))
+    return lines, nmc_lines, max_height
+
+
+@given(_monthly_chain_strategy())
+@settings(max_examples=80, deadline=None)
+def test_monthly_tx_counts_match_the_dated_tally(chain):
+    lines, nmc_lines, max_height = chain
+    store = load_store(lines, ChainKind.ETHEREUM)
+    ingest_blocks(nmc_lines, ChainKind.NAMECOIN, store, strict=True)
+    try:
+        if store.block_count(ChainKind.ETHEREUM) == 0:
+            with pytest.raises(EmptyChain):
+                monthly_tx_counts(store, ChainKind.ETHEREUM, max_height)
+            return
+        dated = store.iter_dated_txs(ChainKind.ETHEREUM, max_height)
+        expected = [(month, tally["txs"]) for month, tally in tally_periods(
+            ((block_time, "txs", 1) for block_time, _ in dated), month_key)]
+        assert monthly_tx_counts(store, ChainKind.ETHEREUM, max_height) \
+            == expected
+    finally:
+        store.close()
+
+
+def _query_plans(store: Store, read) -> list[str]:
+    """The EXPLAIN QUERY PLAN details of each statement `read()` runs."""
+    statements: list[str] = []
+    store._conn.set_trace_callback(statements.append)
+    read()
+    store._conn.set_trace_callback(None)
+    return [" | ".join(row[3] for row in store._conn.execute(
+        "EXPLAIN QUERY PLAN " + sql)) for sql in statements]
+
+
+def test_reads_go_through_the_indexes():
+    lines, _ = eth_labeled_fixture()
+    store = load_store(lines, ChainKind.ETHEREUM)
+    # the creation scan and the nonce count each need their partial index,
+    # which a chain bound as ? rather than spelled 'eth' would lose
+    [plan] = _query_plans(store, lambda: list(iter_creations(store)))
+    assert "USING INDEX eth_creations" in plan
+    assert "USING INDEX eth_txs_by_sender" in plan
+    # ledger order comes from the UNIQUE (chain, height, idx) index alone
+    for max_height in (None, 3):
+        [plan] = _query_plans(store, lambda: list(
+            store.iter_txs(ChainKind.ETHEREUM, max_height)))
+        assert "USING INDEX sqlite_autoindex_txs_2" in plan
+        assert "TEMP B-TREE" not in plan
+    store.close()
 
 
 # -- field rules of ingest records ------------------------------------------
@@ -521,4 +609,20 @@ def test_block_times_and_period_keys_have_one_owner():
             if (called in ("month_key", "iso_week_key")
                     and path != package / "model.py"):
                 found.append(f"{where} {called}(")
+    assert found == []
+
+
+def test_the_connection_has_one_owner():
+    # Store owns every query: no code outside the class reads its _conn
+    package = Path(chainlens.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_store = {id(node) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) and cls.name == "Store"
+                    and path == package / "store.py" for node in ast.walk(cls)}
+        found += [f"{path.relative_to(package)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_conn"
+                  and id(node) not in in_store]
     assert found == []

@@ -322,14 +322,8 @@ def probe_ports(prober: Prober, ips: Iterable[str], port: int,
     """Classify each address's port as open, filtered, or closed."""
     ordered = sorted(set(ips))
     scan = PortScan()
-    if not ordered:
-        return scan
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ip: prober.connect(ip, port),
-                                    ordered))
-    else:
-        results = [prober.connect(ip, port) for ip in ordered]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda ip: prober.connect(ip, port), ordered))
     for ip, result in zip(ordered, results):
         outcome = _CONNECT_TO_OUTCOME[ConnectResult(result)]
         scan.outcomes[ip] = outcome

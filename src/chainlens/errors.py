@@ -31,7 +31,7 @@ class SchemaViolation(ChainLensError):
 class ConflictingBlock(ChainLensError):
     def __init__(self, height: int):
         self.height = height
-        super().__init__(f"conflicting block at height {height}: different hash already stored")
+        super().__init__(f"conflicting block at height {height}: different contents already stored")
 
 
 class ConflictingTx(ChainLensError):

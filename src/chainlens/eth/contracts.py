@@ -18,8 +18,7 @@ from typing import Iterator
 from .. import rlp
 from ..errors import AddressMismatch, SchemaViolation
 from ..keccak import keccak256, keccak256_batch
-from ..model import (ChainKind, Transaction, hex_field, int_field,
-                     normalize_hex)
+from ..model import Transaction, hex_field, int_field, normalize_hex
 from ..store import RecordSource, Store, read_records
 
 log = logging.getLogger(__name__)
@@ -163,12 +162,10 @@ def find_precreation_funding(store: Store, registry: ContractRegistry
     ledger order of the funding transaction.
     """
     hits = []
-    for tx in store.iter_txs(ChainKind.ETHEREUM):
-        if tx.recipient is None or tx.value <= 0:
-            continue
-        record = registry.get(tx.recipient)
-        if record is not None and record.creation_height > tx.block_height:
-            hits.append((tx.hash, record.address, record.creation_height))
+    for tx_hash, recipient, height in store.iter_eth_transfers():
+        record = registry.get(recipient)
+        if record is not None and record.creation_height > height:
+            hits.append((tx_hash, record.address, record.creation_height))
     return hits
 
 

@@ -106,22 +106,12 @@ class Store:
 
     def put_block(self, block: Block) -> bool:
         """Insert a block; returns False if the identical block already exists."""
-        cur = self._conn.execute(
-            "SELECT hash FROM blocks WHERE chain=? AND height=?",
-            (block.chain.value, block.height))
-        row = cur.fetchone()
-        if row is not None:
-            if row[0] != block.hash:
-                raise ConflictingBlock(block.height)
-            return False
-        self._conn.execute(
-            "INSERT INTO blocks VALUES (?,?,?,?,?,?,?,?)",
-            (block.chain.value, block.height, block.hash, block.parent_hash,
-             block.timestamp,
-             None if block.is_auxpow is None else int(block.is_auxpow),
-             block.proof.value if block.proof else None,
-             json.dumps(block.tx_hashes)))
-        return True
+        return self._put("blocks", "height", ConflictingBlock, (
+            block.chain.value, block.height, block.hash, block.parent_hash,
+            block.timestamp,
+            None if block.is_auxpow is None else int(block.is_auxpow),
+            block.proof.value if block.proof else None,
+            json.dumps(block.tx_hashes)))
 
     def put_tx(self, tx: Transaction) -> bool:
         """Insert a transaction; returns False if the identical tx already exists."""
@@ -133,29 +123,34 @@ class Store:
                 "name_hash": tx.name_op.name_hash,
                 "paid_fee": str(tx.name_op.paid_fee),
             })
-        values = (tx.chain.value, tx.hash, tx.block_height, tx.index_in_block,
-                  tx.sender, tx.recipient, str(tx.value), tx.input_data,
-                  None if tx.fee is None else str(tx.fee), tx.gas_limit,
-                  name_op)
-        cur = self._conn.execute(
-            "SELECT * FROM txs WHERE chain=? AND hash=?", (tx.chain.value, tx.hash))
-        row = cur.fetchone()
-        if row is not None:
-            if row != values:
-                raise ConflictingTx(tx.hash)
+        return self._put("txs", "hash", ConflictingTx, (
+            tx.chain.value, tx.hash, tx.block_height, tx.index_in_block,
+            tx.sender, tx.recipient, str(tx.value), tx.input_data,
+            None if tx.fee is None else str(tx.fee), tx.gas_limit, name_op))
+
+    def _put(self, table: str, key: str, conflict: type[ChainLensError],
+             row: tuple) -> bool:
+        """The one write rule: True if `row` was inserted. Otherwise the row
+        stored under the primary key, chain and `key` (the row's first two
+        columns), is the same row (False) or a different one (raises
+        `conflict`); with none there, a tx's (height, index) is taken."""
+        # unlike OR IGNORE, DO NOTHING still fails a NULL in a NOT NULL column
+        if self._conn.execute(
+                f"INSERT INTO {table} VALUES ({','.join('?' * len(row))})"
+                " ON CONFLICT DO NOTHING", row).rowcount:
+            return True
+        stored = self._conn.execute(
+            f"SELECT * FROM {table} WHERE chain=? AND {key}=?",
+            row[:2]).fetchone()
+        if stored == row:
             return False
-        cur = self._conn.execute(
+        if stored is not None:
+            raise conflict(row[1])
+        (holder,) = self._conn.execute(
             "SELECT hash FROM txs WHERE chain=? AND height=? AND idx=?",
-            (tx.chain.value, tx.block_height, tx.index_in_block))
-        row = cur.fetchone()
-        if row is not None:
-            raise SchemaViolation(
-                0, "index",
-                f"position ({tx.block_height}, {tx.index_in_block}) already "
-                f"held by tx {row[0]}")
-        self._conn.execute("INSERT INTO txs VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-                           values)
-        return True
+            (row[0], row[2], row[3])).fetchone()
+        raise FieldError("index", f"position ({row[2]}, {row[3]}) already "
+                                  f"held by tx {holder}")
 
     def commit(self) -> None:
         self._conn.commit()
@@ -190,6 +185,14 @@ class Store:
         stored eth txs before the creation, orphans included."""
         for row in self._conn.execute(_ETH_CREATIONS):
             yield _row_to_tx(row[:-1]), row[-1]
+
+    def iter_eth_transfers(self) -> Iterator[tuple[str, str, int]]:
+        """(hash, recipient, height) of each Ethereum tx that sends a non-zero
+        value to an address, in ledger order, orphans included."""
+        # a value is stored as str(int), so the text '0' is its only zero
+        yield from self._conn.execute(
+            "SELECT hash, recipient, height FROM txs WHERE chain = 'eth'"
+            " AND recipient IS NOT NULL AND value != '0' ORDER BY height, idx")
 
     def iter_monthly_tx_counts(self, chain: ChainKind,
                                max_height: int | None = None
@@ -291,8 +294,9 @@ def read_records(source: RecordSource, types: tuple[str, ...],
     skipped but counted, so line numbers are those of the file. A line that
     is not JSON raises MalformedJson; one that is not an object, or not of
     an accepted type, raises SchemaViolation on field "type"; a FieldError
-    from `parse` is a SchemaViolation on its field. With a `reject`
-    callback, the error goes to it instead and reading goes on.
+    from `parse` is a SchemaViolation on its field, and a ChainLensError
+    from `parse` is raised as it is. With a `reject` callback, the error
+    goes to it instead and reading goes on.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
@@ -314,6 +318,8 @@ def read_records(source: RecordSource, types: tuple[str, ...],
             err: ChainLensError = MalformedJson(line_no, exc.msg)
         except FieldError as exc:
             err = SchemaViolation(line_no, exc.key, exc.detail)
+        except ChainLensError as exc:
+            err = exc
         else:
             yield line_no, record
             continue
@@ -387,12 +393,14 @@ def _parse_tx(obj: dict, chain: ChainKind) -> Transaction:
 
 def ingest_blocks(source: RecordSource, chain: ChainKind,
                   store: Store, strict: bool = False) -> IngestSummary:
-    """Load an NDJSON dump into the store.
+    """Load an NDJSON dump into the store, writing each line as it is read.
 
-    Lines that fail to parse or violate an invariant are rejected and
-    counted, not fatal, unless `strict` upgrades them to an exception.
-    Re-ingesting a file already loaded is a no-op reporting zero loads; a
-    stored block height or tx hash with different contents is a conflict.
+    Lines that fail to parse, violate an invariant or conflict with the
+    store are rejected and counted, not fatal, unless `strict` upgrades
+    them to an exception. A re-delivered block or tx is compared with the
+    stored row as a whole: an equal one is a no-op, so re-ingesting a file
+    already loaded reports zero loads; a different one is a conflict, as
+    is a new tx at a stored tx's (height, index).
     """
     summary = IngestSummary()
 
@@ -402,26 +410,17 @@ def ingest_blocks(source: RecordSource, chain: ChainKind,
         log.warning("rejected %s", RejectedLine(line_no, err))
         summary.rejected.append(RejectedLine(line_no, err))
 
-    def parse(obj: dict) -> Block | Transaction:
+    def load(obj: dict) -> None:
         if obj.get("chain") != chain.value:
             raise FieldError(
                 "chain", f"expected {chain.value!r}, got {obj.get('chain')!r}")
         if obj["type"] == "block":
-            return _parse_block(obj, chain)
-        return _parse_tx(obj, chain)
+            summary.blocks_loaded += store.put_block(_parse_block(obj, chain))
+        else:
+            summary.txs_loaded += store.put_tx(_parse_tx(obj, chain))
 
-    for line_no, record in read_records(source, ("block", "tx"), parse,
-                                        reject):
-        try:
-            if isinstance(record, Block):
-                if store.put_block(record):
-                    summary.blocks_loaded += 1
-            elif store.put_tx(record):
-                summary.txs_loaded += 1
-        except ChainLensError as err:
-            if isinstance(err, SchemaViolation) and err.line_no == 0:
-                err = SchemaViolation(line_no, err.field, err.detail)
-            reject(line_no, err)
+    for _ in read_records(source, ("block", "tx"), load, reject):
+        pass
     store.commit()
     return summary
 

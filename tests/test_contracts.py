@@ -204,6 +204,60 @@ def test_precreation_funding():
     store.close()
 
 
+def _funding_by_decoding(store, registry):
+    """find_precreation_funding over every decoded eth tx, the reference."""
+    hits = []
+    for tx in store.iter_txs(ChainKind.ETHEREUM):
+        if tx.recipient is None or tx.value <= 0:
+            continue
+        record = registry.get(tx.recipient)
+        if record is not None and record.creation_height > tx.block_height:
+            hits.append((tx.hash, record.address, record.creation_height))
+    return hits
+
+
+@st.composite
+def _funding_ledger(draw):
+    """Eth txs paying zero, small or past-2**63 values to contract addresses,
+    other addresses or none, some of them orphans; Namecoin txs to the same
+    addresses at the same heights; and contracts created at random heights."""
+    targets = [addr(0xC000 + i) for i in range(4)]
+    registry = ContractRegistry()
+    for address in targets[:3]:
+        registry.add(ContractRecord(address=address,
+                                    creation_height=draw(st.integers(0, 6)),
+                                    creator=SENDER_A,
+                                    creator_kind=CreatorKind.BY_TRANSACTION))
+    lines, nmc = [], []
+    for height in range(draw(st.integers(1, 6))):
+        hashes = [h32(0x6000 + 16 * height + index)
+                  for index in range(draw(st.integers(0, 4)))]
+        if draw(st.integers(0, 3)):  # else the txs of this height are orphans
+            lines.append(block_line("eth", height, 1_438_387_200 + height,
+                                    hashes))
+        for index, tx_hash in enumerate(hashes):
+            to = draw(st.none() | st.sampled_from(targets))
+            value = draw(st.sampled_from([0, 1, 2**63, 10**24]))
+            lines.append(tx_line("eth", tx_hash, height, index, SENDER_B, to,
+                                 str(value)))
+            nmc.append(tx_line("nmc", tx_hash, height, index, SENDER_B, to,
+                               str(value)))
+    return lines, nmc, registry
+
+
+@given(_funding_ledger())
+@settings(max_examples=60, deadline=None)
+def test_precreation_funding_matches_the_decoded_ledger(ledger):
+    lines, nmc_lines, registry = ledger
+    store = load_store(lines, ChainKind.ETHEREUM)
+    ingest_blocks(nmc_lines, ChainKind.NAMECOIN, store, strict=True)
+    try:
+        assert find_precreation_funding(store, registry) \
+            == _funding_by_decoding(store, registry)
+    finally:
+        store.close()
+
+
 def test_duplicate_registration_keeps_first():
     registry = ContractRegistry()
     first = ContractRecord(address=addr(1), creation_height=1,

@@ -10,15 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainlens
-from chainlens.errors import (ConflictingBlock, ConflictingTx, EmptyChain,
-                              MalformedJson, SchemaViolation)
+from chainlens.errors import (ChainLensError, ConflictingBlock, ConflictingTx,
+                              EmptyChain, MalformedJson, SchemaViolation)
 from chainlens.eth.contracts import iter_creations
-from chainlens.model import (ChainKind, iso_week_key, month_key, normalize_hex,
-                             tally_periods)
+from chainlens.model import (Block, ChainKind, NameOpKind, NameOpPayload,
+                             ProofKind, Transaction, iso_week_key, month_key,
+                             normalize_hex, tally_periods)
 from chainlens.store import (Store, ingest_blocks, monthly_tx_counts,
                              parse_rfc3339)
 
-from conftest import (block_line, eth_labeled_fixture, h32, load_store,
+from conftest import (addr, block_line, eth_labeled_fixture, h32, load_store,
                       tx_line)
 
 
@@ -136,13 +137,25 @@ def test_ingest_idempotent():
 
 
 def test_conflicting_block_same_height():
-    store = Store(":memory:")
-    ingest_blocks([block_line("eth", 0, 1000)], ChainKind.ETHEREUM, store)
-    conflicting = json.dumps({
-        "type": "block", "chain": "eth", "height": 0, "hash": h32(0xDEAD),
-        "parent": h32(0), "time": 1000, "txs": []})
-    with pytest.raises(ConflictingBlock):
-        ingest_blocks([conflicting], ChainKind.ETHEREUM, store, strict=True)
+    # a stored height that arrives with any one field changed, its hash or
+    # another, is a conflict, and the stored block stays as it was
+    line = block_line("ppc", 5, 1000, [h32(1)], auxpow=False, proof="pos")
+    store = load_store([line], ChainKind.PEERCOIN)
+    stored = list(store.iter_blocks(ChainKind.PEERCOIN))
+    changed = [json.dumps({**json.loads(line), key: value}) for key, value in [
+        ("hash", h32(0xDEAD)), ("time", 999999), ("parent", h32(0xBEEF)),
+        ("txs", [h32(2)]), ("auxpow", True), ("proof", "pow")]]
+    summary = ingest_blocks(changed, ChainKind.PEERCOIN, store)
+    assert (summary.blocks_loaded, summary.rejected_count) == (0, 6)
+    assert [r.line_no for r in summary.rejected] == [1, 2, 3, 4, 5, 6]
+    assert all(isinstance(r.error, ConflictingBlock) for r in summary.rejected)
+    for one in changed:
+        with pytest.raises(ConflictingBlock):
+            ingest_blocks([one], ChainKind.PEERCOIN, store, strict=True)
+    assert list(store.iter_blocks(ChainKind.PEERCOIN)) == stored
+    # an identical re-delivery is still a silent no-op
+    again = ingest_blocks([line], ChainKind.PEERCOIN, store, strict=True)
+    assert (again.blocks_loaded, again.rejected_count) == (0, 0)
     store.close()
 
 
@@ -317,6 +330,188 @@ def test_ingest_properties_random_chains(chain):
         # strictly-before semantics at the exact boundary
         assert store.apply_cutoff(ChainKind.ETHEREUM, times[-1] + 1) \
             == len(times) - 1
+    finally:
+        store.close()
+
+
+def _block_record(draw, height: int, tx_hashes: list[str]) -> dict:
+    return {"type": "block", "chain": "eth", "height": height,
+            "hash": h32(0xB000 + height),
+            "parent": h32(draw(st.integers(0, 99))),
+            "time": draw(st.integers(1, 2**31)), "txs": tx_hashes,
+            "auxpow": draw(st.sampled_from([None, False, True])),
+            "proof": draw(st.sampled_from([None, "pow", "pos"]))}
+
+
+_NAME_OP = {"kind": "new", "name": "d/x", "name_hash": None, "paid_fee": "1"}
+
+
+def _tx_record(draw, tx_hash: str, height: int, index: int) -> dict:
+    return {"type": "tx", "chain": "eth", "hash": tx_hash, "height": height,
+            "index": index, "from": addr(draw(st.integers(1, 3))),
+            "to": draw(st.sampled_from([None, addr(1), addr(2)])),
+            "value": str(draw(st.integers(0, 2**70))),
+            "input": draw(st.sampled_from(["", "00", "6001"])),
+            "fee": draw(st.none() | st.integers(0, 9).map(str)),
+            "gas": draw(st.none() | st.integers(0, 10**6)),
+            "name_op": draw(st.sampled_from([None, _NAME_OP]))}
+
+
+# a valid value of each record field other than the one given
+_CHANGED = {
+    "hash": lambda value: h32(int(value, 16) ^ 1),
+    "parent": lambda value: h32(int(value, 16) + 1),
+    "time": lambda value: value + 1,
+    "txs": lambda value: value + [h32(0xEEEE)],
+    "auxpow": {None: True, True: False, False: None}.get,
+    "proof": {None: "pow", "pow": "pos", "pos": None}.get,
+    "from": lambda value: addr(9),
+    "to": lambda value: None if value else addr(9),
+    "value": lambda value: str(int(value) + 1),
+    "input": lambda value: value + "ff",
+    "fee": lambda value: str(int(value or 0) + 1),
+    "gas": lambda value: (value or 0) + 1,
+    "name_op": lambda value: None if value else _NAME_OP,
+    "height": lambda value: value + 1,
+    "index": lambda value: value + 1,
+}
+
+
+_MALFORMED = [("{", MalformedJson, None),
+              ("[1]", SchemaViolation, "type"),
+              (json.dumps({"type": "tx", "chain": "nmc"}), SchemaViolation,
+               "chain"),
+              (json.dumps({"type": "block", "chain": "eth", "height": -1}),
+               SchemaViolation, "height")]
+
+
+@st.composite
+def _redelivery_strategy(draw):
+    """A random eth chain, and a second delivery mixing its records as they
+    are, with one field changed, new txs on its taken positions, new
+    records, and malformed lines (given as (line, error class, field))."""
+    first = []
+    for height in range(draw(st.integers(1, 5))):
+        hashes = [h32(0x7000 + 16 * height + index)
+                  for index in range(draw(st.integers(0, 3)))]
+        first.append(_block_record(draw, height, hashes))
+        first += [_tx_record(draw, tx_hash, height, index)
+                  for index, tx_hash in enumerate(hashes)]
+    second = []
+    for n in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(
+            ["same", "changed", "moved", "new block", "new tx", "malformed"]))
+        record = draw(st.sampled_from(first))
+        if kind == "same":
+            second.append(record)
+        elif kind == "changed":
+            key = draw(st.sampled_from(sorted(set(record) - {"type", "chain"})))
+            second.append({**record, key: _CHANGED[key](record[key])})
+        elif kind == "moved":
+            second.append(_tx_record(draw, h32(0x8000 + n), record["height"],
+                                     record.get("index", 0)))
+        elif kind == "new block":
+            second.append(_block_record(draw, 100 + n, []))
+        elif kind == "new tx":
+            second.append(_tx_record(draw, h32(0x8000 + n),
+                                     draw(st.integers(0, 6)),
+                                     draw(st.integers(0, 4))))
+        else:
+            second.append(draw(st.sampled_from(_MALFORMED)))
+    return first, second
+
+
+class _WriteRuleModel:
+    """Stored records keyed by block height, by tx hash and by tx position."""
+
+    def __init__(self):
+        self.blocks, self.txs, self.positions = {}, {}, {}
+
+    def ingest(self, items) -> tuple[int, int, list[tuple]]:
+        """(blocks loaded, txs loaded, [(line, error class, field)])."""
+        blocks_loaded = txs_loaded = 0
+        rejected = []
+        for line_no, item in enumerate(items, start=1):
+            if isinstance(item, tuple):
+                rejected.append((line_no, *item[1:]))
+            elif item["type"] == "block":
+                stored = self.blocks.get(item["height"])
+                if stored is None:
+                    self.blocks[item["height"]] = item
+                    blocks_loaded += 1
+                elif stored != item:
+                    rejected.append((line_no, ConflictingBlock, None))
+            elif item["hash"] in self.txs:
+                if self.txs[item["hash"]] != item:
+                    rejected.append((line_no, ConflictingTx, None))
+            elif (item["height"], item["index"]) in self.positions:
+                rejected.append((line_no, SchemaViolation, "index"))
+            else:
+                self.txs[item["hash"]] = item
+                self.positions[item["height"], item["index"]] = item["hash"]
+                txs_loaded += 1
+        return blocks_loaded, txs_loaded, rejected
+
+    def rows(self) -> tuple[list[Block], list[Transaction]]:
+        blocks = [Block(chain=ChainKind.ETHEREUM, height=rec["height"],
+                        hash=rec["hash"], parent_hash=rec["parent"],
+                        timestamp=rec["time"], tx_hashes=rec["txs"],
+                        is_auxpow=rec["auxpow"],
+                        proof=rec["proof"] and ProofKind(rec["proof"]))
+                  for _, rec in sorted(self.blocks.items())]
+        txs = []
+        for position in sorted(self.positions):
+            rec = self.txs[self.positions[position]]
+            op = rec["name_op"]
+            txs.append(Transaction(
+                chain=ChainKind.ETHEREUM, hash=rec["hash"],
+                block_height=rec["height"], index_in_block=rec["index"],
+                sender=rec["from"], recipient=rec["to"],
+                value=int(rec["value"]), input_data=rec["input"],
+                fee=None if rec["fee"] is None else int(rec["fee"]),
+                gas_limit=rec["gas"],
+                name_op=op and NameOpPayload(
+                    kind=NameOpKind(op["kind"]), name=op["name"],
+                    name_hash=op["name_hash"], paid_fee=int(op["paid_fee"]))))
+        return blocks, txs
+
+
+def _lines(items) -> list[str]:
+    return [item[0] if isinstance(item, tuple) else json.dumps(item)
+            for item in items]
+
+
+@given(_redelivery_strategy())
+@settings(max_examples=80, deadline=None)
+def test_write_rule_matches_the_reference_model(deliveries):
+    first, second = deliveries
+    model = _WriteRuleModel()
+    assert model.ingest(first)[2] == []
+    expected = model.ingest(second)
+    store = load_store(_lines(first), ChainKind.ETHEREUM)
+    try:
+        summary = ingest_blocks(_lines(second), ChainKind.ETHEREUM, store)
+        assert (summary.blocks_loaded, summary.txs_loaded, [
+            (r.line_no, type(r.error), getattr(r.error, "field", None))
+            for r in summary.rejected]) == expected
+        assert (list(store.iter_blocks(ChainKind.ETHEREUM)),
+                list(store.iter_txs(ChainKind.ETHEREUM))) == model.rows()
+    finally:
+        store.close()
+    # --strict raises the first of the same errors
+    store = load_store(_lines(first), ChainKind.ETHEREUM)
+    try:
+        if not expected[2]:
+            ingest_blocks(_lines(second), ChainKind.ETHEREUM, store,
+                          strict=True)
+            return
+        line_no, error_class, field = expected[2][0]
+        with pytest.raises(ChainLensError) as caught:
+            ingest_blocks(_lines(second), ChainKind.ETHEREUM, store,
+                          strict=True)
+        assert (type(caught.value), getattr(caught.value, "field", None),
+                getattr(caught.value, "line_no", line_no)) \
+            == (error_class, field, line_no)
     finally:
         store.close()
 
@@ -626,3 +821,22 @@ def test_the_connection_has_one_owner():
                   if isinstance(node, ast.Attribute) and node.attr == "_conn"
                   and id(node) not in in_store]
     assert found == []
+
+
+def test_store_writes_through_one_rule():
+    # one function holds the INSERT, and read_records alone gives an
+    # error its line number
+    tree = ast.parse((Path(chainlens.__file__).parent / "store.py")
+                     .read_text(encoding="utf-8"))
+    owner = {}
+    for func in ast.walk(tree):  # breadth first: inner functions win
+        if isinstance(func, ast.FunctionDef):
+            owner.update(dict.fromkeys(map(id, ast.walk(func)), func.name))
+    inserts = [owner.get(id(node)) for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and "INSERT" in node.value]
+    violations = {owner.get(id(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "SchemaViolation"}
+    assert inserts == ["_put"]
+    assert violations == {"read_records"}

@@ -144,7 +144,6 @@ def build_name_histories(store: Store) -> dict[str, NameHistory]:
 
 @dataclass
 class ReregReport:
-    day: date
     firstupdates_on_day: int = 0
     reregistrations: list[tuple[str, list[int]]] = field(default_factory=list)
     anomalies: list[tuple[str, list[int]]] = field(default_factory=list)
@@ -160,7 +159,7 @@ def detect_reregistrations(store: Store, schedule: FeeSchedule,
     as an anomaly rather than silently dropped.
     """
     histories = build_name_histories(store)
-    report = ReregReport(day=day)
+    report = ReregReport()
     for history in sorted(histories.values(), key=lambda h: h.name):
         for position, (height, kind, block_time) in enumerate(history.events):
             if kind is not NameOpKind.FIRST_UPDATE:

@@ -14,7 +14,7 @@ crawl's targets in one Keccak batch), so it makes no Keccak call itself.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +52,6 @@ def _ranking_lanes(keys: list[int]) -> np.ndarray:
 class GroundTruth:
     peers: list[PeerInfo]
     reachable_ids: frozenset[bytes]
-    tables: dict[bytes, list[PeerInfo]] = field(repr=False, default_factory=dict)
 
     @property
     def all_ids(self) -> frozenset[bytes]:
@@ -180,6 +179,5 @@ def build_sim_overlay(n_peers: int, degree: int,
                              neighbor_k, seed_tag)
     truth = GroundTruth(peers=peers,
                         reachable_ids=frozenset(p.node_id for p in peers)
-                        - unreachable,
-                        tables=tables)
+                        - unreachable)
     return transport, truth

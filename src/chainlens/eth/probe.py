@@ -119,7 +119,6 @@ class RefundDestination(enum.Enum):
 class InvokeOutcome:
     terminated: bool
     refund_to: str | None
-    gas_used: int
 
 
 @dataclass
@@ -194,15 +193,14 @@ class FixtureExecutor:
         return self._scripted.get((contract, selector), _UNSCRIPTED)[0]
 
     def invoke(self, contract: str, selector: bytes, caller: str) -> InvokeOutcome:
-        gas, terminates, refund_spec = self._scripted.get((contract, selector),
-                                                          _UNSCRIPTED)
+        _, terminates, refund_spec = self._scripted.get((contract, selector),
+                                                        _UNSCRIPTED)
         terminates = terminates and contract not in self._terminated
         refund_to = None
         if terminates:
             self._terminated.add(contract)
             refund_to = caller if refund_spec == "caller" else refund_spec
-        return InvokeOutcome(terminated=terminates, refund_to=refund_to,
-                             gas_used=gas)
+        return InvokeOutcome(terminated=terminates, refund_to=refund_to)
 
 
 class RpcExecutor:
@@ -246,7 +244,7 @@ class RpcExecutor:
                      "gas": hex(100_000)}])
         code = self._call("eth_getCode", ["0x" + contract, "latest"])
         terminated = code in ("0x", "", None)
-        return InvokeOutcome(terminated=terminated, refund_to=None, gas_used=0)
+        return InvokeOutcome(terminated=terminated, refund_to=None)
 
 
 def classify_refund(refund_to: str | None, caller: str,

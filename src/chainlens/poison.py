@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -142,7 +141,6 @@ class ScanRow:
 @dataclass
 class ScanReport:
     rows: list[ScanRow] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
     write_errors: list[str] = field(default_factory=list)
 
 
@@ -158,7 +156,6 @@ def scan_corpus(store: Store, chain: ChainKind, db: SignatureDb,
     match.
     """
     report = ScanReport()
-    counts: Counter[str] = Counter()
     directory = Path(out_dir) if out_dir is not None else None
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
@@ -173,7 +170,6 @@ def scan_corpus(store: Store, chain: ChainKind, db: SignatureDb,
         for name in names:
             report.rows.append(ScanRow(format_name=name, tx_hash=tx.hash,
                                        payload_size=len(payload)))
-            counts[name] += 1
             if directory is not None:
                 target = directory / f"{tx.hash}.{db.extension_for(name)}"
                 try:
@@ -181,5 +177,4 @@ def scan_corpus(store: Store, chain: ChainKind, db: SignatureDb,
                 except OSError as exc:
                     log.warning("could not write %s: %s", target, exc)
                     report.write_errors.append(f"{target}: {exc}")
-    report.counts = dict(counts)
     return report

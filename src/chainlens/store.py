@@ -8,7 +8,6 @@ integers so fee totals carry no float drift.
 from __future__ import annotations
 
 import json
-import logging
 import sqlite3
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,8 +20,6 @@ from .model import (REQUIRED, Block, ChainKind, ChainSummary, FieldError,
                     RejectedLine, T, Transaction, amount_field, bool_field,
                     hex_field, int_field, month_key, str_field, str_list_field,
                     tally_periods)
-
-log = logging.getLogger(__name__)
 
 _SQLITE_INT_MAX = (1 << 63) - 1  # an INTEGER column holds at most 8 signed bytes
 # 9999-12-31T23:59:59Z: a later time has no datetime, so no month or week
@@ -104,29 +101,15 @@ class Store:
 
     # -- writes --------------------------------------------------------
 
-    def put_block(self, block: Block) -> bool:
-        """Insert a block; returns False if the identical block already exists."""
-        return self._put("blocks", "height", ConflictingBlock, (
-            block.chain.value, block.height, block.hash, block.parent_hash,
-            block.timestamp,
-            None if block.is_auxpow is None else int(block.is_auxpow),
-            block.proof.value if block.proof else None,
-            json.dumps(block.tx_hashes)))
+    def put_block(self, row: tuple) -> bool:
+        """Insert a `blocks` row, given in `_SCHEMA` column order; returns
+        False if the identical row is already stored."""
+        return self._put("blocks", "height", ConflictingBlock, row)
 
-    def put_tx(self, tx: Transaction) -> bool:
-        """Insert a transaction; returns False if the identical tx already exists."""
-        name_op = None
-        if tx.name_op is not None:
-            name_op = json.dumps({
-                "kind": tx.name_op.kind.value,
-                "name": tx.name_op.name,
-                "name_hash": tx.name_op.name_hash,
-                "paid_fee": str(tx.name_op.paid_fee),
-            })
-        return self._put("txs", "hash", ConflictingTx, (
-            tx.chain.value, tx.hash, tx.block_height, tx.index_in_block,
-            tx.sender, tx.recipient, str(tx.value), tx.input_data,
-            None if tx.fee is None else str(tx.fee), tx.gas_limit, name_op))
+    def put_tx(self, row: tuple) -> bool:
+        """Insert a `txs` row, given in `_SCHEMA` column order; returns
+        False if the identical row is already stored."""
+        return self._put("txs", "hash", ConflictingTx, row)
 
     def _put(self, table: str, key: str, conflict: type[ChainLensError],
              row: tuple) -> bool:
@@ -154,6 +137,10 @@ class Store:
 
     def commit(self) -> None:
         self._conn.commit()
+
+    def rollback(self) -> None:
+        """Discard every write since the last commit."""
+        self._conn.rollback()
 
     # -- reads ---------------------------------------------------------
 
@@ -338,7 +325,8 @@ def _address(obj: dict, key: str, chain: ChainKind, default=REQUIRED):
     return address
 
 
-def _parse_block(obj: dict, chain: ChainKind) -> Block:
+def _parse_block(obj: dict, chain: ChainKind) -> tuple:
+    """The `blocks` row of a block record, in `_SCHEMA` column order."""
     height = int_field(obj, "height", minimum=0, maximum=_SQLITE_INT_MAX)
     time_ = int_field(obj, "time", minimum=1, maximum=_LAST_BLOCK_TIME)
     tx_hashes = str_list_field(obj, "txs", [], byte_len=32)
@@ -348,13 +336,14 @@ def _parse_block(obj: dict, chain: ChainKind) -> Block:
     proof = obj.get("proof")
     if proof is not None and proof not in ("pow", "pos"):
         raise FieldError("proof", "must be 'pow' or 'pos'")
-    return Block(chain=chain, height=height, hash=hex_field(obj, "hash", 32),
-                 parent_hash=hex_field(obj, "parent", 32),
-                 timestamp=time_, tx_hashes=tx_hashes, is_auxpow=auxpow,
-                 proof=ProofKind(proof) if proof else None)
+    return (chain.value, height, hex_field(obj, "hash", 32),
+            hex_field(obj, "parent", 32), time_,
+            None if auxpow is None else int(auxpow), proof,
+            json.dumps(tx_hashes))
 
 
-def _parse_name_op(obj: dict) -> NameOpPayload | None:
+def _parse_name_op(obj: dict) -> str | None:
+    """The stored JSON text of a tx's name op, or None if it has none."""
     raw = obj.get("name_op")
     if raw is None:
         return None
@@ -363,29 +352,29 @@ def _parse_name_op(obj: dict) -> NameOpPayload | None:
     op = {f"name_op.{key}": value for key, value in raw.items()}
     if op.get("name_op.kind") not in ("new", "firstupdate", "update"):
         raise FieldError("name_op.kind", "must be new|firstupdate|update")
-    return NameOpPayload(kind=NameOpKind(raw["kind"]),
-                         name=str_field(op, "name_op.name", None),
-                         name_hash=str_field(op, "name_op.name_hash", None),
-                         paid_fee=amount_field(op, "name_op.paid_fee", 0))
+    return json.dumps({
+        "kind": raw["kind"],
+        "name": str_field(op, "name_op.name", None),
+        "name_hash": str_field(op, "name_op.name_hash", None),
+        "paid_fee": str(amount_field(op, "name_op.paid_fee", 0))})
 
 
-def _parse_tx(obj: dict, chain: ChainKind) -> Transaction:
+def _parse_tx(obj: dict, chain: ChainKind) -> tuple:
+    """The `txs` row of a tx record, in `_SCHEMA` column order."""
     # the first bad field, in this order, names a rejected line
-    return Transaction(
-        chain=chain,
-        block_height=int_field(obj, "height", minimum=0,
-                               maximum=_SQLITE_INT_MAX),
-        index_in_block=int_field(obj, "index", minimum=0,
-                                 maximum=_SQLITE_INT_MAX),
-        recipient=_address(obj, "to", chain, default=None),
-        input_data=hex_field(obj, "input", default=""),
-        gas_limit=int_field(obj, "gas", minimum=0, default=None,
-                            maximum=_SQLITE_INT_MAX),
-        hash=hex_field(obj, "hash", 32),
-        sender=_address(obj, "from", chain),
-        value=amount_field(obj, "value", default=0),
-        fee=amount_field(obj, "fee", default=None),
-        name_op=_parse_name_op(obj))
+    height = int_field(obj, "height", minimum=0, maximum=_SQLITE_INT_MAX)
+    index = int_field(obj, "index", minimum=0, maximum=_SQLITE_INT_MAX)
+    recipient = _address(obj, "to", chain, default=None)
+    input_ = hex_field(obj, "input", default="")
+    gas = int_field(obj, "gas", minimum=0, default=None,
+                    maximum=_SQLITE_INT_MAX)
+    hash_ = hex_field(obj, "hash", 32)
+    sender = _address(obj, "from", chain)
+    value = amount_field(obj, "value", default=0)
+    fee = amount_field(obj, "fee", default=None)
+    return (chain.value, hash_, height, index, sender, recipient, str(value),
+            input_, None if fee is None else str(fee), gas,
+            _parse_name_op(obj))
 
 
 # -- operations ----------------------------------------------------------
@@ -400,14 +389,14 @@ def ingest_blocks(source: RecordSource, chain: ChainKind,
     them to an exception. A re-delivered block or tx is compared with the
     stored row as a whole: an equal one is a no-op, so re-ingesting a file
     already loaded reports zero loads; a different one is a conflict, as
-    is a new tx at a stored tx's (height, index).
+    is a new tx at a stored tx's (height, index). A call that raises
+    leaves nothing of its own in the store.
     """
     summary = IngestSummary()
 
     def reject(line_no: int, err: ChainLensError) -> None:
         if strict:
             raise err
-        log.warning("rejected %s", RejectedLine(line_no, err))
         summary.rejected.append(RejectedLine(line_no, err))
 
     def load(obj: dict) -> None:
@@ -419,8 +408,12 @@ def ingest_blocks(source: RecordSource, chain: ChainKind,
         else:
             summary.txs_loaded += store.put_tx(_parse_tx(obj, chain))
 
-    for _ in read_records(source, ("block", "tx"), load, reject):
-        pass
+    try:
+        for _ in read_records(source, ("block", "tx"), load, reject):
+            pass
+    except BaseException:
+        store.rollback()
+        raise
     store.commit()
     return summary
 

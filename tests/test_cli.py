@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import logging
+import sys
 
 import click
 import pytest
@@ -60,14 +62,31 @@ def test_ingest_reports_counts(eth_db, capsys):
     assert rows[1][3] == "5" and rows[1][4] == "20"
 
 
-def test_ingest_echoes_rejects_to_stderr(tmp_path, capsys):
+def test_ingest_echoes_rejects_to_stderr(tmp_path, capsys, monkeypatch):
     source = tmp_path / "bad.ndjson"
-    source.write_text(block_line("eth", 0, 100, []) + "\n" + "not json\n")
+    source.write_text(block_line("eth", 0, 100, []) + "\n" + "not json\n"
+                      + "[1]\n")
     db = str(tmp_path / "db")
-    assert run_cli(["--db", db, "ingest", str(source), "--chain", "eth"]) == 0
+    # stderr as a user of main() sees it; its logging set-up applies only
+    # while the root logger has no handler
+    monkeypatch.delenv("CHAINLENS_LOG", raising=False)
+    monkeypatch.setattr(sys, "argv", ["chainlens", "--db", db, "ingest",
+                                      str(source), "--chain", "eth"])
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli_module.main()
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+    assert exited.value.code == 0
     captured = capsys.readouterr()
-    assert parse_csv(captured.out)[1] == ["1", "0", "1"]
-    assert "rejected" in captured.err
+    assert parse_csv(captured.out)[1] == ["1", "0", "2"]
+    # each rejected line is reported once
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == [
+        "rejected line 2", "rejected line 3"]
     # the same file under --strict is fatal
     db2 = str(tmp_path / "db2")
     assert run_cli(["--db", db2, "ingest", str(source), "--chain", "eth",

@@ -1,5 +1,7 @@
 """File-signature scanning of transaction input payloads."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,8 +173,8 @@ def test_scan_corpus_counts_and_rows():
     assert by_tx[t[3]] == ["gzip"]
     assert by_tx[t[4]] == ["wav", "avi"]
     assert t[5] not in by_tx
-    assert report.counts == {"png": 1, "jpg": 1, "gzip": 1, "wav": 1,
-                             "avi": 1}
+    assert Counter(row.format_name for row in report.rows) == {
+        "png": 1, "jpg": 1, "gzip": 1, "wav": 1, "avi": 1}
     sizes = {row.tx_hash: row.payload_size for row in report.rows}
     assert sizes[t[1]] == len(PNG_MAGIC) + len(b"imagedata")
     assert report.write_errors == []

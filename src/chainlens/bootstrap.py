@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
-from .model import int_field, is_str_list, str_list_field
+from .model import int_field, is_str_list, read_json, str_list_field
 
 log = logging.getLogger(__name__)
 
@@ -69,8 +69,7 @@ def load_seed_source(path: str | Path) -> SeedSource:
 
     Raises ValueError, naming the fault, for any other shape.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError("seed source must be a JSON object with a 'port'")
     return SeedSource(port=int_field(raw, "port"),

@@ -13,7 +13,6 @@ import os
 import sys
 from datetime import date
 from functools import partial
-from pathlib import Path
 from typing import Any, Callable
 
 import click
@@ -37,7 +36,8 @@ from .eth.contracts import (NULL_ADDRESS, ContractRecord, CreatorKind,
 from .eth.probe import (DEFAULT_PROBE_CALLER, FixtureExecutor, GasPolicy,
                         RpcExecutor, SelectorDictionary, probe_suicidal)
 from .eth.similarity import SimilarityBuckets, bucket_similarity
-from .model import ChainKind, bool_field, normalize_hex, str_field
+from .model import (ChainKind, bool_field, normalize_hex, read_json,
+                    read_lines, str_field)
 from .poison import load_signatures, scan_corpus
 from .report import (emit, emit_rows, join_country, join_usd, read_geo_table,
                      read_rate_table, write_stamp)
@@ -111,26 +111,6 @@ class LoadedFile(click.Path):
             return self.load(path)
         except (ValueError, KeyError, TypeError) as exc:
             self.fail(str(exc), param, ctx)
-
-
-def _list_lines(path: str, parse: Callable[[str], Any] = str) -> list:
-    """parse(text) of each stripped line of a list file, skipping blank
-    lines and `#` comment lines; a ValueError names the line."""
-    values = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if text and not text.startswith("#"):
-                try:
-                    values.append(parse(text))
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: {exc}") from None
-    return values
-
-
-def _json_file(path: str) -> Any:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 @click.group()
@@ -311,13 +291,12 @@ def cmd_eth_precreation(state: AppState, internal_path, terminated_path) -> None
 @click.option("--rpc", "rpc_url", default=None,
               help="JSON-RPC endpoint of a node you control.")
 @click.option("--contracts", default=None,
-              type=LoadedFile(partial(_list_lines, parse=partial(
+              type=LoadedFile(partial(read_lines, parse=partial(
                   normalize_hex, byte_len=20))),
               help="Address list, one per line; defaults to every address "
                    "in the gas fixture.")
 @click.option("--selectors", "dictionary", default=None,
-              type=LoadedFile(lambda path: SelectorDictionary.from_lines(
-                  Path(path).read_text(encoding="utf-8").splitlines())),
+              type=LoadedFile(SelectorDictionary.from_lines),
               help="Alternative termination-selector dictionary.")
 @click.option("--caller", default=DEFAULT_PROBE_CALLER, show_default=True)
 @pass_state
@@ -360,7 +339,7 @@ def cmd_eth_probe(state: AppState, executor, rpc_url, contracts, dictionary,
 
 def _read_references(path: str) -> list[tuple[str, str, bool]]:
     """(name, bytecode, optimized) of each entry in a --references list."""
-    raw = _json_file(path)
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ValueError("expected a JSON list of references")
     references = []
@@ -380,7 +359,7 @@ def _read_references(path: str) -> list[tuple[str, str, bool]]:
 @click.option("--references", required=True,
               type=LoadedFile(_read_references),
               help="JSON list of {name, bytecode, optimized} references.")
-@click.option("--corpus", required=True, type=LoadedFile(_list_lines),
+@click.option("--corpus", required=True, type=LoadedFile(read_lines),
               help="Contract bytecode corpus, one hex string per line.")
 @click.option("--minor", default=100, show_default=True,
               type=click.IntRange(min=1))
@@ -515,7 +494,7 @@ def _bootnode(text: str) -> PeerInfo:
               type=LoadedFile(load_topology),
               help="Simulated overlay topology JSON.")
 @click.option("--live", "bootnodes", default=None,
-              type=LoadedFile(partial(_list_lines, parse=_bootnode)),
+              type=LoadedFile(partial(read_lines, parse=_bootnode)),
               help="Bootstrap node list, one <node_id_hex>@ip:port per line.")
 @click.option("--prefix-bits", default=13, show_default=True,
               type=click.IntRange(0, 32))
@@ -575,7 +554,7 @@ def bootstrap_group() -> None:
 @click.option("--rounds", default=1, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--script", "resolver", default=None,
-              type=LoadedFile(lambda path: ScriptedResolver(_json_file(path))),
+              type=LoadedFile(lambda path: ScriptedResolver(read_json(path))),
               help="Scripted resolver answers (JSON) instead of live DNS.")
 @pass_state
 def cmd_bootstrap_harvest(state: AppState, source, rounds: int,
@@ -592,12 +571,12 @@ def cmd_bootstrap_harvest(state: AppState, source, rounds: int,
 @click.option("--seeds", "source", default=None,
               type=LoadedFile(load_seed_source),
               help="Seed source JSON; probes its hardcoded list on its port.")
-@click.option("--ips", "ip_list", default=None, type=LoadedFile(_list_lines),
+@click.option("--ips", "ip_list", default=None, type=LoadedFile(read_lines),
               help="Address list, one per line (overrides the seed list).")
 @click.option("--port", default=None, type=click.IntRange(1, 65535),
               help="Port to probe (overrides the seed source port).")
 @click.option("--script", "prober", default=None,
-              type=LoadedFile(lambda path: ScriptedProber(_json_file(path))),
+              type=LoadedFile(lambda path: ScriptedProber(read_json(path))),
               help="Scripted prober outcomes (JSON) instead of live TCP.")
 @click.option("--workers", default=1, show_default=True,
               type=click.IntRange(min=1))

@@ -28,7 +28,7 @@ from typing import Protocol
 
 from ..errors import NoSeedsReachable
 from ..keccak import keccak256_batch
-from ..model import int_field, number_field
+from ..model import int_field, number_field, read_json
 from .identity import PeerInfo, hash_prefix, precompute_targets
 from .simulator import SimTransport, digest_lanes
 
@@ -236,8 +236,7 @@ def load_topology(path: str | Path) -> dict:
     Raises ValueError, naming the fault, unless the file holds a JSON object
     whose fields are of the types read below.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError("topology must be a JSON object")
     return {

@@ -49,15 +49,6 @@ class EmptyChain(ChainLensError):
 
 # --- Ethereum analytics ----------------------------------------------------
 
-class AddressMismatch(ChainLensError):
-    def __init__(self, tx_hash: str, derived: str, supplied: str):
-        self.tx_hash = tx_hash
-        self.derived = derived
-        self.supplied = supplied
-        super().__init__(
-            f"tx {tx_hash}: derived contract address {derived} != supplied {supplied}")
-
-
 class ExecutorFailure(ChainLensError):
     def __init__(self, contract: str, detail: str):
         self.contract = contract

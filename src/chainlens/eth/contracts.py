@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .. import rlp
-from ..errors import AddressMismatch, SchemaViolation
+from ..errors import SchemaViolation
 from ..keccak import keccak256, keccak256_batch
 from ..model import Transaction, hex_field, int_field, normalize_hex
 from ..store import RecordSource, Store, read_records
@@ -116,21 +116,11 @@ def _termination(obj: dict) -> tuple[str, int]:
 
 def build_contract_registry(store: Store,
                             internal_creations: RecordSource | None = None,
-                            terminations: RecordSource | None = None,
-                            supplied_addresses: dict[str, str] | None = None
+                            terminations: RecordSource | None = None
                             ) -> ContractRegistry:
-    """Assemble the contract lifecycle registry from the ledger and side-files.
-
-    `supplied_addresses` optionally maps a creation tx hash to the address
-    an external source reported for it; every derived address is
-    cross-checked against this map and a disagreement is fatal.
-    """
+    """Assemble the contract lifecycle registry from the ledger and side-files."""
     registry = ContractRegistry()
     for tx, address in iter_creations(store):
-        if supplied_addresses and tx.hash in supplied_addresses:
-            supplied = normalize_hex(supplied_addresses[tx.hash], byte_len=20)
-            if supplied != address:
-                raise AddressMismatch(tx.hash, address, supplied)
         registry.add(ContractRecord(
             address=address,
             creation_height=tx.block_height,

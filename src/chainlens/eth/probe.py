@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 from ..errors import ExecutorFailure, SchemaViolation
 from ..keccak import keccak256
-from ..model import bool_field, hex_field, int_field, strip_0x
+from ..model import (LineSource, bool_field, hex_field, int_field,
+                     read_lines, strip_0x)
 from ..store import RecordSource, read_records
 from .contracts import NULL_ADDRESS, ContractRecord
 
@@ -70,24 +71,21 @@ class SelectorDictionary:
         return len(self.entries)
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "SelectorDictionary":
-        """Parse one entry per line: either `name()` or a raw `0x`-hex selector.
+    def from_lines(cls, source: LineSource) -> "SelectorDictionary":
+        """Parse one entry per line of a file path or list of lines: either
+        `name()` or a raw `0x`-hex selector.
 
-        `#` starts a comment. A bad or duplicate entry raises ValueError
-        naming its line.
+        A bad or duplicate entry raises ValueError naming its line.
         """
         entries: dict[bytes, SelectorEntry] = {}
-        for line_no, raw in enumerate(lines, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                entry = _selector_entry(text)
-                if entry.selector in entries:
-                    raise ValueError(f"duplicate selector 0x{entry.selector.hex()}")
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
+
+        def add(text: str) -> None:
+            entry = _selector_entry(text)
+            if entry.selector in entries:
+                raise ValueError(f"duplicate selector 0x{entry.selector.hex()}")
             entries[entry.selector] = entry
+
+        read_lines(source, add)
         return cls(list(entries.values()))
 
     @classmethod

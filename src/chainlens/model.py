@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import enum
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, TypeVar
 
 from .errors import ChainLensError
@@ -122,7 +125,15 @@ def number_field(obj: dict, key: str, default: Any = REQUIRED) -> float:
 
 
 def str_field(obj: dict, key: str, default: Any = REQUIRED) -> str:
-    return _field(obj, key, default, (str,), "a string")
+    """A string that UTF-8 can encode: SQLite cannot store a lone surrogate,
+    which a JSON `\\ud800` escape gives."""
+    value = _field(obj, key, default, (str,), "a string")
+    if value is not default:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FieldError(key, f"is not UTF-8 text: {value!r}") from None
+    return value
 
 
 def is_str_list(value) -> bool:
@@ -139,6 +150,61 @@ def str_list_field(obj: dict, key: str, default: Any = REQUIRED,
     if byte_len is None:
         return value
     return [hex_field({key: item}, key, byte_len) for item in value]
+
+
+LineSource = Iterable[str] | str | Path
+
+
+def _line_error(line_no: int, detail: str) -> ValueError:
+    return ValueError(f"line {line_no}: {detail}")
+
+
+def read_lines(source: LineSource, parse: Callable[[str], T] = str,
+               error: Callable[[int, str], Exception] = _line_error,
+               header: Callable[[str], bool] | None = None) -> list[T]:
+    """parse(text) of each line of a list file (a path or lines), where
+    `text` is the line up to any `#`, stripped.
+
+    A line left blank is skipped but counted, as is line 1 when
+    `header(text)` is true. A ValueError from `parse` is raised as
+    error(line number, detail).
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            return read_lines(fh, parse, error, header)
+    values = []
+    for line_no, line in enumerate(source, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text or (line_no == 1 and header is not None and header(text)):
+            continue
+        try:
+            values.append(parse(text))
+        except ValueError as exc:
+            raise error(line_no, str(exc)) from None
+    return values
+
+
+def read_table(source: LineSource, header: tuple[str, ...], width: int,
+               parse: Callable[[list[str]], T],
+               error: Callable[[int, str], Exception] = _line_error
+               ) -> list[T]:
+    """parse(stripped cells) of each row of a CSV table, read as
+    `read_lines` reads; line 1 is a header when its first cell is in
+    `header`, in any case. A row not `width` cells wide raises `error`."""
+    def row(text: str) -> T:
+        cells = [cell.strip() for cell in next(csv.reader([text]))]
+        if len(cells) != width:
+            raise ValueError(f"expected {width} fields, got {len(cells)}")
+        return parse(cells)
+
+    return read_lines(source, row, error, lambda text: next(
+        csv.reader([text]))[0].strip().lower() in header)
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON document in a file; bad JSON raises ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def month_key(timestamp: int) -> str:

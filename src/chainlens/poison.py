@@ -10,14 +10,13 @@ sequence for payloads the filter caught.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import InvalidHex
-from .model import HEX_DIGITS, ChainKind, strip_0x
+from .model import HEX_DIGITS, ChainKind, read_table, strip_0x
 from .store import Store
 
 log = logging.getLogger(__name__)
@@ -82,27 +81,18 @@ class SignatureDb:
         raise KeyError(format_name)
 
 
+def _signature_row(cells: list[str]) -> SignatureEntry:
+    name, magic_hex, offset, extension = cells
+    return SignatureEntry(format_name=name, magic=bytes.fromhex(magic_hex),
+                          offset=int(offset), extension=extension)
+
+
 def load_signatures(path: str | Path | None = None) -> SignatureDb:
     """Load a `format,magic_hex,offset,extension` CSV; None loads the bundled table."""
     if path is None:
-        text = resources.files("chainlens").joinpath(
-            f"data/{_SIGNATURE_FILE}").read_text(encoding="utf-8")
-        lines = text.splitlines()
-    else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    entries = []
-    for row_no, row in enumerate(csv.reader(lines), start=1):
-        if not row or (row_no == 1 and row[0] == "format"):
-            continue
-        if len(row) != 4:
-            raise ValueError(f"signature row {row_no}: expected 4 fields")
-        name, magic_hex, offset, extension = (f.strip() for f in row)
-        entries.append(SignatureEntry(format_name=name,
-                                      magic=bytes.fromhex(magic_hex),
-                                      offset=int(offset),
-                                      extension=extension))
-    return SignatureDb(entries=entries)
+        path = resources.files("chainlens").joinpath(
+            f"data/{_SIGNATURE_FILE}").read_text(encoding="utf-8").splitlines()
+    return SignatureDb(entries=read_table(path, ("format",), 4, _signature_row))
 
 
 def _entry_matches(payload: bytes, entry: SignatureEntry,

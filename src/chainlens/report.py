@@ -16,9 +16,10 @@ import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 from .errors import MalformedGeoRow, MalformedRateRow
+from .model import LineSource, read_table
 
 log = logging.getLogger(__name__)
 
@@ -27,28 +28,20 @@ _UNITS_PER_COIN = Decimal(10) ** 8
 
 # -- rate-table join ----------------------------------------------------------
 
-def read_rate_table(source: str | Path | TextIO) -> dict[str, Decimal]:
+def _rate_row(cells: list[str]) -> tuple[str, Decimal]:
+    week, rate_text = cells
+    try:
+        rate = Decimal(rate_text)
+        if rate < 0:  # raises InvalidOperation on NaN
+            raise ValueError("negative rate")
+    except InvalidOperation:
+        raise ValueError(f"bad rate {rate_text!r}") from None
+    return week, rate
+
+
+def read_rate_table(source: LineSource) -> dict[str, Decimal]:
     """Parse a week→USD-per-coin CSV; a header row is allowed but optional."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return read_rate_table(fh)
-    rates: dict[str, Decimal] = {}
-    for line_no, row in enumerate(csv.reader(source), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if line_no == 1 and row[0].strip().lower() == "week":
-            continue
-        if len(row) != 2:
-            raise MalformedRateRow(line_no, f"expected 2 fields, got {len(row)}")
-        week, rate_text = row[0].strip(), row[1].strip()
-        try:
-            rate = Decimal(rate_text)
-        except InvalidOperation:
-            raise MalformedRateRow(line_no, f"bad rate {rate_text!r}")
-        if rate < 0:
-            raise MalformedRateRow(line_no, "negative rate")
-        rates[week] = rate
-    return rates
+    return dict(read_table(source, ("week",), 2, _rate_row, MalformedRateRow))
 
 
 def join_usd(weekly_rows: Iterable[tuple[str, str, int]],
@@ -72,30 +65,22 @@ def join_usd(weekly_rows: Iterable[tuple[str, str, int]],
 
 # -- geolocation join ---------------------------------------------------------
 
-def read_geo_table(source: str | Path | TextIO) -> list[tuple[ipaddress.IPv4Network, str]]:
+def _geo_row(cells: list[str]) -> tuple[ipaddress.IPv4Network, str]:
+    net_text, country = cells
+    if not country:
+        raise ValueError("empty country code")
+    try:
+        if "/" in net_text:
+            return ipaddress.IPv4Network(net_text, strict=False), country
+        return ipaddress.IPv4Network(f"{net_text}/32"), country
+    except ValueError:
+        raise ValueError(f"bad network {net_text!r}") from None
+
+
+def read_geo_table(source: LineSource) -> list[tuple[ipaddress.IPv4Network, str]]:
     """Parse a CIDR-or-IP→country CSV into networks sorted for longest-prefix match."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return read_geo_table(fh)
-    nets: list[tuple[ipaddress.IPv4Network, str]] = []
-    for line_no, row in enumerate(csv.reader(source), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if line_no == 1 and row[0].strip().lower() in ("cidr", "ip", "network"):
-            continue
-        if len(row) != 2:
-            raise MalformedGeoRow(line_no, f"expected 2 fields, got {len(row)}")
-        net_text, country = row[0].strip(), row[1].strip()
-        if not country:
-            raise MalformedGeoRow(line_no, "empty country code")
-        try:
-            if "/" in net_text:
-                net = ipaddress.IPv4Network(net_text, strict=False)
-            else:
-                net = ipaddress.IPv4Network(f"{net_text}/32")
-        except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError):
-            raise MalformedGeoRow(line_no, f"bad network {net_text!r}")
-        nets.append((net, country))
+    nets = read_table(source, ("cidr", "ip", "network"), 2, _geo_row,
+                      MalformedGeoRow)
     # widest first so a later, more specific rule overrides during lookup
     nets.sort(key=lambda item: item[0].prefixlen)
     return nets

@@ -93,6 +93,20 @@ def test_ingest_echoes_rejects_to_stderr(tmp_path, capsys, monkeypatch):
                     "--strict"]) == 2
 
 
+def test_lone_surrogate_address_is_a_rejected_line(tmp_path, capsys):
+    # SQLite cannot store a string holding a JSON "\ud800" escape
+    source = tmp_path / "nmc.ndjson"
+    source.write_text(block_line("nmc", 0, 100, [h32(1)]) + "\n"
+                      + tx_line("nmc", h32(1), 0, 0, "N\ud800x", "Nabc") + "\n")
+    out = run_ok(capsys, ["--db", str(tmp_path / "db"), "ingest", str(source),
+                          "--chain", "nmc"])
+    assert parse_csv(out.out)[1] == ["1", "0", "1"]
+    assert out.err.startswith("rejected line 2: ")
+    assert "'from'" in out.err
+    assert run_cli(["--db", str(tmp_path / "db2"), "ingest", str(source),
+                    "--chain", "nmc", "--strict"]) == 2
+
+
 def test_ingest_rejects_integers_past_sqlite_range(tmp_path, capsys):
     source = tmp_path / "big.ndjson"
     big = json.loads(block_line("eth", 1, 100, []))
@@ -285,6 +299,12 @@ PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
       "selectors.txt"], ("--selectors", "line 2:", "0x1234")),
     ("sigs.csv", "format,magic_hex,offset,extension\npng,4D5Z,0,png\n",
      ["poison", "scan", "--signatures", "sigs.csv"], ("--signatures",)),
+    ("sigs.csv", "format,magic_hex,offset,extension\ngif,zz,0,gif\n",
+     ["poison", "scan", "--signatures", "sigs.csv"],
+     ("--signatures", "line 2:")),
+    ("ips.txt", b"5.5.5.5\n6.6.\xff.6\n",
+     ["bootstrap", "probe", "--ips", "ips.txt", "--port", "8333", "--script",
+      "probes.json"], ("--ips", "utf-8")),
 ], ids=["reference without name", "reference without bytecode",
         "reference not an object", "references not a list",
         "topology without n_peers", "topology without degree",
@@ -294,7 +314,8 @@ PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
         "resolver script not json", "resolver script a list",
         "resolver rounds a string", "prober script not json",
         "prober script a list", "prober outcome unknown",
-        "selector not 4 bytes", "signature magic not hex"])
+        "selector not 4 bytes", "signature magic not hex",
+        "signature row named by line", "ips line not UTF-8"])
 def test_malformed_input_file_is_usage_error(tmp_path, monkeypatch, capsys,
                                              name, content, argv, expected):
     # the other files are well formed, so only `name` is at fault; every
@@ -309,8 +330,11 @@ def test_malformed_input_file_is_usage_error(tmp_path, monkeypatch, capsys,
     (tmp_path / "gas.ndjson").write_text(json.dumps(
         {"type": "gas_fixture", "address": addr(1), "selector": "41c0e1b5",
          "estimate": 300}) + "\n")
-    (tmp_path / name).write_text(
-        content if isinstance(content, str) else json.dumps(content))
+    if isinstance(content, bytes):
+        (tmp_path / name).write_bytes(content)
+    else:
+        (tmp_path / name).write_text(
+            content if isinstance(content, str) else json.dumps(content))
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err

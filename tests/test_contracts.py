@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlens.errors import AddressMismatch, MalformedJson, SchemaViolation
+from chainlens.errors import MalformedJson, SchemaViolation
 from chainlens.eth.contracts import (ContractRecord, ContractRegistry,
                                      CreatorKind, build_contract_registry,
                                      derive_contract_address,
@@ -87,18 +87,6 @@ def test_created_before_uses_block_and_index():
     assert not registry.created_before(CONTRACT_C3, 3, 0)
     assert not registry.created_before(CONTRACT_C3, 2, 5)
     assert registry.created_before(CONTRACT_C3, 4, 0)
-    store.close()
-
-
-def test_supplied_address_crosscheck():
-    store = _fixture_store()
-    _, labels = eth_labeled_fixture()
-    creation_hash = labels[0][0]
-    good = {creation_hash: CONTRACT_C1}
-    build_contract_registry(store, supplied_addresses=good)
-    bad = {creation_hash: addr(0xBAD)}
-    with pytest.raises(AddressMismatch):
-        build_contract_registry(store, supplied_addresses=bad)
     store.close()
 
 

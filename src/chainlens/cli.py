@@ -7,7 +7,6 @@ across runs on the same store.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import sys
@@ -505,7 +504,9 @@ def _bootnode(text: str) -> PeerInfo:
               help="Most transport calls open at once; a --live crawl runs "
                    "them on up to 32 threads, a --sim crawl one at a time.")
 @click.option("--seed", "rng_seed", default=None, type=int,
-              help="Deterministic seed for target generation and simulation.")
+              help="Seed for the simulated overlay and, through a seed "
+                   "spawned from it, the crawl targets; a --sim crawl "
+                   "without it uses the topology's \"seed\".")
 @click.option("--geo", default=None, type=LoadedFile(read_geo_table),
               help="CIDR-to-country CSV; adds a country histogram.")
 @pass_state
@@ -514,11 +515,12 @@ def cmd_crawl(state: AppState, topology, bootnodes, prefix_bits: int,
     """Enumerate a discovery overlay and report endpoint statistics (JSON)."""
     if (topology is None) == (bootnodes is None):
         raise click.UsageError("exactly one of --sim / --live required")
+    if topology is not None and rng_seed is None:
+        rng_seed = topology["rng_seed"]  # so a seeded topology seeds targets
     config = CrawlConfig(prefix_bits=prefix_bits, max_in_flight=max_inflight,
                          rng_seed=rng_seed)
     if topology is not None:
-        if rng_seed is not None:
-            topology["rng_seed"] = rng_seed
+        topology["rng_seed"] = rng_seed
         try:
             transport, truth = build_sim_overlay(**topology,
                                                  neighbor_k=neighbor_k)
@@ -532,12 +534,9 @@ def cmd_crawl(state: AppState, topology, bootnodes, prefix_bits: int,
                                    neighbor_k=neighbor_k)
         seeds = bootnodes
     report = crawl(transport, seeds, config)
-    doc = json.loads(report.to_json())
-    if geo is not None:
-        doc["countries"] = [list(row) for row in
-                            join_country((p.ip for p in report.known_peers),
-                                         geo)]
-    state.emit_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    countries = (None if geo is None else
+                 join_country((p.ip for p in report.known_peers), geo))
+    state.emit_text(report.to_json(countries) + "\n")
 
 
 # -- bootstrap-seed measurement -------------------------------------------------

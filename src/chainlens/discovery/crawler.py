@@ -1,15 +1,19 @@
 """Bounded-concurrency discovery crawl over a pluggable transport.
 
 The crawl keeps a FIFO work queue: newly admitted peers are queried for
-every precomputed target, one chunk of targets per task, and every
-previously unseen peer returned by a query is ping-ponged exactly once
-before admission. All bookkeeping runs on the coordinating thread. A live
-crawl runs transport calls on up to 32 worker threads and sends one
-find_node per target. A simulated one (SimTransport, in memory and
-CPU-bound) runs inline on the coordinating thread; it hashes all of the
-crawl's targets in one Keccak batch up front and answers each chunk with
-one vectorised ranking. Either way the final peer set is the closure of
-the seed set and does not depend on completion order.
+every precomputed target, and every previously unseen peer returned by a
+query is ping-ponged exactly once before admission. All bookkeeping runs on
+the coordinating thread. A live crawl runs transport calls on up to 32
+worker threads, one chunk of targets per task, and sends one find_node per
+target. A simulated one (SimTransport, in memory and CPU-bound) runs inline
+on the coordinating thread; it hashes all of the crawl's targets in one
+Keccak batch up front and answers each admitted peer's whole target list
+with one find_nodes call. Either way the final peer set is the closure of
+the seed set and does not depend on completion order or chunking.
+
+The targets are drawn from a child of the configured seed, not the seed
+itself, so a simulated overlay built from the same seed shares no ids with
+them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from pathlib import Path
 from queue import SimpleQueue
 from typing import Protocol
 
+import numpy as np
+
 from ..errors import NoSeedsReachable
 from ..keccak import keccak256_batch
 from ..model import int_field, number_field, read_json
@@ -39,7 +45,9 @@ _PRIVATE_RANGES = (
     ipaddress.ip_network("172.16.0.0/12"),
     ipaddress.ip_network("192.168.0.0/16"),
 )
-_FIND_CHUNK = 32  # targets per worker task; pure batching, no semantic effect
+# targets per pooled worker task; pure batching, no semantic effect. A --sim
+# crawl sends each peer's whole target list in one find_nodes call
+_FIND_CHUNK = 32
 _MAX_WORKERS = 32
 
 
@@ -75,7 +83,8 @@ class CrawlReport:
     node_ids_per_ip: list[tuple[str, int]] = field(default_factory=list)
     prefix_histogram: dict[int, int] = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_json(self, countries: list[tuple[str, int]] | None = None) -> str:
+        """The report as JSON, with (country, count) rows when given."""
         doc = {
             "prefix_bits": self.prefix_bits,
             "known_peers": [{"node_id": p.node_id.hex(), "ip": p.ip,
@@ -90,6 +99,8 @@ class CrawlReport:
             "prefix_histogram": [[k, v] for k, v in
                                  sorted(self.prefix_histogram.items())],
         }
+        if countries is not None:
+            doc["countries"] = [list(row) for row in countries]
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -129,10 +140,10 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
     """Run the full discovery crawl and return the finished report."""
     if not seeds:
         raise NoSeedsReachable()
-    targets = precompute_targets(config.prefix_bits, config.rng_seed)
+    target_seed = (None if config.rng_seed is None
+                   else np.random.SeedSequence(config.rng_seed).spawn(1)[0])
+    targets = precompute_targets(config.prefix_bits, target_seed)
     target_list = [targets[p] for p in sorted(targets)]
-    starts = range(0, len(target_list), _FIND_CHUNK)
-    target_chunks = [tuple(target_list[i:i + _FIND_CHUNK]) for i in starts]
 
     known: dict[bytes, PeerInfo] = {}
     claimed: set[bytes] = set()
@@ -145,17 +156,17 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
 
     if isinstance(transport, SimTransport):
         # in memory and CPU-bound: worker threads would only trade the GIL.
-        # Every target is hashed here, in one batch, for find_nodes' ranking
+        # Every target is hashed here, in one batch, and one find_nodes call
+        # answers them all for a peer
         runner = nullcontext(_InlineExecutor())
         find = transport.find_nodes
-        lanes = digest_lanes(keccak256_batch(target_list))
-        find_args = [(chunk, lanes[i:i + _FIND_CHUNK])
-                     for i, chunk in zip(starts, target_chunks)]
+        find_args = [(target_list, digest_lanes(keccak256_batch(target_list)))]
     else:
         runner = ThreadPoolExecutor(
             max_workers=min(config.max_in_flight, _MAX_WORKERS))
         find = partial(_find_each, transport)
-        find_args = [(chunk,) for chunk in target_chunks]
+        find_args = [(tuple(target_list[i:i + _FIND_CHUNK]),)
+                     for i in range(0, len(target_list), _FIND_CHUNK)]
     ping = partial(_ping, transport)
     done_q: SimpleQueue = SimpleQueue()
     in_flight = 0

@@ -93,7 +93,8 @@ def hash_prefix(digest: bytes, prefix_bits: int) -> int:
 
 
 def precompute_targets(prefix_bits: int,
-                       rng_seed: int | None = None) -> dict[int, bytes]:
+                       rng_seed: int | np.random.SeedSequence | None = None
+                       ) -> dict[int, bytes]:
     """One 64-byte identity per hash prefix in [0, 2**prefix_bits).
 
     Identities are drawn at random and bucketed by the leading bits of

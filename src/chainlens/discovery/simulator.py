@@ -3,18 +3,24 @@
 Every peer holds a fixed routing table; find_node answers with the k table
 entries closest to the queried target. Unreachable peers never answer.
 Churn makes individual queries fail as a pure function of (operation, peer,
-target) under the overlay seed, so identical runs see identical failures.
+target) under the overlay seed, so identical runs see identical failures:
+every node id has one 64-bit key, a keyed blake2b digest under the overlay
+seed, and every target the top 64 bits of its Keccak digest. A find query
+is dropped when splitmix64(peer key ^ target key) falls below churn * 2**64,
+a ping when splitmix64(peer key ^ _PING) does.
 
-find_nodes answers a whole chunk of targets for one peer: it ranks the
-peer's table against every answered target in one vectorised XOR pass, over
-target digests the caller hashed beforehand (the crawler hashes all of a
-crawl's targets in one Keccak batch), so it makes no Keccak call itself.
+find_nodes answers a whole list of targets for one peer: it draws churn for
+every target and ranks the peer's table against every answered one in one
+vectorised pass, over target digests the caller hashed beforehand (the
+crawler hashes all of a crawl's targets in one Keccak batch), so it makes
+no Keccak or blake2b call itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +29,24 @@ from ..errors import QueryTimeout
 from .identity import (HASH_LEN, NODE_ID_LEN, PeerInfo, closest, hash_ints,
                        key_table, node_hash)
 
-_CHURN_SCALE = float(1 << 64)
 _NO_TABLE = ([], [])
 _LANES = HASH_LEN // 8
+_MASK64 = (1 << 64) - 1
+_PING = 0x70696E67_00000000  # b"ping": the target key a ping draws against
+
+
+def _splitmix64(z: int) -> int:
+    """The splitmix64 finaliser of a 64-bit integer."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """`_splitmix64` of every element of a uint64 array (products wrap)."""
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> np.uint64(31)
 
 
 def digest_lanes(digests: Sequence[bytes]) -> np.ndarray:
@@ -61,8 +82,9 @@ class GroundTruth:
 class SimTransport:
     """In-memory DiscoveryTransport over a generated topology.
 
-    Every id in a routing table is hashed once, in one batch, when the
-    transport is built; a query then only ranks precomputed digests.
+    Every id in a routing table is hashed once, in one batch, and keyed for
+    churn when the transport is built; a query then only ranks precomputed
+    digests.
     """
 
     def __init__(self, tables: dict[bytes, list[PeerInfo]],
@@ -77,33 +99,41 @@ class SimTransport:
         self._lanes = {node_id: _ranking_lanes(keys)
                        for node_id, (keys, _) in self._tables.items()}
         self._unreachable = unreachable
-        self._churn = churn_failure_rate
         self._k = neighbor_k
         self._seed_tag = seed_tag
+        # a draw below this drops the query
+        self._threshold = int(churn_failure_rate * (1 << 64))
+        self._keys = {node_id: self._churn_key(node_id)
+                      for node_id in chain(tables, hash_of)}
 
-    def _churn_drop(self, *parts: bytes) -> bool:
-        if self._churn <= 0.0:
-            return False
-        return self._drops(hashlib.blake2b(b"".join(parts), key=self._seed_tag,
-                                           digest_size=8))
+    def _churn_key(self, node_id: bytes) -> int:
+        return int.from_bytes(hashlib.blake2b(node_id, key=self._seed_tag,
+                                              digest_size=8).digest(), "big")
 
-    def _drops(self, hasher) -> bool:
-        drawn = int.from_bytes(hasher.digest(), "big") / _CHURN_SCALE
-        return drawn < self._churn
+    def _key_of(self, node_id: bytes) -> int:
+        """A node id's churn key; an id off the overlay is keyed once."""
+        key = self._keys.get(node_id)
+        if key is None:
+            key = self._keys[node_id] = self._churn_key(node_id)
+        return key
+
+    def _drops(self, peer: PeerInfo, target_key: int) -> bool:
+        return (self._threshold > 0 and _splitmix64(
+            self._key_of(peer.node_id) ^ target_key) < self._threshold)
 
     def ping_pong(self, peer: PeerInfo) -> bool:
         if peer.node_id in self._unreachable:
             return False
         if peer.node_id not in self._tables:
             return False  # address not part of the overlay at all
-        return not self._churn_drop(b"ping", peer.node_id)
+        return not self._drops(peer, _PING)
 
     def find_node(self, peer: PeerInfo, target: bytes) -> list[PeerInfo]:
         if peer.node_id in self._unreachable:
             raise QueryTimeout(f"peer {peer.ip}:{peer.port} unreachable")
-        if self._churn_drop(b"find", peer.node_id, target):
-            raise QueryTimeout(f"query to {peer.ip}:{peer.port} dropped")
         target_int = int.from_bytes(node_hash(target), "big")
+        if self._drops(peer, target_int >> 64 * (_LANES - 1)):
+            raise QueryTimeout(f"query to {peer.ip}:{peer.port} dropped")
         return closest(self._tables.get(peer.node_id, _NO_TABLE), target_int,
                        self._k)
 
@@ -119,29 +149,30 @@ class SimTransport:
         """
         if peer.node_id in self._unreachable:
             return [], len(targets) > 0
-        answered = list(range(len(targets)))
-        if self._churn > 0.0:
-            # the keyed digest of b"find" + node id + target, as in
-            # _churn_drop, with the common prefix absorbed once
-            primed = hashlib.blake2b(b"find" + peer.node_id,
-                                     key=self._seed_tag, digest_size=8)
-            answered = []
-            for row, target in enumerate(targets):
-                hasher = primed.copy()
-                hasher.update(target)
-                if not self._drops(hasher):
-                    answered.append(row)
-        failed = len(answered) < len(targets)
+        answered = target_lanes
+        failed = False
+        if self._threshold > 0:
+            # _drops for every target at once: its key is the top lane
+            draws = _splitmix64_array(
+                target_lanes[:, 0] ^ np.uint64(self._key_of(peer.node_id)))
+            kept = draws >= np.uint64(self._threshold)
+            failed = not kept.all()
+            if failed:
+                answered = target_lanes[kept]
         peers = self._tables.get(peer.node_id, _NO_TABLE)[1]
-        if not peers or not answered:
+        if not peers or not len(answered):
             return [], failed
         # rank positions stably by distance, as closest does: ties keep the
         # table's (node id, position) order
         lanes = self._lanes[peer.node_id]
-        wanted = target_lanes[answered, len(lanes) - 1::-1].T[:, :, None]
-        order = np.lexsort(wanted ^ lanes, axis=-1)
-        ranked = order[:, :self._k].ravel().tolist()
-        return [peers[i] for i in dict.fromkeys(ranked)], failed
+        wanted = answered[:, len(lanes) - 1::-1].T[:, :, None]
+        ranked = np.lexsort(wanted ^ lanes, axis=-1)[:, :self._k].ravel()
+        # each position once, in the order of its first place in `ranked`
+        first = np.full(len(peers), ranked.size)
+        np.minimum.at(first, ranked, np.arange(ranked.size))
+        seen = np.flatnonzero(first < ranked.size)
+        seen = seen[np.argsort(first[seen])].tolist()
+        return [peers[i] for i in seen], failed
 
 
 def build_sim_overlay(n_peers: int, degree: int,

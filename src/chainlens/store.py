@@ -8,6 +8,7 @@ integers so fee totals carry no float drift.
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 from datetime import datetime, timezone
 from pathlib import Path
@@ -271,6 +272,10 @@ def _row_to_tx(row: tuple) -> Transaction:
 RecordSource = Iterable[str] | IO[str] | str | Path
 
 
+# what surrogateescape decodes a byte that is not UTF-8 to
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def read_records(source: RecordSource, types: tuple[str, ...],
                  parse: Callable[[dict], T],
                  reject: Callable[[int, ChainLensError], None] | None = None
@@ -283,10 +288,12 @@ def read_records(source: RecordSource, types: tuple[str, ...],
     an accepted type, raises SchemaViolation on field "type"; a FieldError
     from `parse` is a SchemaViolation on its field, and a ChainLensError
     from `parse` is raised as it is. With a `reject` callback, the error
-    goes to it instead and reading goes on.
+    goes to it instead and reading goes on. A file is decoded line by line:
+    a line that is not UTF-8 is MalformedJson.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        # an undecodable byte reads as a lone surrogate, found below
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
             yield from read_records(fh, types, parse, reject)
         return
     for line_no, line in enumerate(source, start=1):
@@ -294,6 +301,9 @@ def read_records(source: RecordSource, types: tuple[str, ...],
         if not line:
             continue
         try:
+            if not line.isascii() and (bad := _UNDECODED.search(line)):
+                raise MalformedJson(line_no, "not UTF-8: undecodable byte "
+                                    f"0x{ord(bad.group()) & 0xFF:02x}")
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise FieldError("type", "line is not an object")

@@ -107,6 +107,34 @@ def test_lone_surrogate_address_is_a_rejected_line(tmp_path, capsys):
                     "--chain", "nmc", "--strict"]) == 2
 
 
+def test_undecodable_byte_is_a_rejected_line(tmp_path, capsys):
+    source = tmp_path / "nmc.ndjson"
+    source.write_bytes(block_line("nmc", 0, 100, []).encode() + b"\nabc\xff\n"
+                       + block_line("nmc", 1, 200, []).encode() + b"\n")
+    out = run_ok(capsys, ["--db", str(tmp_path / "db"), "ingest", str(source),
+                          "--chain", "nmc"])
+    assert parse_csv(out.out)[1] == ["2", "0", "1"]
+    assert out.err == ("rejected line 2: line 2: malformed JSON: not UTF-8: "
+                       "undecodable byte 0xff\n")
+    assert run_cli(["--db", str(tmp_path / "db2"), "ingest", str(source),
+                    "--chain", "nmc", "--strict"]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: malformed JSON: not UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eth", "classify", "--internal"], ["eth", "classify", "--terminated"],
+    ["eth", "probe", "--gas-fixture"]], ids=["internal", "terminated", "gas"])
+def test_side_file_byte_not_utf8_is_a_data_error(eth_db, tmp_path, capsys,
+                                                 argv):
+    side = tmp_path / "side.ndjson"
+    side.write_bytes(b"\n{\"type\": \"\xc3\"}\n")
+    assert run_cli(["--db", eth_db, *argv, str(side)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: malformed JSON: not UTF-8: undecodable byte 0xc3" in err
+    assert "Traceback" not in err
+
+
 def test_ingest_rejects_integers_past_sqlite_range(tmp_path, capsys):
     source = tmp_path / "big.ndjson"
     big = json.loads(block_line("eth", 1, 100, []))
@@ -678,6 +706,18 @@ def test_crawl_sim(tmp_path, capsys):
     assert doc["unique_node_ids"] == 30
     assert doc["countries"] == [["ZZ", 30]]
     assert run_cli(["crawl"]) == 1
+
+
+def test_seeded_topology_gives_a_deterministic_crawl(tmp_path, capsys):
+    topology = tmp_path / "topo.json"
+    topology.write_text(json.dumps({"n_peers": 200, "degree": 10,
+                                    "unreachable_fraction": 0.05,
+                                    "churn": 0.05, "seed": 7}))
+    argv = ["crawl", "--sim", str(topology), "--prefix-bits", "5"]
+    first = run_ok(capsys, argv).out
+    assert run_ok(capsys, argv).out == first
+    # the topology's seed stands for an absent --seed
+    assert run_ok(capsys, [*argv, "--seed", "7"]).out == first
 
 
 def test_crawl_refuses_csv_format(tmp_path, capsys):

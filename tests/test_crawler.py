@@ -1,10 +1,13 @@
 """Overlay crawler on simulated transports."""
 
 import json
+import math
 import random
 import sys
 import threading
+from collections import deque
 
+import numpy as np
 import pytest
 
 from chainlens import keccak
@@ -46,11 +49,131 @@ def test_unreachable_peers_stay_out():
     assert failed_addrs <= unreachable_addrs
 
 
+def _crawl_targets(prefix_bits, seed):
+    """The targets a crawl configured with `seed` draws."""
+    targets = precompute_targets(prefix_bits,
+                                 np.random.SeedSequence(seed).spawn(1)[0])
+    return [targets[p] for p in sorted(targets)]
+
+
+def _closure(transport, seeds, targets):
+    """The node ids a crawl from `seeds` must admit, asked one at a time.
+
+    A peer is admitted when its one ping succeeds; every peer that an
+    admitted peer's find_node returns for a target is then pinged once.
+    """
+    claimed = {p.node_id for p in seeds}
+    queue = deque(seeds)
+    admitted = set()
+    while queue:
+        peer = queue.popleft()
+        if not transport.ping_pong(peer):
+            continue
+        admitted.add(peer.node_id)
+        for target in targets:
+            try:
+                answer = transport.find_node(peer, target)
+            except QueryTimeout:
+                continue
+            for candidate in answer:
+                if candidate.node_id not in claimed:
+                    claimed.add(candidate.node_id)
+                    queue.append(candidate)
+    return admitted
+
+
 def test_churn_still_converges():
+    # a dropped ping is permanent for that peer, so the crawl finds what
+    # churn leaves reachable from the seeds: exactly the closure
     report, truth = _crawl_overlay(50, 10, seed=8, churn_failure_rate=0.2)
     found = {p.node_id for p in report.known_peers}
     assert found <= truth.reachable_ids
-    assert len(found) >= 0.9 * len(truth.reachable_ids)
+    transport, _ = build_sim_overlay(50, 10, rng_seed=8,
+                                     churn_failure_rate=0.2)
+    reachable = [p for p in truth.peers if p.node_id in truth.reachable_ids]
+    assert found == _closure(transport, reachable[:3], _crawl_targets(6, 8))
+
+
+def _binomial_interval(n, p, level=0.999):
+    """The central `level` interval of Binomial(n, p), from its exact pmf."""
+    tail = (1 - level) / 2
+    log_p, log_q = math.log(p), math.log1p(-p)
+    cdf, low = 0.0, None
+    for k in range(n + 1):
+        cdf += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                        - math.lgamma(n - k + 1) + k * log_p
+                        + (n - k) * log_q)
+        if low is None and cdf > tail:
+            low = k
+        if cdf >= 1 - tail:
+            return low, k
+    return low, n
+
+
+@pytest.mark.parametrize("churn", [0.002, 0.2])
+def test_churn_drops_its_share_of_draws(churn):
+    rng = random.Random(churn)
+    peers = [PeerInfo(rng.randbytes(NODE_ID_LEN), "192.0.2.1", 1)
+             for _ in range(100_000)]
+    transport = SimTransport({p.node_id: [] for p in peers}, frozenset(),
+                             churn, 16, b"rate")
+    targets = [rng.randbytes(NODE_ID_LEN) for _ in range(200)]
+    pings = sum(not transport.ping_pong(p) for p in peers)
+    finds = 0
+    for peer in peers[:500]:
+        for target in targets:
+            try:
+                transport.find_node(peer, target)
+            except QueryTimeout:
+                finds += 1
+    low, high = _binomial_interval(100_000, churn)
+    assert low <= pings <= high
+    assert low <= finds <= high
+
+
+def test_targets_are_not_overlay_peers(monkeypatch):
+    # the bench topology: one --seed builds the overlay and seeds the crawl
+    seed = random.Random("sim-crawl:2").randrange(1 << 31)
+    transport, truth = build_sim_overlay(1000, 20, unreachable_fraction=0.05,
+                                         churn_failure_rate=0.002,
+                                         rng_seed=seed)
+    drawn = []
+
+    def spy(prefix_bits, rng_seed):
+        drawn.append(precompute_targets(prefix_bits, rng_seed))
+        return drawn[-1]
+
+    monkeypatch.setattr(crawler, "precompute_targets", spy)
+    reachable = [p for p in truth.peers if p.node_id in truth.reachable_ids]
+    crawl(transport, reachable[:3], CrawlConfig(prefix_bits=7, rng_seed=seed))
+    [targets] = drawn
+    assert len(targets) == 128
+    assert not set(targets.values()) & truth.all_ids
+
+
+def test_sim_crawl_asks_each_admitted_peer_once(monkeypatch):
+    transport, truth = build_sim_overlay(120, 10, unreachable_fraction=0.1,
+                                         churn_failure_rate=0.05, rng_seed=17)
+    # every overlay id was keyed for churn when the transport was built
+    monkeypatch.setattr(simulator, "hashlib", None)
+    admitted, asked = [], []
+    ping_pong, find_nodes = transport.ping_pong, transport.find_nodes
+
+    def counting_ping(peer):
+        answered = ping_pong(peer)
+        if answered:
+            admitted.append(peer.node_id)
+        return answered
+
+    def counting_find(peer, targets, lanes):
+        asked.append((peer.node_id, len(targets)))
+        return find_nodes(peer, targets, lanes)
+
+    transport.ping_pong, transport.find_nodes = counting_ping, counting_find
+    seeds = [p for p in truth.peers if p.node_id in truth.reachable_ids][:3]
+    report = crawl(transport, seeds, CrawlConfig(prefix_bits=7, rng_seed=17))
+    assert sorted(asked) == sorted((node_id, 128) for node_id in admitted)
+    assert set(admitted) == {p.node_id for p in report.known_peers}
 
 
 def test_deterministic_reports_same_seed():
@@ -178,10 +301,9 @@ def test_sim_crawl_hashes_each_target_once_and_no_peer(monkeypatch):
         return batch(messages)
 
     monkeypatch.setattr(crawler, "keccak256_batch", counting_batch)
-    # targets drawn from a seed other than the overlay's, so that no target
-    # is a peer id that endpoint_stats hashes as well
-    targets = precompute_targets(4, rng_seed=10)
-    target_list = [targets[p] for p in sorted(targets)]
+    # the crawl draws its targets from a seed spawned from its own, so that
+    # no target is a peer id that endpoint_stats hashes as well
+    target_list = _crawl_targets(4, 10)
     transport, truth = build_sim_overlay(80, 10, rng_seed=9)
     node_hash.cache_clear()
     crawl(transport, truth.peers[:3], CrawlConfig(prefix_bits=4, rng_seed=10))

@@ -1,9 +1,10 @@
 """Bootstrap-quality measurement: DNS seed harvesting and port probing.
 
-Resolver and Prober are small interfaces with three implementations each:
-scripted (exact fixtures), simulated (seeded randomness), and live (real
-DNS / TCP). Only the first two run in the offline test gate; the live ones
-exist for actual measurements and use conservative single-attempt probes.
+Resolver and Prober are small interfaces. Each has a scripted (exact
+fixtures), a simulated (seeded randomness) and a live (real DNS / TCP)
+implementation, and a round-robin resolver cycles through a fixed pool.
+Only the live ones stay out of the offline test gate; they exist for
+actual measurements and use conservative single-attempt probes.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date
 
-from ..errors import AuxPowBeforeActivation, EmptyChain, MalformedNameOp
-from ..model import (ChainKind, NameOpKind, NameOpPayload, Transaction,
-                     iso_week_key, tally_periods, utc_date)
+from ..errors import AuxPowBeforeActivation, EmptyChain
+from ..model import ChainKind, NameOpKind, iso_week_key, tally_periods, utc_date
 from ..store import Store
 
 log = logging.getLogger(__name__)
@@ -27,37 +26,15 @@ class FeeSchedule:
     expiry_window_blocks: int = 36_000
 
 
-def classify_name_op(tx: Transaction) -> NameOpPayload | None:
-    """Validated name-op payload of a Namecoin transaction, if any.
-
-    A name_new announces only a hash (the name stays hidden until the
-    reveal); the other two operations must carry the plain name.
-    """
-    if tx.chain is not ChainKind.NAMECOIN:
-        raise ValueError("not a Namecoin transaction")
-    op = tx.name_op
-    if op is None:
-        return None
-    if op.kind is NameOpKind.NEW:
-        if not op.name_hash:
-            raise MalformedNameOp(f"tx {tx.hash}: name_new without a name hash")
-    else:
-        if not op.name:
-            raise MalformedNameOp(
-                f"tx {tx.hash}: {op.kind.value} without a name")
-    return op
-
-
 def weekly_fee_sums(store: Store) -> list[tuple[str, str, int]]:
     """(ISO week, op kind, sum of actually paid fees) rows, zero-filled.
 
     Only operation kinds that occur at all get rows; weeks inside the
     observed span with no operations of such a kind are emitted with 0.
     """
-    # an orphan's op is checked too, so a malformed one still raises
-    items = ((block_time, op.kind, op.paid_fee)
+    items = ((block_time, tx.name_op.kind, tx.name_op.paid_fee)
              for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN)
-             if (op := classify_name_op(tx)) is not None)
+             if tx.name_op is not None)
     rows = tally_periods(items, iso_week_key)
     kinds = [kind for kind in NameOpKind
              if any(kind in by_kind for _, by_kind in rows)]
@@ -107,14 +84,12 @@ def merge_mine_split(store: Store,
     if not saw_block:
         raise EmptyChain(ChainKind.NAMECOIN.value)
     for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN):
-        # an orphan's op is checked too, so a malformed one still raises
-        op = classify_name_op(tx)
         if block_time is None:
             continue
         merged = tx.block_height in merged_heights
         counts["txs"][merged] += 1
-        if op is not None:
-            counts[f"name_{op.kind.value}"][merged] += 1
+        if tx.name_op is not None:
+            counts[f"name_{tx.name_op.kind.value}"][merged] += 1
     return MergeMineSplit(rows={m: (c[0], c[1]) for m, c in counts.items()})
 
 
@@ -134,7 +109,7 @@ def build_name_histories(store: Store) -> dict[str, NameHistory]:
     """
     histories: dict[str, NameHistory] = {}
     for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN):
-        op = classify_name_op(tx)
+        op = tx.name_op
         if op is None or op.kind is NameOpKind.NEW:
             continue
         history = histories.setdefault(op.name, NameHistory(name=op.name))

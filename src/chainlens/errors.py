@@ -57,10 +57,6 @@ class ExecutorFailure(ChainLensError):
 
 # --- Namecoin / Peercoin ----------------------------------------------------
 
-class MalformedNameOp(ChainLensError):
-    pass
-
-
 class AuxPowBeforeActivation(ChainLensError):
     def __init__(self, height: int, activation_height: int):
         self.height = height
@@ -68,12 +64,6 @@ class AuxPowBeforeActivation(ChainLensError):
         super().__init__(
             f"merge-mined block at height {height} predates activation "
             f"height {activation_height}")
-
-
-class MissingProofTag(ChainLensError):
-    def __init__(self, height: int):
-        self.height = height
-        super().__init__(f"Peercoin block at height {height} lacks a proof tag")
 
 
 # --- discovery crawler ------------------------------------------------------
@@ -95,18 +85,3 @@ class InvalidHex(ChainLensError):
         super().__init__(f"invalid hex at digit {position}"
                          + (f": {detail}" if detail else ""))
 
-
-# --- report joins -----------------------------------------------------------
-
-class MalformedRateRow(ChainLensError):
-    def __init__(self, line_no: int, detail: str = ""):
-        self.line_no = line_no
-        super().__init__(f"rate table line {line_no} is malformed"
-                         + (f": {detail}" if detail else ""))
-
-
-class MalformedGeoRow(ChainLensError):
-    def __init__(self, line_no: int, detail: str = ""):
-        self.line_no = line_no
-        super().__init__(f"geo table line {line_no} is malformed"
-                         + (f": {detail}" if detail else ""))

@@ -1,19 +1,1 @@
 """Ethereum ledger analytics: contracts, classification, probing, similarity."""
-
-from .classify import TxClass, classify_transaction, monthly_class_counts, zombie_report
-from .contracts import (ContractRecord, ContractRegistry, CreatorKind,
-                        build_contract_registry, derive_contract_address,
-                        find_precreation_funding, lifetime_histogram)
-from .probe import (GasPolicy, ProbeResult, RefundDestination,
-                    SelectorDictionary, function_selector, probe_suicidal)
-from .similarity import SimilarityBuckets, bucket_similarity, levenshtein
-
-__all__ = [
-    "TxClass", "classify_transaction", "monthly_class_counts", "zombie_report",
-    "ContractRecord", "ContractRegistry", "CreatorKind",
-    "build_contract_registry", "derive_contract_address",
-    "find_precreation_funding", "lifetime_histogram",
-    "GasPolicy", "ProbeResult", "RefundDestination", "SelectorDictionary",
-    "function_selector", "probe_suicidal",
-    "SimilarityBuckets", "bucket_similarity", "levenshtein",
-]

@@ -155,23 +155,18 @@ def str_list_field(obj: dict, key: str, default: Any = REQUIRED,
 LineSource = Iterable[str] | str | Path
 
 
-def _line_error(line_no: int, detail: str) -> ValueError:
-    return ValueError(f"line {line_no}: {detail}")
-
-
 def read_lines(source: LineSource, parse: Callable[[str], T] = str,
-               error: Callable[[int, str], Exception] = _line_error,
                header: Callable[[str], bool] | None = None) -> list[T]:
     """parse(text) of each line of a list file (a path or lines), where
     `text` is the line up to any `#`, stripped.
 
     A line left blank is skipped but counted, as is line 1 when
-    `header(text)` is true. A ValueError from `parse` is raised as
-    error(line number, detail).
+    `header(text)` is true. A ValueError from `parse` is raised again
+    with `line N: ` before its message.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            return read_lines(fh, parse, error, header)
+            return read_lines(fh, parse, header)
     values = []
     for line_no, line in enumerate(source, start=1):
         text = line.split("#", 1)[0].strip()
@@ -180,24 +175,22 @@ def read_lines(source: LineSource, parse: Callable[[str], T] = str,
         try:
             values.append(parse(text))
         except ValueError as exc:
-            raise error(line_no, str(exc)) from None
+            raise ValueError(f"line {line_no}: {exc}") from None
     return values
 
 
 def read_table(source: LineSource, header: tuple[str, ...], width: int,
-               parse: Callable[[list[str]], T],
-               error: Callable[[int, str], Exception] = _line_error
-               ) -> list[T]:
+               parse: Callable[[list[str]], T]) -> list[T]:
     """parse(stripped cells) of each row of a CSV table, read as
     `read_lines` reads; line 1 is a header when its first cell is in
-    `header`, in any case. A row not `width` cells wide raises `error`."""
+    `header`, in any case. A row not `width` cells wide is a bad line."""
     def row(text: str) -> T:
         cells = [cell.strip() for cell in next(csv.reader([text]))]
         if len(cells) != width:
             raise ValueError(f"expected {width} fields, got {len(cells)}")
         return parse(cells)
 
-    return read_lines(source, row, error, lambda text: next(
+    return read_lines(source, row, lambda text: next(
         csv.reader([text]))[0].strip().lower() in header)
 
 

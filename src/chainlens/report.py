@@ -18,7 +18,6 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import MalformedGeoRow, MalformedRateRow
 from .model import LineSource, read_table
 
 log = logging.getLogger(__name__)
@@ -41,7 +40,7 @@ def _rate_row(cells: list[str]) -> tuple[str, Decimal]:
 
 def read_rate_table(source: LineSource) -> dict[str, Decimal]:
     """Parse a week→USD-per-coin CSV; a header row is allowed but optional."""
-    return dict(read_table(source, ("week",), 2, _rate_row, MalformedRateRow))
+    return dict(read_table(source, ("week",), 2, _rate_row))
 
 
 def join_usd(weekly_rows: Iterable[tuple[str, str, int]],
@@ -79,8 +78,7 @@ def _geo_row(cells: list[str]) -> tuple[ipaddress.IPv4Network, str]:
 
 def read_geo_table(source: LineSource) -> list[tuple[ipaddress.IPv4Network, str]]:
     """Parse a CIDR-or-IP→country CSV into networks sorted for longest-prefix match."""
-    nets = read_table(source, ("cidr", "ip", "network"), 2, _geo_row,
-                      MalformedGeoRow)
+    nets = read_table(source, ("cidr", "ip", "network"), 2, _geo_row)
     # widest first so a later, more specific rule overrides during lookup
     nets.sort(key=lambda item: item[0].prefixlen)
     return nets

@@ -344,7 +344,10 @@ def _parse_block(obj: dict, chain: ChainKind) -> tuple:
         raise FieldError("txs", "duplicate transaction hashes")
     auxpow = bool_field(obj, "auxpow", default=None)
     proof = obj.get("proof")
-    if proof is not None and proof not in ("pow", "pos"):
+    if proof is None:
+        if chain is ChainKind.PEERCOIN:
+            raise FieldError("proof", "is required on a 'ppc' block")
+    elif proof not in ("pow", "pos"):
         raise FieldError("proof", "must be 'pow' or 'pos'")
     return (chain.value, height, hex_field(obj, "hash", 32),
             hex_field(obj, "parent", 32), time_,
@@ -353,7 +356,11 @@ def _parse_block(obj: dict, chain: ChainKind) -> tuple:
 
 
 def _parse_name_op(obj: dict) -> str | None:
-    """The stored JSON text of a tx's name op, or None if it has none."""
+    """The stored JSON text of a tx's name op, or None if it has none.
+
+    A name_new commits to a hash and hides the name until the reveal, so
+    it needs `name_hash`; a name_firstupdate or name_update needs `name`.
+    """
     raw = obj.get("name_op")
     if raw is None:
         return None
@@ -362,10 +369,14 @@ def _parse_name_op(obj: dict) -> str | None:
     op = {f"name_op.{key}": value for key, value in raw.items()}
     if op.get("name_op.kind") not in ("new", "firstupdate", "update"):
         raise FieldError("name_op.kind", "must be new|firstupdate|update")
+    name = str_field(op, "name_op.name", None)
+    name_hash = str_field(op, "name_op.name_hash", None)
+    required = "name_op.name_hash" if raw["kind"] == "new" else "name_op.name"
+    if not op.get(required):
+        raise FieldError(required, "must be a non-empty string in a "
+                                   f"{raw['kind']!r} op")
     return json.dumps({
-        "kind": raw["kind"],
-        "name": str_field(op, "name_op.name", None),
-        "name_hash": str_field(op, "name_op.name_hash", None),
+        "kind": raw["kind"], "name": name, "name_hash": name_hash,
         "paid_fee": str(amount_field(op, "name_op.paid_fee", 0))})
 
 

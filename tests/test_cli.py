@@ -152,6 +152,36 @@ def test_ingest_rejects_integers_past_sqlite_range(tmp_path, capsys):
     assert "line 2: invalid field 'height'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("chain, record, field", [
+    ("nmc", {"name_op": {"kind": "new", "paid_fee": "1"}},
+     "name_op.name_hash"),
+    ("nmc", {"name_op": {"kind": "firstupdate", "name_hash": "ab"}},
+     "name_op.name"),
+    ("nmc", {"name_op": {"kind": "firstupdate", "name": ""}}, "name_op.name"),
+    ("nmc", {"name_op": {"kind": "update"}}, "name_op.name"),
+    ("nmc", {"name_op": {"kind": "update", "name": ""}}, "name_op.name"),
+    ("ppc", None, "proof"),
+], ids=["new without name_hash", "firstupdate without name",
+        "firstupdate with empty name", "update without name",
+        "update with empty name", "ppc block without proof"])
+def test_ingest_refuses_a_record_its_analysis_cannot_read(
+        tmp_path, capsys, chain, record, field):
+    line = (block_line(chain, 1, 200, []) if record is None else
+            tx_line(chain, h32(1), 0, 0, "Nabc", None, **record))
+    source = tmp_path / "in.ndjson"
+    source.write_text(block_line(chain, 0, 100, [], proof="pow") + "\n"
+                      + line + "\n")
+    out = run_ok(capsys, ["--db", str(tmp_path / "db"), "ingest", str(source),
+                          "--chain", chain])
+    assert parse_csv(out.out)[1] == ["1", "0", "1"]
+    assert out.err.startswith(f"rejected line 2: line 2: invalid field "
+                              f"'{field}'")
+    assert run_cli(["--db", str(tmp_path / "db2"), "ingest", str(source),
+                    "--chain", chain, "--strict"]) == 2
+    err = capsys.readouterr().err
+    assert f"line 2: invalid field '{field}'" in err and "Traceback" not in err
+
+
 def test_tx_monthly_csv_and_json(eth_db, capsys):
     out = run_ok(capsys, ["--db", eth_db, "report", "tx-monthly",
                           "--chain", "eth"])
@@ -333,6 +363,11 @@ PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
     ("ips.txt", b"5.5.5.5\n6.6.\xff.6\n",
      ["bootstrap", "probe", "--ips", "ips.txt", "--port", "8333", "--script",
       "probes.json"], ("--ips", "utf-8")),
+    ("rates.csv", "week,usd\n2011-W18,abc\n", ["nmc", "fees", "--rates",
+                                                "rates.csv"],
+     ("--rates", "line 2:", "bad rate")),
+    ("geo.csv", "cidr,country\n10.0.0.0/8,\n", ["crawl", "--geo", "geo.csv"],
+     ("--geo", "line 2:", "empty country code")),
 ], ids=["reference without name", "reference without bytecode",
         "reference not an object", "references not a list",
         "topology without n_peers", "topology without degree",
@@ -343,7 +378,8 @@ PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
         "resolver rounds a string", "prober script not json",
         "prober script a list", "prober outcome unknown",
         "selector not 4 bytes", "signature magic not hex",
-        "signature row named by line", "ips line not UTF-8"])
+        "signature row named by line", "ips line not UTF-8",
+        "rate row named by line", "geo row named by line"])
 def test_malformed_input_file_is_usage_error(tmp_path, monkeypatch, capsys,
                                              name, content, argv, expected):
     # the other files are well formed, so only `name` is at fault; every

@@ -5,9 +5,9 @@ from datetime import datetime, timezone
 import pytest
 
 from chainlens.chains.peercoin import pos_pow_counts
-from chainlens.errors import EmptyChain, MissingProofTag
+from chainlens.errors import EmptyChain, SchemaViolation
 from chainlens.model import ChainKind
-from chainlens.store import Store
+from chainlens.store import Store, ingest_blocks
 
 from conftest import block_line, load_store
 
@@ -45,9 +45,14 @@ def test_counts_conserve_block_total():
 
 
 def test_missing_proof_tag_is_fatal():
+    # ingest refuses the block, so pos_pow_counts never sees it
     lines = [block_line("ppc", 0, _ts(2012, 9, 1), [])]
-    store = load_store(lines, ChainKind.PEERCOIN)
-    with pytest.raises(MissingProofTag):
+    store = Store(":memory:")
+    [rejected] = ingest_blocks(lines, ChainKind.PEERCOIN, store).rejected
+    assert (rejected.line_no, rejected.error.field) == (1, "proof")
+    with pytest.raises(SchemaViolation, match="line 1: invalid field 'proof'"):
+        ingest_blocks(lines, ChainKind.PEERCOIN, store, strict=True)
+    with pytest.raises(EmptyChain):
         pos_pow_counts(store)
     store.close()
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import chainlens
 from chainlens.cli import _bootnode, run_cli
-from chainlens.errors import MalformedGeoRow, MalformedRateRow
 from chainlens.eth.probe import SelectorDictionary, _selector_entry
 from chainlens.model import normalize_hex, read_lines
 from chainlens.poison import SignatureDb, SignatureEntry, load_signatures
@@ -67,15 +66,15 @@ def ref_rate_table(path):
             if line_no == 1 and row[0].strip().lower() == "week":
                 continue
             if len(row) != 2:
-                raise MalformedRateRow(line_no,
-                                       f"expected 2 fields, got {len(row)}")
+                raise ValueError(f"line {line_no}: "
+                                 f"expected 2 fields, got {len(row)}")
             week, rate_text = row[0].strip(), row[1].strip()
             try:
                 rate = Decimal(rate_text)
             except InvalidOperation:
-                raise MalformedRateRow(line_no, f"bad rate {rate_text!r}")
+                raise ValueError(f"line {line_no}: bad rate {rate_text!r}")
             if rate < 0:
-                raise MalformedRateRow(line_no, "negative rate")
+                raise ValueError(f"line {line_no}: negative rate")
             rates[week] = rate
     return rates
 
@@ -90,11 +89,11 @@ def ref_geo_table(path):
                                                             "network"):
                 continue
             if len(row) != 2:
-                raise MalformedGeoRow(line_no,
-                                      f"expected 2 fields, got {len(row)}")
+                raise ValueError(f"line {line_no}: "
+                                 f"expected 2 fields, got {len(row)}")
             net_text, country = row[0].strip(), row[1].strip()
             if not country:
-                raise MalformedGeoRow(line_no, "empty country code")
+                raise ValueError(f"line {line_no}: empty country code")
             try:
                 if "/" in net_text:
                     net = ipaddress.IPv4Network(net_text, strict=False)
@@ -102,7 +101,7 @@ def ref_geo_table(path):
                     net = ipaddress.IPv4Network(f"{net_text}/32")
             except (ipaddress.AddressValueError, ipaddress.NetmaskValueError,
                     ValueError):
-                raise MalformedGeoRow(line_no, f"bad network {net_text!r}")
+                raise ValueError(f"line {line_no}: bad network {net_text!r}")
             nets.append((net, country))
     nets.sort(key=lambda item: item[0].prefixlen)
     return nets
@@ -131,12 +130,9 @@ def _outcome(read, *args):
     """("ok", value), or ("error", class, line number or None)."""
     try:
         return ("ok", read(*args))
-    except (ValueError, MalformedRateRow, MalformedGeoRow) as exc:
-        line = getattr(exc, "line_no", None)
+    except ValueError as exc:
         found = re.match(r"(?:line|signature row) (\d+)", str(exc))
-        if line is None and found:
-            line = int(found.group(1))
-        return ("error", type(exc), line)
+        return ("error", type(exc), found and int(found.group(1)))
 
 
 def _write(lines, ending):
@@ -336,7 +332,7 @@ def test_a_nan_rate_is_a_bad_rate(tmp_path):
     # which the CLI did not catch
     path = tmp_path / "rates.csv"
     path.write_text("2011-W18,0.5\n2011-W19,NaN\n")
-    with pytest.raises(MalformedRateRow, match="line 2 .*bad rate 'NaN'"):
+    with pytest.raises(ValueError, match="^line 2: bad rate 'NaN'"):
         read_rate_table(path)
 
 

@@ -6,7 +6,6 @@ from decimal import Decimal
 
 import pytest
 
-from chainlens.errors import MalformedGeoRow, MalformedRateRow
 from chainlens.report import (emit_rows, join_country, join_usd,
                               lookup_country, read_geo_table,
                               read_rate_table, rows_to_csv, rows_to_json,
@@ -23,13 +22,12 @@ def test_read_rate_table_with_and_without_header():
 
 
 def test_read_rate_table_malformed_rows():
-    with pytest.raises(MalformedRateRow) as excinfo:
+    with pytest.raises(ValueError, match="^line 1: expected 2 fields"):
         read_rate_table(io.StringIO("2011-W18,0.5,extra\n"))
-    assert excinfo.value.line_no == 1
-    with pytest.raises(MalformedRateRow):
+    with pytest.raises(ValueError, match="^line 1: bad rate 'abc'"):
         read_rate_table(io.StringIO("2011-W18,abc\n"))
-    with pytest.raises(MalformedRateRow):
-        read_rate_table(io.StringIO("2011-W18,-1\n"))
+    with pytest.raises(ValueError, match="^line 2: negative rate"):
+        read_rate_table(io.StringIO("week,usd\n2011-W18,-1\n"))
 
 
 def test_read_rate_table_from_file(tmp_path):
@@ -65,12 +63,12 @@ def test_read_geo_table_sorted_by_prefix():
 
 
 def test_read_geo_table_malformed():
-    with pytest.raises(MalformedGeoRow):
+    with pytest.raises(ValueError, match="^line 1: expected 2 fields"):
         read_geo_table(io.StringIO("10.0.0.0/8\n"))
-    with pytest.raises(MalformedGeoRow):
+    with pytest.raises(ValueError, match="^line 1: bad network 'not-an-ip'"):
         read_geo_table(io.StringIO("not-an-ip,AA\n"))
-    with pytest.raises(MalformedGeoRow):
-        read_geo_table(io.StringIO("10.0.0.0/8,\n"))
+    with pytest.raises(ValueError, match="^line 2: empty country code"):
+        read_geo_table(io.StringIO("cidr,country\n10.0.0.0/8,\n"))
 
 
 def test_lookup_country_longest_prefix():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainlens
+from chainlens import errors
 from chainlens.errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                               EmptyChain, MalformedJson, SchemaViolation)
 from chainlens.eth.contracts import iter_creations
@@ -357,7 +358,7 @@ def _block_record(draw, height: int, tx_hashes: list[str]) -> dict:
             "proof": draw(st.sampled_from([None, "pow", "pos"]))}
 
 
-_NAME_OP = {"kind": "new", "name": "d/x", "name_hash": None, "paid_fee": "1"}
+_NAME_OP = {"kind": "new", "name": "d/x", "name_hash": "ab", "paid_fee": "1"}
 
 
 def _tx_record(draw, tx_hash: str, height: int, index: int) -> dict:
@@ -580,10 +581,13 @@ def _amount_form(draw):
     return draw(st.sampled_from([value, str(value)])), value
 
 
-def _maybe(draw, record: dict, key: str, forms, null: bool = True):
-    """Set record[key] to the form of a drawn (form, value), or to null if
-    `null`, or leave it absent; returns the value, None for null or absent."""
-    choice = draw(st.sampled_from(["absent", "set"] + ["null"] * null))
+def _maybe(draw, record: dict, key: str, forms, null: bool = True,
+           required: bool = False):
+    """Set record[key] to the form of a drawn (form, value); unless
+    `required`, maybe to null instead if `null`, or leave it absent;
+    returns the value, None for null or absent."""
+    choice = "set" if required else draw(
+        st.sampled_from(["absent", "set"] + ["null"] * null))
     if choice == "absent":
         return None
     if choice == "null":
@@ -594,18 +598,22 @@ def _maybe(draw, record: dict, key: str, forms, null: bool = True):
     return value
 
 
-_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+def _text(min_size: int = 0):
+    """(a string, itself), of text that UTF-8 can encode."""
+    return st.text(st.characters(blacklist_categories=("Cs",)),
+                   min_size=min_size, max_size=8).map(lambda t: (t, t))
 
 
 @st.composite
 def _name_op_form(draw):
-    """(a name_op record, its NameOpPayload); a `new` op has no name."""
+    """(a name_op record ingest accepts, its NameOpPayload): a `new` op has
+    a non-empty name_hash and no name, the others a non-empty name."""
     kind = draw(st.sampled_from(list(NameOpKind)))
     op = {"kind": kind.value}
-    name = None
-    if kind is not NameOpKind.NEW:
-        name = _maybe(draw, op, "name", _TEXT.map(lambda t: (t, t)))
-    name_hash = _maybe(draw, op, "name_hash", _TEXT.map(lambda t: (t, t)))
+    new = kind is NameOpKind.NEW
+    name = None if new else _maybe(draw, op, "name", _text(1), required=True)
+    name_hash = _maybe(draw, op, "name_hash", _text(1 if new else 0),
+                       required=new)
     paid_fee = _maybe(draw, op, "paid_fee", _amount_form(), null=False)
     return op, NameOpPayload(kind=kind, name=name, name_hash=name_hash,
                              paid_fee=paid_fee or 0)
@@ -613,7 +621,8 @@ def _name_op_form(draw):
 
 @st.composite
 def _encoding_case(draw):
-    """(chain, its records, the Blocks and the Transactions they stand for)."""
+    """(chain, its records, the Blocks and the Transactions they stand for);
+    every record is one that ingest accepts."""
     chain = draw(st.sampled_from(list(ChainKind)))
     digests = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=5,
                             unique=True))
@@ -634,7 +643,8 @@ def _encoding_case(draw):
         auxpow = _maybe(draw, record, "auxpow",
                         st.booleans().map(lambda b: (b, b)))
         proof = _maybe(draw, record, "proof",
-                       st.sampled_from(["pow", "pos"]).map(lambda p: (p, p)))
+                       st.sampled_from(["pow", "pos"]).map(lambda p: (p, p)),
+                       required=chain is ChainKind.PEERCOIN)
         records.append(record)
         blocks.append(Block(chain=chain, height=height, hash=hash_,
                             parent_hash=parent, timestamp=time_,
@@ -851,9 +861,14 @@ _REJECTED = {
         "name_op": [True, 1.5, "1", -1, []],
         "name_op.kind": [True, 1.5, "1", -1, None, "renew", _ABSENT],
         "name_op.name": [True, 1.5, -1],
-        "name_op.name_hash": [True, 1.5, -1],
+        # a `new` op commits to a non-empty hash
+        "name_op.name_hash": [True, 1.5, -1, None, "", _ABSENT],
         "name_op.paid_fee": [True, 1.5, -1, None, "-1"],
     },
+    # the other ops reveal or renew a non-empty name
+    "firstupdate tx": {"name_op.name": [None, "", _ABSENT]},
+    "update tx": {"name_op.name": [None, "", _ABSENT]},
+    "ppc block": {"proof": [None, _ABSENT]},
 }
 
 
@@ -871,23 +886,30 @@ def _with(record: dict, key: str, value) -> dict:
     return record
 
 
+_BASES = {"block": _BLOCK, "tx": _TX,
+          "firstupdate tx": _with(_TX, "name_op.kind", "firstupdate"),
+          "update tx": _with(_TX, "name_op.kind", "update"),
+          "ppc block": _with(_BLOCK, "chain", "ppc")}
+
+
 @pytest.mark.parametrize("kind, key, value", [
     pytest.param(kind, key, value,
                  id=f"{kind} {key}={'absent' if value is _ABSENT else value!r}")
     for kind, fields in _REJECTED.items()
     for key, values in fields.items() for value in values])
 def test_ingest_names_the_rejected_field(kind, key, value):
-    base = _BLOCK if kind == "block" else _TX
-    lines = [block_line("eth", 0, 500), "",
+    base = _BASES[kind]
+    chain = ChainKind(base["chain"])
+    lines = [block_line(chain.value, 0, 500, proof="pow"), "",
              json.dumps(_with(base, key, value))]
     store = Store(":memory:")
-    summary = ingest_blocks(lines, ChainKind.ETHEREUM, store)
+    summary = ingest_blocks(lines, chain, store)
     assert (summary.blocks_loaded, summary.txs_loaded) == (1, 0)
     [rejected] = summary.rejected
     assert isinstance(rejected.error, SchemaViolation)
     assert (rejected.line_no, rejected.error.field) == (3, key)
     with pytest.raises(SchemaViolation) as caught:
-        ingest_blocks(lines[2:], ChainKind.ETHEREUM, store, strict=True)
+        ingest_blocks(lines[2:], chain, store, strict=True)
     assert (caught.value.line_no, caught.value.field) == (1, key)
     store.close()
 
@@ -904,7 +926,7 @@ def test_ingest_names_the_rejected_field(kind, key, value):
     ("tx", "from", "0x" + "AA" * 20, "aa" * 20),
     ("tx", "name_op", _ABSENT, None),
     ("tx", "name_op.name", _ABSENT, None),
-    ("tx", "name_op.name_hash", _ABSENT, None),
+    ("firstupdate tx", "name_op.name_hash", _ABSENT, None),
     ("tx", "name_op.paid_fee", _ABSENT, 0),
     ("block", "txs", _ABSENT, []),
     ("block", "auxpow", _ABSENT, None),
@@ -912,7 +934,7 @@ def test_ingest_names_the_rejected_field(kind, key, value):
     ("block", "hash", "0x" + h32(0xB1).upper(), h32(0xB1)),
 ], ids=lambda value: "absent" if value is _ABSENT else repr(value))
 def test_ingest_field_forms_load_the_same_rows(kind, key, first, second):
-    base = _BLOCK if kind == "block" else _TX
+    base = _BASES[kind]
     if kind == "block":
         base = _with(base, "txs", [])
     stored = []
@@ -1016,3 +1038,24 @@ def test_store_writes_through_one_rule():
             and func.name in ("put_block", "put_tx")}
     assert puts == {"put_block": ["return self._put"],
                     "put_tx": ["return self._put"]}
+
+
+def test_every_error_class_is_raised():
+    # an error class that no code constructs or hands on is dead; a name
+    # that is only imported or caught does not count
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, ChainLensError)
+               and value is not ChainLensError}
+    package = Path(chainlens.__file__).parent
+    used = set()
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        caught = {id(node) for handler in ast.walk(tree)
+                  if isinstance(handler, ast.ExceptHandler) and handler.type
+                  for node in ast.walk(handler.type)}
+        used |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id in classes
+                 and id(node) not in caught}
+    assert sorted(classes - used) == []

@@ -83,11 +83,8 @@ class AppState:
         self._maybe_stamp()
 
     def _maybe_stamp(self) -> None:
-        if not self.stamp:
-            return
-        if self.out is None:
-            raise click.UsageError("--stamp requires --out")
-        write_stamp(self.out, self.argv)
+        if self.stamp:
+            write_stamp(self.out, self.argv)
 
 
 pass_state = click.make_pass_decorator(AppState)
@@ -134,6 +131,8 @@ def cli(ctx: click.Context, db_path: str, out: str | None, fmt: str,
         raise click.UsageError(
             f"--cutoff is honoured only by {' and '.join(_CUTOFF_COMMANDS)}, "
             f"not by {ctx.invoked_subcommand}")
+    if stamp and out is None:
+        raise click.UsageError("--stamp requires --out")
     if (ctx.invoked_subcommand == "crawl" and fmt == "csv"
             and ctx.get_parameter_source("fmt") is not ParameterSource.DEFAULT):
         raise click.UsageError("crawl writes JSON only; --format csv is refused")
@@ -154,7 +153,7 @@ def cmd_ingest(state: AppState, source: str, chain: str, strict: bool) -> None:
     with state.open_store() as store:
         summary = ingest_blocks(source, ChainKind(chain), store, strict=strict)
     for rejected in summary.rejected:
-        click.echo(f"rejected {rejected}", err=True)
+        click.echo(f"rejected {rejected.error}", err=True)
     state.emit_rows(("blocks", "txs", "rejected"),
                     [(summary.blocks_loaded, summary.txs_loaded,
                       summary.rejected_count)])
@@ -291,7 +290,7 @@ def cmd_eth_precreation(state: AppState, internal_path, terminated_path) -> None
               help="JSON-RPC endpoint of a node you control.")
 @click.option("--contracts", default=None,
               type=LoadedFile(partial(read_lines, parse=partial(
-                  normalize_hex, byte_len=20))),
+                  normalize_hex, byte_len=20), key="address {}".format)),
               help="Address list, one per line; defaults to every address "
                    "in the gas fixture.")
 @click.option("--selectors", "dictionary", default=None,

@@ -2,14 +2,15 @@
 
 The crawl keeps a FIFO work queue: newly admitted peers are queried for
 every precomputed target, and every previously unseen peer returned by a
-query is ping-ponged exactly once before admission. All bookkeeping runs on
-the coordinating thread. A live crawl runs transport calls on up to 32
-worker threads, one chunk of targets per task, and sends one find_node per
-target. A simulated one (SimTransport, in memory and CPU-bound) runs inline
-on the coordinating thread; it hashes all of the crawl's targets in one
-Keccak batch up front and answers each admitted peer's whole target list
-with one find_nodes call. Either way the final peer set is the closure of
-the seed set and does not depend on completion order or chunking.
+query is ping-ponged exactly once before admission. At most max_in_flight
+tasks are submitted at once; the coordinating thread takes their results
+in submission order and does all bookkeeping, so no claim depends on
+thread timing. A live crawl runs transport calls on up to 32 worker
+threads, one chunk of targets per task, and sends one find_node per
+target. A simulated one (SimTransport, in memory and CPU-bound) runs
+inline; it hashes all of the crawl's targets in one Keccak batch up front
+and answers each admitted peer's whole target list with one find_nodes
+call. Either way the final peer set is the closure of the seed set.
 
 The targets are drawn from a child of the configured seed, not the seed
 itself, so a simulated overlay built from the same seed shares no ids with
@@ -27,7 +28,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Protocol
 
 import numpy as np
@@ -168,26 +168,18 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
         find_args = [(tuple(target_list[i:i + _FIND_CHUNK]),)
                      for i in range(0, len(target_list), _FIND_CHUNK)]
     ping = partial(_ping, transport)
-    done_q: SimpleQueue = SimpleQueue()
-    in_flight = 0
+    # submitted tasks, oldest first; each result is taken from the head
+    window: deque[tuple[tuple, Future]] = deque()
     with runner as pool:
-        def submit(task: tuple) -> None:
-            nonlocal in_flight
-            future = pool.submit(ping if task[0] == "ping" else find,
-                                 *task[1:])
-            future.crawl_task = task  # type: ignore[attr-defined]
-            future.add_done_callback(done_q.put)
-            in_flight += 1
-
-        while work or in_flight:
-            while work and in_flight < config.max_in_flight:
-                submit(work.popleft())
-            future = done_q.get()
-            in_flight -= 1
-            task = future.crawl_task  # type: ignore[attr-defined]
+        while work or window:
+            while work and len(window) < config.max_in_flight:
+                task = work.popleft()
+                window.append((task, pool.submit(
+                    ping if task[0] == "ping" else find, *task[1:])))
+            task, future = window.popleft()
             outcome = future.result()
+            peer = task[1]
             if task[0] == "ping":
-                peer = task[1]
                 if outcome:
                     known[peer.node_id] = peer
                     for args in find_args:
@@ -195,7 +187,6 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
                 else:
                     failed.add((peer.ip, peer.port, "ping_pong"))
             else:
-                peer = task[1]
                 found, find_failed = outcome
                 if find_failed:
                     failed.add((peer.ip, peer.port, "find_node"))

@@ -1,13 +1,14 @@
 """Deterministic simulated discovery overlay for crawler testing.
 
 Every peer holds a fixed routing table; find_node answers with the k table
-entries closest to the queried target. Unreachable peers never answer.
-Churn makes individual queries fail as a pure function of (operation, peer,
-target) under the overlay seed, so identical runs see identical failures:
-every node id has one 64-bit key, a keyed blake2b digest under the overlay
-seed, and every target the top 64 bits of its Keccak digest. A find query
-is dropped when splitmix64(peer key ^ target key) falls below churn * 2**64,
-a ping when splitmix64(peer key ^ _PING) does.
+entries closest to the queried target. Only a reachable peer that owns a
+table answers. Churn makes its individual queries fail as a pure function
+of (operation, peer, target) under the overlay seed, so identical runs see
+identical failures: every answering peer has one 64-bit key, a keyed
+blake2b digest under the overlay seed, and every target the top 64 bits of
+its Keccak digest. A find query is dropped when splitmix64(peer key ^
+target key) falls below churn * 2**64, a ping when splitmix64(peer key ^
+_PING) does.
 
 find_nodes answers a whole list of targets for one peer: it draws churn for
 every target and ranks the peer's table against every answered one in one
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from ..errors import QueryTimeout
 from .identity import (HASH_LEN, NODE_ID_LEN, PeerInfo, closest, hash_ints,
                        key_table, node_hash)
 
-_NO_TABLE = ([], [])
 _LANES = HASH_LEN // 8
 _MASK64 = (1 << 64) - 1
 _PING = 0x70696E67_00000000  # b"ping": the target key a ping draws against
@@ -82,9 +81,10 @@ class GroundTruth:
 class SimTransport:
     """In-memory DiscoveryTransport over a generated topology.
 
-    Every id in a routing table is hashed once, in one batch, and keyed for
-    churn when the transport is built; a query then only ranks precomputed
-    digests.
+    Only a reachable peer that owns a routing table answers; the tables of
+    unreachable owners are dropped when the transport is built. Every id in
+    a kept table is hashed, in one batch, and every kept owner keyed for
+    churn, once; a query then only ranks precomputed digests.
     """
 
     def __init__(self, tables: dict[bytes, list[PeerInfo]],
@@ -92,50 +92,35 @@ class SimTransport:
                  neighbor_k: int, seed_tag: bytes):
         if neighbor_k < 1:
             raise ValueError("neighbor_k must be >= 1")
+        tables = {node_id: table for node_id, table in tables.items()
+                  if node_id not in unreachable}
         hash_of = hash_ints(p.node_id for table in tables.values()
                             for p in table)
         self._tables = {node_id: key_table(table, hash_of)
                         for node_id, table in tables.items()}
         self._lanes = {node_id: _ranking_lanes(keys)
                        for node_id, (keys, _) in self._tables.items()}
-        self._unreachable = unreachable
         self._k = neighbor_k
-        self._seed_tag = seed_tag
         # a draw below this drops the query
         self._threshold = int(churn_failure_rate * (1 << 64))
-        self._keys = {node_id: self._churn_key(node_id)
-                      for node_id in chain(tables, hash_of)}
-
-    def _churn_key(self, node_id: bytes) -> int:
-        return int.from_bytes(hashlib.blake2b(node_id, key=self._seed_tag,
-                                              digest_size=8).digest(), "big")
-
-    def _key_of(self, node_id: bytes) -> int:
-        """A node id's churn key; an id off the overlay is keyed once."""
-        key = self._keys.get(node_id)
-        if key is None:
-            key = self._keys[node_id] = self._churn_key(node_id)
-        return key
+        self._keys = {node_id: int.from_bytes(hashlib.blake2b(
+            node_id, key=seed_tag, digest_size=8).digest(), "big")
+            for node_id in tables}
 
     def _drops(self, peer: PeerInfo, target_key: int) -> bool:
         return (self._threshold > 0 and _splitmix64(
-            self._key_of(peer.node_id) ^ target_key) < self._threshold)
+            self._keys[peer.node_id] ^ target_key) < self._threshold)
 
     def ping_pong(self, peer: PeerInfo) -> bool:
-        if peer.node_id in self._unreachable:
-            return False
-        if peer.node_id not in self._tables:
-            return False  # address not part of the overlay at all
-        return not self._drops(peer, _PING)
+        return peer.node_id in self._tables and not self._drops(peer, _PING)
 
     def find_node(self, peer: PeerInfo, target: bytes) -> list[PeerInfo]:
-        if peer.node_id in self._unreachable:
+        if peer.node_id not in self._tables:
             raise QueryTimeout(f"peer {peer.ip}:{peer.port} unreachable")
         target_int = int.from_bytes(node_hash(target), "big")
         if self._drops(peer, target_int >> 64 * (_LANES - 1)):
             raise QueryTimeout(f"query to {peer.ip}:{peer.port} dropped")
-        return closest(self._tables.get(peer.node_id, _NO_TABLE), target_int,
-                       self._k)
+        return closest(self._tables[peer.node_id], target_int, self._k)
 
     def find_nodes(self, peer: PeerInfo, targets: Sequence[bytes],
                    target_lanes: np.ndarray) -> tuple[list[PeerInfo], bool]:
@@ -144,22 +129,22 @@ class SimTransport:
         `target_lanes` holds the targets' Keccak digests, row for row, as
         `digest_lanes` gives them. Returns the distinct table entries that
         the answered queries return, first seen in target order and then in
-        rank order, and whether any query failed (the peer is unreachable
-        or churn dropped it), where find_node would have raised.
+        rank order, and whether any query failed (the peer has no table or
+        churn dropped it), where find_node would have raised.
         """
-        if peer.node_id in self._unreachable:
+        if peer.node_id not in self._tables:
             return [], len(targets) > 0
         answered = target_lanes
         failed = False
         if self._threshold > 0:
             # _drops for every target at once: its key is the top lane
             draws = _splitmix64_array(
-                target_lanes[:, 0] ^ np.uint64(self._key_of(peer.node_id)))
+                target_lanes[:, 0] ^ np.uint64(self._keys[peer.node_id]))
             kept = draws >= np.uint64(self._threshold)
             failed = not kept.all()
             if failed:
                 answered = target_lanes[kept]
-        peers = self._tables.get(peer.node_id, _NO_TABLE)[1]
+        peers = self._tables[peer.node_id][1]
         if not peers or not len(answered):
             return [], failed
         # rank positions stably by distance, as closest does: ties keep the

@@ -13,28 +13,39 @@ class ChainLensError(Exception):
 
 # --- ledger store ---------------------------------------------------------
 
-class MalformedJson(ChainLensError):
+class LineError(ChainLensError):
+    """A fault in one input line; once `line_no` is known, the message
+    starts with `line N: `. The record reader sets it on a conflict."""
+
+    line_no: int | None = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.line_no is None else f"line {self.line_no}: {text}"
+
+
+class MalformedJson(LineError):
     def __init__(self, line_no: int, detail: str = ""):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: malformed JSON{': ' + detail if detail else ''}")
+        super().__init__(f"malformed JSON{': ' + detail if detail else ''}")
 
 
-class SchemaViolation(ChainLensError):
+class SchemaViolation(LineError):
     def __init__(self, line_no: int, field: str, detail: str = ""):
         self.line_no = line_no
         self.field = field
         self.detail = detail
-        msg = f"line {line_no}: invalid field '{field}'"
+        msg = f"invalid field '{field}'"
         super().__init__(msg + (f": {detail}" if detail else ""))
 
 
-class ConflictingBlock(ChainLensError):
+class ConflictingBlock(LineError):
     def __init__(self, height: int):
         self.height = height
         super().__init__(f"conflicting block at height {height}: different contents already stored")
 
 
-class ConflictingTx(ChainLensError):
+class ConflictingTx(LineError):
     def __init__(self, tx_hash: str):
         self.tx_hash = tx_hash
         super().__init__(f"conflicting tx {tx_hash}: different contents already stored")

@@ -77,16 +77,8 @@ class SelectorDictionary:
 
         A bad or duplicate entry raises ValueError naming its line.
         """
-        entries: dict[bytes, SelectorEntry] = {}
-
-        def add(text: str) -> None:
-            entry = _selector_entry(text)
-            if entry.selector in entries:
-                raise ValueError(f"duplicate selector 0x{entry.selector.hex()}")
-            entries[entry.selector] = entry
-
-        read_lines(source, add)
-        return cls(list(entries.values()))
+        return cls(read_lines(source, _selector_entry, key=lambda entry:
+                              f"selector 0x{entry.selector.hex()}"))
 
     @classmethod
     def default(cls) -> "SelectorDictionary":
@@ -206,7 +198,8 @@ class RpcExecutor:
 
     Termination is confirmed by the contract's code disappearing after the
     call; refund destinations are not observable without tracing, so they
-    come back as None. Not exercised by the offline test gate.
+    come back as None. A reply that is not a JSON-RPC result is an
+    ExecutorFailure.
     """
 
     def __init__(self, url: str, timeout: float = 10.0):
@@ -225,6 +218,10 @@ class RpcExecutor:
                 reply = json.load(resp)
         except OSError as exc:
             raise ExecutorFailure("rpc", str(exc))
+        except ValueError as exc:  # a body that is not JSON
+            raise ExecutorFailure("rpc", f"malformed reply: {exc}")
+        if not isinstance(reply, dict):
+            raise ExecutorFailure("rpc", "malformed reply: not an object")
         if "error" in reply:
             raise ExecutorFailure("rpc", str(reply["error"]))
         return reply.get("result")
@@ -233,7 +230,11 @@ class RpcExecutor:
         result = self._call("eth_estimateGas",
                             [{"to": "0x" + contract,
                               "data": "0x" + selector.hex()}])
-        return int(result, 16)
+        try:
+            return int(result, 16)
+        except (TypeError, ValueError):
+            raise ExecutorFailure("rpc", "eth_estimateGas result is not a "
+                                         f"hex quantity: {result!r}")
 
     def invoke(self, contract: str, selector: bytes, caller: str) -> InvokeOutcome:
         self._call("eth_sendTransaction",

@@ -156,34 +156,46 @@ LineSource = Iterable[str] | str | Path
 
 
 def read_lines(source: LineSource, parse: Callable[[str], T] = str,
-               header: Callable[[str], bool] | None = None) -> list[T]:
+               header: Callable[[str], bool] | None = None,
+               key: Callable[[T], str] | None = None) -> list[T]:
     """parse(text) of each line of a list file (a path or lines), where
     `text` is the line up to any `#`, stripped.
 
     A line left blank is skipped but counted, as is line 1 when
     `header(text)` is true. A ValueError from `parse` is raised again
-    with `line N: ` before its message.
+    with `line N: ` before its message. With `key`, which names a value's
+    key (as in "week 2011-W18"), a line whose key an earlier line had is
+    bad too: `line N: duplicate <key>`.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            return read_lines(fh, parse, header)
+            return read_lines(fh, parse, header, key)
     values = []
+    keys: set[str] = set()
     for line_no, line in enumerate(source, start=1):
         text = line.split("#", 1)[0].strip()
         if not text or (line_no == 1 and header is not None and header(text)):
             continue
         try:
-            values.append(parse(text))
+            value = parse(text)
+            if key is not None:
+                name = key(value)
+                if name in keys:
+                    raise ValueError(f"duplicate {name}")
+                keys.add(name)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
+        values.append(value)
     return values
 
 
 def read_table(source: LineSource, header: tuple[str, ...], width: int,
-               parse: Callable[[list[str]], T]) -> list[T]:
+               parse: Callable[[list[str]], T],
+               key: Callable[[T], str] | None = None) -> list[T]:
     """parse(stripped cells) of each row of a CSV table, read as
-    `read_lines` reads; line 1 is a header when its first cell is in
-    `header`, in any case. A row not `width` cells wide is a bad line."""
+    `read_lines` reads, `key` included; line 1 is a header when its first
+    cell is in `header`, in any case. A row not `width` cells wide is a
+    bad line."""
     def row(text: str) -> T:
         cells = [cell.strip() for cell in next(csv.reader([text]))]
         if len(cells) != width:
@@ -191,7 +203,7 @@ def read_table(source: LineSource, header: tuple[str, ...], width: int,
         return parse(cells)
 
     return read_lines(source, row, lambda text: next(
-        csv.reader([text]))[0].strip().lower() in header)
+        csv.reader([text]))[0].strip().lower() in header, key)
 
 
 def read_json(path: str | Path) -> Any:
@@ -296,10 +308,7 @@ class ChainSummary:
 @dataclass
 class RejectedLine:
     line_no: int
-    error: ChainLensError
-
-    def __str__(self) -> str:
-        return f"line {self.line_no}: {self.error}"
+    error: ChainLensError  # its message names the line
 
 
 @dataclass

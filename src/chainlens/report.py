@@ -39,8 +39,10 @@ def _rate_row(cells: list[str]) -> tuple[str, Decimal]:
 
 
 def read_rate_table(source: LineSource) -> dict[str, Decimal]:
-    """Parse a week→USD-per-coin CSV; a header row is allowed but optional."""
-    return dict(read_table(source, ("week",), 2, _rate_row))
+    """Parse a week→USD-per-coin CSV; a header row is allowed but optional,
+    and a week may appear once."""
+    return dict(read_table(source, ("week",), 2, _rate_row,
+                           key=lambda row: f"week {row[0]}"))
 
 
 def join_usd(weekly_rows: Iterable[tuple[str, str, int]],
@@ -77,11 +79,10 @@ def _geo_row(cells: list[str]) -> tuple[ipaddress.IPv4Network, str]:
 
 
 def read_geo_table(source: LineSource) -> list[tuple[ipaddress.IPv4Network, str]]:
-    """Parse a CIDR-or-IP→country CSV into networks sorted for longest-prefix match."""
-    nets = read_table(source, ("cidr", "ip", "network"), 2, _geo_row)
-    # widest first so a later, more specific rule overrides during lookup
-    nets.sort(key=lambda item: item[0].prefixlen)
-    return nets
+    """Parse a CIDR-or-IP→country CSV into (network, country) rows, in file
+    order; a network may appear once."""
+    return read_table(source, ("cidr", "ip", "network"), 2, _geo_row,
+                      key=lambda row: f"network {row[0]}")
 
 
 def lookup_country(ip: str,

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
-                     EmptyChain, MalformedJson, SchemaViolation)
+                     EmptyChain, LineError, MalformedJson, SchemaViolation)
 from .model import (REQUIRED, Block, ChainKind, ChainSummary, FieldError,
                     IngestSummary, NameOpKind, NameOpPayload, ProofKind,
                     RejectedLine, T, Transaction, amount_field, bool_field,
@@ -286,8 +286,9 @@ def read_records(source: RecordSource, types: tuple[str, ...],
     skipped but counted, so line numbers are those of the file. A line that
     is not JSON raises MalformedJson; one that is not an object, or not of
     an accepted type, raises SchemaViolation on field "type"; a FieldError
-    from `parse` is a SchemaViolation on its field, and a ChainLensError
-    from `parse` is raised as it is. With a `reject` callback, the error
+    from `parse` is a SchemaViolation on its field, a LineError from it (a
+    conflict with the store) names the line, and any other ChainLensError
+    from it is raised as it is. With a `reject` callback, the error
     goes to it instead and reading goes on. A file is decoded line by line:
     a line that is not UTF-8 is MalformedJson.
     """
@@ -316,6 +317,8 @@ def read_records(source: RecordSource, types: tuple[str, ...],
         except FieldError as exc:
             err = SchemaViolation(line_no, exc.key, exc.detail)
         except ChainLensError as exc:
+            if isinstance(exc, LineError):
+                exc.line_no = line_no  # a conflict with the store
             err = exc
         else:
             yield line_no, record
@@ -335,6 +338,16 @@ def _address(obj: dict, key: str, chain: ChainKind, default=REQUIRED):
     return address
 
 
+def _owned(obj: dict, key: str, owner: ChainKind, chain: ChainKind):
+    """obj[key], a field only `owner` records carry; on another chain it
+    must be absent or null."""
+    value = obj.get(key)
+    if value is not None and chain is not owner:
+        raise FieldError(key, f"belongs to a {owner.value!r} {obj['type']}, "
+                              f"not a {chain.value!r} one")
+    return value
+
+
 def _parse_block(obj: dict, chain: ChainKind) -> tuple:
     """The `blocks` row of a block record, in `_SCHEMA` column order."""
     height = int_field(obj, "height", minimum=0, maximum=_SQLITE_INT_MAX)
@@ -342,8 +355,9 @@ def _parse_block(obj: dict, chain: ChainKind) -> tuple:
     tx_hashes = str_list_field(obj, "txs", [], byte_len=32)
     if len(set(tx_hashes)) != len(tx_hashes):
         raise FieldError("txs", "duplicate transaction hashes")
+    _owned(obj, "auxpow", ChainKind.NAMECOIN, chain)
     auxpow = bool_field(obj, "auxpow", default=None)
-    proof = obj.get("proof")
+    proof = _owned(obj, "proof", ChainKind.PEERCOIN, chain)
     if proof is None:
         if chain is ChainKind.PEERCOIN:
             raise FieldError("proof", "is required on a 'ppc' block")
@@ -355,13 +369,14 @@ def _parse_block(obj: dict, chain: ChainKind) -> tuple:
             json.dumps(tx_hashes))
 
 
-def _parse_name_op(obj: dict) -> str | None:
+def _parse_name_op(obj: dict, chain: ChainKind) -> str | None:
     """The stored JSON text of a tx's name op, or None if it has none.
 
-    A name_new commits to a hash and hides the name until the reveal, so
-    it needs `name_hash`; a name_firstupdate or name_update needs `name`.
+    Only a Namecoin tx carries one. A name_new commits to a hash and hides
+    the name until the reveal, so it needs `name_hash`; a name_firstupdate
+    or name_update needs `name`.
     """
-    raw = obj.get("name_op")
+    raw = _owned(obj, "name_op", ChainKind.NAMECOIN, chain)
     if raw is None:
         return None
     if not isinstance(raw, dict):
@@ -395,7 +410,7 @@ def _parse_tx(obj: dict, chain: ChainKind) -> tuple:
     fee = amount_field(obj, "fee", default=None)
     return (chain.value, hash_, height, index, sender, recipient, str(value),
             input_, None if fee is None else str(fee), gas,
-            _parse_name_op(obj))
+            _parse_name_op(obj, chain))
 
 
 # -- operations ----------------------------------------------------------

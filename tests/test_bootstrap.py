@@ -2,12 +2,13 @@
 
 import json
 import random
+import socket
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlens.bootstrap import (ConnectResult, ProbeOutcome,
+from chainlens.bootstrap import (ConnectResult, LiveProber, ProbeOutcome,
                                  ResolveErrorKind, ResolveFailure,
                                  RoundRobinResolver, ScriptedProber,
                                  ScriptedResolver, SeedSource,
@@ -196,3 +197,15 @@ def test_probe_ports_parallel_matches_serial():
 def test_simulated_prober_validation():
     with pytest.raises(ValueError):
         SimulatedProber(p_open=0.8, p_closed=0.3)
+
+
+def test_live_prober_on_loopback():
+    with socket.socket() as listening:
+        listening.bind(("127.0.0.1", 0))
+        listening.listen()
+        port = listening.getsockname()[1]
+        assert LiveProber(timeout=2.0).connect("127.0.0.1", port) \
+            is ConnectResult.ACCEPTED
+    # the port is closed once its socket is
+    assert LiveProber(timeout=2.0).connect("127.0.0.1", port) \
+        is ConnectResult.REFUSED

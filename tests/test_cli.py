@@ -11,6 +11,8 @@ import pytest
 
 from chainlens import cli as cli_module
 from chainlens.cli import run_cli
+from chainlens.model import ChainKind
+from chainlens.store import Store
 
 from conftest import (CONTRACT_C2, addr, block_line, eth_labeled_fixture,
                       eth_termination_sidefile, h32, tx_line)
@@ -93,6 +95,29 @@ def test_ingest_echoes_rejects_to_stderr(tmp_path, capsys, monkeypatch):
                     "--strict"]) == 2
 
 
+def test_an_ingest_error_names_its_line_once(tmp_path, capsys):
+    db = str(tmp_path / "db")
+    first = tmp_path / "first.ndjson"
+    first.write_text(block_line("eth", 0, 100, [h32(1)]) + "\n"
+                     + tx_line("eth", h32(1), 0, 0, "aa" * 20, None) + "\n")
+    run_ok(capsys, ["--db", db, "ingest", str(first), "--chain", "eth"])
+    again = tmp_path / "again.ndjson"
+    again.write_text("\n" + block_line("eth", 0, 101, [h32(1)]) + "\n{\n"
+                     + tx_line("eth", h32(1), 0, 0, "bb" * 20, None) + "\n")
+    block = ("conflicting block at height 0: different contents already "
+             "stored")
+    out = run_ok(capsys, ["--db", db, "ingest", str(again), "--chain", "eth"])
+    assert out.err.splitlines() == [
+        f"rejected line 2: {block}",
+        "rejected line 3: malformed JSON: Expecting property name enclosed "
+        "in double quotes",
+        f"rejected line 4: conflicting tx {h32(1)}: different contents "
+        "already stored"]
+    assert run_cli(["--db", db, "ingest", str(again), "--chain", "eth",
+                    "--strict"]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {block}\n"
+
+
 def test_lone_surrogate_address_is_a_rejected_line(tmp_path, capsys):
     # SQLite cannot store a string holding a JSON "\ud800" escape
     source = tmp_path / "nmc.ndjson"
@@ -114,7 +139,7 @@ def test_undecodable_byte_is_a_rejected_line(tmp_path, capsys):
     out = run_ok(capsys, ["--db", str(tmp_path / "db"), "ingest", str(source),
                           "--chain", "nmc"])
     assert parse_csv(out.out)[1] == ["2", "0", "1"]
-    assert out.err == ("rejected line 2: line 2: malformed JSON: not UTF-8: "
+    assert out.err == ("rejected line 2: malformed JSON: not UTF-8: "
                        "undecodable byte 0xff\n")
     assert run_cli(["--db", str(tmp_path / "db2"), "ingest", str(source),
                     "--chain", "nmc", "--strict"]) == 2
@@ -169,13 +194,44 @@ def test_ingest_refuses_a_record_its_analysis_cannot_read(
     line = (block_line(chain, 1, 200, []) if record is None else
             tx_line(chain, h32(1), 0, 0, "Nabc", None, **record))
     source = tmp_path / "in.ndjson"
-    source.write_text(block_line(chain, 0, 100, [], proof="pow") + "\n"
+    source.write_text(block_line(chain, 0, 100, [], proof="pow"
+                                 if chain == "ppc" else None) + "\n"
                       + line + "\n")
     out = run_ok(capsys, ["--db", str(tmp_path / "db"), "ingest", str(source),
                           "--chain", chain])
     assert parse_csv(out.out)[1] == ["1", "0", "1"]
-    assert out.err.startswith(f"rejected line 2: line 2: invalid field "
-                              f"'{field}'")
+    assert out.err.startswith(f"rejected line 2: invalid field '{field}'")
+    assert run_cli(["--db", str(tmp_path / "db2"), "ingest", str(source),
+                    "--chain", chain, "--strict"]) == 2
+    err = capsys.readouterr().err
+    assert f"line 2: invalid field '{field}'" in err and "Traceback" not in err
+
+
+_NAME_OP = {"kind": "new", "name_hash": "ab", "paid_fee": "1"}
+
+
+@pytest.mark.parametrize("chain, line, field", [
+    ("eth", block_line("eth", 1, 200, [], auxpow=False), "auxpow"),
+    ("ppc", block_line("ppc", 1, 200, [], auxpow=True, proof="pos"),
+     "auxpow"),
+    ("eth", block_line("eth", 1, 200, [], proof="pow"), "proof"),
+    ("nmc", block_line("nmc", 1, 200, [], proof="pos"), "proof"),
+    ("eth", tx_line("eth", h32(1), 0, 0, "aa" * 20, None, name_op=_NAME_OP),
+     "name_op"),
+    ("ppc", tx_line("ppc", h32(1), 0, 0, "Pabc", None, name_op=_NAME_OP),
+     "name_op"),
+], ids=["eth block auxpow", "ppc block auxpow", "eth block proof",
+        "nmc block proof", "eth tx name_op", "ppc tx name_op"])
+def test_ingest_refuses_a_field_another_chain_owns(tmp_path, capsys, chain,
+                                                   line, field):
+    source = tmp_path / "in.ndjson"
+    source.write_text(block_line(chain, 0, 100, [], proof="pow"
+                                 if chain == "ppc" else None) + "\n"
+                      + line + "\n")
+    out = run_ok(capsys, ["--db", str(tmp_path / "db"), "ingest", str(source),
+                          "--chain", chain])
+    assert parse_csv(out.out)[1] == ["1", "0", "1"]
+    assert out.err.startswith(f"rejected line 2: invalid field '{field}'")
     assert run_cli(["--db", str(tmp_path / "db2"), "ingest", str(source),
                     "--chain", chain, "--strict"]) == 2
     err = capsys.readouterr().err
@@ -368,6 +424,14 @@ PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
      ("--rates", "line 2:", "bad rate")),
     ("geo.csv", "cidr,country\n10.0.0.0/8,\n", ["crawl", "--geo", "geo.csv"],
      ("--geo", "line 2:", "empty country code")),
+    ("contracts.txt", f"{addr(1)}\n\n0x{addr(1).upper()}\n",
+     ["eth", "probe", "--gas-fixture", "gas.ndjson", "--contracts",
+      "contracts.txt"], ("--contracts", "line 3:", f"duplicate address {addr(1)}")),
+    ("rates.csv", "week,usd\n2011-W18,1\n2011-W18,2\n",
+     ["nmc", "fees", "--rates", "rates.csv"],
+     ("--rates", "line 3:", "duplicate week 2011-W18")),
+    ("geo.csv", "10.0.0.0/8,AA\n10.1.2.3/8,BB\n", ["crawl", "--geo", "geo.csv"],
+     ("--geo", "line 2:", "duplicate network 10.0.0.0/8")),
 ], ids=["reference without name", "reference without bytecode",
         "reference not an object", "references not a list",
         "topology without n_peers", "topology without degree",
@@ -379,7 +443,9 @@ PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
         "prober script a list", "prober outcome unknown",
         "selector not 4 bytes", "signature magic not hex",
         "signature row named by line", "ips line not UTF-8",
-        "rate row named by line", "geo row named by line"])
+        "rate row named by line", "geo row named by line",
+        "contract address repeated", "rate week repeated",
+        "geo network repeated"])
 def test_malformed_input_file_is_usage_error(tmp_path, monkeypatch, capsys,
                                              name, content, argv, expected):
     # the other files are well formed, so only `name` is at fault; every
@@ -500,6 +566,20 @@ def test_out_file_and_stamp(eth_db, tmp_path, capsys):
     # stamping without a file target is a usage error
     assert run_cli(["--db", eth_db, "--stamp", "report", "tx-monthly",
                     "--chain", "eth"]) == 1
+
+
+def test_stamp_without_out_is_refused_before_the_command_runs(tmp_path,
+                                                             capsys):
+    source = tmp_path / "in.ndjson"
+    source.write_text(block_line("eth", 0, 100, []) + "\n")
+    db = tmp_path / "db"
+    assert run_cli(["--db", str(db), "--stamp", "ingest", str(source),
+                    "--chain", "eth"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--stamp requires --out" in captured.err
+    with Store(str(db)) as store:
+        assert store.block_count(ChainKind.ETHEREUM) == 0
 
 
 def test_out_to_missing_directory_is_data_error(eth_db, tmp_path):

@@ -401,6 +401,26 @@ def test_find_nodes_matches_find_node_on_built_tables(monkeypatch):
         _assert_chunks_agree(transport, pool, rng, targets)
 
 
+def test_peer_without_table_never_answers():
+    # an unreachable owner, an id that only appears in tables, and an id
+    # outside the overlay: none owns a table, so none answers
+    rng = random.Random(44)
+    pool, tables = _twin_tables(rng, 5)
+    transport = SimTransport(tables, frozenset([pool[0].node_id]), 0.0, 16,
+                             b"tableless")
+    targets = [rng.randbytes(NODE_ID_LEN) for _ in range(4)]
+    lanes = simulator.digest_lanes(keccak.keccak256_batch(targets))
+    outsider = PeerInfo(rng.randbytes(NODE_ID_LEN), "192.0.2.1", 1)
+    for peer in (pool[0], pool[-1], outsider):
+        assert not transport.ping_pong(peer)
+        with pytest.raises(QueryTimeout):
+            transport.find_node(peer, targets[0])
+        assert transport.find_nodes(peer, targets, lanes) == ([], True)
+    owner = next(p for p in pool[1:5] if tables[p.node_id])
+    assert transport.ping_pong(owner)
+    assert transport.find_node(owner, targets[0])
+
+
 def test_endpoint_stats():
     report, truth = _crawl_overlay(40, 10, seed=30, prefix_bits=3)
     stats = endpoint_stats(report)

@@ -1,9 +1,14 @@
 """Gas-estimate probing for externally terminable contracts."""
 
+import csv
+import http.server
+import io
 import json
+import threading
 
 import pytest
 
+from chainlens.cli import run_cli
 from chainlens.errors import ExecutorFailure, SchemaViolation
 from chainlens.eth.contracts import NULL_ADDRESS, ContractRecord, CreatorKind
 from chainlens.eth.probe import (DEFAULT_PROBE_CALLER, FixtureExecutor,
@@ -258,3 +263,58 @@ def test_custom_caller_is_passed_through():
                                caller=caller)
     assert recorder.invocations[0][2] == caller
     assert result.refund_destination is RefundDestination.CALLER
+
+
+class _ScriptedRpc(http.server.BaseHTTPRequestHandler):
+    """Answers every JSON-RPC POST with the class's `reply` body."""
+
+    reply = b""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.reply)))
+        self.end_headers()
+        self.wfile.write(self.reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("reply, error", [
+    (b"<html>busy</html>", "malformed reply"),
+    (b"[1]", "malformed reply: not an object"),
+    (b'{"jsonrpc": "2.0", "id": 1, "result": null}',
+     "not a hex quantity: None"),
+    (b'{"jsonrpc": "2.0", "id": 1, "error": {"code": -32000, '
+     b'"message": "execution reverted"}}', "execution reverted"),
+], ids=["not json", "not an object", "null result", "error"])
+def test_rpc_reply_faults_fill_the_error_column(tmp_path, capsys,
+                                                monkeypatch, reply, error):
+    # loopback only: no proxy may stand between the client and the server
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    handler = type("Handler", (_ScriptedRpc,), {"reply": reply})
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    contracts = tmp_path / "contracts.txt"
+    contracts.write_text(addr(0xC1) + "\n")
+    selectors = tmp_path / "selectors.txt"
+    selectors.write_text("kill()\n")
+    try:
+        code = run_cli(["--db", str(tmp_path / "db"), "eth", "probe", "--rpc",
+                        f"http://127.0.0.1:{server.server_port}",
+                        "--contracts", str(contracts),
+                        "--selectors", str(selectors)])
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    [row] = csv.DictReader(io.StringIO(captured.out))
+    assert row["contract"] == addr(0xC1) and row["gas_estimate"] == ""
+    assert row["error"].startswith("executor failed for contract rpc: ")
+    assert error in row["error"]

@@ -75,6 +75,8 @@ def ref_rate_table(path):
                 raise ValueError(f"line {line_no}: bad rate {rate_text!r}")
             if rate < 0:
                 raise ValueError(f"line {line_no}: negative rate")
+            if week in rates:  # the replaced reader kept the later rate
+                raise ValueError(f"line {line_no}: duplicate week {week}")
             rates[week] = rate
     return rates
 
@@ -102,8 +104,10 @@ def ref_geo_table(path):
             except (ipaddress.AddressValueError, ipaddress.NetmaskValueError,
                     ValueError):
                 raise ValueError(f"line {line_no}: bad network {net_text!r}")
+            # the replaced reader kept both, and sorted rows widest first
+            if net in dict(nets):
+                raise ValueError(f"line {line_no}: duplicate network {net}")
             nets.append((net, country))
-    nets.sort(key=lambda item: item[0].prefixlen)
     return nets
 
 

@@ -52,14 +52,16 @@ def test_join_usd_decimal_exactness():
     assert Decimal(joined[0][3]) == Decimal("0.3") / Decimal(10**8)
 
 
-def test_read_geo_table_sorted_by_prefix():
+def test_read_geo_table_keeps_file_order():
+    # lookup_country picks the longest prefix itself, so no order is imposed
     table = io.StringIO("cidr,country\n"
-                        "10.0.0.0/8,AA\n"
+                        "192.0.2.7,CC\n"
                         "10.1.0.0/16,BB\n"
-                        "192.0.2.7,CC\n")
+                        "10.0.0.0/8,AA\n")
     geo = read_geo_table(table)
-    assert [net.prefixlen for net, _ in geo] == [8, 16, 32]
-    assert geo[2][0].num_addresses == 1 and geo[2][1] == "CC"
+    assert [net.prefixlen for net, _ in geo] == [32, 16, 8]
+    assert geo[0][0].num_addresses == 1 and geo[0][1] == "CC"
+    assert lookup_country("10.1.2.3", geo) == "BB"
 
 
 def test_read_geo_table_malformed():

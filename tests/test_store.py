@@ -153,25 +153,31 @@ def test_ingest_idempotent():
 
 def test_conflicting_block_same_height():
     # a stored height that arrives with any one field changed, its hash or
-    # another, is a conflict, and the stored block stays as it was
-    line = block_line("ppc", 5, 1000, [h32(1)], auxpow=False, proof="pos")
-    store = load_store([line], ChainKind.PEERCOIN)
-    stored = list(store.iter_blocks(ChainKind.PEERCOIN))
-    changed = [json.dumps({**json.loads(line), key: value}) for key, value in [
-        ("hash", h32(0xDEAD)), ("time", 999999), ("parent", h32(0xBEEF)),
-        ("txs", [h32(2)]), ("auxpow", True), ("proof", "pow")]]
-    summary = ingest_blocks(changed, ChainKind.PEERCOIN, store)
-    assert (summary.blocks_loaded, summary.rejected_count) == (0, 6)
-    assert [r.line_no for r in summary.rejected] == [1, 2, 3, 4, 5, 6]
-    assert all(isinstance(r.error, ConflictingBlock) for r in summary.rejected)
-    for one in changed:
-        with pytest.raises(ConflictingBlock):
-            ingest_blocks([one], ChainKind.PEERCOIN, store, strict=True)
-    assert list(store.iter_blocks(ChainKind.PEERCOIN)) == stored
-    # an identical re-delivery is still a silent no-op
-    again = ingest_blocks([line], ChainKind.PEERCOIN, store, strict=True)
-    assert (again.blocks_loaded, again.rejected_count) == (0, 0)
-    store.close()
+    # another, its chain's own field included, is a conflict, and the
+    # stored block stays as it was
+    for chain, owned, other in ((ChainKind.NAMECOIN, "auxpow", [False, True]),
+                                (ChainKind.PEERCOIN, "proof", ["pos", "pow"])):
+        line = block_line(chain.value, 5, 1000, [h32(1)], **{owned: other[0]})
+        store = load_store([line], chain)
+        stored = list(store.iter_blocks(chain))
+        changed = [json.dumps({**json.loads(line), key: value})
+                   for key, value in [
+                       ("hash", h32(0xDEAD)), ("time", 999999),
+                       ("parent", h32(0xBEEF)), ("txs", [h32(2)]),
+                       (owned, other[1])]]
+        summary = ingest_blocks(changed, chain, store)
+        assert (summary.blocks_loaded, summary.rejected_count) == (0, 5)
+        assert [r.line_no for r in summary.rejected] == [1, 2, 3, 4, 5]
+        assert all(isinstance(r.error, ConflictingBlock)
+                   for r in summary.rejected)
+        for one in changed:
+            with pytest.raises(ConflictingBlock):
+                ingest_blocks([one], chain, store, strict=True)
+        assert list(store.iter_blocks(chain)) == stored
+        # an identical re-delivery is still a silent no-op
+        again = ingest_blocks([line], chain, store, strict=True)
+        assert (again.blocks_loaded, again.rejected_count) == (0, 0)
+        store.close()
 
 
 def test_conflicting_tx_same_hash():
@@ -349,27 +355,35 @@ def test_ingest_properties_random_chains(chain):
         store.close()
 
 
-def _block_record(draw, height: int, tx_hashes: list[str]) -> dict:
-    return {"type": "block", "chain": "eth", "height": height,
-            "hash": h32(0xB000 + height),
-            "parent": h32(draw(st.integers(0, 99))),
-            "time": draw(st.integers(1, 2**31)), "txs": tx_hashes,
-            "auxpow": draw(st.sampled_from([None, False, True])),
-            "proof": draw(st.sampled_from([None, "pow", "pos"]))}
+def _block_record(draw, chain: ChainKind, height: int,
+                  tx_hashes: list[str]) -> dict:
+    record = {"type": "block", "chain": chain.value, "height": height,
+              "hash": h32(0xB000 + height),
+              "parent": h32(draw(st.integers(0, 99))),
+              "time": draw(st.integers(1, 2**31)), "txs": tx_hashes}
+    if chain is ChainKind.NAMECOIN:
+        record["auxpow"] = draw(st.sampled_from([None, False, True]))
+    if chain is ChainKind.PEERCOIN:
+        record["proof"] = draw(st.sampled_from(["pow", "pos"]))
+    return record
 
 
 _NAME_OP = {"kind": "new", "name": "d/x", "name_hash": "ab", "paid_fee": "1"}
 
 
-def _tx_record(draw, tx_hash: str, height: int, index: int) -> dict:
-    return {"type": "tx", "chain": "eth", "hash": tx_hash, "height": height,
-            "index": index, "from": addr(draw(st.integers(1, 3))),
-            "to": draw(st.sampled_from([None, addr(1), addr(2)])),
-            "value": str(draw(st.integers(0, 2**70))),
-            "input": draw(st.sampled_from(["", "00", "6001"])),
-            "fee": draw(st.none() | st.integers(0, 9).map(str)),
-            "gas": draw(st.none() | st.integers(0, 10**6)),
-            "name_op": draw(st.sampled_from([None, _NAME_OP]))}
+def _tx_record(draw, chain: ChainKind, tx_hash: str, height: int,
+               index: int) -> dict:
+    record = {"type": "tx", "chain": chain.value, "hash": tx_hash,
+              "height": height, "index": index,
+              "from": addr(draw(st.integers(1, 3))),
+              "to": draw(st.sampled_from([None, addr(1), addr(2)])),
+              "value": str(draw(st.integers(0, 2**70))),
+              "input": draw(st.sampled_from(["", "00", "6001"])),
+              "fee": draw(st.none() | st.integers(0, 9).map(str)),
+              "gas": draw(st.none() | st.integers(0, 10**6))}
+    if chain is ChainKind.NAMECOIN:
+        record["name_op"] = draw(st.sampled_from([None, _NAME_OP]))
+    return record
 
 
 # a valid value of each record field other than the one given
@@ -379,7 +393,7 @@ _CHANGED = {
     "time": lambda value: value + 1,
     "txs": lambda value: value + [h32(0xEEEE)],
     "auxpow": {None: True, True: False, False: None}.get,
-    "proof": {None: "pow", "pow": "pos", "pos": None}.get,
+    "proof": {"pow": "pos", "pos": "pow"}.get,
     "from": lambda value: addr(9),
     "to": lambda value: None if value else addr(9),
     "value": lambda value: str(int(value) + 1),
@@ -392,25 +406,28 @@ _CHANGED = {
 }
 
 
-_MALFORMED = [("{", MalformedJson, None),
-              ("[1]", SchemaViolation, "type"),
-              (json.dumps({"type": "tx", "chain": "nmc"}), SchemaViolation,
-               "chain"),
-              (json.dumps({"type": "block", "chain": "eth", "height": -1}),
-               SchemaViolation, "height")]
+def _malformed(chain: ChainKind) -> list[tuple]:
+    return [("{", MalformedJson, None),
+            ("[1]", SchemaViolation, "type"),
+            (json.dumps({"type": "tx", "chain": "btc"}), SchemaViolation,
+             "chain"),
+            (json.dumps({"type": "block", "chain": chain.value, "height": -1}),
+             SchemaViolation, "height")]
 
 
 @st.composite
 def _redelivery_strategy(draw):
-    """A random eth chain, and a second delivery mixing its records as they
-    are, with one field changed, new txs on its taken positions, new
-    records, and malformed lines (given as (line, error class, field))."""
+    """A chain, a random ledger of it, and a second delivery mixing its
+    records as they are, with one field changed, new txs on its taken
+    positions, new records, and malformed lines (given as (line, error
+    class, field))."""
+    chain = draw(st.sampled_from(list(ChainKind)))
     first = []
     for height in range(draw(st.integers(1, 5))):
         hashes = [h32(0x7000 + 16 * height + index)
                   for index in range(draw(st.integers(0, 3)))]
-        first.append(_block_record(draw, height, hashes))
-        first += [_tx_record(draw, tx_hash, height, index)
+        first.append(_block_record(draw, chain, height, hashes))
+        first += [_tx_record(draw, chain, tx_hash, height, index)
                   for index, tx_hash in enumerate(hashes)]
     second = []
     for n in range(draw(st.integers(1, 12))):
@@ -423,17 +440,17 @@ def _redelivery_strategy(draw):
             key = draw(st.sampled_from(sorted(set(record) - {"type", "chain"})))
             second.append({**record, key: _CHANGED[key](record[key])})
         elif kind == "moved":
-            second.append(_tx_record(draw, h32(0x8000 + n), record["height"],
-                                     record.get("index", 0)))
+            second.append(_tx_record(draw, chain, h32(0x8000 + n),
+                                     record["height"], record.get("index", 0)))
         elif kind == "new block":
-            second.append(_block_record(draw, 100 + n, []))
+            second.append(_block_record(draw, chain, 100 + n, []))
         elif kind == "new tx":
-            second.append(_tx_record(draw, h32(0x8000 + n),
+            second.append(_tx_record(draw, chain, h32(0x8000 + n),
                                      draw(st.integers(0, 6)),
                                      draw(st.integers(0, 4))))
         else:
-            second.append(draw(st.sampled_from(_MALFORMED)))
-    return first, second
+            second.append(draw(st.sampled_from(_malformed(chain))))
+    return chain, first, second
 
 
 class _WriteRuleModel:
@@ -468,18 +485,18 @@ class _WriteRuleModel:
         return blocks_loaded, txs_loaded, rejected
 
     def rows(self) -> tuple[list[Block], list[Transaction]]:
-        blocks = [Block(chain=ChainKind.ETHEREUM, height=rec["height"],
+        blocks = [Block(chain=ChainKind(rec["chain"]), height=rec["height"],
                         hash=rec["hash"], parent_hash=rec["parent"],
                         timestamp=rec["time"], tx_hashes=rec["txs"],
-                        is_auxpow=rec["auxpow"],
-                        proof=rec["proof"] and ProofKind(rec["proof"]))
+                        is_auxpow=rec.get("auxpow"),
+                        proof=rec.get("proof") and ProofKind(rec["proof"]))
                   for _, rec in sorted(self.blocks.items())]
         txs = []
         for position in sorted(self.positions):
             rec = self.txs[self.positions[position]]
-            op = rec["name_op"]
+            op = rec.get("name_op")
             txs.append(Transaction(
-                chain=ChainKind.ETHEREUM, hash=rec["hash"],
+                chain=ChainKind(rec["chain"]), hash=rec["hash"],
                 block_height=rec["height"], index_in_block=rec["index"],
                 sender=rec["from"], recipient=rec["to"],
                 value=int(rec["value"]), input_data=rec["input"],
@@ -499,30 +516,30 @@ def _lines(items) -> list[str]:
 @given(_redelivery_strategy())
 @settings(max_examples=80, deadline=None)
 def test_write_rule_matches_the_reference_model(deliveries):
-    first, second = deliveries
+    chain, first, second = deliveries
     model = _WriteRuleModel()
     assert model.ingest(first)[2] == []
     expected = model.ingest(second)
-    store = load_store(_lines(first), ChainKind.ETHEREUM)
+    store = load_store(_lines(first), chain)
     try:
-        summary = ingest_blocks(_lines(second), ChainKind.ETHEREUM, store)
+        summary = ingest_blocks(_lines(second), chain, store)
         assert (summary.blocks_loaded, summary.txs_loaded, [
             (r.line_no, type(r.error), getattr(r.error, "field", None))
             for r in summary.rejected]) == expected
-        assert (list(store.iter_blocks(ChainKind.ETHEREUM)),
-                list(store.iter_txs(ChainKind.ETHEREUM))) == model.rows()
+        assert (list(store.iter_blocks(chain)),
+                list(store.iter_txs(chain))) == model.rows()
     finally:
         store.close()
     # --strict raises the first of the same errors
-    store = load_store(_lines(first), ChainKind.ETHEREUM)
+    store = load_store(_lines(first), chain)
     try:
         if not expected[2]:
-            ingest_blocks(_lines(second), ChainKind.ETHEREUM, store,
+            ingest_blocks(_lines(second), chain, store,
                           strict=True)
             return
         line_no, error_class, field = expected[2][0]
         with pytest.raises(ChainLensError) as caught:
-            ingest_blocks(_lines(second), ChainKind.ETHEREUM, store,
+            ingest_blocks(_lines(second), chain, store,
                           strict=True)
         assert (type(caught.value), getattr(caught.value, "field", None),
                 getattr(caught.value, "line_no", line_no)) \
@@ -640,11 +657,13 @@ def _encoding_case(draw):
                   "hash": hash_form, "parent": parent_form, "time": time_}
         if forms or draw(st.booleans()):
             record["txs"] = [form for form, _ in forms]
-        auxpow = _maybe(draw, record, "auxpow",
-                        st.booleans().map(lambda b: (b, b)))
-        proof = _maybe(draw, record, "proof",
-                       st.sampled_from(["pow", "pos"]).map(lambda p: (p, p)),
-                       required=chain is ChainKind.PEERCOIN)
+        auxpow = proof = None
+        if chain is ChainKind.NAMECOIN:
+            auxpow = _maybe(draw, record, "auxpow",
+                            st.booleans().map(lambda b: (b, b)))
+        if chain is ChainKind.PEERCOIN:
+            proof = _maybe(draw, record, "proof", st.sampled_from(
+                ["pow", "pos"]).map(lambda p: (p, p)), required=True)
         records.append(record)
         blocks.append(Block(chain=chain, height=height, hash=hash_,
                             parent_hash=parent, timestamp=time_,
@@ -661,7 +680,8 @@ def _encoding_case(draw):
             fee = _maybe(draw, record, "fee", _amount_form())
             gas = _maybe(draw, record, "gas", st.integers(0, 2**63 - 1)
                          .map(lambda g: (g, g)))
-            name_op = _maybe(draw, record, "name_op", _name_op_form())
+            name_op = (_maybe(draw, record, "name_op", _name_op_form())
+                       if chain is ChainKind.NAMECOIN else None)
             records.append(record)
             txs.append(Transaction(
                 chain=chain, hash=digits, block_height=height,
@@ -827,14 +847,16 @@ _ABSENT = object()
 _NOT_INTEGERS = [True, 1.5, "1", -1, None, _ABSENT]
 _PAST_INT64 = 1 << 63  # one more than an SQLite INTEGER column holds
 _PAST_YEAR_9999 = 253402300800  # 10000-01-01T00:00:00Z
+# eth records; a field that another chain owns is null on them
 _BLOCK = {"type": "block", "chain": "eth", "height": 1, "hash": h32(0xB1),
           "parent": h32(0xB0), "time": 1000, "txs": [h32(1)],
-          "auxpow": True, "proof": "pow"}
+          "auxpow": None, "proof": None}
 _TX = {"type": "tx", "chain": "eth", "hash": h32(1), "height": 1, "index": 0,
        "from": "aa" * 20, "to": "bb" * 20, "value": "5", "input": "00",
-       "fee": "1", "gas": 21000,
-       "name_op": {"kind": "new", "name": "d/x", "name_hash": "ab",
-                   "paid_fee": "1"}}
+       "fee": "1", "gas": 21000, "name_op": None}
+# each chain-owned field: its chain, and a value of it that ingest accepts
+_OWNED = {"auxpow": ("nmc", True), "proof": ("ppc", "pow"),
+          "name_op": ("nmc", _NAME_OP)}
 _REJECTED = {
     "block": {
         "chain": [True, 1.5, "1", -1, None, "nmc", _ABSENT],
@@ -887,9 +909,24 @@ def _with(record: dict, key: str, value) -> dict:
 
 
 _BASES = {"block": _BLOCK, "tx": _TX,
-          "firstupdate tx": _with(_TX, "name_op.kind", "firstupdate"),
-          "update tx": _with(_TX, "name_op.kind", "update"),
+          "firstupdate tx": {**_TX, "chain": "nmc", "name_op": {
+              **_NAME_OP, "kind": "firstupdate"}},
+          "update tx": {**_TX, "chain": "nmc", "name_op": {
+              **_NAME_OP, "kind": "update"}},
           "ppc block": _with(_BLOCK, "chain", "ppc")}
+
+
+def _case(kind: str, key: str, value) -> tuple[ChainKind, dict]:
+    """(chain, `_BASES[kind]` of that chain with `key` set to `value`, or
+    removed). A value of a chain-owned field other than null, or of a field
+    inside one, is set on a record of the owning chain."""
+    base = _BASES[kind]
+    field = key.split(".")[0]
+    if (field in _OWNED and base[field] is None
+            and ("." in key or value not in (None, _ABSENT))):
+        chain, valid = _OWNED[field]
+        base = {**base, "chain": chain, field: valid}
+    return ChainKind(base["chain"]), _with(base, key, value)
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -898,10 +935,10 @@ _BASES = {"block": _BLOCK, "tx": _TX,
     for kind, fields in _REJECTED.items()
     for key, values in fields.items() for value in values])
 def test_ingest_names_the_rejected_field(kind, key, value):
-    base = _BASES[kind]
-    chain = ChainKind(base["chain"])
-    lines = [block_line(chain.value, 0, 500, proof="pow"), "",
-             json.dumps(_with(base, key, value))]
+    chain, record = _case(kind, key, value)
+    lines = [block_line(chain.value, 0, 500, proof="pow"
+                        if chain is ChainKind.PEERCOIN else None), "",
+             json.dumps(record)]
     store = Store(":memory:")
     summary = ingest_blocks(lines, chain, store)
     assert (summary.blocks_loaded, summary.txs_loaded) == (1, 0)
@@ -934,17 +971,15 @@ def test_ingest_names_the_rejected_field(kind, key, value):
     ("block", "hash", "0x" + h32(0xB1).upper(), h32(0xB1)),
 ], ids=lambda value: "absent" if value is _ABSENT else repr(value))
 def test_ingest_field_forms_load_the_same_rows(kind, key, first, second):
-    base = _BASES[kind]
-    if kind == "block":
-        base = _with(base, "txs", [])
     stored = []
     for value in (first, second):
+        chain, record = _case(kind, key, value)
         store = Store(":memory:")
-        summary = ingest_blocks([json.dumps(_with(base, key, value))],
-                                ChainKind.ETHEREUM, store, strict=True)
+        summary = ingest_blocks([json.dumps(record)], chain, store,
+                                strict=True)
         assert summary.blocks_loaded + summary.txs_loaded == 1
-        stored.append((list(store.iter_blocks(ChainKind.ETHEREUM)),
-                       list(store.iter_txs(ChainKind.ETHEREUM))))
+        stored.append((list(store.iter_blocks(chain)),
+                       list(store.iter_txs(chain))))
         store.close()
     assert stored[0] == stored[1]
 

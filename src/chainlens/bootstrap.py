@@ -3,8 +3,9 @@
 Resolver and Prober are small interfaces. Each has a scripted (exact
 fixtures), a simulated (seeded randomness) and a live (real DNS / TCP)
 implementation, and a round-robin resolver cycles through a fixed pool.
-Only the live ones stay out of the offline test gate; they exist for
-actual measurements and use conservative single-attempt probes.
+The live ones exist for actual measurements and use conservative
+single-attempt probes. LiveProber is tested over loopback; LiveResolver
+is not tested, since any lookup it makes may leave the host.
 """
 
 from __future__ import annotations

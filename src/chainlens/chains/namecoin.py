@@ -20,9 +20,11 @@ from ..store import Store
 log = logging.getLogger(__name__)
 
 
+MERGE_MINING_START_HEIGHT = 19_200  # the first block that may carry auxpow
+
+
 @dataclass
 class FeeSchedule:
-    merge_mining_start_height: int = 19_200
     expiry_window_blocks: int = 36_000
 
 
@@ -59,25 +61,22 @@ class MergeMineSplit:
         return 100.0 * self.rows[metric][1] / total if total else 0.0
 
 
-def merge_mine_split(store: Store,
-                     schedule: FeeSchedule | None = None) -> MergeMineSplit:
+def merge_mine_split(store: Store) -> MergeMineSplit:
     """Split block/tx/name-op counts by whether the block was merge-mined.
 
     Blocks without an auxpow tag count as normally mined. An auxpow block
     below the activation height is corrupt input and fatal. An orphan tx,
     whose block is not stored, is mined in neither way and not counted.
     """
-    if schedule is None:
-        schedule = FeeSchedule()
     merged_heights: set[int] = set()
     counts: dict[str, list[int]] = {m: [0, 0] for m in _SPLIT_METRICS}
     saw_block = False
     for block in store.iter_blocks(ChainKind.NAMECOIN):
         saw_block = True
         merged = bool(block.is_auxpow)
-        if merged and block.height < schedule.merge_mining_start_height:
+        if merged and block.height < MERGE_MINING_START_HEIGHT:
             raise AuxPowBeforeActivation(block.height,
-                                         schedule.merge_mining_start_height)
+                                         MERGE_MINING_START_HEIGHT)
         if merged:
             merged_heights.add(block.height)
         counts["blocks"][merged] += 1

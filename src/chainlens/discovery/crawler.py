@@ -35,8 +35,8 @@ import numpy as np
 from ..errors import NoSeedsReachable
 from ..keccak import keccak256_batch
 from ..model import int_field, number_field, read_json
-from .identity import PeerInfo, hash_prefix, precompute_targets
-from .simulator import SimTransport, digest_lanes
+from .identity import PeerInfo, digest_lanes, hash_prefix, precompute_targets
+from .simulator import SimTransport
 
 log = logging.getLogger(__name__)
 
@@ -160,7 +160,7 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
         # answers them all for a peer
         runner = nullcontext(_InlineExecutor())
         find = transport.find_nodes
-        find_args = [(target_list, digest_lanes(keccak256_batch(target_list)))]
+        find_args = [(digest_lanes(keccak256_batch(target_list)),)]
     else:
         runner = ThreadPoolExecutor(
             max_workers=min(config.max_in_flight, _MAX_WORKERS))

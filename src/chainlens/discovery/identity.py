@@ -3,6 +3,10 @@
 A node is identified by 64 raw bytes; its position in the discovery metric
 space is the Keccak-256 digest of that identity. Distance between two nodes
 is the big-endian integer value of the XOR of their digests.
+
+`rank` is the one XOR ranking: neighbor selection and the simulated
+overlay's find_node and find_nodes all sort by it, over digests held as
+64-bit lanes.
 """
 
 from __future__ import annotations
@@ -10,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..keccak import keccak256, keccak256_batch, keccak256_batch64
+from ..keccak import keccak256, keccak256_batch64
 
 NODE_ID_LEN = 64
 HASH_LEN = 32
+_LANES = HASH_LEN // 8
 
 
 @dataclass(frozen=True)
@@ -40,47 +45,51 @@ def node_hash(node_id: bytes) -> bytes:
     return keccak256(node_id)
 
 
-# A routing table ready for repeated ranking: the peers, stably sorted by
-# node id, and the digest of each as a big-endian integer, in that order.
-KeyedTable = tuple[list[int], list[PeerInfo]]
+def digest_lanes(digests: Sequence[bytes]) -> np.ndarray:
+    """32-byte digests as an (N, 4) array of big-endian 64-bit lanes."""
+    joined = np.frombuffer(b"".join(digests), dtype=">u8")
+    return joined.reshape(-1, _LANES).astype(np.uint64)
 
 
-def hash_ints(node_ids: Iterable[bytes]) -> dict[bytes, int]:
-    """The digest of each distinct node id as an integer, from one batch."""
-    unique = list(dict.fromkeys(node_ids))
-    return {node_id: int.from_bytes(digest, "big")
-            for node_id, digest in zip(unique, keccak256_batch(unique))}
+def ranking_lanes(rows: np.ndarray) -> np.ndarray:
+    """A table's digests, rows of `digest_lanes`, as the (w, 1, N) lanes
+    `rank` takes.
 
-
-def key_table(peers: Iterable[PeerInfo],
-              hash_of: Mapping[bytes, int]) -> KeyedTable:
-    """`peers` pre-keyed for `closest`, with digests looked up in `hash_of`."""
-    ordered = sorted(peers, key=attrgetter("node_id"))
-    return [hash_of[p.node_id] for p in ordered], ordered
-
-
-def closest(table: KeyedTable, target_int: int, k: int) -> list[PeerInfo]:
-    """The k peers of `table` closest to the digest `target_int`, ascending.
-
-    Sorting positions stably by distance alone keeps the table's node-id
-    order among equal distances, so the order is (distance, node id,
-    position in the caller's list) and no PeerInfo is ever compared.
+    w is the fewest leading 64-bit lanes that tell the table's distinct
+    digests apart: 1 unless two of them share their top 64 bits. Lanes run
+    least significant first, the order np.lexsort takes its keys in.
     """
-    keys, peers = table
-    distances = [h ^ target_int for h in keys]
-    order = sorted(range(len(peers)), key=distances.__getitem__)
-    return [peers[i] for i in order[:k]]
+    keys = [tuple(row) for row in rows.tolist()]
+    distinct = len(set(keys))
+    width = next(w for w in range(1, _LANES + 1)
+                 if len({key[:w] for key in keys}) == distinct)
+    return np.ascontiguousarray(rows[:, width - 1::-1].T)[:, None, :]
+
+
+def rank(lanes: np.ndarray, target_lanes: np.ndarray, k: int) -> np.ndarray:
+    """Row t: the positions of the k table entries closest to target t.
+
+    `lanes` is the table's `ranking_lanes`, `target_lanes` the targets'
+    digests as `digest_lanes` gives them. Positions are sorted stably by
+    XOR distance, so equal distances keep the table's order; a table kept
+    in node-id order thus ranks by (distance, node id, position in the
+    caller's list).
+    """
+    wanted = target_lanes[:, len(lanes) - 1::-1].T[:, :, None]
+    return np.lexsort(wanted ^ lanes, axis=-1)[:, :k]
 
 
 def select_neighbors(candidates: Sequence[PeerInfo], target: bytes,
                      k: int) -> list[PeerInfo]:
-    """The k candidates closest to `target`, ascending, ties by node id."""
+    """The k candidates closest to the digest `target`, ascending, by
+    `rank`: ties in node-id order, then in the caller's."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    hash_of = {p.node_id: int.from_bytes(node_hash(p.node_id), "big")
-               for p in candidates}
-    return closest(key_table(candidates, hash_of),
-                   int.from_bytes(target, "big"), k)
+    ordered = sorted(candidates, key=attrgetter("node_id"))
+    lanes = ranking_lanes(digest_lanes([node_hash(p.node_id)
+                                        for p in ordered]))
+    return [ordered[i]
+            for i in rank(lanes, digest_lanes([target]), k)[0].tolist()]
 
 
 def hash_prefix(digest: bytes, prefix_bits: int) -> int:

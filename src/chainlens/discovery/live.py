@@ -6,8 +6,11 @@ recoverable secp256k1 signature over Keccak-256(type || payload). A node's
 identity is its uncompressed public key (64 bytes), so every valid packet
 identifies its sender.
 
-This transport exists for real networks and is excluded from the offline
-test gate; the codec and signature math are unit-tested without sockets.
+This transport exists for real networks. The codec and signature math are
+unit-tested without sockets, and ping_pong and find_node over loopback
+against an in-process responder; no test reaches beyond 127.0.0.1.
+find_node takes NEIGHBORS only from the peer it asked. Concurrent calls
+still share one socket, so one call can take a reply meant for another.
 """
 
 from __future__ import annotations
@@ -268,6 +271,7 @@ class UdpV4Transport:
             answer = self._recv_until(deadline, NEIGHBORS)
             if answer is None:
                 break
-            _sender, payload = answer
-            found.extend(decode_neighbors(payload))
+            sender, payload = answer
+            if sender == peer.node_id:  # any other node's list answers nothing
+                found.extend(decode_neighbors(payload))
         return found[:self.neighbor_k]

@@ -10,26 +10,27 @@ its Keccak digest. A find query is dropped when splitmix64(peer key ^
 target key) falls below churn * 2**64, a ping when splitmix64(peer key ^
 _PING) does.
 
-find_nodes answers a whole list of targets for one peer: it draws churn for
-every target and ranks the peer's table against every answered one in one
-vectorised pass, over target digests the caller hashed beforehand (the
-crawler hashes all of a crawl's targets in one Keccak batch), so it makes
-no Keccak or blake2b call itself.
+find_node and find_nodes rank a table by `identity.rank`, the one XOR
+ranking. find_nodes answers a whole list of targets for one peer: it draws
+churn for every target and ranks the peer's table against every answered
+one in one vectorised pass, over target digests the caller hashed
+beforehand (the crawler hashes all of a crawl's targets in one Keccak
+batch), so it makes no Keccak or blake2b call itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
 
 import numpy as np
 
 from ..errors import QueryTimeout
-from .identity import (HASH_LEN, NODE_ID_LEN, PeerInfo, closest, hash_ints,
-                       key_table, node_hash)
+from ..keccak import keccak256_batch
+from .identity import (NODE_ID_LEN, PeerInfo, digest_lanes, node_hash, rank,
+                       ranking_lanes)
 
-_LANES = HASH_LEN // 8
 _MASK64 = (1 << 64) - 1
 _PING = 0x70696E67_00000000  # b"ping": the target key a ping draws against
 
@@ -46,26 +47,6 @@ def _splitmix64_array(z: np.ndarray) -> np.ndarray:
     z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
     return z ^ z >> np.uint64(31)
-
-
-def digest_lanes(digests: Sequence[bytes]) -> np.ndarray:
-    """32-byte digests as an (N, 4) array of big-endian 64-bit lanes."""
-    joined = np.frombuffer(b"".join(digests), dtype=">u8")
-    return joined.reshape(-1, _LANES).astype(np.uint64)
-
-
-def _ranking_lanes(keys: list[int]) -> np.ndarray:
-    """A keyed table's digests as the (w, 1, N) lanes find_nodes ranks by.
-
-    w is the fewest leading 64-bit lanes that tell the table's distinct
-    digests apart: 1 unless two of them share their top 64 bits. Lanes run
-    least significant first, the order np.lexsort takes its keys in.
-    """
-    distinct = len(set(keys))
-    width = next(w for w in range(1, _LANES + 1)
-                 if len({h >> 64 * (_LANES - w) for h in keys}) == distinct)
-    lanes = digest_lanes([h.to_bytes(HASH_LEN, "big") for h in keys])
-    return np.ascontiguousarray(lanes[:, width - 1::-1].T)[:, None, :]
 
 
 @dataclass
@@ -92,14 +73,16 @@ class SimTransport:
                  neighbor_k: int, seed_tag: bytes):
         if neighbor_k < 1:
             raise ValueError("neighbor_k must be >= 1")
-        tables = {node_id: table for node_id, table in tables.items()
+        tables = {node_id: sorted(table, key=attrgetter("node_id"))
+                  for node_id, table in tables.items()
                   if node_id not in unreachable}
-        hash_of = hash_ints(p.node_id for table in tables.values()
-                            for p in table)
-        self._tables = {node_id: key_table(table, hash_of)
-                        for node_id, table in tables.items()}
-        self._lanes = {node_id: _ranking_lanes(keys)
-                       for node_id, (keys, _) in self._tables.items()}
+        row = {node_id: i for i, node_id in enumerate(dict.fromkeys(
+            p.node_id for table in tables.values() for p in table))}
+        lanes = digest_lanes(keccak256_batch(list(row)))
+        # tables sorted stably by node id: `rank` keeps their order on ties
+        self._tables = {node_id: (table, ranking_lanes(
+            lanes[[row[p.node_id] for p in table]]))
+            for node_id, table in tables.items()}
         self._k = neighbor_k
         # a draw below this drops the query
         self._threshold = int(churn_failure_rate * (1 << 64))
@@ -115,25 +98,29 @@ class SimTransport:
         return peer.node_id in self._tables and not self._drops(peer, _PING)
 
     def find_node(self, peer: PeerInfo, target: bytes) -> list[PeerInfo]:
+        """The k table entries of `peer` closest to `target`, by `rank`."""
         if peer.node_id not in self._tables:
             raise QueryTimeout(f"peer {peer.ip}:{peer.port} unreachable")
-        target_int = int.from_bytes(node_hash(target), "big")
-        if self._drops(peer, target_int >> 64 * (_LANES - 1)):
+        target_lanes = digest_lanes([node_hash(target)])
+        if self._drops(peer, int(target_lanes[0, 0])):
             raise QueryTimeout(f"query to {peer.ip}:{peer.port} dropped")
-        return closest(self._tables[peer.node_id], target_int, self._k)
+        peers, lanes = self._tables[peer.node_id]
+        return [peers[i]
+                for i in rank(lanes, target_lanes, self._k)[0].tolist()]
 
-    def find_nodes(self, peer: PeerInfo, targets: Sequence[bytes],
+    def find_nodes(self, peer: PeerInfo,
                    target_lanes: np.ndarray) -> tuple[list[PeerInfo], bool]:
         """`find_node(peer, t)` for every target t, answered in one pass.
 
-        `target_lanes` holds the targets' Keccak digests, row for row, as
-        `digest_lanes` gives them. Returns the distinct table entries that
-        the answered queries return, first seen in target order and then in
+        `target_lanes` holds the targets' Keccak digests, one row each, as
+        `digest_lanes` gives them, and `rank` ranks the table against all
+        of them at once. Returns the distinct table entries that the
+        answered queries return, first seen in target order and then in
         rank order, and whether any query failed (the peer has no table or
         churn dropped it), where find_node would have raised.
         """
         if peer.node_id not in self._tables:
-            return [], len(targets) > 0
+            return [], len(target_lanes) > 0
         answered = target_lanes
         failed = False
         if self._threshold > 0:
@@ -144,14 +131,8 @@ class SimTransport:
             failed = not kept.all()
             if failed:
                 answered = target_lanes[kept]
-        peers = self._tables[peer.node_id][1]
-        if not peers or not len(answered):
-            return [], failed
-        # rank positions stably by distance, as closest does: ties keep the
-        # table's (node id, position) order
-        lanes = self._lanes[peer.node_id]
-        wanted = answered[:, len(lanes) - 1::-1].T[:, :, None]
-        ranked = np.lexsort(wanted ^ lanes, axis=-1)[:, :self._k].ravel()
+        peers, lanes = self._tables[peer.node_id]
+        ranked = rank(lanes, answered, self._k).ravel()
         # each position once, in the order of its first place in `ranked`
         first = np.full(len(peers), ranked.size)
         np.minimum.at(first, ranked, np.arange(ranked.size))

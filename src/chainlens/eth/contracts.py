@@ -58,9 +58,6 @@ class ContractRegistry:
     def get(self, address: str) -> ContractRecord | None:
         return self._records.get(address)
 
-    def __contains__(self, address: str) -> bool:
-        return address in self._records
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import re
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
@@ -31,6 +32,7 @@ log = logging.getLogger(__name__)
 DEFAULT_PROBE_CALLER = "00000000000000000000000000000000000000aa"
 _SELECTOR_FILE = "termination_selectors.txt"
 BASE_CALL_GAS = 21_000  # intrinsic gas of a plain call
+_HEX_DATA = re.compile(r"0x(?:[0-9a-fA-F]{2})*")  # a JSON-RPC DATA string
 _UNSCRIPTED = (100_000, False, None)  # FixtureExecutor, unscripted pairs
 
 
@@ -197,9 +199,9 @@ class RpcExecutor:
     """Minimal JSON-RPC executor for a live (typically private) node.
 
     Termination is confirmed by the contract's code disappearing after the
-    call; refund destinations are not observable without tracing, so they
-    come back as None. A reply that is not a JSON-RPC result is an
-    ExecutorFailure.
+    call: eth_getCode answers "0x". Refund destinations are not observable
+    without tracing, so they come back as None. A reply that is not a
+    JSON-RPC result, or a result not of its type, is an ExecutorFailure.
     """
 
     def __init__(self, url: str, timeout: float = 10.0):
@@ -242,8 +244,10 @@ class RpcExecutor:
                      "data": "0x" + selector.hex(),
                      "gas": hex(100_000)}])
         code = self._call("eth_getCode", ["0x" + contract, "latest"])
-        terminated = code in ("0x", "", None)
-        return InvokeOutcome(terminated=terminated, refund_to=None)
+        if not (isinstance(code, str) and _HEX_DATA.fullmatch(code)):
+            raise ExecutorFailure("rpc", "eth_getCode result is not hex "
+                                         f"data: {code!r}")
+        return InvokeOutcome(terminated=code == "0x", refund_to=None)
 
 
 def classify_refund(refund_to: str | None, caller: str,

@@ -135,11 +135,27 @@ def levenshtein_oracle(a: str, b: str) -> int:
     return matrix[-1][-1]
 
 
-def brute_force_neighbors(candidates, target_digest: bytes, k: int) -> list:
-    """Closest-k by full sort, with its own hashing and distance math."""
+def brute_force_neighbors(candidates, target_digest: bytes, k: int,
+                          digest_of=keccak256_oracle) -> list:
+    """Closest-k by full sort, with its own hashing and distance math.
+
+    `digest_of` maps a node id to its digest; a test that fakes digests
+    passes its own.
+    """
     def rank(peer):
-        digest = keccak256_oracle(peer.node_id)
+        digest = digest_of(peer.node_id)
         distance = bytes(x ^ y for x, y in zip(digest, target_digest))
         return (distance, peer.node_id)
 
     return sorted(candidates, key=rank)[:k]
+
+
+def shared_top(digest: bytes, nbytes: int) -> bytes:
+    """`digest` with its top `nbytes` bytes set by its top 4 bits alone.
+
+    A real 64-bit digest prefix collision is out of reach, so this stands in
+    for one: among a few dozen ids, some then agree on their top bytes, and
+    a ranking must look past the top 64-bit lane.
+    """
+    return keccak256_oracle(bytes([digest[0] >> 4]))[:nbytes] + \
+        digest[nbytes:]

@@ -808,7 +808,16 @@ def test_poison_scan(tmp_path, capsys):
     out = run_ok(capsys, ["--db", db, "poison", "scan", "--save", str(save),
                           "--verify-full"])
     assert parse_csv(out.out)[1] == ["png", h32(1), "12"]
-    assert (save / f"{h32(1)}.png").read_bytes() == bytes.fromhex(payload)
+    target = save / f"{h32(1)}.png"
+    assert target.read_bytes() == bytes.fromhex(payload)
+    # a payload that cannot be written is reported; the rows stay the same
+    target.unlink()
+    target.mkdir()
+    failed = run_ok(capsys, ["--db", db, "poison", "scan", "--save",
+                             str(save), "--verify-full"])
+    assert failed.out == out.out
+    assert failed.err.startswith(f"write failed: {target}: ")
+    assert "Traceback" not in failed.err
 
 
 def test_crawl_sim(tmp_path, capsys):

@@ -14,11 +14,13 @@ from chainlens import keccak
 from chainlens.discovery import crawler, simulator
 from chainlens.discovery.crawler import (CrawlConfig, CrawlReport, crawl,
                                          endpoint_stats, load_topology)
-from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo, hash_ints,
-                                          hash_prefix, node_hash,
-                                          precompute_targets)
+from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo,
+                                          digest_lanes, hash_prefix,
+                                          node_hash, precompute_targets)
 from chainlens.discovery.simulator import SimTransport, build_sim_overlay
 from chainlens.errors import NoSeedsReachable, QueryTimeout
+
+import oracles
 
 
 def _crawl_overlay(n_peers, degree, seed, prefix_bits=6, **overlay_kwargs):
@@ -165,9 +167,9 @@ def test_sim_crawl_asks_each_admitted_peer_once(monkeypatch):
             admitted.append(peer.node_id)
         return answered
 
-    def counting_find(peer, targets, lanes):
-        asked.append((peer.node_id, len(targets)))
-        return find_nodes(peer, targets, lanes)
+    def counting_find(peer, lanes):
+        asked.append((peer.node_id, len(lanes)))
+        return find_nodes(peer, lanes)
 
     transport.ping_pong, transport.find_nodes = counting_ping, counting_find
     seeds = [p for p in truth.peers if p.node_id in truth.reachable_ids][:3]
@@ -326,13 +328,13 @@ def _slow_find(transport, peer, targets):
 
 
 def _assert_chunks_agree(transport, peers, rng, targets):
-    lanes = simulator.digest_lanes(keccak.keccak256_batch(targets))
+    lanes = digest_lanes(keccak.keccak256_batch(targets))
     for peer in peers:
         for _ in range(3):
             rows = [rng.randrange(len(targets))
                     for _ in range(rng.randint(1, 40))]
             chunk = tuple(targets[i] for i in rows)
-            assert transport.find_nodes(peer, chunk, lanes[rows]) == \
+            assert transport.find_nodes(peer, lanes[rows]) == \
                 _slow_find(transport, peer, chunk)
 
 
@@ -348,8 +350,8 @@ def test_find_nodes_matches_find_node_per_target():
         outsider = PeerInfo(rng.randbytes(NODE_ID_LEN), "192.0.2.1", 1)
         _assert_chunks_agree(transport, truth.peers + [outsider], rng,
                              targets)
-    assert transport.find_nodes(truth.peers[0], (),
-                                simulator.digest_lanes([])) == ([], False)
+    assert transport.find_nodes(truth.peers[0], digest_lanes([])) == \
+        ([], False)
 
 
 def _twin_tables(rng, n_tables):
@@ -369,36 +371,46 @@ def _twin_tables(rng, n_tables):
 
 
 def _sharing_top_bits(bits):
-    """hash_ints, but digests agree in pairs on their top `bits` bits.
-
-    A real 64-bit digest prefix collision is out of reach, so this stands in
-    for one: the ranking must then look past the top 64-bit lane.
-    """
-    low = (1 << (256 - bits)) - 1
-
-    def keys_of(node_ids):
-        keys = hash_ints(node_ids)
-        shared = {}
-        for i, node_id in enumerate(sorted(keys)):
-            top = shared.setdefault(i // 2, keys[node_id] & ~low)
-            keys[node_id] = top | keys[node_id] & low
-        return keys
-    return keys_of
+    """keccak256_batch, but its digests agree in groups on their top `bits`
+    bits, as `oracles.shared_top` sets them."""
+    def batch(messages):
+        return [oracles.shared_top(digest, bits // 8)
+                for digest in keccak.keccak256_batch(messages)]
+    return batch
 
 
 def test_find_nodes_matches_find_node_on_built_tables(monkeypatch):
     rng = random.Random(43)
     targets = [rng.randbytes(NODE_ID_LEN) for _ in range(50)]
     pool, tables = _twin_tables(rng, 20)
-    for churn, k, keys in ((0.0, 3, hash_ints), (0.25, 8, hash_ints),
-                           (0.1, 40, hash_ints),
-                           (0.1, 6, _sharing_top_bits(64)),
-                           (0.0, 40, _sharing_top_bits(64)),
-                           (0.2, 5, _sharing_top_bits(192))):
-        monkeypatch.setattr(simulator, "hash_ints", keys)
+    for churn, k, bits in ((0.0, 3, 0), (0.25, 8, 0), (0.1, 40, 0),
+                           (0.1, 6, 64), (0.0, 40, 64), (0.2, 5, 192)):
+        monkeypatch.setattr(simulator, "keccak256_batch",
+                            _sharing_top_bits(bits))
         transport = SimTransport(tables, frozenset([pool[0].node_id]), churn,
                                  k, b"twins")
         _assert_chunks_agree(transport, pool, rng, targets)
+
+
+def test_find_node_matches_bruteforce_on_built_tables(monkeypatch):
+    # twins, empty tables, k past the end, and digests that agree on their
+    # top 64 or 192 bits, against the oracle's own hashing and sort
+    rng = random.Random(45)
+    targets = [rng.randbytes(NODE_ID_LEN) for _ in range(8)]
+    pool, tables = _twin_tables(rng, 20)
+    assert not all(tables.values())
+    for k, bits in ((3, 0), (40, 0), (6, 64), (40, 64), (5, 192)):
+        monkeypatch.setattr(simulator, "keccak256_batch",
+                            _sharing_top_bits(bits))
+        transport = SimTransport(tables, frozenset(), 0.0, k, b"twins")
+        digests = {p.node_id: oracles.shared_top(
+            oracles.keccak256_oracle(p.node_id), bits // 8) for p in pool}
+        for owner in pool[:20]:
+            for target in targets:
+                assert transport.find_node(owner, target) == \
+                    oracles.brute_force_neighbors(
+                        tables[owner.node_id], node_hash(target), k,
+                        digests.__getitem__)
 
 
 def test_peer_without_table_never_answers():
@@ -409,13 +421,13 @@ def test_peer_without_table_never_answers():
     transport = SimTransport(tables, frozenset([pool[0].node_id]), 0.0, 16,
                              b"tableless")
     targets = [rng.randbytes(NODE_ID_LEN) for _ in range(4)]
-    lanes = simulator.digest_lanes(keccak.keccak256_batch(targets))
+    lanes = digest_lanes(keccak.keccak256_batch(targets))
     outsider = PeerInfo(rng.randbytes(NODE_ID_LEN), "192.0.2.1", 1)
     for peer in (pool[0], pool[-1], outsider):
         assert not transport.ping_pong(peer)
         with pytest.raises(QueryTimeout):
             transport.find_node(peer, targets[0])
-        assert transport.find_nodes(peer, targets, lanes) == ([], True)
+        assert transport.find_nodes(peer, lanes) == ([], True)
     owner = next(p for p in pool[1:5] if tables[p.node_id])
     assert transport.ping_pong(owner)
     assert transport.find_node(owner, targets[0])

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo, closest,
-                                          hash_ints, hash_prefix, key_table,
-                                          node_hash, precompute_targets,
-                                          select_neighbors)
+from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo,
+                                          digest_lanes, hash_prefix,
+                                          node_hash, precompute_targets, rank,
+                                          ranking_lanes, select_neighbors)
 from chainlens.keccak import keccak256
 
 import oracles
@@ -55,26 +55,54 @@ def test_select_neighbors_tie_order_by_node_id():
     assert [p.node_id for p in first] == [p.node_id for p in second]
 
 
-def test_keyed_ranking_matches_bruteforce_with_twins():
-    # the pre-keyed ranking against the keccak-oracle (distance, node id)
-    # stable sort, twins (one id at two endpoints) included, k past the end
+def _ranked(peers, target_digest, k, digests):
+    """`peers` ranked by `rank`, as a table in node-id order."""
+    ordered = sorted(peers, key=lambda p: p.node_id)
+    lanes = ranking_lanes(digest_lanes([digests[p.node_id] for p in ordered]))
+    positions = rank(lanes, digest_lanes([target_digest]), k)
+    assert positions.shape == (1, min(k, len(peers)))
+    return [ordered[i] for i in positions[0].tolist()]
+
+
+def test_rank_matches_bruteforce_with_twins():
+    # the lane ranking against the keccak-oracle (distance, node id) stable
+    # sort: empty tables, twins (one id at two endpoints), k past the end,
+    # and digests that agree on their top 64 or 192 bits
     rng = random.Random(11)
-    for _ in range(60):
-        peers = _random_peers(rng, rng.randint(0, 24))
-        for _ in range(rng.randint(0, 3) if peers else 0):
-            twin = rng.choice(peers)
-            peers.insert(rng.randrange(len(peers) + 1),
-                         PeerInfo(twin.node_id, "203.0.113.7",
-                                  rng.randint(1, 65535)))
-        table = key_table(peers, hash_ints(p.node_id for p in peers))
-        target_digest = rng.randbytes(32)
-        ranked = oracles.brute_force_neighbors(peers, target_digest,
-                                               len(peers))
-        for k in {1, max(1, len(peers) // 2), max(1, len(peers)),
-                  len(peers) + 5}:
-            assert closest(table, int.from_bytes(target_digest, "big"),
-                           k) == ranked[:k]
-            assert select_neighbors(peers, target_digest, k) == ranked[:k]
+    for nbytes in (0, 8, 24):
+        for _ in range(40):
+            peers = _random_peers(rng, rng.randint(0, 24))
+            for _ in range(rng.randint(0, 3) if peers else 0):
+                twin = rng.choice(peers)
+                peers.insert(rng.randrange(len(peers) + 1),
+                             PeerInfo(twin.node_id, "203.0.113.7",
+                                      rng.randint(1, 65535)))
+            digests = {p.node_id: oracles.shared_top(
+                oracles.keccak256_oracle(p.node_id), nbytes) for p in peers}
+            target_digest = rng.randbytes(32)
+            ranked = oracles.brute_force_neighbors(
+                peers, target_digest, len(peers), digests.__getitem__)
+            for k in {1, max(1, len(peers) // 2), max(1, len(peers)),
+                      len(peers) + 5}:
+                assert _ranked(peers, target_digest, k, digests) == \
+                    ranked[:k]
+                if not nbytes:
+                    assert select_neighbors(peers, target_digest, k) == \
+                        ranked[:k]
+
+
+def test_ranking_lanes_keep_the_fewest_lanes_that_part_digests():
+    rng = random.Random(12)
+    digests = [rng.randbytes(32) for _ in range(6)]
+    assert ranking_lanes(digest_lanes(digests)).shape == (1, 1, 6)
+    # twins do not widen the lanes; a shared top lane does
+    assert ranking_lanes(digest_lanes(digests + digests[:2])).shape == \
+        (1, 1, 8)
+    shared = digests + [digests[0][:8] + rng.randbytes(24)]
+    assert ranking_lanes(digest_lanes(shared)).shape == (2, 1, 7)
+    shared.append(digests[1][:24] + rng.randbytes(8))
+    assert ranking_lanes(digest_lanes(shared)).shape == (4, 1, 8)
+    assert ranking_lanes(digest_lanes([])).shape == (1, 1, 0)
 
 
 def test_select_neighbors_k_validation():

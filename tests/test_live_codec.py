@@ -1,13 +1,16 @@
 """Wire codec for the UDP discovery protocol: signing, packets, parsing."""
 
 import random
+import socket
+import threading
 
 import pytest
 
-from chainlens.discovery.identity import NODE_ID_LEN
-from chainlens.discovery.live import (FINDNODE, PING, UdpV4Transport,
-                                      decode_neighbors, decode_packet,
-                                      encode_findnode, encode_ping,
+from chainlens.discovery.identity import NODE_ID_LEN, PeerInfo
+from chainlens.discovery.live import (FINDNODE, NEIGHBORS, PING,
+                                      UdpV4Transport, decode_neighbors,
+                                      decode_packet, encode_findnode,
+                                      encode_packet, encode_ping,
                                       encode_pong, public_key,
                                       recover_node_id, sign_recoverable)
 from chainlens.keccak import keccak256
@@ -110,9 +113,71 @@ def test_udp_transport_ping_timeout():
                                bind=("127.0.0.1", 0), ping_timeout=0.05,
                                query_timeout=0.05)
     try:
-        from chainlens.discovery.identity import PeerInfo
         # a port that nothing on localhost answers
         silent = PeerInfo(node_id=b"\x01" * 64, ip="127.0.0.1", port=9)
         assert transport.ping_pong(silent) is False
     finally:
         transport.close()
+
+
+def _neighbors_packet(private_key, peers):
+    entries = [[bytes(map(int, p.ip.split("."))), rlp.encode_uint(p.port),
+                rlp.encode_uint(p.port), p.node_id] for p in peers]
+    return encode_packet(private_key, NEIGHBORS,
+                         [entries, rlp.encode_uint(9999999999)])
+
+
+def _respond(sock, private_key, neighbors, stranger_key, strangers, stop):
+    """Answer each PING with a PONG, and each FINDNODE first with a stranger's
+    NEIGHBORS and then with this node's own."""
+    while not stop.is_set():
+        try:
+            data, addr = sock.recvfrom(1500)
+        except socket.timeout:
+            continue
+        _sender, ptype, _payload = decode_packet(data)
+        if ptype == PING:
+            sock.sendto(encode_pong(private_key, addr, data[:32]), addr)
+        elif ptype == FINDNODE:
+            sock.sendto(_neighbors_packet(stranger_key, strangers), addr)
+            sock.sendto(_neighbors_packet(private_key, neighbors), addr)
+
+
+def test_udp_transport_on_loopback():
+    rng = random.Random(6)
+    peer_key, stranger_key = (11).to_bytes(32, "big"), (13).to_bytes(32, "big")
+    neighbors = [PeerInfo(rng.randbytes(NODE_ID_LEN), f"198.51.100.{i}",
+                          30301 + i) for i in range(1, 4)]
+    strangers = [PeerInfo(rng.randbytes(NODE_ID_LEN), f"203.0.113.{i}", 9)
+                 for i in range(1, 3)]
+    responder = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    responder.bind(("127.0.0.1", 0))
+    responder.settimeout(0.05)
+    closed = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    closed.bind(("127.0.0.1", 0))
+    closed_port = closed.getsockname()[1]
+    closed.close()
+    stop = threading.Event()
+    thread = threading.Thread(target=_respond, args=(
+        responder, peer_key, neighbors, stranger_key, strangers, stop))
+    transport = UdpV4Transport(private_key=(7).to_bytes(32, "big"),
+                               bind=("127.0.0.1", 0), ping_timeout=5.0,
+                               query_timeout=5.0, neighbor_k=3)
+    thread.start()
+    try:
+        peer = PeerInfo(public_key(peer_key), "127.0.0.1",
+                        responder.getsockname()[1])
+        assert transport.ping_pong(peer) is True
+        # the stranger's list arrives first and is not taken as the answer
+        assert transport.find_node(peer, rng.randbytes(NODE_ID_LEN)) == \
+            neighbors
+        transport.ping_timeout = transport.query_timeout = 0.05
+        silent = PeerInfo(peer.node_id, "127.0.0.1", closed_port)
+        assert transport.ping_pong(silent) is False
+        assert transport.find_node(silent, rng.randbytes(NODE_ID_LEN)) == []
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        transport.close()
+        responder.close()
+    assert not thread.is_alive()

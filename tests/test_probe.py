@@ -266,36 +266,32 @@ def test_custom_caller_is_passed_through():
 
 
 class _ScriptedRpc(http.server.BaseHTTPRequestHandler):
-    """Answers every JSON-RPC POST with the class's `reply` body."""
+    """Answers each JSON-RPC POST with the class's `replies` body for its
+    method."""
 
-    reply = b""
+    replies: dict = {}
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
+        request = json.loads(self.rfile.read(
+            int(self.headers["Content-Length"])))
+        reply = self.replies[request["method"]]
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(self.reply)))
+        self.send_header("Content-Length", str(len(reply)))
         self.end_headers()
-        self.wfile.write(self.reply)
+        self.wfile.write(reply)
 
     def log_message(self, *args):
         pass
 
 
-@pytest.mark.parametrize("reply, error", [
-    (b"<html>busy</html>", "malformed reply"),
-    (b"[1]", "malformed reply: not an object"),
-    (b'{"jsonrpc": "2.0", "id": 1, "result": null}',
-     "not a hex quantity: None"),
-    (b'{"jsonrpc": "2.0", "id": 1, "error": {"code": -32000, '
-     b'"message": "execution reverted"}}', "execution reverted"),
-], ids=["not json", "not an object", "null result", "error"])
-def test_rpc_reply_faults_fill_the_error_column(tmp_path, capsys,
-                                                monkeypatch, reply, error):
+def _probe_over_rpc(tmp_path, capsys, monkeypatch, replies) -> dict:
+    """The one CSV row `eth probe --rpc` writes for one contract and
+    `kill()`, against a loopback server scripted with `replies`."""
     # loopback only: no proxy may stand between the client and the server
     for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
         monkeypatch.delenv(name, raising=False)
-    handler = type("Handler", (_ScriptedRpc,), {"reply": reply})
+    handler = type("Handler", (_ScriptedRpc,), {"replies": replies})
     server = http.server.HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever)
     thread.start()
@@ -315,6 +311,48 @@ def test_rpc_reply_faults_fill_the_error_column(tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 0 and "Traceback" not in captured.err
     [row] = csv.DictReader(io.StringIO(captured.out))
-    assert row["contract"] == addr(0xC1) and row["gas_estimate"] == ""
+    assert row["contract"] == addr(0xC1)
+    return row
+
+
+def _result(value: str) -> bytes:
+    return b'{"jsonrpc": "2.0", "id": 1, "result": ' + value.encode() + b"}"
+
+
+@pytest.mark.parametrize("reply, error", [
+    (b"<html>busy</html>", "malformed reply"),
+    (b"[1]", "malformed reply: not an object"),
+    (_result("null"), "not a hex quantity: None"),
+    (b'{"jsonrpc": "2.0", "id": 1, "error": {"code": -32000, '
+     b'"message": "execution reverted"}}', "execution reverted"),
+], ids=["not json", "not an object", "null result", "error"])
+def test_rpc_reply_faults_fill_the_error_column(tmp_path, capsys,
+                                                monkeypatch, reply, error):
+    row = _probe_over_rpc(tmp_path, capsys, monkeypatch,
+                          {"eth_estimateGas": reply})
+    assert row["gas_estimate"] == ""
     assert row["error"].startswith("executor failed for contract rpc: ")
     assert error in row["error"]
+
+
+@pytest.mark.parametrize("code, confirmed, error", [
+    ("null", "0", "eth_getCode result is not hex data: None"),
+    ('""', "0", "eth_getCode result is not hex data: ''"),
+    ('"0x600"', "0", "eth_getCode result is not hex data: '0x600'"),
+    ('"0x"', "1", ""),
+    ('"0x6001"', "0", ""),
+], ids=["null", "empty", "odd digits", "gone", "live"])
+def test_rpc_get_code_confirms_only_code_gone(tmp_path, capsys, monkeypatch,
+                                              code, confirmed, error):
+    # only "0x" is code gone; a reply that is not hex data confirms nothing
+    row = _probe_over_rpc(tmp_path, capsys, monkeypatch, {
+        "eth_estimateGas": _result('"0x1000"'),
+        "eth_sendTransaction": _result('"0x' + "ab" * 32 + '"'),
+        "eth_getCode": _result(code)})
+    assert row["gas_estimate"] == "4096"
+    assert row["confirmed"] == confirmed
+    assert row["selector"] == ("41c0e1b5" if confirmed == "1" else "")
+    if error:
+        assert row["error"] == f"executor failed for contract rpc: {error}"
+    else:
+        assert row["error"] == ""

@@ -891,6 +891,9 @@ _REJECTED = {
     "firstupdate tx": {"name_op.name": [None, "", _ABSENT]},
     "update tx": {"name_op.name": [None, "", _ABSENT]},
     "ppc block": {"proof": [None, _ABSENT]},
+    # a Namecoin or Peercoin address is any string but the empty one
+    "nmc tx": {"from": [""], "to": [""]},
+    "ppc tx": {"from": [""], "to": [""]},
 }
 
 
@@ -913,7 +916,9 @@ _BASES = {"block": _BLOCK, "tx": _TX,
               **_NAME_OP, "kind": "firstupdate"}},
           "update tx": {**_TX, "chain": "nmc", "name_op": {
               **_NAME_OP, "kind": "update"}},
-          "ppc block": _with(_BLOCK, "chain", "ppc")}
+          "ppc block": _with(_BLOCK, "chain", "ppc"),
+          "nmc tx": {**_TX, "chain": "nmc", "from": "n1", "to": "n2"},
+          "ppc tx": {**_TX, "chain": "ppc", "from": "p1", "to": "p2"}}
 
 
 def _case(kind: str, key: str, value) -> tuple[ChainKind, dict]:

@@ -9,12 +9,14 @@ expiry window, after which the name can be registered again from scratch.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 from datetime import date
 
 from ..errors import AuxPowBeforeActivation, EmptyChain
-from ..model import ChainKind, NameOpKind, iso_week_key, tally_periods, utc_date
+from ..model import (NAME_OP_KINDS, ChainKind, Transaction, iso_week_key,
+                     tally_periods, utc_date)
 from ..store import Store
 
 log = logging.getLogger(__name__)
@@ -28,19 +30,28 @@ class FeeSchedule:
     expiry_window_blocks: int = 36_000
 
 
+def _name_op(tx: Transaction) -> tuple[str, str | None, int] | None:
+    """(kind, name, paid fee) of a tx's name op, or None if it has none;
+    a `new` op has no name."""
+    if tx.name_op is None:
+        return None
+    op = json.loads(tx.name_op)
+    return op["kind"], op["name"], int(op["paid_fee"])
+
+
 def weekly_fee_sums(store: Store) -> list[tuple[str, str, int]]:
     """(ISO week, op kind, sum of actually paid fees) rows, zero-filled.
 
     Only operation kinds that occur at all get rows; weeks inside the
     observed span with no operations of such a kind are emitted with 0.
     """
-    items = ((block_time, tx.name_op.kind, tx.name_op.paid_fee)
-             for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN)
-             if tx.name_op is not None)
+    ops = ((block_time, _name_op(tx))
+           for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN))
+    items = ((block_time, op[0], op[2]) for block_time, op in ops if op)
     rows = tally_periods(items, iso_week_key)
-    kinds = [kind for kind in NameOpKind
+    kinds = [kind for kind in NAME_OP_KINDS
              if any(kind in by_kind for _, by_kind in rows)]
-    return [(week, kind.value, by_kind[kind])
+    return [(week, kind, by_kind[kind])
             for week, by_kind in rows for kind in kinds]
 
 
@@ -73,7 +84,7 @@ def merge_mine_split(store: Store) -> MergeMineSplit:
     saw_block = False
     for block in store.iter_blocks(ChainKind.NAMECOIN):
         saw_block = True
-        merged = bool(block.is_auxpow)
+        merged = bool(block.auxpow)
         if merged and block.height < MERGE_MINING_START_HEIGHT:
             raise AuxPowBeforeActivation(block.height,
                                          MERGE_MINING_START_HEIGHT)
@@ -85,10 +96,10 @@ def merge_mine_split(store: Store) -> MergeMineSplit:
     for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN):
         if block_time is None:
             continue
-        merged = tx.block_height in merged_heights
+        merged = tx.height in merged_heights
         counts["txs"][merged] += 1
         if tx.name_op is not None:
-            counts[f"name_{tx.name_op.kind.value}"][merged] += 1
+            counts[f"name_{_name_op(tx)[0]}"][merged] += 1
     return MergeMineSplit(rows={m: (c[0], c[1]) for m, c in counts.items()})
 
 
@@ -96,7 +107,7 @@ def merge_mine_split(store: Store) -> MergeMineSplit:
 class NameHistory:
     name: str
     # (height, kind, block time, or None when the block is not stored)
-    events: list[tuple[int, NameOpKind, int | None]] = field(
+    events: list[tuple[int, str, int | None]] = field(
         default_factory=list)
 
 
@@ -108,11 +119,12 @@ def build_name_histories(store: Store) -> dict[str, NameHistory]:
     """
     histories: dict[str, NameHistory] = {}
     for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN):
-        op = tx.name_op
-        if op is None or op.kind is NameOpKind.NEW:
+        op = _name_op(tx)
+        if op is None or op[0] == "new":
             continue
-        history = histories.setdefault(op.name, NameHistory(name=op.name))
-        history.events.append((tx.block_height, op.kind, block_time))
+        kind, name, _ = op
+        history = histories.setdefault(name, NameHistory(name=name))
+        history.events.append((tx.height, kind, block_time))
     return histories
 
 
@@ -136,14 +148,14 @@ def detect_reregistrations(store: Store, schedule: FeeSchedule,
     report = ReregReport()
     for history in sorted(histories.values(), key=lambda h: h.name):
         for position, (height, kind, block_time) in enumerate(history.events):
-            if kind is not NameOpKind.FIRST_UPDATE:
+            if kind != "firstupdate":
                 continue
             if block_time is None or utc_date(block_time) != day:
                 continue
             report.firstupdates_on_day += 1
             prior = history.events[:position]
             prior_registrations = [h for h, k, _ in prior
-                                   if k is NameOpKind.FIRST_UPDATE]
+                                   if k == "firstupdate"]
             if not prior_registrations:
                 continue
             last_active_height = prior[-1][0]

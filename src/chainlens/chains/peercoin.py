@@ -8,16 +8,16 @@ not keep.
 from __future__ import annotations
 
 from ..errors import EmptyChain
-from ..model import ChainKind, ProofKind, month_key, tally_periods
+from ..model import ChainKind, month_key, tally_periods
 from ..store import Store
 
 
 def pos_pow_counts(store: Store) -> list[tuple[str, int, int]]:
     """(month, pos_count, pow_count) per UTC calendar month, zero-filled."""
-    rows = tally_periods(((block.timestamp, block.proof, 1)
+    rows = tally_periods(((block.time, block.proof, 1)
                           for block in store.iter_blocks(ChainKind.PEERCOIN)),
                          month_key)
     if not rows:
         raise EmptyChain(ChainKind.PEERCOIN.value)
-    return [(month, counts[ProofKind.POS], counts[ProofKind.POW])
+    return [(month, counts["pos"], counts["pow"])
             for month, counts in rows]

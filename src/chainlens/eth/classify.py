@@ -27,10 +27,9 @@ class TxClass(enum.Enum):
 
 def classify_transaction(tx: Transaction, registry: ContractRegistry) -> TxClass:
     if tx.recipient is None:
-        return TxClass.ZOMBIE_CREATE if tx.input_data == "" \
+        return TxClass.ZOMBIE_CREATE if tx.input == "" \
             else TxClass.CREATE_CONTRACT
-    if registry.created_before(tx.recipient, tx.block_height,
-                               tx.index_in_block):
+    if registry.created_before(tx.recipient, tx.height, tx.idx):
         return TxClass.TO_CONTRACT
     return TxClass.TO_ACCOUNT
 
@@ -59,8 +58,8 @@ def zombie_report(store: Store, top_k: int = 10) -> ZombieReport:
     """Count zombie creations, their stranded endowments, and who made them."""
     zombies = []
     for tx, address in iter_creations(store):
-        if tx.input_data == "":
-            zombies.append((tx.block_height, address, tx.value, tx.sender))
+        if tx.input == "":
+            zombies.append((tx.height, address, int(tx.value), tx.sender))
     report = ZombieReport(count=len(zombies),
                           total_balance=sum(z[2] for z in zombies))
     per_height = Counter(height for height, *_ in zombies)

@@ -115,15 +115,19 @@ def build_contract_registry(store: Store,
                             internal_creations: RecordSource | None = None,
                             terminations: RecordSource | None = None
                             ) -> ContractRegistry:
-    """Assemble the contract lifecycle registry from the ledger and side-files."""
+    """Assemble the contract lifecycle registry from the ledger and side-files.
+
+    A contract's termination repeated at the same height is a no-op; at
+    another height it is a SchemaViolation on field "height".
+    """
     registry = ContractRegistry()
     for tx, address in iter_creations(store):
         registry.add(ContractRecord(
             address=address,
-            creation_height=tx.block_height,
+            creation_height=tx.height,
             creator=tx.sender,
             creator_kind=CreatorKind.BY_TRANSACTION,
-            creation_index=tx.index_in_block))
+            creation_index=tx.idx))
     for _, record in read_records(internal_creations or (),
                                   ("internal_create",), _internal_create):
         registry.add(record)
@@ -137,6 +141,10 @@ def build_contract_registry(store: Store,
             raise SchemaViolation(line_no, "height",
                                   f"termination at {height} precedes creation "
                                   f"at {record.creation_height}")
+        if record.termination_height not in (None, height):
+            raise SchemaViolation(line_no, "height",
+                                  f"{address} is already terminated at "
+                                  f"{record.termination_height}")
         record.termination_height = height
     return registry
 

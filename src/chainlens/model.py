@@ -1,4 +1,9 @@
-"""Chain-agnostic ledger data model shared by every analysis module."""
+"""Chain-agnostic ledger data model shared by every analysis module.
+
+A `Block` or `Transaction` is its stored row: the parser builds it, the
+store writes it as it is and reads it back, and an analysis decodes only
+the fields it uses.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, TypeVar
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, TypeVar
 
 from .errors import ChainLensError
 
@@ -23,15 +28,8 @@ class ChainKind(str, enum.Enum):
     PEERCOIN = "ppc"
 
 
-class ProofKind(str, enum.Enum):
-    POW = "pow"
-    POS = "pos"
-
-
-class NameOpKind(str, enum.Enum):
-    NEW = "new"
-    FIRST_UPDATE = "firstupdate"
-    UPDATE = "update"
+# the kinds of a Namecoin name op, in the order reports list them
+NAME_OP_KINDS = ("new", "firstupdate", "update")
 
 
 def strip_0x(text: str) -> str:
@@ -260,39 +258,33 @@ def tally_periods(items: Iterable[tuple[int | None, Hashable, int]],
     return rows
 
 
-@dataclass
-class NameOpPayload:
-    kind: NameOpKind
-    paid_fee: int
-    name: str | None = None
-    name_hash: str | None = None
-
-
-@dataclass
-class Block:
-    chain: ChainKind
+class Block(NamedTuple):
+    """A `blocks` row, its fields the table's columns in order."""
+    chain: str  # a ChainKind value
     height: int
     hash: str
-    parent_hash: str
-    timestamp: int
-    tx_hashes: list[str] = field(default_factory=list)
-    is_auxpow: bool | None = None
-    proof: ProofKind | None = None
+    parent: str
+    time: int
+    auxpow: int | None  # 0 or 1 where a Namecoin block says
+    proof: str | None  # "pow" or "pos" on a Peercoin block
+    tx_hashes: str  # JSON list of the block's tx hashes
 
 
-@dataclass
-class Transaction:
-    chain: ChainKind
+class Transaction(NamedTuple):
+    """A `txs` row, its fields the table's columns in order. Amounts are
+    decimal strings, as they may exceed 2**63."""
+    chain: str  # a ChainKind value
     hash: str
-    block_height: int
-    index_in_block: int
+    height: int
+    idx: int  # position in the block
     sender: str
-    recipient: str | None
-    value: int
-    input_data: str = ""
-    fee: int | None = None
-    gas_limit: int | None = None
-    name_op: NameOpPayload | None = None
+    recipient: str | None  # None for a contract creation
+    value: str
+    input: str
+    fee: str | None
+    gas: int | None
+    # JSON {"kind", "name", "name_hash", "paid_fee"} of a Namecoin name op
+    name_op: str | None
 
 
 @dataclass

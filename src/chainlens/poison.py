@@ -150,9 +150,9 @@ def scan_corpus(store: Store, chain: ChainKind, db: SignatureDb,
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
     for tx in store.iter_txs(chain):
-        if not tx.input_data:
+        if not tx.input:
             continue
-        payload = extract_payload(tx.input_data)
+        payload = extract_payload(tx.input)
         names = match_signatures(payload, db)
         if verify_full and names:
             full = set(match_signatures(payload, db, full_magic=True))

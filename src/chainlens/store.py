@@ -16,17 +16,18 @@ from typing import IO, Callable, Iterable, Iterator
 
 from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                      EmptyChain, LineError, MalformedJson, SchemaViolation)
-from .model import (REQUIRED, Block, ChainKind, ChainSummary, FieldError,
-                    IngestSummary, NameOpKind, NameOpPayload, ProofKind,
-                    RejectedLine, T, Transaction, amount_field, bool_field,
-                    hex_field, int_field, month_key, str_field, str_list_field,
-                    tally_periods)
+from .model import (NAME_OP_KINDS, REQUIRED, Block, ChainKind, ChainSummary,
+                    FieldError, IngestSummary, RejectedLine, T, Transaction,
+                    amount_field, bool_field, hex_field, int_field, month_key,
+                    str_field, str_list_field, tally_periods)
 
 _SQLITE_INT_MAX = (1 << 63) - 1  # an INTEGER column holds at most 8 signed bytes
 # 9999-12-31T23:59:59Z: a later time has no datetime, so no month or week
 _LAST_BLOCK_TIME = 253_402_300_799
-# The two partial indexes cover Ethereum only: each creation in ledger
-# order, and each sender's txs in ledger order, which counts its nonce.
+# `model.Block` and `model.Transaction` are rows of these tables, their
+# fields the columns in order. The two partial indexes cover Ethereum
+# only: each creation in ledger order, and each sender's txs in ledger
+# order, which counts its nonce.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS blocks (
     chain     TEXT NOT NULL,
@@ -102,14 +103,14 @@ class Store:
 
     # -- writes --------------------------------------------------------
 
-    def put_block(self, row: tuple) -> bool:
-        """Insert a `blocks` row, given in `_SCHEMA` column order; returns
-        False if the identical row is already stored."""
+    def put_block(self, row: Block) -> bool:
+        """Insert a block as it is; returns False if the identical row is
+        already stored."""
         return self._put("blocks", "height", ConflictingBlock, row)
 
-    def put_tx(self, row: tuple) -> bool:
-        """Insert a `txs` row, given in `_SCHEMA` column order; returns
-        False if the identical row is already stored."""
+    def put_tx(self, row: Transaction) -> bool:
+        """Insert a tx as it is; returns False if the identical row is
+        already stored."""
         return self._put("txs", "hash", ConflictingTx, row)
 
     def _put(self, table: str, key: str, conflict: type[ChainLensError],
@@ -147,17 +148,17 @@ class Store:
 
     def iter_blocks(self, chain: ChainKind,
                     max_height: int | None = None) -> Iterator[Block]:
+        """The stored blocks of a chain up to `max_height`, by height."""
         where, args = _up_to(chain, max_height)
-        for row in self._conn.execute(
-                f"SELECT * FROM blocks WHERE {where} ORDER BY height", args):
-            yield _row_to_block(row)
+        yield from map(Block._make, self._conn.execute(
+            f"SELECT * FROM blocks WHERE {where} ORDER BY height", args))
 
     def iter_txs(self, chain: ChainKind,
                  max_height: int | None = None) -> Iterator[Transaction]:
+        """The stored txs of a chain up to `max_height`, in ledger order."""
         where, args = _up_to(chain, max_height)
-        for row in self._conn.execute(
-                f"SELECT * FROM txs WHERE {where} ORDER BY height, idx", args):
-            yield _row_to_tx(row)
+        yield from map(Transaction._make, self._conn.execute(
+            f"SELECT * FROM txs WHERE {where} ORDER BY height, idx", args))
 
     def iter_dated_txs(self, chain: ChainKind, max_height: int | None = None
                        ) -> Iterator[tuple[int | None, Transaction]]:
@@ -165,14 +166,14 @@ class Store:
         a tx whose block is not stored."""
         times = self.block_times(chain)
         for tx in self.iter_txs(chain, max_height):
-            yield times.get(tx.block_height), tx
+            yield times.get(tx.height), tx
 
     def iter_eth_creations(self) -> Iterator[tuple[Transaction, int]]:
         """(creation tx, its sender's nonce) for each Ethereum contract
         creation in ledger order. The nonce is the number of the sender's
         stored eth txs before the creation, orphans included."""
         for row in self._conn.execute(_ETH_CREATIONS):
-            yield _row_to_tx(row[:-1]), row[-1]
+            yield Transaction._make(row[:-1]), row[-1]
 
     def iter_eth_transfers(self) -> Iterator[tuple[str, str, int]]:
         """(hash, recipient, height) of each Ethereum tx that sends a non-zero
@@ -239,32 +240,6 @@ def _up_to(chain: ChainKind, max_height: int | None) -> tuple[str, list]:
     if max_height is None:
         return "chain=?", [chain.value]
     return "chain=? AND height<=?", [chain.value, max_height]
-
-
-def _row_to_block(row: tuple) -> Block:
-    chain, height, hash_, parent, time_, auxpow, proof, tx_hashes = row
-    return Block(chain=ChainKind(chain), height=height, hash=hash_,
-                 parent_hash=parent, timestamp=time_,
-                 tx_hashes=json.loads(tx_hashes),
-                 is_auxpow=None if auxpow is None else bool(auxpow),
-                 proof=ProofKind(proof) if proof else None)
-
-
-def _row_to_tx(row: tuple) -> Transaction:
-    (chain, hash_, height, idx, sender, recipient, value, input_,
-     fee, gas, name_op_json) = row
-    name_op = None
-    if name_op_json:
-        raw = json.loads(name_op_json)
-        name_op = NameOpPayload(kind=NameOpKind(raw["kind"]),
-                                paid_fee=int(raw["paid_fee"]),
-                                name=raw.get("name"),
-                                name_hash=raw.get("name_hash"))
-    return Transaction(chain=ChainKind(chain), hash=hash_, block_height=height,
-                       index_in_block=idx, sender=sender, recipient=recipient,
-                       value=int(value), input_data=input_,
-                       fee=None if fee is None else int(fee),
-                       gas_limit=gas, name_op=name_op)
 
 
 # -- line parsing -------------------------------------------------------
@@ -348,8 +323,8 @@ def _owned(obj: dict, key: str, owner: ChainKind, chain: ChainKind):
     return value
 
 
-def _parse_block(obj: dict, chain: ChainKind) -> tuple:
-    """The `blocks` row of a block record, in `_SCHEMA` column order."""
+def _parse_block(obj: dict, chain: ChainKind) -> Block:
+    """The stored row of a block record."""
     height = int_field(obj, "height", minimum=0, maximum=_SQLITE_INT_MAX)
     time_ = int_field(obj, "time", minimum=1, maximum=_LAST_BLOCK_TIME)
     tx_hashes = str_list_field(obj, "txs", [], byte_len=32)
@@ -363,10 +338,10 @@ def _parse_block(obj: dict, chain: ChainKind) -> tuple:
             raise FieldError("proof", "is required on a 'ppc' block")
     elif proof not in ("pow", "pos"):
         raise FieldError("proof", "must be 'pow' or 'pos'")
-    return (chain.value, height, hex_field(obj, "hash", 32),
-            hex_field(obj, "parent", 32), time_,
-            None if auxpow is None else int(auxpow), proof,
-            json.dumps(tx_hashes))
+    return Block(chain.value, height, hex_field(obj, "hash", 32),
+                 hex_field(obj, "parent", 32), time_,
+                 None if auxpow is None else int(auxpow), proof,
+                 json.dumps(tx_hashes))
 
 
 def _parse_name_op(obj: dict, chain: ChainKind) -> str | None:
@@ -382,7 +357,7 @@ def _parse_name_op(obj: dict, chain: ChainKind) -> str | None:
     if not isinstance(raw, dict):
         raise FieldError("name_op", "must be an object")
     op = {f"name_op.{key}": value for key, value in raw.items()}
-    if op.get("name_op.kind") not in ("new", "firstupdate", "update"):
+    if op.get("name_op.kind") not in NAME_OP_KINDS:
         raise FieldError("name_op.kind", "must be new|firstupdate|update")
     name = str_field(op, "name_op.name", None)
     name_hash = str_field(op, "name_op.name_hash", None)
@@ -395,8 +370,8 @@ def _parse_name_op(obj: dict, chain: ChainKind) -> str | None:
         "paid_fee": str(amount_field(op, "name_op.paid_fee", 0))})
 
 
-def _parse_tx(obj: dict, chain: ChainKind) -> tuple:
-    """The `txs` row of a tx record, in `_SCHEMA` column order."""
+def _parse_tx(obj: dict, chain: ChainKind) -> Transaction:
+    """The stored row of a tx record."""
     # the first bad field, in this order, names a rejected line
     height = int_field(obj, "height", minimum=0, maximum=_SQLITE_INT_MAX)
     index = int_field(obj, "index", minimum=0, maximum=_SQLITE_INT_MAX)
@@ -408,9 +383,9 @@ def _parse_tx(obj: dict, chain: ChainKind) -> tuple:
     sender = _address(obj, "from", chain)
     value = amount_field(obj, "value", default=0)
     fee = amount_field(obj, "fee", default=None)
-    return (chain.value, hash_, height, index, sender, recipient, str(value),
-            input_, None if fee is None else str(fee), gas,
-            _parse_name_op(obj, chain))
+    return Transaction(chain.value, hash_, height, index, sender, recipient,
+                       str(value), input_, None if fee is None else str(fee),
+                       gas, _parse_name_op(obj, chain))
 
 
 # -- operations ----------------------------------------------------------

@@ -14,8 +14,9 @@ from chainlens.cli import run_cli
 from chainlens.model import ChainKind
 from chainlens.store import Store
 
-from conftest import (CONTRACT_C2, addr, block_line, eth_labeled_fixture,
-                      eth_termination_sidefile, h32, tx_line)
+from conftest import (CONTRACT_C1, CONTRACT_C2, addr, block_line,
+                      eth_labeled_fixture, eth_termination_sidefile, h32,
+                      tx_line)
 
 
 @pytest.fixture
@@ -621,6 +622,19 @@ def test_eth_lifetimes(eth_db, tmp_path, capsys):
                                       [">10000", "0"]]
     assert run_cli(["--db", eth_db, "eth", "lifetimes", "--terminated",
                     str(side), "--edges", "ten,20"]) == 1
+
+
+@pytest.mark.parametrize("command", ["lifetimes", "classify", "precreation"])
+def test_second_termination_height_is_a_data_error(eth_db, tmp_path, capsys,
+                                                   command):
+    side = tmp_path / "terminated.ndjson"
+    later = json.dumps({"type": "terminate", "address": CONTRACT_C1,
+                        "height": 500})
+    side.write_text("\n".join(eth_termination_sidefile() + [later]) + "\n")
+    assert run_cli(["--db", eth_db, "eth", command, "--terminated",
+                    str(side)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "height" in err and "Traceback" not in err
 
 
 

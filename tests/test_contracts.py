@@ -130,6 +130,22 @@ def test_termination_before_creation_is_fatal():
     store.close()
 
 
+def test_repeated_termination_must_keep_its_height():
+    # C1 dies at 5: a second line saying 5 again is a no-op, one saying
+    # 500 names its line instead of moving the lifetime to <=10000
+    store = _fixture_store()
+    kills = eth_termination_sidefile()
+    registry = build_contract_registry(store, terminations=kills + kills[:1])
+    assert registry.get(CONTRACT_C1).termination_height == 5
+    assert lifetime_histogram(registry)["<=100"] == 2
+    later = json.dumps({"type": "terminate", "address": CONTRACT_C1,
+                        "height": 500})
+    with pytest.raises(SchemaViolation) as caught:
+        build_contract_registry(store, terminations=kills + [later])
+    assert (caught.value.line_no, caught.value.field) == (3, "height")
+    store.close()
+
+
 def test_termination_of_unknown_contract_ignored():
     store = _fixture_store()
     orphan = [json.dumps({"type": "terminate", "address": addr(0xFEED),
@@ -196,10 +212,10 @@ def _funding_by_decoding(store, registry):
     """find_precreation_funding over every decoded eth tx, the reference."""
     hits = []
     for tx in store.iter_txs(ChainKind.ETHEREUM):
-        if tx.recipient is None or tx.value <= 0:
+        if tx.recipient is None or int(tx.value) <= 0:
             continue
         record = registry.get(tx.recipient)
-        if record is not None and record.creation_height > tx.block_height:
+        if record is not None and record.creation_height > tx.height:
             hits.append((tx.hash, record.address, record.creation_height))
     return hits
 

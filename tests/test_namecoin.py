@@ -8,7 +8,7 @@ from chainlens.chains.namecoin import (FeeSchedule, build_name_histories,
                                        detect_reregistrations,
                                        merge_mine_split, weekly_fee_sums)
 from chainlens.errors import AuxPowBeforeActivation, EmptyChain
-from chainlens.model import ChainKind, NameOpKind
+from chainlens.model import ChainKind
 from chainlens.store import Store
 
 from conftest import block_line, h32, load_store, tx_line
@@ -134,8 +134,7 @@ def test_name_histories(nmc_store):
     assert set(histories) == {"d/alpha", "d/beta", "d/gamma"}
     alpha = histories["d/alpha"]
     assert [(h, k) for h, k, _ in alpha.events] == \
-        [(19201, NameOpKind.FIRST_UPDATE), (19202, NameOpKind.UPDATE),
-         (19204, NameOpKind.FIRST_UPDATE)]
+        [(19201, "firstupdate"), (19202, "update"), (19204, "firstupdate")]
 
 
 def test_reregistration_detection(nmc_store):

@@ -17,9 +17,9 @@ from chainlens import errors
 from chainlens.errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                               EmptyChain, MalformedJson, SchemaViolation)
 from chainlens.eth.contracts import iter_creations
-from chainlens.model import (Block, ChainKind, NameOpKind, NameOpPayload,
-                             ProofKind, Transaction, iso_week_key, month_key,
-                             normalize_hex, tally_periods)
+from chainlens.model import (NAME_OP_KINDS, Block, ChainKind, Transaction,
+                             iso_week_key, month_key, normalize_hex,
+                             tally_periods)
 from chainlens.store import (Store, ingest_blocks, monthly_tx_counts,
                              parse_rfc3339)
 
@@ -340,7 +340,7 @@ def test_ingest_properties_random_chains(chain):
         summary = store.summarize_chain(ChainKind.ETHEREUM)
         assert summary.tx_count == first.txs_loaded
         assert summary.tx_volume == sum(
-            tx.value for tx in store.iter_txs(ChainKind.ETHEREUM))
+            int(tx.value) for tx in store.iter_txs(ChainKind.ETHEREUM))
 
         # cutoff monotonicity: later cutoffs never lower the height
         cut_points = sorted({t for t in (times[0] + 1, times[-1],
@@ -484,27 +484,24 @@ class _WriteRuleModel:
                 txs_loaded += 1
         return blocks_loaded, txs_loaded, rejected
 
-    def rows(self) -> tuple[list[Block], list[Transaction]]:
-        blocks = [Block(chain=ChainKind(rec["chain"]), height=rec["height"],
-                        hash=rec["hash"], parent_hash=rec["parent"],
-                        timestamp=rec["time"], tx_hashes=rec["txs"],
-                        is_auxpow=rec.get("auxpow"),
-                        proof=rec.get("proof") and ProofKind(rec["proof"]))
+    def rows(self) -> tuple[list[tuple], list[tuple]]:
+        """The stored block and tx rows, in table column order; every
+        record field here is already in its stored form."""
+        auxpow = {None: None, False: 0, True: 1}
+        blocks = [(rec["chain"], rec["height"], rec["hash"], rec["parent"],
+                   rec["time"], auxpow[rec.get("auxpow")], rec.get("proof"),
+                   json.dumps(rec["txs"]))
                   for _, rec in sorted(self.blocks.items())]
         txs = []
         for position in sorted(self.positions):
             rec = self.txs[self.positions[position]]
             op = rec.get("name_op")
-            txs.append(Transaction(
-                chain=ChainKind(rec["chain"]), hash=rec["hash"],
-                block_height=rec["height"], index_in_block=rec["index"],
-                sender=rec["from"], recipient=rec["to"],
-                value=int(rec["value"]), input_data=rec["input"],
-                fee=None if rec["fee"] is None else int(rec["fee"]),
-                gas_limit=rec["gas"],
-                name_op=op and NameOpPayload(
-                    kind=NameOpKind(op["kind"]), name=op["name"],
-                    name_hash=op["name_hash"], paid_fee=int(op["paid_fee"]))))
+            txs.append((
+                rec["chain"], rec["hash"], rec["height"], rec["index"],
+                rec["from"], rec["to"], rec["value"], rec["input"],
+                rec["fee"], rec["gas"],
+                op and json.dumps({key: op[key] for key in (
+                    "kind", "name", "name_hash", "paid_fee")})))
         return blocks, txs
 
 
@@ -549,31 +546,9 @@ def test_write_rule_matches_the_reference_model(deliveries):
 
 
 # -- row encoding of ingest ---------------------------------------------------
-
-def _reference_block_row(block: Block) -> tuple:
-    """The stored row of a Block, encoded as `Store.put_block` did when the
-    parser still built dataclasses."""
-    return (block.chain.value, block.height, block.hash, block.parent_hash,
-            block.timestamp,
-            None if block.is_auxpow is None else int(block.is_auxpow),
-            block.proof.value if block.proof else None,
-            json.dumps(block.tx_hashes))
-
-
-def _reference_tx_row(tx: Transaction) -> tuple:
-    """The stored row of a Transaction, encoded as `Store.put_tx` did."""
-    name_op = None
-    if tx.name_op is not None:
-        name_op = json.dumps({
-            "kind": tx.name_op.kind.value,
-            "name": tx.name_op.name,
-            "name_hash": tx.name_op.name_hash,
-            "paid_fee": str(tx.name_op.paid_fee),
-        })
-    return (tx.chain.value, tx.hash, tx.block_height, tx.index_in_block,
-            tx.sender, tx.recipient, str(tx.value), tx.input_data,
-            None if tx.fee is None else str(tx.fee), tx.gas_limit, name_op)
-
+# The expected rows are built here from the drawn values, in the encoding
+# the store has always used: amounts as decimal strings, auxpow as 0 or 1,
+# the tx hashes and the name op as JSON text.
 
 @st.composite
 def _hex_form(draw, raw: bytes):
@@ -623,22 +598,22 @@ def _text(min_size: int = 0):
 
 @st.composite
 def _name_op_form(draw):
-    """(a name_op record ingest accepts, its NameOpPayload): a `new` op has
-    a non-empty name_hash and no name, the others a non-empty name."""
-    kind = draw(st.sampled_from(list(NameOpKind)))
-    op = {"kind": kind.value}
-    new = kind is NameOpKind.NEW
+    """(a name_op record ingest accepts, its stored JSON text): a `new` op
+    has a non-empty name_hash and no name, the others a non-empty name."""
+    kind = draw(st.sampled_from(NAME_OP_KINDS))
+    op = {"kind": kind}
+    new = kind == "new"
     name = None if new else _maybe(draw, op, "name", _text(1), required=True)
     name_hash = _maybe(draw, op, "name_hash", _text(1 if new else 0),
                        required=new)
     paid_fee = _maybe(draw, op, "paid_fee", _amount_form(), null=False)
-    return op, NameOpPayload(kind=kind, name=name, name_hash=name_hash,
-                             paid_fee=paid_fee or 0)
+    return op, json.dumps({"kind": kind, "name": name, "name_hash": name_hash,
+                           "paid_fee": str(paid_fee or 0)})
 
 
 @st.composite
 def _encoding_case(draw):
-    """(chain, its records, the Blocks and the Transactions they stand for);
+    """(chain, its records, the block rows and the tx rows they stand for);
     every record is one that ingest accepts."""
     chain = draw(st.sampled_from(list(ChainKind)))
     digests = draw(st.lists(st.binary(min_size=32, max_size=32), max_size=5,
@@ -665,10 +640,9 @@ def _encoding_case(draw):
             proof = _maybe(draw, record, "proof", st.sampled_from(
                 ["pow", "pos"]).map(lambda p: (p, p)), required=True)
         records.append(record)
-        blocks.append(Block(chain=chain, height=height, hash=hash_,
-                            parent_hash=parent, timestamp=time_,
-                            tx_hashes=[digits for _, digits in forms],
-                            is_auxpow=auxpow, proof=proof and ProofKind(proof)))
+        blocks.append((chain.value, height, hash_, parent, time_,
+                       None if auxpow is None else int(auxpow), proof,
+                       json.dumps([digits for _, digits in forms])))
         for index, (form, digits) in enumerate(forms):
             sender_form, sender = draw(_address_form(chain))
             record = {"type": "tx", "chain": chain.value, "hash": form,
@@ -683,11 +657,9 @@ def _encoding_case(draw):
             name_op = (_maybe(draw, record, "name_op", _name_op_form())
                        if chain is ChainKind.NAMECOIN else None)
             records.append(record)
-            txs.append(Transaction(
-                chain=chain, hash=digits, block_height=height,
-                index_in_block=index, sender=sender, recipient=recipient,
-                value=value or 0, input_data=input_ or "", fee=fee,
-                gas_limit=gas, name_op=name_op))
+            txs.append((chain.value, digits, height, index, sender, recipient,
+                        str(value or 0), input_ or "",
+                        None if fee is None else str(fee), gas, name_op))
     return chain, records, blocks, txs
 
 
@@ -706,8 +678,7 @@ def test_ingest_stores_the_rows_of_the_dataclass_encoding(case):
                 conn.execute("SELECT * FROM blocks ORDER BY height").fetchall(),
                 conn.execute("SELECT * FROM txs ORDER BY height, idx")
                 .fetchall())
-    assert stored == ([_reference_block_row(block) for block in blocks],
-                      [_reference_tx_row(tx) for tx in txs])
+    assert stored == (blocks, txs)
 
 
 @st.composite
@@ -742,7 +713,7 @@ def test_dated_txs_match_the_block_time_join(chain):
         times = store.block_times(ChainKind.ETHEREUM)
         dated = list(store.iter_dated_txs(ChainKind.ETHEREUM, max_height))
         assert dated == [
-            (times.get(tx.block_height), tx)
+            (times.get(tx.height), tx)
             for tx in store.iter_txs(ChainKind.ETHEREUM, max_height)]
         undated = {tx.hash for block_time, tx in dated if block_time is None}
         assert undated == {tx.hash for _, tx in dated} & orphans
@@ -1066,11 +1037,11 @@ def test_store_writes_through_one_rule():
                   and getattr(node.func, "id", None) == "SchemaViolation"}
     assert inserts == ["_put"]
     assert violations == {"read_records"}
-    # the parser writes rows; the dataclasses are built only to read them
+    # a record is built by the parser alone; a read gives the fetched row
     built = {owner.get(id(node)) for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None)
-             in ("Block", "Transaction", "NameOpPayload")}
-    assert built == {"_row_to_block", "_row_to_tx"}
+             in ("Block", "Transaction")}
+    assert built == {"_parse_block", "_parse_tx"}
     # after its docstring, each put_* is one call of the write rule
     puts = {func.name: [ast.unparse(stmt).split("(")[0]
                         for stmt in func.body[1:]]
@@ -1078,6 +1049,17 @@ def test_store_writes_through_one_rule():
             and func.name in ("put_block", "put_tx")}
     assert puts == {"put_block": ["return self._put"],
                     "put_tx": ["return self._put"]}
+
+
+def test_record_types_are_the_table_columns(tmp_path):
+    # a Block or Transaction is its stored row: its fields are the columns
+    with Store(tmp_path) as store:
+        path = store.path
+    with closing(sqlite3.connect(path)) as conn:
+        for record, table in ((Block, "blocks"), (Transaction, "txs")):
+            columns = tuple(row[1] for row in
+                            conn.execute(f"PRAGMA table_info({table})"))
+            assert record._fields == columns
 
 
 def test_every_error_class_is_raised():

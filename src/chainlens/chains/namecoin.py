@@ -9,14 +9,13 @@ expiry window, after which the name can be registered again from scratch.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from datetime import date
 
 from ..errors import AuxPowBeforeActivation, EmptyChain
-from ..model import (NAME_OP_KINDS, ChainKind, Transaction, iso_week_key,
-                     tally_periods, utc_date)
+from ..model import (NAME_OP_KINDS, ChainKind, iso_week_key, tally_periods,
+                     utc_date)
 from ..store import Store
 
 log = logging.getLogger(__name__)
@@ -30,24 +29,15 @@ class FeeSchedule:
     expiry_window_blocks: int = 36_000
 
 
-def _name_op(tx: Transaction) -> tuple[str, str | None, int] | None:
-    """(kind, name, paid fee) of a tx's name op, or None if it has none;
-    a `new` op has no name."""
-    if tx.name_op is None:
-        return None
-    op = json.loads(tx.name_op)
-    return op["kind"], op["name"], int(op["paid_fee"])
-
-
 def weekly_fee_sums(store: Store) -> list[tuple[str, str, int]]:
     """(ISO week, op kind, sum of actually paid fees) rows, zero-filled.
 
     Only operation kinds that occur at all get rows; weeks inside the
     observed span with no operations of such a kind are emitted with 0.
     """
-    ops = ((block_time, _name_op(tx))
-           for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN))
-    items = ((block_time, op[0], op[2]) for block_time, op in ops if op)
+    items = ((block_time, tx.op_kind, int(tx.op_fee))
+             for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN)
+             if tx.op_kind is not None)
     rows = tally_periods(items, iso_week_key)
     kinds = [kind for kind in NAME_OP_KINDS
              if any(kind in by_kind for _, by_kind in rows)]
@@ -63,13 +53,10 @@ class MergeMineSplit:
     """Counts per metric as (normally_mined, merge_mined) pairs."""
     rows: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    def total(self, metric: str) -> int:
-        normal, merged = self.rows[metric]
-        return normal + merged
-
     def merged_pct(self, metric: str) -> float:
-        total = self.total(metric)
-        return 100.0 * self.rows[metric][1] / total if total else 0.0
+        normal, merged = self.rows[metric]
+        total = normal + merged
+        return 100.0 * merged / total if total else 0.0
 
 
 def merge_mine_split(store: Store) -> MergeMineSplit:
@@ -98,8 +85,8 @@ def merge_mine_split(store: Store) -> MergeMineSplit:
             continue
         merged = tx.height in merged_heights
         counts["txs"][merged] += 1
-        if tx.name_op is not None:
-            counts[f"name_{_name_op(tx)[0]}"][merged] += 1
+        if tx.op_kind is not None:
+            counts[f"name_{tx.op_kind}"][merged] += 1
     return MergeMineSplit(rows={m: (c[0], c[1]) for m, c in counts.items()})
 
 
@@ -119,12 +106,11 @@ def build_name_histories(store: Store) -> dict[str, NameHistory]:
     """
     histories: dict[str, NameHistory] = {}
     for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN):
-        op = _name_op(tx)
-        if op is None or op[0] == "new":
+        if tx.op_kind in (None, "new"):
             continue
-        kind, name, _ = op
-        history = histories.setdefault(name, NameHistory(name=name))
-        history.events.append((tx.height, kind, block_time))
+        history = histories.setdefault(tx.op_name,
+                                       NameHistory(name=tx.op_name))
+        history.events.append((tx.height, tx.op_kind, block_time))
     return histories
 
 

@@ -51,6 +51,13 @@ class ConflictingTx(LineError):
         super().__init__(f"conflicting tx {tx_hash}: different contents already stored")
 
 
+class StoreSchemaMismatch(ChainLensError):
+    def __init__(self, path: str, table: str):
+        super().__init__(f"store {path} was written with another schema "
+                         f"(table '{table}'): re-ingest its dumps into a "
+                         "new store")
+
+
 class EmptyChain(ChainLensError):
     def __init__(self, chain: str, detail: str = ""):
         self.chain = chain

@@ -272,19 +272,22 @@ class Block(NamedTuple):
 
 class Transaction(NamedTuple):
     """A `txs` row, its fields the table's columns in order. Amounts are
-    decimal strings, as they may exceed 2**63."""
+    decimal strings, as they may exceed 2**63. The four `op_` fields are
+    a Namecoin name op, all None on a tx without one."""
     chain: str  # a ChainKind value
-    hash: str
-    height: int
+    hash: str  # 32 bytes of lowercase hex
+    height: int  # the height of the tx's block
     idx: int  # position in the block
-    sender: str
-    recipient: str | None  # None for a contract creation
-    value: str
-    input: str
-    fee: str | None
-    gas: int | None
-    # JSON {"kind", "name", "name_hash", "paid_fee"} of a Namecoin name op
-    name_op: str | None
+    sender: str  # the `from` address
+    recipient: str | None  # the `to` address; None for a contract creation
+    value: str  # the amount sent
+    input: str  # call data as hex, "" when none
+    fee: str | None  # the fee, where the record gives one
+    gas: int | None  # the gas limit, where the record gives one
+    op_kind: str | None  # one of NAME_OP_KINDS
+    op_name: str | None  # the name; a "new" op may lack it
+    op_name_hash: str | None  # the committed hash; required on a "new" op
+    op_fee: str | None  # the fee the op paid, "0" where the record gives none
 
 
 @dataclass

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
-                     EmptyChain, LineError, MalformedJson, SchemaViolation)
+                     EmptyChain, LineError, MalformedJson, SchemaViolation,
+                     StoreSchemaMismatch)
 from .model import (NAME_OP_KINDS, REQUIRED, Block, ChainKind, ChainSummary,
                     FieldError, IngestSummary, RejectedLine, T, Transaction,
                     amount_field, bool_field, hex_field, int_field, month_key,
@@ -52,7 +53,10 @@ CREATE TABLE IF NOT EXISTS txs (
     input   TEXT NOT NULL,
     fee     TEXT,
     gas     INTEGER,
-    name_op TEXT,
+    op_kind TEXT,
+    op_name TEXT,
+    op_name_hash TEXT,
+    op_fee  TEXT,
     PRIMARY KEY (chain, hash),
     UNIQUE (chain, height, idx)
 );
@@ -90,6 +94,13 @@ class Store:
             self.root.mkdir(parents=True, exist_ok=True)
             self.path = self.root / "chainlens.sqlite"
         self._conn = sqlite3.connect(self.path)
+        # refuse a store written with other columns before writing to it
+        for record, table in ((Block, "blocks"), (Transaction, "txs")):
+            columns = tuple(row[1] for row in self._conn.execute(
+                f"PRAGMA table_info({table})"))
+            if columns and columns != record._fields:
+                self._conn.close()
+                raise StoreSchemaMismatch(str(self.path), table)
         self._conn.executescript(_SCHEMA)
 
     def close(self) -> None:
@@ -344,8 +355,9 @@ def _parse_block(obj: dict, chain: ChainKind) -> Block:
                  json.dumps(tx_hashes))
 
 
-def _parse_name_op(obj: dict, chain: ChainKind) -> str | None:
-    """The stored JSON text of a tx's name op, or None if it has none.
+def _parse_name_op(obj: dict, chain: ChainKind) -> tuple[str | None, ...]:
+    """The stored (kind, name, name hash, paid fee) of a tx's name op, all
+    None if it has none.
 
     Only a Namecoin tx carries one. A name_new commits to a hash and hides
     the name until the reveal, so it needs `name_hash`; a name_firstupdate
@@ -353,7 +365,7 @@ def _parse_name_op(obj: dict, chain: ChainKind) -> str | None:
     """
     raw = _owned(obj, "name_op", ChainKind.NAMECOIN, chain)
     if raw is None:
-        return None
+        return None, None, None, None
     if not isinstance(raw, dict):
         raise FieldError("name_op", "must be an object")
     op = {f"name_op.{key}": value for key, value in raw.items()}
@@ -365,9 +377,8 @@ def _parse_name_op(obj: dict, chain: ChainKind) -> str | None:
     if not op.get(required):
         raise FieldError(required, "must be a non-empty string in a "
                                    f"{raw['kind']!r} op")
-    return json.dumps({
-        "kind": raw["kind"], "name": name, "name_hash": name_hash,
-        "paid_fee": str(amount_field(op, "name_op.paid_fee", 0))})
+    return (raw["kind"], name, name_hash,
+            str(amount_field(op, "name_op.paid_fee", 0)))
 
 
 def _parse_tx(obj: dict, chain: ChainKind) -> Transaction:
@@ -385,7 +396,7 @@ def _parse_tx(obj: dict, chain: ChainKind) -> Transaction:
     fee = amount_field(obj, "fee", default=None)
     return Transaction(chain.value, hash_, height, index, sender, recipient,
                        str(value), input_, None if fee is None else str(fee),
-                       gas, _parse_name_op(obj, chain))
+                       gas, *_parse_name_op(obj, chain))
 
 
 # -- operations ----------------------------------------------------------

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import logging
+import sqlite3
 import sys
+from contextlib import closing
 
 import click
 import pytest
@@ -794,6 +796,66 @@ def test_nmc_rereg(nmc_db, capsys):
         ["d/alpha", "reregistration", "19201"],
         ["d/beta", "anomaly", "19203"]]
     assert run_cli(["--db", nmc_db, "nmc", "rereg", "--day", "someday"]) == 1
+
+
+def test_nmc_fees_sum_fees_past_2_63_exactly(tmp_path, capsys):
+    # two ops of 2**64 units in 2011-W18, one fee a JSON integer and one
+    # a decimal string
+    t = [h32(0xD000 + i) for i in range(2)]
+    source = tmp_path / "nmc.ndjson"
+    source.write_text("\n".join([
+        block_line("nmc", 19200, 1304294400, t),
+        tx_line("nmc", t[0], 19200, 0, "n1", None, name_op={
+            "kind": "firstupdate", "name": "d/a", "paid_fee": 2**64}),
+        tx_line("nmc", t[1], 19200, 1, "n1", None, name_op={
+            "kind": "firstupdate", "name": "d/b", "paid_fee": str(2**64)}),
+    ]) + "\n")
+    db = tmp_path / "db"
+    run_ok(capsys, ["--db", str(db), "ingest", str(source), "--chain", "nmc"])
+    out = run_ok(capsys, ["--db", str(db), "nmc", "fees"])
+    assert parse_csv(out.out)[1:] == [["2011-W18", "firstupdate", str(2**65)]]
+    # an INTEGER column would overflow or round a fee this large
+    with closing(sqlite3.connect(db / "chainlens.sqlite")) as conn:
+        stored = conn.execute("SELECT typeof(op_fee), op_fee FROM txs")
+        assert stored.fetchall() == [("text", str(2**64))] * 2
+
+
+# the tables as an earlier chainlens wrote them, a name op as JSON text
+_OLD_SCHEMA = """
+CREATE TABLE blocks (chain TEXT NOT NULL, height INTEGER NOT NULL,
+    hash TEXT NOT NULL, parent TEXT NOT NULL, time INTEGER NOT NULL,
+    auxpow INTEGER, proof TEXT, tx_hashes TEXT NOT NULL,
+    PRIMARY KEY (chain, height));
+CREATE TABLE txs (chain TEXT NOT NULL, hash TEXT NOT NULL,
+    height INTEGER NOT NULL, idx INTEGER NOT NULL, sender TEXT NOT NULL,
+    recipient TEXT, value TEXT NOT NULL, input TEXT NOT NULL, fee TEXT,
+    gas INTEGER, name_op TEXT, PRIMARY KEY (chain, hash),
+    UNIQUE (chain, height, idx));
+INSERT INTO blocks VALUES ('nmc', 19200, 'b0', 'b1', 1304294400, NULL, NULL,
+    '["t0"]');
+INSERT INTO txs VALUES ('nmc', 't0', 19200, 0, 'n1', NULL, '0', '', NULL,
+    NULL, '{"kind": "update", "name": "d/a", "name_hash": null,
+            "paid_fee": "1"}');
+"""
+
+
+def test_store_of_another_schema_is_refused(tmp_path, capsys):
+    db = tmp_path / "db"
+    db.mkdir()
+    path = db / "chainlens.sqlite"
+    with closing(sqlite3.connect(path)) as conn:
+        conn.executescript(_OLD_SCHEMA)
+    before = path.read_bytes()
+    source = tmp_path / "nmc.ndjson"
+    source.write_text(block_line("nmc", 19201, 1304294400) + "\n")
+    for argv in (["ingest", str(source), "--chain", "nmc"], ["nmc", "fees"]):
+        assert run_cli(["--db", str(db), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: store {path} was written with another schema"
+                       " (table 'txs'): re-ingest its dumps into a new store\n")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in db.iterdir()) == ["chainlens.sqlite"]
 
 
 def test_ppc_pos_pow(tmp_path, capsys):

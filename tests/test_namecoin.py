@@ -98,7 +98,7 @@ def test_merge_mine_split_counts(nmc_store):
                           "name_new": (2, 0),
                           "name_firstupdate": (3, 2),
                           "name_update": (1, 0)}
-    assert split.total("txs") == 9
+    assert sum(split.rows["txs"]) == 9
     assert split.merged_pct("blocks") == pytest.approx(40.0)
     assert split.merged_pct("name_update") == 0.0
 

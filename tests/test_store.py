@@ -495,13 +495,12 @@ class _WriteRuleModel:
         txs = []
         for position in sorted(self.positions):
             rec = self.txs[self.positions[position]]
-            op = rec.get("name_op")
+            op = rec.get("name_op") or {}
             txs.append((
                 rec["chain"], rec["hash"], rec["height"], rec["index"],
                 rec["from"], rec["to"], rec["value"], rec["input"],
-                rec["fee"], rec["gas"],
-                op and json.dumps({key: op[key] for key in (
-                    "kind", "name", "name_hash", "paid_fee")})))
+                rec["fee"], rec["gas"], op.get("kind"), op.get("name"),
+                op.get("name_hash"), op.get("paid_fee")))
         return blocks, txs
 
 
@@ -547,8 +546,8 @@ def test_write_rule_matches_the_reference_model(deliveries):
 
 # -- row encoding of ingest ---------------------------------------------------
 # The expected rows are built here from the drawn values, in the encoding
-# the store has always used: amounts as decimal strings, auxpow as 0 or 1,
-# the tx hashes and the name op as JSON text.
+# the store uses: amounts as decimal strings, auxpow as 0 or 1,
+# the tx hashes as JSON text, the name op as four columns.
 
 @st.composite
 def _hex_form(draw, raw: bytes):
@@ -598,8 +597,9 @@ def _text(min_size: int = 0):
 
 @st.composite
 def _name_op_form(draw):
-    """(a name_op record ingest accepts, its stored JSON text): a `new` op
-    has a non-empty name_hash and no name, the others a non-empty name."""
+    """(a name_op record ingest accepts, its stored (kind, name, name_hash,
+    paid_fee) columns): a `new` op has a non-empty name_hash and no name,
+    the others a non-empty name."""
     kind = draw(st.sampled_from(NAME_OP_KINDS))
     op = {"kind": kind}
     new = kind == "new"
@@ -607,8 +607,7 @@ def _name_op_form(draw):
     name_hash = _maybe(draw, op, "name_hash", _text(1 if new else 0),
                        required=new)
     paid_fee = _maybe(draw, op, "paid_fee", _amount_form(), null=False)
-    return op, json.dumps({"kind": kind, "name": name, "name_hash": name_hash,
-                           "paid_fee": str(paid_fee or 0)})
+    return op, (kind, name, name_hash, str(paid_fee or 0))
 
 
 @st.composite
@@ -659,7 +658,8 @@ def _encoding_case(draw):
             records.append(record)
             txs.append((chain.value, digits, height, index, sender, recipient,
                         str(value or 0), input_ or "",
-                        None if fee is None else str(fee), gas, name_op))
+                        None if fee is None else str(fee), gas,
+                        *(name_op or (None,) * 4)))
     return chain, records, blocks, txs
 
 

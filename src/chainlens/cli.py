@@ -7,9 +7,11 @@ across runs on the same store.
 
 from __future__ import annotations
 
+import ipaddress
 import logging
 import os
 import sys
+from contextlib import closing
 from datetime import date
 from functools import partial
 from typing import Any, Callable
@@ -484,7 +486,8 @@ def cmd_poison(state: AppState, action: str, chain: str, save_dir,
 def _bootnode(text: str) -> PeerInfo:
     node_hex, endpoint = text.split("@", 1)
     ip, port_text = endpoint.rsplit(":", 1)
-    return PeerInfo(node_id=bytes.fromhex(node_hex), ip=ip, port=int(port_text))
+    return PeerInfo(node_id=bytes.fromhex(node_hex),
+                    ip=str(ipaddress.ip_address(ip)), port=int(port_text))
 
 
 @cli.command("crawl")
@@ -500,8 +503,7 @@ def _bootnode(text: str) -> PeerInfo:
               type=click.IntRange(min=1))
 @click.option("--max-inflight", default=500, show_default=True,
               type=click.IntRange(min=1),
-              help="Most transport calls open at once; a --live crawl runs "
-                   "them on up to 32 threads, a --sim crawl one at a time.")
+              help="The most requests open at once.")
 @click.option("--seed", "rng_seed", default=None, type=int,
               help="Seed for the simulated overlay and, through a seed "
                    "spawned from it, the crawl targets; a --sim crawl "
@@ -526,13 +528,12 @@ def cmd_crawl(state: AppState, topology, bootnodes, prefix_bits: int,
         except ValueError as exc:
             raise click.BadParameter(str(exc), param_hint="--sim")
         reachable = [p for p in truth.peers if p.node_id in truth.reachable_ids]
-        seeds = reachable[:3]
+        report = crawl(transport, reachable[:3], config)
     else:
         from .discovery.live import UdpV4Transport
-        transport = UdpV4Transport(private_key=os.urandom(32),
-                                   neighbor_k=neighbor_k)
-        seeds = bootnodes
-    report = crawl(transport, seeds, config)
+        with closing(UdpV4Transport(private_key=os.urandom(32),
+                                    neighbor_k=neighbor_k)) as transport:
+            report = crawl(transport, bootnodes, config)
     countries = (None if geo is None else
                  join_country((p.ip for p in report.known_peers), geo))
     state.emit_text(report.to_json(countries) + "\n")

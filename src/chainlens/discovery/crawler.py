@@ -2,15 +2,12 @@
 
 The crawl keeps a FIFO work queue: newly admitted peers are queried for
 every precomputed target, and every previously unseen peer returned by a
-query is ping-ponged exactly once before admission. At most max_in_flight
-tasks are submitted at once; the coordinating thread takes their results
-in submission order and does all bookkeeping, so no claim depends on
-thread timing. A live crawl runs transport calls on up to 32 worker
-threads, one chunk of targets per task, and sends one find_node per
-target. A simulated one (SimTransport, in memory and CPU-bound) runs
-inline; it hashes all of the crawl's targets in one Keccak batch up front
-and answers each admitted peer's whole target list with one find_nodes
-call. Either way the final peer set is the closure of the seed set.
+query is ping-ponged exactly once before admission. The crawl takes up to
+max_in_flight tasks from the head of the queue, has the transport answer
+them as one batch (`DiscoveryTransport.run`), and handles the results in
+queue order, so no claim depends on timing. Each transport owns its own
+concurrency; one with only one-call methods answers a batch one call at a
+time. Either way the final peer set is the closure of the seed set.
 
 The targets are drawn from a child of the configured seed, not the seed
 itself, so a simulated overlay built from the same seed shares no ids with
@@ -23,8 +20,6 @@ import ipaddress
 import json
 import logging
 from collections import Counter, deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -35,8 +30,7 @@ import numpy as np
 from ..errors import NoSeedsReachable
 from ..keccak import keccak256_batch
 from ..model import int_field, number_field, read_json
-from .identity import PeerInfo, digest_lanes, hash_prefix, precompute_targets
-from .simulator import SimTransport
+from .identity import PeerInfo, hash_prefix, precompute_targets
 
 log = logging.getLogger(__name__)
 
@@ -45,13 +39,17 @@ _PRIVATE_RANGES = (
     ipaddress.ip_network("172.16.0.0/12"),
     ipaddress.ip_network("192.168.0.0/16"),
 )
-# targets per pooled worker task; pure batching, no semantic effect. A --sim
-# crawl sends each peer's whole target list in one find_nodes call
-_FIND_CHUNK = 32
-_MAX_WORKERS = 32
 
 
 class DiscoveryTransport(Protocol):
+    """A transport answers one call, and may also answer a batch with `run`.
+
+    run(tasks, targets) answers every task, each ("ping", peer) or
+    ("find", peer), and returns their results in task order: a bool for a
+    ping, and for a find the pair (peers found, whether any query failed)
+    over every target. It raises for no fault of one peer.
+    """
+
     def ping_pong(self, peer: PeerInfo) -> bool: ...
 
     def find_node(self, peer: PeerInfo, target: bytes) -> list[PeerInfo]: ...
@@ -104,35 +102,28 @@ class CrawlReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _ping(transport: DiscoveryTransport, peer: PeerInfo) -> bool:
+def _call(method, *args):
+    """method(*args), or None if it raises: transport faults are data."""
     try:
-        return bool(transport.ping_pong(peer))
-    except Exception as exc:  # noqa: BLE001 - transport faults are data
-        log.debug("ping_pong raised: %s", exc)
-        return False
+        return method(*args)
+    except Exception as exc:  # noqa: BLE001
+        log.debug("transport call raised: %s", exc)
+        return None
 
 
-def _find_each(transport: DiscoveryTransport, peer: PeerInfo,
-               targets: tuple[bytes, ...]) -> tuple[list[PeerInfo], bool]:
-    """One find_node per target: the peers returned, and whether any failed."""
-    found: list[PeerInfo] = []
-    failed = False
-    for target in targets:
-        try:
-            found.extend(transport.find_node(peer, target))
-        except Exception as exc:  # noqa: BLE001
-            log.debug("find_node raised: %s", exc)
-            failed = True
-    return found, failed
-
-
-class _InlineExecutor:
-    """Stands in for the thread pool: runs each task when it is submitted."""
-
-    def submit(self, fn, *args) -> Future:
-        future: Future = Future()
-        future.set_result(fn(*args))
-        return future
+def _run_each(transport: DiscoveryTransport, tasks: list[tuple],
+              targets: list[bytes]) -> list:
+    """`run` for a transport without one: one call at a time, on this
+    thread. A find calls find_node once per target, and fails if one does."""
+    results: list = []
+    for kind, peer in tasks:
+        if kind == "ping":
+            results.append(bool(_call(transport.ping_pong, peer)))
+        else:
+            answers = [_call(transport.find_node, peer, t) for t in targets]
+            results.append(([p for answer in answers if answer is not None
+                             for p in answer], None in answers))
+    return results
 
 
 def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
@@ -154,36 +145,16 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
             claimed.add(seed.node_id)
             work.append(("ping", seed))
 
-    if isinstance(transport, SimTransport):
-        # in memory and CPU-bound: worker threads would only trade the GIL.
-        # Every target is hashed here, in one batch, and one find_nodes call
-        # answers them all for a peer
-        runner = nullcontext(_InlineExecutor())
-        find = transport.find_nodes
-        find_args = [(digest_lanes(keccak256_batch(target_list)),)]
-    else:
-        runner = ThreadPoolExecutor(
-            max_workers=min(config.max_in_flight, _MAX_WORKERS))
-        find = partial(_find_each, transport)
-        find_args = [(tuple(target_list[i:i + _FIND_CHUNK]),)
-                     for i in range(0, len(target_list), _FIND_CHUNK)]
-    ping = partial(_ping, transport)
-    # submitted tasks, oldest first; each result is taken from the head
-    window: deque[tuple[tuple, Future]] = deque()
-    with runner as pool:
-        while work or window:
-            while work and len(window) < config.max_in_flight:
-                task = work.popleft()
-                window.append((task, pool.submit(
-                    ping if task[0] == "ping" else find, *task[1:])))
-            task, future = window.popleft()
-            outcome = future.result()
-            peer = task[1]
-            if task[0] == "ping":
+    run = getattr(transport, "run", None) or partial(_run_each, transport)
+    while work:
+        batch = [work.popleft()
+                 for _ in range(min(len(work), config.max_in_flight))]
+        for (kind, peer), outcome in zip(batch, run(batch, target_list),
+                                         strict=True):
+            if kind == "ping":
                 if outcome:
                     known[peer.node_id] = peer
-                    for args in find_args:
-                        work.append(("find", peer, *args))
+                    work.append(("find", peer))
                 else:
                     failed.add((peer.ip, peer.port, "ping_pong"))
             else:

@@ -6,11 +6,9 @@ recoverable secp256k1 signature over Keccak-256(type || payload). A node's
 identity is its uncompressed public key (64 bytes), so every valid packet
 identifies its sender.
 
-This transport exists for real networks. The codec and signature math are
-unit-tested without sockets, and ping_pong and find_node over loopback
-against an in-process responder; no test reaches beyond 127.0.0.1.
-find_node takes NEIGHBORS only from the peer it asked. Concurrent calls
-still share one socket, so one call can take a reply meant for another.
+This transport exists for real networks; its tests reach no further than
+127.0.0.1. It answers a crawl's batch of requests from one receive loop
+over its one socket, which gives each reply to the request it answers.
 """
 
 from __future__ import annotations
@@ -162,14 +160,6 @@ def _encode_endpoint(ip: str, udp_port: int, tcp_port: int) -> list:
             rlp.encode_uint(udp_port), rlp.encode_uint(tcp_port)]
 
 
-def _decode_ip(raw: bytes) -> str:
-    return str(ipaddress.ip_address(raw))
-
-
-def _to_int(raw: bytes) -> int:
-    return int.from_bytes(raw, "big")
-
-
 def _expiration() -> bytes:
     return rlp.encode_uint(int(time.time()) + _EXPIRATION_SLACK)
 
@@ -197,12 +187,14 @@ def encode_findnode(private_key: bytes, target: bytes) -> bytes:
 
 
 def decode_neighbors(payload: list) -> list[PeerInfo]:
-    peers = []
-    for entry in payload[0]:
-        ip, udp_port, _tcp, node_id = entry
-        peers.append(PeerInfo(node_id=bytes(node_id), ip=_decode_ip(bytes(ip)),
-                              port=_to_int(bytes(udp_port))))
-    return peers
+    """The peers a NEIGHBORS payload lists; ValueError if one is malformed."""
+    try:
+        return [PeerInfo(node_id=bytes(node_id),
+                         ip=str(ipaddress.ip_address(bytes(ip))),
+                         port=int.from_bytes(bytes(udp_port), "big"))
+                for ip, udp_port, _tcp, node_id in payload[0]]
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed NEIGHBORS payload: {exc}") from exc
 
 
 class UdpV4Transport:
@@ -223,55 +215,92 @@ class UdpV4Transport:
     def close(self) -> None:
         self._sock.close()
 
-    def _recv_until(self, deadline: float,
-                    want_type: int) -> tuple[bytes, list] | None:
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            self._sock.settimeout(remaining)
+    def _send(self, packet: bytes, addr: tuple[str, int]) -> bool:
+        try:
+            self._sock.sendto(packet, addr)
+        except OSError as exc:
+            log.debug("cannot send to %s:%s: %s", *addr, exc)
+            return False
+        return True
+
+    def run(self, tasks: list[tuple[str, PeerInfo]],
+            targets: list[bytes]) -> list:
+        """`DiscoveryTransport.run`, every request open at once.
+
+        A PONG answers the ping whose hash it echoes. A find asks its peer
+        one target at a time, as NEIGHBORS names no target, and takes up to
+        k entries from that peer alone until k or query_timeout. A failed
+        send or a malformed NEIGHBORS entry fails its own task only.
+        """
+        found: list[list[PeerInfo]] = [[] for _ in tasks]
+        failed = [kind == "ping" for kind, _peer in tasks]  # until a PONG
+        # ping hash or peer id -> [deadline, task, targets asked, entries]
+        waiting: dict[bytes, list] = {}
+
+        def ask(i: int, asked: int = 0) -> None:
+            """Send task i's next request, if it has one."""
+            kind, peer = tasks[i]
+            if kind == "ping":
+                packet = encode_ping(self.private_key, self._local,
+                                     (peer.ip, peer.port))
+                key, timeout = packet[:32], self.ping_timeout
+            elif asked < len(targets):
+                packet = encode_findnode(self.private_key, targets[asked])
+                key, timeout = peer.node_id, self.query_timeout
+            else:
+                return
+            if self._send(packet, (peer.ip, peer.port)):
+                waiting[key] = [time.monotonic() + timeout, i, asked + 1, []]
+            else:
+                failed[i] = True
+
+        def close(key: bytes, fault: bool = False) -> None:
+            """End an open request; a find then asks its next target."""
+            _deadline, i, asked, entries = waiting.pop(key)
+            if tasks[i][0] == "find":
+                found[i] += entries[:self.neighbor_k]
+                failed[i] |= fault
+                ask(i, asked)
+
+        for i in range(len(tasks)):
+            ask(i)
+        while waiting:
+            key = min(waiting, key=lambda key: waiting[key][0])
+            timeout = waiting[key][0] - time.monotonic()
+            if timeout <= 0:
+                close(key)
+                continue
+            self._sock.settimeout(timeout)
             try:
-                data, _addr = self._sock.recvfrom(1500)
-            except socket.timeout:
-                return None
-            try:
+                data, addr = self._sock.recvfrom(1500)
                 sender, ptype, payload = decode_packet(data)
-            except (ValueError, rlp.RlpDecodingError) as exc:
+            except socket.timeout:
+                continue
+            except ValueError as exc:
                 log.debug("discarding malformed packet: %s", exc)
                 continue
             if ptype == PING:  # stay polite: answer pings so peers keep talking
-                self._sock.sendto(
-                    encode_pong(self.private_key, (self._local[0],
-                                                   self._local[1]), data[:32]),
-                    _addr)
-                continue
-            if ptype == want_type:
-                return sender, payload
+                self._send(encode_pong(self.private_key, self._local,
+                                       data[:32]), addr)
+            elif (ptype == PONG and len(payload) > 1 and isinstance(
+                    payload[1], bytes) and len(payload[1]) == 32
+                    and payload[1] in waiting):
+                failed[waiting.pop(payload[1])[1]] = False
+            elif ptype == NEIGHBORS and sender in waiting:
+                entries = waiting[sender][3]
+                try:
+                    entries += decode_neighbors(payload)
+                except ValueError as exc:
+                    log.debug("malformed NEIGHBORS from %s: %s", addr, exc)
+                    close(sender, fault=True)
+                    continue
+                if len(entries) >= self.neighbor_k:
+                    close(sender)
+        return [not failed[i] if kind == "ping" else (found[i], failed[i])
+                for i, (kind, _peer) in enumerate(tasks)]
 
     def ping_pong(self, peer: PeerInfo) -> bool:
-        packet = encode_ping(self.private_key,
-                             (self._local[0], self._local[1]),
-                             (peer.ip, peer.port))
-        self._sock.sendto(packet, (peer.ip, peer.port))
-        deadline = time.monotonic() + self.ping_timeout
-        while True:
-            answer = self._recv_until(deadline, PONG)
-            if answer is None:
-                return False
-            _sender, payload = answer
-            if len(payload) >= 2 and bytes(payload[1]) == packet[:32]:
-                return True
+        return self.run([("ping", peer)], [])[0]
 
     def find_node(self, peer: PeerInfo, target: bytes) -> list[PeerInfo]:
-        self._sock.sendto(encode_findnode(self.private_key, target),
-                          (peer.ip, peer.port))
-        deadline = time.monotonic() + self.query_timeout
-        found: list[PeerInfo] = []
-        while len(found) < self.neighbor_k:
-            answer = self._recv_until(deadline, NEIGHBORS)
-            if answer is None:
-                break
-            sender, payload = answer
-            if sender == peer.node_id:  # any other node's list answers nothing
-                found.extend(decode_neighbors(payload))
-        return found[:self.neighbor_k]
+        return self.run([("find", peer)], [target])[0][0]

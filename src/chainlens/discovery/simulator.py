@@ -14,8 +14,9 @@ find_node and find_nodes rank a table by `identity.rank`, the one XOR
 ranking. find_nodes answers a whole list of targets for one peer: it draws
 churn for every target and ranks the peer's table against every answered
 one in one vectorised pass, over target digests the caller hashed
-beforehand (the crawler hashes all of a crawl's targets in one Keccak
-batch), so it makes no Keccak or blake2b call itself.
+beforehand, so it makes no Keccak or blake2b call itself. `run` answers a
+crawl's batches with them, and hashes the crawl's targets once, in one
+Keccak batch.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class SimTransport:
         self._keys = {node_id: int.from_bytes(hashlib.blake2b(
             node_id, key=seed_tag, digest_size=8).digest(), "big")
             for node_id in tables}
+        self._targets = self._target_lanes = None  # as `run` last saw them
 
     def _drops(self, peer: PeerInfo, target_key: int) -> bool:
         return (self._threshold > 0 and _splitmix64(
@@ -96,6 +98,18 @@ class SimTransport:
 
     def ping_pong(self, peer: PeerInfo) -> bool:
         return peer.node_id in self._tables and not self._drops(peer, _PING)
+
+    def run(self, tasks: list[tuple[str, PeerInfo]],
+            targets: list[bytes]) -> list:
+        """`DiscoveryTransport.run`: each task in turn, a ping by
+        `ping_pong` and a find by `find_nodes` over all of `targets`, hashed
+        in one batch when a list of targets is first seen."""
+        if targets != self._targets:
+            self._targets = list(targets)
+            self._target_lanes = digest_lanes(keccak256_batch(targets))
+        return [self.ping_pong(peer) if kind == "ping"
+                else self.find_nodes(peer, self._target_lanes)
+                for kind, peer in tasks]
 
     def find_node(self, peer: PeerInfo, target: bytes) -> list[PeerInfo]:
         """The k table entries of `peer` closest to `target`, by `rank`."""

@@ -58,6 +58,11 @@ class StoreSchemaMismatch(ChainLensError):
                          "new store")
 
 
+class StoreUnreadable(ChainLensError):
+    def __init__(self, path: str, detail: str):
+        super().__init__(f"cannot read store {path}: {detail}")
+
+
 class EmptyChain(ChainLensError):
     def __init__(self, chain: str, detail: str = ""):
         self.chain = chain

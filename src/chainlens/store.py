@@ -16,7 +16,7 @@ from typing import IO, Callable, Iterable, Iterator
 
 from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                      EmptyChain, LineError, MalformedJson, SchemaViolation,
-                     StoreSchemaMismatch)
+                     StoreSchemaMismatch, StoreUnreadable)
 from .model import (NAME_OP_KINDS, REQUIRED, Block, ChainKind, ChainSummary,
                     FieldError, IngestSummary, RejectedLine, T, Transaction,
                     amount_field, bool_field, hex_field, int_field, month_key,
@@ -94,14 +94,19 @@ class Store:
             self.root.mkdir(parents=True, exist_ok=True)
             self.path = self.root / "chainlens.sqlite"
         self._conn = sqlite3.connect(self.path)
-        # refuse a store written with other columns before writing to it
-        for record, table in ((Block, "blocks"), (Transaction, "txs")):
-            columns = tuple(row[1] for row in self._conn.execute(
-                f"PRAGMA table_info({table})"))
-            if columns and columns != record._fields:
-                self._conn.close()
-                raise StoreSchemaMismatch(str(self.path), table)
-        self._conn.executescript(_SCHEMA)
+        try:
+            # refuse a store written with other columns before writing to it
+            for record, table in ((Block, "blocks"), (Transaction, "txs")):
+                columns = tuple(row[1] for row in self._conn.execute(
+                    f"PRAGMA table_info({table})"))
+                if columns and columns != record._fields:
+                    raise StoreSchemaMismatch(str(self.path), table)
+            self._conn.executescript(_SCHEMA)
+        except Exception as exc:
+            self._conn.close()
+            if isinstance(exc, sqlite3.DatabaseError):  # not a SQLite file
+                raise StoreUnreadable(str(self.path), str(exc)) from exc
+            raise
 
     def close(self) -> None:
         self._conn.close()

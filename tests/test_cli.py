@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import logging
+import random
+import socket
 import sqlite3
 import sys
 from contextlib import closing
@@ -856,6 +858,49 @@ def test_store_of_another_schema_is_refused(tmp_path, capsys):
                        " (table 'txs'): re-ingest its dumps into a new store\n")
     assert path.read_bytes() == before
     assert sorted(p.name for p in db.iterdir()) == ["chainlens.sqlite"]
+
+
+def test_store_that_is_not_sqlite_is_refused(tmp_path, capsys):
+    db = tmp_path / "db"
+    db.mkdir()
+    path = db / "chainlens.sqlite"
+    before = random.Random(7).randbytes(2000)
+    path.write_bytes(before)
+    source = tmp_path / "nmc.ndjson"
+    source.write_text(block_line("nmc", 19201, 1304294400) + "\n")
+    for argv in (["ingest", str(source), "--chain", "nmc"], ["nmc", "fees"]):
+        assert run_cli(["--db", str(db), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot read store {path}: "
+                       "file is not a database\n")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in db.iterdir()) == ["chainlens.sqlite"]
+
+
+def test_live_crawl_closes_its_socket(tmp_path, monkeypatch, capsys):
+    from chainlens.discovery import live
+    made = []
+
+    class Loopback(live.UdpV4Transport):
+        def __init__(self, private_key, neighbor_k):
+            super().__init__(private_key, bind=("127.0.0.1", 0),
+                             ping_timeout=0.05, neighbor_k=neighbor_k)
+            made.append(self)
+
+    monkeypatch.setattr(live, "UdpV4Transport", Loopback)
+    with closing(socket.socket(socket.AF_INET, socket.SOCK_DGRAM)) as sock:
+        sock.bind(("127.0.0.1", 0))
+        silent = sock.getsockname()[1]
+    bootnodes = tmp_path / "boot.txt"
+    bootnodes.write_text(f"{'ab' * 64}@127.0.0.1:{silent}\n")
+    # no bootnode answers, so crawl raises
+    assert run_cli(["crawl", "--live", str(bootnodes),
+                    "--prefix-bits", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no seed peer answered the ping-pong exchange\n")
+    [transport] = made
+    assert transport._sock.fileno() == -1
 
 
 def test_ppc_pos_pow(tmp_path, capsys):

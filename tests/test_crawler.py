@@ -1,11 +1,13 @@
 """Overlay crawler on simulated transports."""
 
+import ast
 import json
 import math
 import random
 import sys
 import threading
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,9 +246,9 @@ def _pinged(transport, pings):
     return transport
 
 
-def test_inline_and_pooled_crawls_write_the_same_json():
-    # the inline crawl answers a chunk with SimTransport.find_nodes, the
-    # pooled one sends one find_node per target through a wrapper
+def test_batch_and_one_call_crawls_write_the_same_json():
+    # SimTransport.run answers a batch, a find by find_nodes over every
+    # target; a wrapper without run has one find_node called per target
     for seed, prefix_bits, churn in ((17, 5, 0.05), (4, 3, 0.3), (29, 7, 0.0),
                                      (8, 0, 0.1)):
         transport, truth = build_sim_overlay(120, 10, unreachable_fraction=0.1,
@@ -256,31 +258,49 @@ def test_inline_and_pooled_crawls_write_the_same_json():
                  if p.node_id in truth.reachable_ids][:3]
         config = CrawlConfig(prefix_bits=prefix_bits, max_in_flight=7,
                              rng_seed=seed)
-        inline = crawl(transport, seeds, config)
-        pooled = crawl(_CountingTransport(transport), seeds, config)
-        assert inline.failed_endpoints
-        assert inline.to_json() == pooled.to_json()
+        batch = crawl(transport, seeds, config)
+        one_call = crawl(_CountingTransport(transport), seeds, config)
+        assert batch.failed_endpoints
+        assert batch.to_json() == one_call.to_json()
         # one task at a time, both claim new peers in the same order
         config.max_in_flight = 1
-        pooled_pings, inline_pings = [], []
-        crawl(_pinged(_CountingTransport(transport), pooled_pings), seeds,
+        one_call_pings, batch_pings = [], []
+        crawl(_pinged(_CountingTransport(transport), one_call_pings), seeds,
               config)
-        crawl(_pinged(transport, inline_pings), seeds, config)
-        assert inline_pings == pooled_pings
+        crawl(_pinged(transport, batch_pings), seeds, config)
+        assert batch_pings == one_call_pings
 
 
-def test_sim_crawl_starts_no_worker_thread(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a simulated crawl started a thread pool")
+def test_crawls_start_no_thread(monkeypatch):
+    def no_thread(self):
+        raise AssertionError(f"a crawl started thread {self.name}")
 
-    monkeypatch.setattr(crawler, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     report, truth = _crawl_overlay(40, 8, seed=3, churn_failure_rate=0.05)
     assert {p.node_id for p in report.known_peers} <= truth.reachable_ids
-    # a transport the crawler does not know to be in-memory keeps the pool
+    # a transport with only one-call methods is called on this thread
     transport, truth = build_sim_overlay(10, 3, rng_seed=3)
-    with pytest.raises(AssertionError, match="thread pool"):
-        crawl(_CountingTransport(transport), truth.peers[:1],
-              CrawlConfig(prefix_bits=1))
+    report = crawl(_CountingTransport(transport), truth.peers[:1],
+                   CrawlConfig(prefix_bits=1, max_in_flight=8))
+    assert {p.node_id for p in report.known_peers} == truth.reachable_ids
+
+
+def test_discovery_imports_no_thread_module():
+    # every transport answers a batch on the calling thread
+    package = Path(crawler.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("threading", "_thread",
+                                                "concurrent")]
+    assert found == []
 
 
 def test_sim_crawl_hashes_each_target_once_and_no_peer(monkeypatch):
@@ -302,7 +322,9 @@ def test_sim_crawl_hashes_each_target_once_and_no_peer(monkeypatch):
         batches.append(list(messages))
         return batch(messages)
 
-    monkeypatch.setattr(crawler, "keccak256_batch", counting_batch)
+    # SimTransport.run hashes the targets, endpoint_stats the peer ids
+    for module in (crawler, simulator):
+        monkeypatch.setattr(module, "keccak256_batch", counting_batch)
     # the crawl draws its targets from a seed spawned from its own, so that
     # no target is a peer id that endpoint_stats hashes as well
     target_list = _crawl_targets(4, 10)

@@ -297,6 +297,16 @@ def test_trailing_comment_ends_a_live_line(tmp_path):
     assert (peer.ip, peer.port) == ("10.0.0.1", 30303)
 
 
+def test_live_line_names_an_ip_address(tmp_path, capsys):
+    # the live transport sends to an address; it resolves no host name
+    path = tmp_path / "bootnodes.txt"
+    path.write_text(f"{NODE_HEX}@127.0.0.1:30303\n"
+                    f"{NODE_HEX}@localhost:30303\n")
+    assert run_cli(["crawl", "--live", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "--live" in err and "line 2:" in err and "localhost" in err
+
+
 def test_trailing_comment_ends_a_table_row(tmp_path):
     rates = tmp_path / "rates.csv"
     rates.write_text("week,rate # USD\n2011-W18,0.5 # estimate\n")

@@ -222,6 +222,9 @@ def cmd_eth_classify(state: AppState, internal_path, terminated_path) -> None:
         registry = build_contract_registry(store, internal_path,
                                            terminated_path)
         rows = monthly_class_counts(store, registry)
+        orphans = store.orphan_count(ChainKind.ETHEREUM)
+    if orphans:  # counted in no month
+        click.echo(f"orphans: {orphans}", err=True)
     header = ("month",) + tuple(cls.value for cls in TxClass)
     state.emit_rows(header, [(month,) + tuple(counts[cls] for cls in TxClass)
                              for month, counts in rows])

@@ -36,11 +36,26 @@ def classify_transaction(tx: Transaction, registry: ContractRegistry) -> TxClass
 
 def monthly_class_counts(store: Store, registry: ContractRegistry
                          ) -> list[tuple[str, dict[TxClass, int]]]:
-    """Per-UTC-month transaction counts split by class, zero-filled."""
+    """Per-UTC-month transaction counts split by class, zero-filled.
+
+    The store counts each month's sends and creations. A send to a
+    registry address after its creation is TO_CONTRACT, as
+    `classify_transaction` decides, and any other send TO_ACCOUNT.
+    Orphans count in no month.
+    """
     if store.block_count(ChainKind.ETHEREUM) == 0:
         raise EmptyChain(ChainKind.ETHEREUM.value)
-    items = ((block_time, classify_transaction(tx, registry), 1)
-             for block_time, tx in store.iter_dated_txs(ChainKind.ETHEREUM))
+    calls = Counter(
+        month for month, recipient, height, index
+        in store.iter_dated_eth_sends(record.address for record in registry)
+        if registry.created_before(recipient, height, index))
+    items: list[tuple[int, TxClass, int]] = []
+    for month, first_time, sends, creations, zombies in \
+            store.iter_monthly_eth_classes():
+        items += ((first_time, TxClass.TO_ACCOUNT, sends - calls[month]),
+                  (first_time, TxClass.TO_CONTRACT, calls[month]),
+                  (first_time, TxClass.CREATE_CONTRACT, creations),
+                  (first_time, TxClass.ZOMBIE_CREATE, zombies))
     return [(month, {cls: counts[cls] for cls in TxClass})
             for month, counts in tally_periods(items, month_key)]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+from binascii import a2b_hex
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -38,7 +39,13 @@ def strip_0x(text: str) -> str:
 
 def normalize_hex(text: str, byte_len: int | None = None) -> str:
     """Lowercase hex without the 0x prefix; raises ValueError on bad digits."""
-    digits = strip_0x(text).lower()
+    digits = strip_0x(text)
+    try:  # an even run of hex digits and nothing else
+        if byte_len in (None, len(a2b_hex(digits))):
+            return digits.lower()
+    except ValueError:
+        pass
+    digits = digits.lower()  # the checks below name what is wrong
     if len(digits) % 2:
         raise ValueError(f"odd-length hex string: {text!r}")
     if not HEX_DIGITS.issuperset(digits):
@@ -147,7 +154,10 @@ def str_list_field(obj: dict, key: str, default: Any = REQUIRED,
         raise FieldError(key, f"must be a list of strings, got {value!r}")
     if byte_len is None:
         return value
-    return [hex_field({key: item}, key, byte_len) for item in value]
+    try:
+        return [normalize_hex(item, byte_len) for item in value]
+    except ValueError as exc:
+        raise FieldError(key, str(exc)) from None
 
 
 LineSource = Iterable[str] | str | Path

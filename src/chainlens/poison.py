@@ -11,6 +11,7 @@ sequence for payloads the filter caught.
 from __future__ import annotations
 
 import logging
+from binascii import a2b_hex
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -29,8 +30,10 @@ MATCH_PREFIX_BYTES = 2  # leading magic bytes the candidate filter compares
 def extract_payload(input_hex: str) -> bytes:
     """Decode raw payload bytes from a transaction input hex string."""
     digits = strip_0x(input_hex)
-    if not len(digits) % 2 and set(digits.lower()) <= HEX_DIGITS:
-        return bytes.fromhex(digits)
+    try:  # an even run of hex digits and nothing else
+        return a2b_hex(digits)
+    except ValueError:
+        pass
     for position, char in enumerate(digits):
         if char.lower() not in HEX_DIGITS:
             raise InvalidHex(position, f"character {char!r}")
@@ -149,19 +152,17 @@ def scan_corpus(store: Store, chain: ChainKind, db: SignatureDb,
     directory = Path(out_dir) if out_dir is not None else None
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
-    for tx in store.iter_txs(chain):
-        if not tx.input:
-            continue
-        payload = extract_payload(tx.input)
+    for tx_hash, input_hex in store.iter_tx_inputs(chain):
+        payload = extract_payload(input_hex)
         names = match_signatures(payload, db)
         if verify_full and names:
             full = set(match_signatures(payload, db, full_magic=True))
             names = [n for n in names if n in full]
         for name in names:
-            report.rows.append(ScanRow(format_name=name, tx_hash=tx.hash,
+            report.rows.append(ScanRow(format_name=name, tx_hash=tx_hash,
                                        payload_size=len(payload)))
             if directory is not None:
-                target = directory / f"{tx.hash}.{db.extension_for(name)}"
+                target = directory / f"{tx_hash}.{db.extension_for(name)}"
                 try:
                     target.write_bytes(payload)
                 except OSError as exc:

@@ -93,7 +93,10 @@ class Store:
             self.root = Path(root)
             self.root.mkdir(parents=True, exist_ok=True)
             self.path = self.root / "chainlens.sqlite"
-        self._conn = sqlite3.connect(self.path)
+        try:
+            self._conn = sqlite3.connect(self.path)
+        except sqlite3.Error as exc:  # e.g. the path is a directory
+            raise StoreUnreadable(str(self.path), str(exc)) from exc
         try:
             # refuse a store written with other columns before writing to it
             for record, table in ((Block, "blocks"), (Transaction, "txs")):
@@ -198,6 +201,45 @@ class Store:
         yield from self._conn.execute(
             "SELECT hash, recipient, height FROM txs WHERE chain = 'eth'"
             " AND recipient IS NOT NULL AND value != '0' ORDER BY height, idx")
+
+    def iter_monthly_eth_classes(self) -> Iterator[
+            tuple[str, int, int, int, int]]:
+        """(month, its first block time, sends, creations with code,
+        creations without) of each UTC month that has a dated Ethereum tx;
+        an orphan, a tx whose block is not stored, is in no month. A send
+        is a tx with a recipient, a creation one without."""
+        yield from self._conn.execute(
+            "SELECT strftime('%Y-%m', time, 'unixepoch') AS month, MIN(time),"
+            " COUNT(recipient), SUM(recipient IS NULL AND input != ''),"
+            " SUM(recipient IS NULL AND input = '')"
+            " FROM txs JOIN blocks USING (chain, height) WHERE chain = 'eth'"
+            " GROUP BY month")
+
+    def iter_dated_eth_sends(self, recipients: Iterable[str]
+                             ) -> Iterator[tuple[str, str, int, int]]:
+        """(month, recipient, height, index) of each dated Ethereum tx sent
+        to one of `recipients`, its month as `iter_monthly_eth_classes`
+        names it; orphans are left out."""
+        yield from self._conn.execute(
+            "SELECT strftime('%Y-%m', time, 'unixepoch'), recipient, height,"
+            " idx FROM txs JOIN blocks USING (chain, height)"
+            " WHERE chain = 'eth' AND recipient IN"
+            " (SELECT value FROM json_each(?))",
+            (json.dumps(list(recipients)),))
+
+    def iter_tx_inputs(self, chain: ChainKind) -> Iterator[tuple[str, str]]:
+        """(hash, input) of each stored tx of a chain whose input is not
+        empty, in ledger order, orphans included."""
+        yield from self._conn.execute(
+            "SELECT hash, input FROM txs WHERE chain=? AND input != ''"
+            " ORDER BY height, idx", (chain.value,))
+
+    def orphan_count(self, chain: ChainKind) -> int:
+        """The number of stored txs of a chain whose block is not stored."""
+        return self._conn.execute(
+            "SELECT COUNT(*) FROM txs WHERE chain=? AND height NOT IN"
+            " (SELECT height FROM blocks WHERE chain=?)",
+            (chain.value, chain.value)).fetchone()[0]
 
     def iter_monthly_tx_counts(self, chain: ChainKind,
                                max_height: int | None = None

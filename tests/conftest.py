@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import strategies as st
 
 from chainlens.eth.classify import TxClass
 from chainlens.model import ChainKind
@@ -39,6 +40,34 @@ def tx_line(chain: str, tx_hash: str, height: int, index: int, sender: str,
            "input": input_hex}
     obj.update(extra)
     return json.dumps(obj)
+
+
+# whole bytes at the lengths a hash, an address or nothing takes
+_HEX_BYTES = st.sampled_from([0, 1, 2, 3, 20, 32]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n))
+
+
+def hex_like_text():
+    """Strings near hex: whole bytes in either case, and runs with odd
+    lengths, spaces, '+', '_' and letters that are not hex, some of them
+    non-ASCII and some whose lower() is longer (İ), behind an optional
+    0x or 0X."""
+    return st.tuples(
+        st.sampled_from(["", "0x", "0X", "x"]),
+        st.one_of(
+            st.tuples(_HEX_BYTES, st.booleans()).map(
+                lambda pair: pair[0].hex().upper() if pair[1]
+                else pair[0].hex()),
+            st.text("0123456789abcdefABCDEFgxX +_\t\nİé٠\u212a", max_size=10),
+            st.text(max_size=6))).map("".join)
+
+
+def outcome(fn, *args):
+    """("ok", what fn returns), or the class and message of what it raises."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
 
 
 def load_store(lines, chain: ChainKind, strict: bool = True) -> Store:

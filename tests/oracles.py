@@ -159,3 +159,32 @@ def shared_top(digest: bytes, nbytes: int) -> bytes:
     """
     return keccak256_oracle(bytes([digest[0] >> 4]))[:nbytes] + \
         digest[nbytes:]
+
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def normalize_hex_reference(text: str, byte_len: int | None = None) -> str:
+    """`model.normalize_hex` as a set test over the lowered digits, the
+    check that named every error before the C-level fast path."""
+    digits = (text[2:] if text[:2] in ("0x", "0X") else text).lower()
+    if len(digits) % 2:
+        raise ValueError(f"odd-length hex string: {text!r}")
+    if not _HEX_DIGITS.issuperset(digits):
+        raise ValueError(f"non-hex digits in {text!r}")
+    if byte_len is not None and len(digits) != 2 * byte_len:
+        raise ValueError(f"expected {byte_len} bytes of hex, got {len(digits) // 2}")
+    return digits
+
+
+def extract_payload_reference(input_hex: str) -> bytes:
+    """`poison.extract_payload` as a set test, then `bytes.fromhex`."""
+    from chainlens.errors import InvalidHex
+
+    digits = input_hex[2:] if input_hex[:2] in ("0x", "0X") else input_hex
+    if not len(digits) % 2 and set(digits.lower()) <= _HEX_DIGITS:
+        return bytes.fromhex(digits)
+    for position, char in enumerate(digits):
+        if char.lower() not in _HEX_DIGITS:
+            raise InvalidHex(position, f"character {char!r}")
+    raise InvalidHex(len(digits), "odd number of hex digits")

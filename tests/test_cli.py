@@ -878,6 +878,22 @@ def test_store_that_is_not_sqlite_is_refused(tmp_path, capsys):
     assert sorted(p.name for p in db.iterdir()) == ["chainlens.sqlite"]
 
 
+def test_store_that_is_a_directory_is_refused(tmp_path, capsys):
+    db = tmp_path / "db"
+    path = db / "chainlens.sqlite"
+    (path / "inside").mkdir(parents=True)
+    source = tmp_path / "nmc.ndjson"
+    source.write_text(block_line("nmc", 19201, 1304294400) + "\n")
+    for argv in (["ingest", str(source), "--chain", "nmc"], ["nmc", "fees"]):
+        assert run_cli(["--db", str(db), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot read store {path}: "
+                       "unable to open database file\n")
+    assert [p.name for p in db.iterdir()] == ["chainlens.sqlite"]
+    assert [p.name for p in path.iterdir()] == ["inside"]
+
+
 def test_live_crawl_closes_its_socket(tmp_path, monkeypatch, capsys):
     from chainlens.discovery import live
     made = []

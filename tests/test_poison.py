@@ -11,8 +11,11 @@ from chainlens.model import ChainKind
 from chainlens.poison import (MATCH_PREFIX_BYTES, SignatureDb, SignatureEntry,
                               _entry_matches, extract_payload, load_signatures,
                               match_signatures, scan_corpus)
+from chainlens.store import Store, ingest_blocks
 
-from conftest import addr, block_line, h32, load_store, tx_line
+import oracles
+from conftest import (addr, block_line, h32, hex_like_text, load_store,
+                      outcome, tx_line)
 
 PNG_MAGIC = bytes.fromhex("89504e470d0a1a0a")
 JPG_PAYLOAD = bytes.fromhex("ffd8ffe000104a46494600")
@@ -40,6 +43,14 @@ def test_extract_payload_reports_bad_digit_position():
     with pytest.raises(InvalidHex) as excinfo:
         extract_payload("abcg1")
     assert excinfo.value.position == 3
+
+
+@given(hex_like_text())
+@settings(max_examples=500, deadline=None)
+def test_extract_payload_matches_the_set_test_reference(text):
+    # the same bytes, or the same error class and message (position too)
+    assert outcome(extract_payload, text) \
+        == outcome(oracles.extract_payload_reference, text)
 
 
 @given(st.binary(max_size=200))
@@ -208,3 +219,65 @@ def test_scan_corpus_writes_payload_files(tmp_path):
     assert (out / f"{t[4]}.avi").exists()
     assert not (out / f"{t[5]}.png").exists()
     store.close()
+
+
+_TABLE = load_signatures()
+# a drawn input: none, random bytes, or a table magic at its offset
+_INPUTS = st.one_of(
+    st.just(b""), st.binary(max_size=12),
+    st.tuples(st.sampled_from(_TABLE.entries), st.integers(1, 16),
+              st.binary(max_size=6)).map(
+        lambda drawn: bytes(drawn[0].offset) + drawn[0].magic[:drawn[1]]
+        + drawn[2]))
+
+
+@st.composite
+def _three_chain_lines(draw):
+    """eth, nmc and ppc lines of one store in a drawn order, with orphans;
+    a hash may repeat across chains."""
+    lines = []
+    for chain in ("eth", "nmc", "ppc"):
+        for height in range(draw(st.integers(0, 4))):
+            hashes = [h32(0xA00 + 8 * height + i)
+                      for i in range(draw(st.integers(0, 3)))]
+            if draw(st.booleans()):
+                lines.append(block_line(chain, height, 1438387200 + height,
+                                        hashes, proof="pow"
+                                        if chain == "ppc" else None))
+            lines += [tx_line(chain, tx_hash, height, index, addr(0xA),
+                              addr(0xB), "0", draw(_INPUTS).hex())
+                      for index, tx_hash in enumerate(hashes)]
+    return draw(st.permutations(lines))
+
+
+def _full_decode_scan(store, chain, db, verify_full):
+    """The scan as it read before: every tx decoded, the empty skipped."""
+    rows = []
+    for tx in store.iter_txs(chain):
+        if not tx.input:
+            continue
+        payload = oracles.extract_payload_reference(tx.input)
+        names = match_signatures(payload, db)
+        if verify_full and names:
+            full = set(match_signatures(payload, db, full_magic=True))
+            names = [n for n in names if n in full]
+        rows += [(name, tx.hash, len(payload)) for name in names]
+    return rows
+
+
+@given(_three_chain_lines(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_scan_corpus_matches_the_full_decode_loop(lines, verify_full):
+    store = Store(":memory:")
+    try:
+        for chain in ChainKind:
+            ingest_blocks([line for line in lines
+                           if f'"chain": "{chain.value}"' in line],
+                          chain, store, strict=True)
+        for chain in ChainKind:
+            report = scan_corpus(store, chain, _TABLE, verify_full=verify_full)
+            assert [(row.format_name, row.tx_hash, row.payload_size)
+                    for row in report.rows] \
+                == _full_decode_scan(store, chain, _TABLE, verify_full)
+    finally:
+        store.close()

@@ -17,14 +17,15 @@ from chainlens import errors
 from chainlens.errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                               EmptyChain, MalformedJson, SchemaViolation)
 from chainlens.eth.contracts import iter_creations
-from chainlens.model import (NAME_OP_KINDS, Block, ChainKind, Transaction,
-                             iso_week_key, month_key, normalize_hex,
-                             tally_periods)
+from chainlens.model import (NAME_OP_KINDS, Block, ChainKind, FieldError,
+                             Transaction, iso_week_key, month_key,
+                             normalize_hex, str_list_field, tally_periods)
 from chainlens.store import (Store, ingest_blocks, monthly_tx_counts,
                              parse_rfc3339)
 
-from conftest import (addr, block_line, eth_labeled_fixture, h32, load_store,
-                      tx_line)
+import oracles
+from conftest import (addr, block_line, eth_labeled_fixture, h32,
+                      hex_like_text, load_store, outcome, tx_line)
 
 
 def test_normalize_hex():
@@ -36,6 +37,35 @@ def test_normalize_hex():
         normalize_hex("abc")
     with pytest.raises(ValueError):
         normalize_hex("ab", byte_len=2)
+
+
+_BYTE_LENS = st.none() | st.sampled_from([0, 1, 2, 20, 32]) \
+    | st.integers(0, 40)
+
+
+@given(hex_like_text(), _BYTE_LENS)
+@settings(max_examples=500, deadline=None)
+def test_normalize_hex_matches_the_set_test_reference(text, byte_len):
+    # the same digits, or the same error class and message
+    assert outcome(normalize_hex, text, byte_len) \
+        == outcome(oracles.normalize_hex_reference, text, byte_len)
+
+
+def _str_list_reference(value: list[str], byte_len: int) -> list[str]:
+    """What a block's `txs` list read as before: each entry alone through
+    the reference, its error naming the list's key."""
+    try:
+        return [oracles.normalize_hex_reference(item, byte_len)
+                for item in value]
+    except ValueError as exc:
+        raise FieldError("txs", str(exc)) from None
+
+
+@given(st.lists(hex_like_text(), max_size=4), st.sampled_from([1, 20, 32]))
+@settings(max_examples=300, deadline=None)
+def test_hex_list_field_matches_the_per_entry_reference(value, byte_len):
+    assert outcome(str_list_field, {"txs": value}, "txs", [], byte_len) \
+        == outcome(_str_list_reference, value, byte_len)
 
 
 def test_time_keys():
@@ -809,6 +839,10 @@ def test_reads_go_through_the_indexes():
             store.iter_txs(ChainKind.ETHEREUM, max_height)))
         assert "USING INDEX sqlite_autoindex_txs_2" in plan
         assert "TEMP B-TREE" not in plan
+    [plan] = _query_plans(store, lambda: list(
+        store.iter_tx_inputs(ChainKind.ETHEREUM)))
+    assert "USING INDEX sqlite_autoindex_txs_2" in plan
+    assert "TEMP B-TREE" not in plan
     store.close()
 
 
@@ -1017,6 +1051,20 @@ def test_the_connection_has_one_owner():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "_conn"
                   and id(node) not in in_store]
+    assert found == []
+
+
+def test_ethereum_analyses_read_narrow_rows():
+    # the eth analyses and the payload scan ask the store for the columns
+    # and rows they count, never for every decoded tx
+    package = Path(chainlens.__file__).parent
+    found = [f"{path.relative_to(package)}:{node.lineno}"
+             for path in [*sorted((package / "eth").glob("*.py")),
+                          package / "poison.py"]
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) in ("iter_txs",
+                                                      "iter_dated_txs")]
     assert found == []
 
 

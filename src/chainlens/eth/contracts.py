@@ -47,12 +47,17 @@ class ContractRegistry:
         self._records: dict[str, ContractRecord] = {}
 
     def add(self, record: ContractRecord) -> None:
+        """Register a creation; of two for one address, whatever their
+        order, the earlier by (height, index) is kept."""
         existing = self._records.get(record.address)
         if existing is not None:
-            log.warning("contract %s created twice (heights %d, %d); keeping first",
-                        record.address, existing.creation_height,
-                        record.creation_height)
-            return
+            kept = min(existing, record, key=lambda r: (r.creation_height,
+                                                         r.creation_index))
+            log.warning("contract %s created twice (heights %d, %d); keeping "
+                        "the one at height %d", record.address,
+                        existing.creation_height, record.creation_height,
+                        kept.creation_height)
+            record = kept
         self._records[record.address] = record
 
     def get(self, address: str) -> ContractRecord | None:

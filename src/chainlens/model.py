@@ -70,24 +70,33 @@ class FieldError(ValueError):
         self.detail = detail
 
 
+def _fault(key: str, value: Any, expected: str) -> FieldError:
+    """The error of a field read as `value` that is not `expected`."""
+    if value is REQUIRED:
+        return FieldError(key, "is missing")
+    return FieldError(key, f"must be {expected}, got {value!r}")
+
+
 def _field(obj: dict, key: str, default: Any, kinds: tuple[type, ...],
            expected: str) -> Any:
     """obj[key] if its JSON type is one of `kinds`; a bool is not an int."""
     value = obj.get(key, default)
-    if value is default:
-        if default is REQUIRED:
-            raise FieldError(key, "is missing")
-    elif type(value) not in kinds:
-        raise FieldError(key, f"must be {expected}, got {value!r}")
-    return value
+    if type(value) in kinds or (value is default and default is not REQUIRED):
+        return value
+    raise _fault(key, value, expected)
 
+
+# The three readers below are the ones every ingested line calls: each
+# accepts a well-formed value without calling another reader.
 
 def int_field(obj: dict, key: str, minimum: int | None = None,
               default: Any = REQUIRED, maximum: int | None = None) -> int:
     """A JSON integer (not a bool, fraction or string) in [minimum, maximum]."""
-    value = _field(obj, key, default, (int,), "an integer")
-    if value is default:
+    value = obj.get(key, default)
+    if value is default and default is not REQUIRED:
         return value
+    if type(value) is not int:
+        raise _fault(key, value, "an integer")
     if minimum is not None and value < minimum:
         raise FieldError(key, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -97,9 +106,11 @@ def int_field(obj: dict, key: str, minimum: int | None = None,
 
 def amount_field(obj: dict, key: str, default: Any = REQUIRED) -> int:
     """A non-negative integer of any size, as a decimal string or integer."""
-    value = _field(obj, key, default, (str, int), "a decimal string or integer")
-    if value is default:
+    value = obj.get(key, default)
+    if value is default and default is not REQUIRED:
         return value
+    if type(value) is not str and type(value) is not int:
+        raise _fault(key, value, "a decimal string or integer")
     try:
         amount = int(value)
     except ValueError:
@@ -112,9 +123,17 @@ def amount_field(obj: dict, key: str, default: Any = REQUIRED) -> int:
 def hex_field(obj: dict, key: str, byte_len: int | None = None,
               default: Any = REQUIRED) -> str:
     """`normalize_hex` of a string, `byte_len` bytes long when given."""
-    value = _field(obj, key, default, (str,), "a hex string")
-    if value is default:
+    value = obj.get(key, default)
+    if value is default and default is not REQUIRED:
         return value
+    if type(value) is not str:
+        raise _fault(key, value, "a hex string")
+    digits = value[2:] if value[:2] in ("0x", "0X") else value
+    try:  # normalize_hex's own first check
+        if byte_len in (None, len(a2b_hex(digits))):
+            return digits.lower()
+    except ValueError:
+        pass
     try:
         return normalize_hex(value, byte_len)
     except ValueError as exc:
@@ -154,7 +173,15 @@ def str_list_field(obj: dict, key: str, default: Any = REQUIRED,
         raise FieldError(key, f"must be a list of strings, got {value!r}")
     if byte_len is None:
         return value
-    try:
+    digits = [item[2:] if item[:2] in ("0x", "0X") else item
+              for item in value]
+    try:  # each entry's length, then one check of all the digits
+        if set(map(len, digits)) <= {2 * byte_len}:
+            a2b_hex("".join(digits))
+            return [entry.lower() for entry in digits]
+    except ValueError:
+        pass
+    try:  # the first bad entry names the error
         return [normalize_hex(item, byte_len) for item in value]
     except ValueError as exc:
         raise FieldError(key, str(exc)) from None

@@ -12,7 +12,7 @@ import re
 import sqlite3
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                      EmptyChain, LineError, MalformedJson, SchemaViolation,
@@ -22,6 +22,9 @@ from .model import (NAME_OP_KINDS, REQUIRED, Block, ChainKind, ChainSummary,
                     amount_field, bool_field, hex_field, int_field, month_key,
                     str_field, str_list_field, tally_periods)
 
+# the most parsed rows an ingest holds before it writes them, in one
+# statement per table
+WRITE_CHUNK = 256
 _SQLITE_INT_MAX = (1 << 63) - 1  # an INTEGER column holds at most 8 signed bytes
 # 9999-12-31T23:59:59Z: a later time has no datetime, so no month or week
 _LAST_BLOCK_TIME = 253_402_300_799
@@ -122,39 +125,64 @@ class Store:
 
     # -- writes --------------------------------------------------------
 
-    def put_block(self, row: Block) -> bool:
-        """Insert a block as it is; returns False if the identical row is
-        already stored."""
-        return self._put("blocks", "height", ConflictingBlock, row)
+    def put_block(self, rows: Sequence[Block]) -> list[bool | Exception]:
+        """Write a chunk of blocks as they are, by `_put`'s rule."""
+        return self._put("blocks", "height", ConflictingBlock, rows)
 
-    def put_tx(self, row: Transaction) -> bool:
-        """Insert a tx as it is; returns False if the identical row is
-        already stored."""
-        return self._put("txs", "hash", ConflictingTx, row)
+    def put_tx(self, rows: Sequence[Transaction]) -> list[bool | Exception]:
+        """Write a chunk of txs as they are, by `_put`'s rule."""
+        return self._put("txs", "hash", ConflictingTx, rows)
 
     def _put(self, table: str, key: str, conflict: type[ChainLensError],
-             row: tuple) -> bool:
-        """The one write rule: True if `row` was inserted. Otherwise the row
-        stored under the primary key, chain and `key` (the row's first two
-        columns), is the same row (False) or a different one (raises
-        `conflict`); with none there, a tx's (height, index) is taken."""
+             rows: Sequence[tuple]) -> list[bool | Exception]:
+        """The one write rule, over a non-empty chunk of rows of `table`:
+        for each row, True if it was inserted. Otherwise the row stored
+        under the primary key, chain and `key` (the row's first two
+        columns), is the same row (False) or a different one (a
+        `conflict`); with none there, a tx's (height, index) is taken (a
+        FieldError on "index").
+
+        The chunk is inserted by one statement, which applies the rows in
+        order, so each outcome is the one the row has when written alone
+        after the rows before it. Only a key that two rows of the chunk
+        share would make the stored row under it ambiguous: such a chunk
+        goes one row at a time instead."""
+        keys = {row[:2] for row in rows}
+        if len(rows) > 1 and len(keys) < len(rows):
+            return [outcome for row in rows
+                    for outcome in self._put(table, key, conflict, [row])]
         # unlike OR IGNORE, DO NOTHING still fails a NULL in a NOT NULL column
-        if self._conn.execute(
-                f"INSERT INTO {table} VALUES ({','.join('?' * len(row))})"
-                " ON CONFLICT DO NOTHING", row).rowcount:
-            return True
-        stored = self._conn.execute(
-            f"SELECT * FROM {table} WHERE chain=? AND {key}=?",
-            row[:2]).fetchone()
-        if stored == row:
-            return False
-        if stored is not None:
-            raise conflict(row[1])
-        (holder,) = self._conn.execute(
-            "SELECT hash FROM txs WHERE chain=? AND height=? AND idx=?",
-            (row[0], row[2], row[3])).fetchone()
-        raise FieldError("index", f"position ({row[2]}, {row[3]}) already "
-                                  f"held by tx {holder}")
+        inserted = self._conn.executemany(
+            f"INSERT INTO {table} VALUES ({','.join('?' * len(rows[0]))})"
+            " ON CONFLICT DO NOTHING", rows).rowcount
+        if inserted == len(rows):
+            return [True] * len(rows)
+        # a new row takes max(rowid) + 1, so the rows inserted just now are
+        # the `inserted` ones with the highest rowids
+        (last,) = self._conn.execute(
+            f"SELECT max(rowid) FROM {table}").fetchone()
+        chains = {chain for chain, _ in keys}
+        stored = {found[1:3]: found for found in self._conn.execute(
+            f"SELECT rowid, * FROM {table} WHERE chain IN"
+            f" ({','.join('?' * len(chains))}) AND {key} IN"
+            f" ({','.join('?' * len(keys))})",
+            [*chains, *(value for _, value in keys)])}
+        outcomes: list[bool | Exception] = []
+        for row in rows:
+            found = stored.get(row[:2])
+            if found is None:
+                (holder,) = self._conn.execute(
+                    "SELECT hash FROM txs WHERE chain=? AND height=? AND idx=?",
+                    (row[0], row[2], row[3])).fetchone()
+                outcomes.append(FieldError(
+                    "index", f"position ({row[2]}, {row[3]}) already held "
+                             f"by tx {holder}"))
+            elif found[0] > last - inserted:
+                outcomes.append(True)
+            else:
+                outcomes.append(False if found[1:] == row
+                                else conflict(row[1]))
+        return outcomes
 
     def commit(self) -> None:
         self._conn.commit()
@@ -311,26 +339,61 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 def read_records(source: RecordSource, types: tuple[str, ...],
                  parse: Callable[[dict], T],
-                 reject: Callable[[int, ChainLensError], None] | None = None
-                 ) -> Iterator[tuple[int, T]]:
+                 reject: Callable[[int, ChainLensError], None] | None = None,
+                 write: Callable[[list[T]], list[Any]] | None = None
+                 ) -> Iterator[tuple[int, Any]]:
     """(line number, parse(obj)) for each NDJSON object whose `type` is in `types`.
 
     `source` is a file path or an iterable of lines. Blank lines are
     skipped but counted, so line numbers are those of the file. A line that
     is not JSON raises MalformedJson; one that is not an object, or not of
     an accepted type, raises SchemaViolation on field "type"; a FieldError
-    from `parse` is a SchemaViolation on its field, a LineError from it (a
-    conflict with the store) names the line, and any other ChainLensError
-    from it is raised as it is. With a `reject` callback, the error
-    goes to it instead and reading goes on. A file is decoded line by line:
-    a line that is not UTF-8 is MalformedJson.
+    from `parse` or `write` is a SchemaViolation on its field, a LineError
+    from either (a conflict with the store) names the line, and any other
+    ChainLensError from them is raised as it is. With a `reject` callback,
+    the error goes to it instead and reading goes on. A file is decoded
+    line by line: a line that is not UTF-8 is MalformedJson.
+
+    With `write`, the parsed records are handed to it a chunk of at most
+    WRITE_CHUNK at a time, in line order. It returns for each record what
+    is yielded for its line, or the error that kept it out of the store.
+    The records read so far are written before a line's error is raised
+    or rejected, and after the last line, so every error comes in line
+    order.
     """
     if isinstance(source, (str, Path)):
         # an undecodable byte reads as a lone surrogate, found below
         with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-            yield from read_records(fh, types, parse, reject)
+            yield from read_records(fh, types, parse, reject, write)
         return
-    for line_no, line in enumerate(source, start=1):
+    for line_no, value, exc in _outcomes(source, types, parse, write):
+        if exc is None:
+            yield line_no, value
+            continue
+        if isinstance(exc, json.JSONDecodeError):
+            err: ChainLensError = MalformedJson(line_no, exc.msg)
+        elif isinstance(exc, FieldError):
+            err = SchemaViolation(line_no, exc.key, exc.detail)
+        else:
+            if isinstance(exc, LineError):
+                exc.line_no = line_no  # a conflict with the store
+            err = exc
+        if reject is None:
+            raise err
+        reject(line_no, err)
+
+
+_LineOutcome = tuple[int, Any, Exception | None]
+
+
+def _outcomes(lines: Iterable[str], types: tuple[str, ...],
+              parse: Callable[[dict], T],
+              write: Callable[[list[T]], list[Any]] | None
+              ) -> Iterator[_LineOutcome]:
+    """(line number, value, None) for each record of `read_records`, or
+    (line number, None, error) for each line it rejects, in line order."""
+    pending: list[tuple[int, T]] = []  # parsed, not yet written
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -345,20 +408,32 @@ def read_records(source: RecordSource, types: tuple[str, ...],
                 raise FieldError("type", f"expected {' or '.join(map(repr, types))}"
                                          f", got {obj.get('type')!r}")
             record = parse(obj)
-        except json.JSONDecodeError as exc:
-            err: ChainLensError = MalformedJson(line_no, exc.msg)
-        except FieldError as exc:
-            err = SchemaViolation(line_no, exc.key, exc.detail)
-        except ChainLensError as exc:
-            if isinstance(exc, LineError):
-                exc.line_no = line_no  # a conflict with the store
-            err = exc
-        else:
-            yield line_no, record
+        except (json.JSONDecodeError, FieldError, ChainLensError) as exc:
+            yield from _written(pending, write)  # the earlier lines first
+            yield line_no, None, exc
             continue
-        if reject is None:
-            raise err
-        reject(line_no, err)
+        if write is None:
+            yield line_no, record, None
+            continue
+        pending.append((line_no, record))
+        if len(pending) >= WRITE_CHUNK:
+            yield from _written(pending, write)
+    yield from _written(pending, write)
+
+
+def _written(pending: list[tuple[int, T]],
+             write: Callable[[list[T]], list[Any]] | None
+             ) -> list[_LineOutcome]:
+    """The outcome of each pending record after one `write` of them all,
+    which leaves none pending."""
+    if not pending:
+        return []
+    line_nos = [line_no for line_no, _ in pending]
+    results = write([record for _, record in pending])
+    pending.clear()
+    return [(line_no, None, result) if isinstance(result, Exception)
+            else (line_no, result, None)
+            for line_no, result in zip(line_nos, results)]
 
 
 def _address(obj: dict, key: str, chain: ChainKind, default=REQUIRED):
@@ -396,10 +471,11 @@ def _parse_block(obj: dict, chain: ChainKind) -> Block:
             raise FieldError("proof", "is required on a 'ppc' block")
     elif proof not in ("pow", "pos"):
         raise FieldError("proof", "must be 'pow' or 'pos'")
+    # json.dumps(tx_hashes): hex digits need no JSON escape
+    listed = '["' + '", "'.join(tx_hashes) + '"]' if tx_hashes else "[]"
     return Block(chain.value, height, hex_field(obj, "hash", 32),
                  hex_field(obj, "parent", 32), time_,
-                 None if auxpow is None else int(auxpow), proof,
-                 json.dumps(tx_hashes))
+                 None if auxpow is None else int(auxpow), proof, listed)
 
 
 def _parse_name_op(obj: dict, chain: ChainKind) -> tuple[str | None, ...]:
@@ -451,15 +527,18 @@ def _parse_tx(obj: dict, chain: ChainKind) -> Transaction:
 
 def ingest_blocks(source: RecordSource, chain: ChainKind,
                   store: Store, strict: bool = False) -> IngestSummary:
-    """Load an NDJSON dump into the store, writing each line as it is read.
+    """Load an NDJSON dump into the store, its parsed rows written a chunk
+    at a time, in one transaction.
 
     Lines that fail to parse, violate an invariant or conflict with the
-    store are rejected and counted, not fatal, unless `strict` upgrades
-    them to an exception. A re-delivered block or tx is compared with the
-    stored row as a whole: an equal one is a no-op, so re-ingesting a file
-    already loaded reports zero loads; a different one is a conflict, as
-    is a new tx at a stored tx's (height, index). A call that raises
-    leaves nothing of its own in the store.
+    store are rejected and counted, in line order, not fatal, unless
+    `strict` upgrades the first of them to an exception. A re-delivered
+    block or tx is compared with the stored row as a whole: an equal one
+    is a no-op, so re-ingesting a file already loaded reports zero loads;
+    a different one is a conflict, as is a new tx at a stored tx's
+    (height, index). Each outcome is the one the line would have if every
+    line were written alone, in order. A call that raises leaves nothing
+    of its own in the store.
     """
     summary = IngestSummary()
 
@@ -468,17 +547,29 @@ def ingest_blocks(source: RecordSource, chain: ChainKind,
             raise err
         summary.rejected.append(RejectedLine(line_no, err))
 
-    def load(obj: dict) -> None:
-        if obj.get("chain") != chain.value:
+    expected = chain.value
+
+    def parse(obj: dict) -> Block | Transaction:
+        if obj.get("chain") != expected:
             raise FieldError(
-                "chain", f"expected {chain.value!r}, got {obj.get('chain')!r}")
+                "chain", f"expected {expected!r}, got {obj.get('chain')!r}")
         if obj["type"] == "block":
-            summary.blocks_loaded += store.put_block(_parse_block(obj, chain))
-        else:
-            summary.txs_loaded += store.put_tx(_parse_tx(obj, chain))
+            return _parse_block(obj, chain)
+        return _parse_tx(obj, chain)
+
+    def write(rows: list[Block | Transaction]) -> list[bool | Exception]:
+        """The outcome of each row, from one put_block and one put_tx."""
+        outcomes = {}
+        for kind, put in ((Block, store.put_block), (Transaction, store.put_tx)):
+            chunk = [row for row in rows if type(row) is kind]
+            outcomes[kind] = put(chunk) if chunk else []
+        summary.blocks_loaded += outcomes[Block].count(True)
+        summary.txs_loaded += outcomes[Transaction].count(True)
+        ordered = {kind: iter(done) for kind, done in outcomes.items()}
+        return [next(ordered[type(row)]) for row in rows]
 
     try:
-        for _ in read_records(source, ("block", "tx"), load, reject):
+        for _ in read_records(source, ("block", "tx"), parse, reject, write):
             pass
     except BaseException:
         store.rollback()

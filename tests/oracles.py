@@ -188,3 +188,101 @@ def extract_payload_reference(input_hex: str) -> bytes:
         if char.lower() not in _HEX_DIGITS:
             raise InvalidHex(position, f"character {char!r}")
     raise InvalidHex(len(digits), "odd number of hex digits")
+
+
+# -- the ingest field readers before their one-call accept paths ----------
+# Each takes every argument of the reader it stands for, model.REQUIRED as
+# the default of a required field, and raises model.FieldError.
+
+def field_reference(obj: dict, key: str, default, kinds: tuple,
+                    expected: str):
+    """obj[key] if its JSON type is one of `kinds`; a bool is not an int."""
+    from chainlens.model import REQUIRED, FieldError
+
+    value = obj.get(key, default)
+    if value is default:
+        if default is REQUIRED:
+            raise FieldError(key, "is missing")
+    elif type(value) not in kinds:
+        raise FieldError(key, f"must be {expected}, got {value!r}")
+    return value
+
+
+def int_field_reference(obj: dict, key: str, minimum, default,
+                        maximum) -> int:
+    from chainlens.model import FieldError
+
+    value = field_reference(obj, key, default, (int,), "an integer")
+    if value is default:
+        return value
+    if minimum is not None and value < minimum:
+        raise FieldError(key, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise FieldError(key, f"must be <= {maximum}, got {value}")
+    return value
+
+
+def amount_field_reference(obj: dict, key: str, default) -> int:
+    from chainlens.model import FieldError
+
+    value = field_reference(obj, key, default, (str, int),
+                            "a decimal string or integer")
+    if value is default:
+        return value
+    try:
+        amount = int(value)
+    except ValueError:
+        raise FieldError(key, f"not a decimal integer: {value!r}") from None
+    if amount < 0:
+        raise FieldError(key, "negative amount")
+    return amount
+
+
+def hex_field_reference(obj: dict, key: str, byte_len, default) -> str:
+    from chainlens.model import FieldError
+
+    value = field_reference(obj, key, default, (str,), "a hex string")
+    if value is default:
+        return value
+    try:
+        return normalize_hex_reference(value, byte_len)
+    except ValueError as exc:
+        raise FieldError(key, str(exc)) from None
+
+
+def str_list_field_reference(obj: dict, key: str, default, byte_len) -> list:
+    from chainlens.model import FieldError
+
+    value = field_reference(obj, key, default, (list,), "a list of strings")
+    if not (isinstance(value, list)
+            and all(isinstance(item, str) for item in value)):
+        raise FieldError(key, f"must be a list of strings, got {value!r}")
+    if byte_len is None:
+        return value
+    try:
+        return [normalize_hex_reference(item, byte_len) for item in value]
+    except ValueError as exc:
+        raise FieldError(key, str(exc)) from None
+
+
+def put_row_reference(conn, table: str, key: str, conflict, row: tuple) -> bool:
+    """The store's write rule one row at a time, on a sqlite3 connection:
+    True if `row` was inserted, False if the same row is stored under
+    (chain, `key`); a different one there raises `conflict`, and with none
+    there a tx's taken (height, index) raises a FieldError on "index"."""
+    from chainlens.model import FieldError
+
+    if conn.execute(f"INSERT INTO {table} VALUES ({','.join('?' * len(row))})"
+                    " ON CONFLICT DO NOTHING", row).rowcount:
+        return True
+    stored = conn.execute(f"SELECT * FROM {table} WHERE chain=? AND {key}=?",
+                          row[:2]).fetchone()
+    if stored == row:
+        return False
+    if stored is not None:
+        raise conflict(row[1])
+    (holder,) = conn.execute(
+        "SELECT hash FROM txs WHERE chain=? AND height=? AND idx=?",
+        (row[0], row[2], row[3])).fetchone()
+    raise FieldError("index", f"position ({row[2]}, {row[3]}) already "
+                              f"held by tx {holder}")

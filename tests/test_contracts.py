@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlens.errors import MalformedJson, SchemaViolation
+from chainlens.eth.classify import (TxClass, classify_transaction,
+                                    monthly_class_counts)
 from chainlens.eth.contracts import (ContractRecord, ContractRegistry,
                                      CreatorKind, build_contract_registry,
                                      derive_contract_address,
@@ -273,6 +275,56 @@ def test_duplicate_registration_keeps_first():
     registry.add(first)
     registry.add(second)
     assert registry.get(addr(1)).creation_height == 1
+
+
+def test_duplicate_registration_keeps_the_earliest_in_either_order(caplog):
+    # the later creation arrives first; the earlier one still wins, and at
+    # one height the lower index does
+    later = ContractRecord(address=addr(1), creation_height=9,
+                           creator=addr(3),
+                           creator_kind=CreatorKind.BY_CONTRACT)
+    earlier = ContractRecord(address=addr(1), creation_height=1,
+                             creator=addr(2),
+                             creator_kind=CreatorKind.BY_TRANSACTION,
+                             creation_index=0)
+    registry = ContractRegistry()
+    registry.add(later)
+    with caplog.at_level("WARNING"):
+        registry.add(earlier)
+    assert registry.get(addr(1)) is earlier
+    assert f"contract {addr(1)} created twice (heights 9, 1); keeping the " \
+           "one at height 1" in caplog.text
+    internal = ContractRecord(address=addr(1), creation_height=1,
+                              creator=addr(4),
+                              creator_kind=CreatorKind.BY_CONTRACT)
+    registry.add(internal)  # index -1: before any tx of height 1
+    assert registry.get(addr(1)) is internal
+    registry.add(earlier)
+    assert registry.get(addr(1)) is internal
+
+
+def test_an_earlier_internal_creation_listed_later_makes_a_contract():
+    # --internal lines at heights 1 and then 0: the send at (0, 0) reaches
+    # a contract created at height 0, before any tx of that block
+    target = addr(0xC1DE)
+    lines = [block_line("eth", 0, 1_438_387_200, [h32(1)]),
+             tx_line("eth", h32(1), 0, 0, SENDER_A, target, "1"),
+             block_line("eth", 1, 1_438_387_260)]
+    side = [json.dumps({"type": "internal_create", "address": target,
+                        "parent": SENDER_B, "height": height})
+            for height in (1, 0)]
+    store = load_store(lines, ChainKind.ETHEREUM)
+    try:
+        registry = build_contract_registry(store, side)
+        assert registry.get(target).creation_height == 0
+        [tx] = store.iter_txs(ChainKind.ETHEREUM)
+        assert classify_transaction(tx, registry) is TxClass.TO_CONTRACT
+        assert monthly_class_counts(store, registry) == [
+            ("2015-08", {TxClass.TO_ACCOUNT: 0, TxClass.TO_CONTRACT: 1,
+                         TxClass.CREATE_CONTRACT: 0,
+                         TxClass.ZOMBIE_CREATE: 0})]
+    finally:
+        store.close()
 
 
 def test_lifetime_histogram_rejects_bad_edges():

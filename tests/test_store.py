@@ -2,9 +2,11 @@
 
 import ast
 import json
+import random
 import sqlite3
 import tempfile
 from contextlib import closing
+from unittest import mock
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -17,11 +19,14 @@ from chainlens import errors
 from chainlens.errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                               EmptyChain, MalformedJson, SchemaViolation)
 from chainlens.eth.contracts import iter_creations
-from chainlens.model import (NAME_OP_KINDS, Block, ChainKind, FieldError,
-                             Transaction, iso_week_key, month_key,
-                             normalize_hex, str_list_field, tally_periods)
-from chainlens.store import (Store, ingest_blocks, monthly_tx_counts,
-                             parse_rfc3339)
+from chainlens import store as store_module
+from chainlens.model import (NAME_OP_KINDS, REQUIRED, Block, ChainKind,
+                             FieldError, IngestSummary, RejectedLine,
+                             Transaction, amount_field, hex_field, int_field,
+                             iso_week_key, month_key, normalize_hex,
+                             str_list_field, tally_periods)
+from chainlens.store import (Store, _parse_block, _parse_tx, ingest_blocks,
+                             monthly_tx_counts, parse_rfc3339, read_records)
 
 import oracles
 from conftest import (addr, block_line, eth_labeled_fixture, h32,
@@ -51,21 +56,59 @@ def test_normalize_hex_matches_the_set_test_reference(text, byte_len):
         == outcome(oracles.normalize_hex_reference, text, byte_len)
 
 
-def _str_list_reference(value: list[str], byte_len: int) -> list[str]:
-    """What a block's `txs` list read as before: each entry alone through
-    the reference, its error naming the list's key."""
-    try:
-        return [oracles.normalize_hex_reference(item, byte_len)
-                for item in value]
-    except ValueError as exc:
-        raise FieldError("txs", str(exc)) from None
-
-
 @given(st.lists(hex_like_text(), max_size=4), st.sampled_from([1, 20, 32]))
 @settings(max_examples=300, deadline=None)
 def test_hex_list_field_matches_the_per_entry_reference(value, byte_len):
+    # each entry alone through the set-test reference, its error naming
+    # the list's key
     assert outcome(str_list_field, {"txs": value}, "txs", [], byte_len) \
-        == outcome(_str_list_reference, value, byte_len)
+        == outcome(oracles.str_list_field_reference, {"txs": value}, "txs",
+                   [], byte_len)
+
+
+# values near every reader's type: hex-like text, decimal text, booleans,
+# floats, integers past 2^63, null, and lists that hold other than strings
+_READER_VALUES = st.one_of(
+    hex_like_text(), st.integers(-2**70, 2**70).map(str), st.booleans(),
+    st.floats(), st.none(), st.integers(-2**70, 2**70),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, -2**63 - 1]),
+    st.lists(hex_like_text(), max_size=4),
+    st.lists(st.one_of(hex_like_text(), st.integers(), st.none(),
+                       st.booleans(), st.floats(), st.lists(st.text(max_size=2),
+                                                            max_size=2)),
+             max_size=4))
+# lists of hex entries one byte either side of 1 and 2 bytes long, whose
+# lengths may add up to a right total with no entry of the right length
+_NEAR_WIDTH_LISTS = st.lists(st.integers(0, 3).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)).map(
+    lambda raw: "0x" + raw.hex()), max_size=4)
+_DEFAULTS = st.sampled_from([REQUIRED, None, 0, "", []])
+# each reader, the reader it replaced, its arguments after obj and key, and
+# the values of obj[key]
+_READERS = {
+    "int": (int_field, oracles.int_field_reference, st.tuples(
+        st.sampled_from([None, 0, 1]), _DEFAULTS,
+        st.sampled_from([None, 10, 2**63 - 1])), _READER_VALUES),
+    "amount": (amount_field, oracles.amount_field_reference,
+               st.tuples(_DEFAULTS), _READER_VALUES),
+    "hex": (hex_field, oracles.hex_field_reference,
+            st.tuples(_BYTE_LENS, _DEFAULTS), _READER_VALUES),
+    "str list": (str_list_field, oracles.str_list_field_reference,
+                 st.tuples(_DEFAULTS,
+                           st.sampled_from([None, 0, 1, 2, 20, 32])),
+                 _READER_VALUES | _NEAR_WIDTH_LISTS),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_field_readers_match_the_readers_they_replaced(reader, data):
+    # the same value, or the same error class, key and message
+    new, old, arguments, values = _READERS[reader]
+    obj = data.draw(st.fixed_dictionaries({}, optional={"k": values}))
+    args = data.draw(arguments)
+    assert outcome(new, obj, "k", *args) == outcome(old, obj, "k", *args)
 
 
 def test_time_keys():
@@ -572,6 +615,208 @@ def test_write_rule_matches_the_reference_model(deliveries):
             == (error_class, field, line_no)
     finally:
         store.close()
+
+
+# -- chunked writes against the per-row rule ---------------------------------
+
+def _reference_ingest(lines, chain: ChainKind, store: Store,
+                      strict: bool = False) -> IngestSummary:
+    """`ingest_blocks` as it was before writes went by the chunk: each
+    line's row written as the line is read, by the per-row reference rule."""
+    summary = IngestSummary()
+
+    def reject(line_no: int, err: ChainLensError) -> None:
+        if strict:
+            raise err
+        summary.rejected.append(RejectedLine(line_no, err))
+
+    def load(obj: dict) -> None:
+        if obj.get("chain") != chain.value:
+            raise FieldError(
+                "chain", f"expected {chain.value!r}, got {obj.get('chain')!r}")
+        if obj["type"] == "block":
+            summary.blocks_loaded += oracles.put_row_reference(
+                store._conn, "blocks", "height", ConflictingBlock,
+                _parse_block(obj, chain))
+        else:
+            summary.txs_loaded += oracles.put_row_reference(
+                store._conn, "txs", "hash", ConflictingTx,
+                _parse_tx(obj, chain))
+
+    try:
+        for _ in read_records(lines, ("block", "tx"), load, reject):
+            pass
+    except BaseException:
+        store.rollback()
+        raise
+    store.commit()
+    return summary
+
+
+def _deliveries(ingest, chain: ChainKind, first: list[str],
+                second: list[str], strict: bool = False) -> tuple:
+    """Both deliveries through `ingest`: (blocks and txs loaded by the
+    second, its rejections as (line, class, field, message), the stored
+    block and tx rows)."""
+    store = Store(":memory:")
+    try:
+        ingest(first, chain, store, strict=True)
+        summary = ingest(second, chain, store, strict=strict)
+        return (summary.blocks_loaded, summary.txs_loaded,
+                [(r.line_no, type(r.error), getattr(r.error, "field", None),
+                  str(r.error)) for r in summary.rejected],
+                list(store.iter_blocks(chain)), list(store.iter_txs(chain)))
+    finally:
+        store.close()
+
+
+def _same_as_the_per_row_rule(chain: ChainKind, first: list[str],
+                              second: list[str]) -> tuple:
+    """The chunked outcome of two deliveries, checked against the per-row
+    reference, also under --strict, where the same first error is raised."""
+    lenient = _deliveries(ingest_blocks, chain, first, second)
+    assert lenient == _deliveries(_reference_ingest, chain, first, second)
+    assert outcome(_deliveries, ingest_blocks, chain, first, second, True) \
+        == outcome(_deliveries, _reference_ingest, chain, first, second, True)
+    return lenient
+
+
+@st.composite
+def _redelivery_with_repeats(draw):
+    """`_redelivery_strategy`'s deliveries, the second also repeating some
+    of its own records, as they are or with one field changed, so that one
+    chunk may hold two rows under one key or at one position."""
+    chain, first, second = draw(_redelivery_strategy())
+    for _ in range(draw(st.integers(0, 4))):
+        item = draw(st.sampled_from(second))
+        if isinstance(item, dict) and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(set(item) - {"type", "chain"})))
+            item = {**item, key: _CHANGED[key](item[key])}
+        second.insert(draw(st.integers(0, len(second))), item)
+    return chain, first, second
+
+
+_CHUNKS = [1, 2, 3, store_module.WRITE_CHUNK]
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+@given(_redelivery_with_repeats())
+@settings(max_examples=60, deadline=None)
+def test_chunked_writes_match_the_per_row_rule(chunk, deliveries):
+    chain, first, second = deliveries
+    with mock.patch.object(store_module, "WRITE_CHUNK", chunk):
+        _same_as_the_per_row_rule(chain, _lines(first), _lines(second))
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_one_chunk_of_every_outcome_rejects_in_line_order(chunk):
+    a, b, c = "aa" * 20, "bb" * 20, "cc" * 20
+    first = [block_line("eth", 0, 1000, [h32(1), h32(2), h32(5)]),
+             tx_line("eth", h32(1), 0, 0, a, None, "5"),
+             tx_line("eth", h32(2), 0, 1, a, b, "1"),
+             tx_line("eth", h32(5), 0, 2, b, a, "2")]
+    second = [
+        block_line("eth", 1, 2000, [h32(3)]),  # new
+        tx_line("eth", h32(1), 0, 0, a, None, "5"),  # identical
+        tx_line("eth", h32(2), 0, 1, a, b, "9"),  # conflicting
+        tx_line("eth", h32(4), 0, 2, c, None),  # at a taken position
+        tx_line("eth", h32(3), 1, 0, a, None),  # new
+        tx_line("eth", h32(6), 1, 0, b, None),  # where the chunk's new tx is
+        block_line("eth", 1, 2000, [h32(3)]),  # the chunk's own duplicate
+        block_line("eth", 0, 999, [h32(1), h32(2), h32(5)]),  # conflicting
+        "{",  # malformed
+        block_line("eth", 2, 3000),  # new
+    ]
+    with mock.patch.object(store_module, "WRITE_CHUNK", chunk):
+        loaded_blocks, loaded_txs, rejected, _, _ = \
+            _same_as_the_per_row_rule(ChainKind.ETHEREUM, first, second)
+        with load_store(first, ChainKind.ETHEREUM) as store, \
+                pytest.raises(ConflictingTx) as caught:
+            ingest_blocks(second, ChainKind.ETHEREUM, store, strict=True)
+    assert (loaded_blocks, loaded_txs) == (2, 1)
+    assert [row[:3] for row in rejected] == [
+        (3, ConflictingTx, None), (4, SchemaViolation, "index"),
+        (6, SchemaViolation, "index"), (8, ConflictingBlock, None),
+        (9, MalformedJson, None)]
+    assert [message for *_, message in rejected[1:3]] == [
+        f"line 4: invalid field 'index': position (0, 2) already held by "
+        f"tx {h32(5)}",
+        f"line 6: invalid field 'index': position (1, 0) already held by "
+        f"tx {h32(3)}"]
+    assert str(caught.value) == rejected[0][3] == (
+        f"line 3: conflicting tx {h32(2)}: different contents already stored")
+
+
+def _mutated_lines(rng: random.Random, chain: ChainKind,
+                   n_blocks: int) -> tuple[list[str], list[str]]:
+    """(first delivery, second delivery) of a random ledger: the first is
+    its lower third as it is; the second is all of it, each record kept,
+    changed in one field, given a bad field, moved, repeated or cut
+    short."""
+    records = []
+    for height in range(n_blocks):
+        hashes = [h32(0x10000 * height + i) for i in range(rng.randrange(6))]
+        block = {"type": "block", "chain": chain.value, "height": height,
+                 "hash": h32(0xB00000 + height), "parent": h32(height),
+                 "time": 1_438_387_200 + 600 * height, "txs": hashes}
+        if chain is ChainKind.NAMECOIN:
+            block["auxpow"] = rng.choice([None, False, True])
+        if chain is ChainKind.PEERCOIN:
+            block["proof"] = rng.choice(["pow", "pos"])
+        records.append(block)
+        for index, tx_hash in enumerate(hashes):
+            tx = {"type": "tx", "chain": chain.value, "hash": tx_hash,
+                  "height": height, "index": index,
+                  "from": addr(rng.randrange(1, 9)),
+                  "to": rng.choice([None, addr(1), addr(2)]),
+                  "value": str(rng.randrange(2**70)),
+                  "input": rng.choice(["", "00", "6001"]),
+                  "fee": rng.choice([None, "0", "7"]),
+                  "gas": rng.choice([None, 21000])}
+            if chain is ChainKind.NAMECOIN:
+                tx["name_op"] = rng.choice([None, _NAME_OP])
+            records.append(tx)
+    first = [json.dumps(record) for record in records[:len(records) // 3]]
+    bad = {"height": -1, "hash": "0xzz", "time": 0, "txs": [1],
+           "from": 7, "to": True, "value": "-3", "input": "abc", "gas": 2**63,
+           "index": "1", "fee": 1.5, "parent": None, "auxpow": 2,
+           "proof": "pos ", "name_op": []}
+    second = []
+    for record in records:
+        kind = rng.choices(["same", "changed", "bad", "moved", "repeated",
+                            "cut"], [10, 3, 2, 1, 2, 1])[0]
+        key = rng.choice(sorted(set(record) - {"type", "chain"}))
+        if kind == "changed":
+            record = {**record, key: _CHANGED[key](record[key])}
+        elif kind == "bad":
+            record = {**record, key: bad[key]}
+        elif kind == "moved" and record["type"] == "tx":
+            record = {**record, "index": rng.randrange(6)}
+        line = json.dumps(record)
+        if kind == "cut":
+            line = line[:rng.randrange(1, len(line))]
+        second.append(line)
+        if kind == "repeated":
+            second.insert(rng.randrange(max(0, len(second) - 300),
+                                        len(second) + 1), line)
+    return first, second
+
+
+def test_thirty_thousand_mutated_lines_store_and_reject_as_per_row():
+    rng = random.Random(24)
+    mutated = 0
+    for chain in ChainKind:
+        first, second = _mutated_lines(rng, chain, 2_700)
+        mutated += len(second)
+        loaded_blocks, loaded_txs, rejected, _, _ = \
+            _same_as_the_per_row_rule(chain, first, second)
+        # every outcome occurs: loads, conflicts, taken positions, bad lines
+        assert loaded_blocks and loaded_txs
+        assert {row[1] for row in rejected} >= {
+            ConflictingBlock, ConflictingTx, SchemaViolation, MalformedJson}
+        assert any(row[2] == "index" and "already held" in row[3]
+                   for row in rejected)
+    assert mutated >= 30_000
 
 
 # -- row encoding of ingest ---------------------------------------------------

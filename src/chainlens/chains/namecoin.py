@@ -5,11 +5,13 @@ announcement (name_new) plus a 0.005 NMC reveal (name_firstupdate) that
 also pays the time-decaying network fee; renewals (name_update) cost the
 flat 0.005 NMC. A registration lapses when no renewal lands within the
 expiry window, after which the name can be registered again from scratch.
+
+The store reads each name op with its block time (None for an orphan,
+whose block is not stored) and counts the merge-mining split itself.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -17,9 +19,6 @@ from ..errors import AuxPowBeforeActivation, EmptyChain
 from ..model import (NAME_OP_KINDS, ChainKind, iso_week_key, tally_periods,
                      utc_date)
 from ..store import Store
-
-log = logging.getLogger(__name__)
-
 
 MERGE_MINING_START_HEIGHT = 19_200  # the first block that may carry auxpow
 
@@ -35,10 +34,9 @@ def weekly_fee_sums(store: Store) -> list[tuple[str, str, int]]:
     Only operation kinds that occur at all get rows; weeks inside the
     observed span with no operations of such a kind are emitted with 0.
     """
-    items = ((block_time, tx.op_kind, int(tx.op_fee))
-             for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN)
-             if tx.op_kind is not None)
-    rows = tally_periods(items, iso_week_key)
+    rows = tally_periods(((block_time, kind, int(fee)) for _, block_time,
+                          kind, _, fee in store.iter_name_ops()),
+                         iso_week_key)
     kinds = [kind for kind in NAME_OP_KINDS
              if any(kind in by_kind for _, by_kind in rows)]
     return [(week, kind, by_kind[kind])
@@ -66,51 +64,33 @@ def merge_mine_split(store: Store) -> MergeMineSplit:
     below the activation height is corrupt input and fatal. An orphan tx,
     whose block is not stored, is mined in neither way and not counted.
     """
-    merged_heights: set[int] = set()
-    counts: dict[str, list[int]] = {m: [0, 0] for m in _SPLIT_METRICS}
-    saw_block = False
-    for block in store.iter_blocks(ChainKind.NAMECOIN):
-        saw_block = True
-        merged = bool(block.auxpow)
-        if merged and block.height < MERGE_MINING_START_HEIGHT:
-            raise AuxPowBeforeActivation(block.height,
-                                         MERGE_MINING_START_HEIGHT)
-        if merged:
-            merged_heights.add(block.height)
-        counts["blocks"][merged] += 1
-    if not saw_block:
+    blocks, txs = store.merge_mined_counts()
+    if not blocks:
         raise EmptyChain(ChainKind.NAMECOIN.value)
-    for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN):
-        if block_time is None:
-            continue
-        merged = tx.height in merged_heights
-        counts["txs"][merged] += 1
-        if tx.op_kind is not None:
-            counts[f"name_{tx.op_kind}"][merged] += 1
+    counts: dict[str, list[int]] = {m: [0, 0] for m in _SPLIT_METRICS}
+    for merged, count, lowest in blocks:
+        if merged and lowest < MERGE_MINING_START_HEIGHT:
+            raise AuxPowBeforeActivation(lowest, MERGE_MINING_START_HEIGHT)
+        counts["blocks"][merged] = count
+    for merged, kind, count in txs:
+        counts["txs"][merged] += count
+        if kind is not None:
+            counts[f"name_{kind}"][merged] = count
     return MergeMineSplit(rows={m: (c[0], c[1]) for m, c in counts.items()})
 
 
-@dataclass
-class NameHistory:
-    name: str
-    # (height, kind, block time, or None when the block is not stored)
-    events: list[tuple[int, str, int | None]] = field(
-        default_factory=list)
-
-
-def build_name_histories(store: Store) -> dict[str, NameHistory]:
-    """Per-name event streams from reveal/renewal operations, ledger-ordered.
+def build_name_histories(store: Store
+                         ) -> dict[str, list[tuple[int, str, int | None]]]:
+    """Each name's (height, kind, block time) events from its reveal and
+    renewal operations, ledger-ordered; an orphan op has no time.
 
     name_new operations carry only a hash and cannot be linked to a name,
     so they do not participate.
     """
-    histories: dict[str, NameHistory] = {}
-    for block_time, tx in store.iter_dated_txs(ChainKind.NAMECOIN):
-        if tx.op_kind in (None, "new"):
-            continue
-        history = histories.setdefault(tx.op_name,
-                                       NameHistory(name=tx.op_name))
-        history.events.append((tx.height, tx.op_kind, block_time))
+    histories: dict[str, list[tuple[int, str, int | None]]] = {}
+    for height, block_time, kind, name, _ in store.iter_name_ops():
+        if kind != "new":
+            histories.setdefault(name, []).append((height, kind, block_time))
     return histories
 
 
@@ -132,20 +112,20 @@ def detect_reregistrations(store: Store, schedule: FeeSchedule,
     """
     histories = build_name_histories(store)
     report = ReregReport()
-    for history in sorted(histories.values(), key=lambda h: h.name):
-        for position, (height, kind, block_time) in enumerate(history.events):
+    for name, events in sorted(histories.items()):
+        for position, (height, kind, block_time) in enumerate(events):
             if kind != "firstupdate":
                 continue
             if block_time is None or utc_date(block_time) != day:
                 continue
             report.firstupdates_on_day += 1
-            prior = history.events[:position]
+            prior = events[:position]
             prior_registrations = [h for h, k, _ in prior
                                    if k == "firstupdate"]
             if not prior_registrations:
                 continue
             last_active_height = prior[-1][0]
-            entry = (history.name, prior_registrations)
+            entry = (name, prior_registrations)
             if last_active_height + schedule.expiry_window_blocks < height:
                 report.reregistrations.append(entry)
             else:

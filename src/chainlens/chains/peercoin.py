@@ -2,7 +2,7 @@
 
 Classification trusts the proof tag attached to each ingested block;
 reconstructing coinstake structure would need UTXO context the store does
-not keep.
+not keep. The store counts each month's blocks by proof.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from ..store import Store
 
 def pos_pow_counts(store: Store) -> list[tuple[str, int, int]]:
     """(month, pos_count, pow_count) per UTC calendar month, zero-filled."""
-    rows = tally_periods(((block.time, block.proof, 1)
-                          for block in store.iter_blocks(ChainKind.PEERCOIN)),
-                         month_key)
+    rows = tally_periods(store.iter_monthly_proofs(), month_key)
     if not rows:
         raise EmptyChain(ChainKind.PEERCOIN.value)
     return [(month, counts["pos"], counts["pow"])

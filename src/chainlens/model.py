@@ -288,7 +288,9 @@ def tally_periods(items: Iterable[tuple[int | None, Hashable, int]],
     moment = moments[first]
     rows = [(first, tallies[first])]
     while rows[-1][0] != last:
-        moment += 7 * 86_400  # no month is shorter, so none is skipped
+        # no month is shorter, so none is skipped; stopping at the last time
+        # seen keeps a step out of the days of 9999-W52 in the year 10000
+        moment = min(moment + 7 * 86_400, moments[last])
         key = key_of(moment)
         if key != rows[-1][0]:
             rows.append((key, tallies.get(key, Counter())))

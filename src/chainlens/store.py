@@ -207,13 +207,33 @@ class Store:
         yield from map(Transaction._make, self._conn.execute(
             f"SELECT * FROM txs WHERE {where} ORDER BY height, idx", args))
 
-    def iter_dated_txs(self, chain: ChainKind, max_height: int | None = None
-                       ) -> Iterator[tuple[int | None, Transaction]]:
-        """(block time, tx) in ledger order; the time is None for an orphan,
-        a tx whose block is not stored."""
-        times = self.block_times(chain)
-        for tx in self.iter_txs(chain, max_height):
-            yield times.get(tx.height), tx
+    def iter_name_ops(self) -> Iterator[
+            tuple[int, int | None, str, str | None, str]]:
+        """(height, block time or None for an orphan, kind, name, paid fee)
+        of each Namecoin name op, in ledger order."""
+        yield from self._conn.execute(
+            "SELECT height, time, op_kind, op_name, op_fee FROM txs"
+            " LEFT JOIN blocks USING (chain, height) WHERE chain = 'nmc'"
+            " AND op_kind IS NOT NULL ORDER BY height, idx")
+
+    def merge_mined_counts(self) -> tuple[list[tuple], list[tuple]]:
+        """Namecoin blocks as (merged, count, lowest height) per side, and
+        dated txs as (merged, op kind, count): `merged` is 1 where the
+        block carries auxpow, else 0, and an orphan tx is left out."""
+        blocks = self._conn.execute(
+            "SELECT auxpow IS 1, COUNT(*), MIN(height) FROM blocks"
+            " WHERE chain = 'nmc' GROUP BY 1").fetchall()
+        txs = self._conn.execute(
+            "SELECT auxpow IS 1, op_kind, COUNT(*) FROM txs"
+            " JOIN blocks USING (chain, height) WHERE chain = 'nmc'"
+            " GROUP BY 1, 2").fetchall()
+        return blocks, txs
+
+    def iter_monthly_proofs(self) -> Iterator[tuple[int, str, int]]:
+        """(first time, proof, count) of the ppc blocks per month and proof."""
+        yield from self._conn.execute(
+            "SELECT MIN(time), proof, COUNT(*) FROM blocks WHERE chain = 'ppc'"
+            " GROUP BY strftime('%Y-%m', time, 'unixepoch'), proof")
 
     def iter_eth_creations(self) -> Iterator[tuple[Transaction, int]]:
         """(creation tx, its sender's nonce) for each Ethereum contract

@@ -286,3 +286,109 @@ def put_row_reference(conn, table: str, key: str, conflict, row: tuple) -> bool:
         (row[0], row[2], row[3])).fetchone()
     raise FieldError("index", f"position ({row[2]}, {row[3]}) already "
                               f"held by tx {holder}")
+
+
+# -- the nmc and ppc reports row by row -------------------------------------
+# Each decodes every row through Store.iter_txs, iter_blocks and
+# block_times, joins txs to block times and skips orphans in Python.
+
+def dated_txs_reference(store, chain, max_height=None) -> list:
+    """(block time, tx) of each stored tx of a chain up to `max_height`,
+    in ledger order; the time is None for an orphan, a tx whose block is
+    not stored."""
+    times = store.block_times(chain)
+    return [(times.get(tx.height), tx)
+            for tx in store.iter_txs(chain, max_height)]
+
+
+def weekly_fee_sums_reference(store) -> list:
+    from chainlens.model import (NAME_OP_KINDS, ChainKind, iso_week_key,
+                                 tally_periods)
+
+    items = ((block_time, tx.op_kind, int(tx.op_fee))
+             for block_time, tx in dated_txs_reference(store,
+                                                       ChainKind.NAMECOIN)
+             if tx.op_kind is not None)
+    rows = tally_periods(items, iso_week_key)
+    kinds = [kind for kind in NAME_OP_KINDS
+             if any(kind in by_kind for _, by_kind in rows)]
+    return [(week, kind, by_kind[kind])
+            for week, by_kind in rows for kind in kinds]
+
+
+def merge_mine_split_reference(store):
+    """`merge_mine_split` by a height-ordered scan of the blocks, which
+    raises at the first early auxpow block, then of the dated txs."""
+    from chainlens.chains.namecoin import (MERGE_MINING_START_HEIGHT,
+                                           MergeMineSplit)
+    from chainlens.errors import AuxPowBeforeActivation, EmptyChain
+    from chainlens.model import ChainKind
+
+    metrics = ("blocks", "txs", "name_new", "name_firstupdate", "name_update")
+    counts = {metric: [0, 0] for metric in metrics}
+    merged_heights = set()
+    for block in store.iter_blocks(ChainKind.NAMECOIN):
+        merged = bool(block.auxpow)
+        if merged and block.height < MERGE_MINING_START_HEIGHT:
+            raise AuxPowBeforeActivation(block.height,
+                                         MERGE_MINING_START_HEIGHT)
+        if merged:
+            merged_heights.add(block.height)
+        counts["blocks"][merged] += 1
+    if counts["blocks"] == [0, 0]:
+        raise EmptyChain(ChainKind.NAMECOIN.value)
+    for block_time, tx in dated_txs_reference(store, ChainKind.NAMECOIN):
+        if block_time is None:
+            continue
+        merged = tx.height in merged_heights
+        counts["txs"][merged] += 1
+        if tx.op_kind is not None:
+            counts[f"name_{tx.op_kind}"][merged] += 1
+    return MergeMineSplit(rows={m: (c[0], c[1]) for m, c in counts.items()})
+
+
+def build_name_histories_reference(store) -> dict:
+    """name -> [(height, kind, block time or None)] of its firstupdate and
+    update ops, in ledger order."""
+    from chainlens.model import ChainKind
+
+    histories: dict = {}
+    for block_time, tx in dated_txs_reference(store, ChainKind.NAMECOIN):
+        if tx.op_kind in ("firstupdate", "update"):
+            histories.setdefault(tx.op_name, []).append(
+                (tx.height, tx.op_kind, block_time))
+    return histories
+
+
+def detect_reregistrations_reference(store, schedule, day):
+    from chainlens.chains.namecoin import ReregReport
+    from chainlens.model import utc_date
+
+    report = ReregReport()
+    for name, events in sorted(build_name_histories_reference(store).items()):
+        for position, (height, kind, block_time) in enumerate(events):
+            if (kind != "firstupdate" or block_time is None
+                    or utc_date(block_time) != day):
+                continue
+            report.firstupdates_on_day += 1
+            prior = events[:position]
+            registrations = [h for h, k, _ in prior if k == "firstupdate"]
+            if not registrations:
+                continue
+            if prior[-1][0] + schedule.expiry_window_blocks < height:
+                report.reregistrations.append((name, registrations))
+            else:
+                report.anomalies.append((name, registrations))
+    return report
+
+
+def pos_pow_counts_reference(store) -> list:
+    from chainlens.errors import EmptyChain
+    from chainlens.model import ChainKind, month_key, tally_periods
+
+    rows = tally_periods(((block.time, block.proof, 1)
+                          for block in store.iter_blocks(ChainKind.PEERCOIN)),
+                         month_key)
+    if not rows:
+        raise EmptyChain(ChainKind.PEERCOIN.value)
+    return [(month, counts["pos"], counts["pow"]) for month, counts in rows]

@@ -182,7 +182,8 @@ def _eth_ledger_plans(draw):
 def _reference_class_counts(store, registry):
     """Each dated tx classified on its own, then tallied."""
     items = ((block_time, classify_transaction(tx, registry), 1)
-             for block_time, tx in store.iter_dated_txs(ChainKind.ETHEREUM))
+             for block_time, tx in oracles.dated_txs_reference(
+                 store, ChainKind.ETHEREUM))
     return [(month, {cls: counts[cls] for cls in TxClass})
             for month, counts in tally_periods(items, month_key)]
 

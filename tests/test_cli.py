@@ -304,6 +304,27 @@ def test_block_times_end_with_year_9999(tmp_path, capsys):
     assert parse_csv(out.out) == [["month", "pos", "pow"], ["9999-12", "1", "0"]]
 
 
+def test_fee_weeks_end_in_the_week_that_runs_into_year_10000(tmp_path, capsys):
+    # 9999-W52 ends on 10000-01-02: a week's step from the Saturday before
+    # it, as from any Saturday noon since 2011-05-07, would land in 10000
+    last = 253402300799  # 9999-12-31T23:59:59Z, a Friday
+    source = tmp_path / "nmc.ndjson"
+    source.write_text("\n".join([
+        block_line("nmc", 0, 253401739200, [h32(1)]),  # 9999-12-25T12:00Z
+        tx_line("nmc", h32(1), 0, 0, "n1", None, name_op={
+            "kind": "firstupdate", "name": "d/a", "paid_fee": "5"}),
+        block_line("nmc", 1, last, [h32(2)]),
+        tx_line("nmc", h32(2), 1, 0, "n1", None, name_op={
+            "kind": "update", "name": "d/a", "paid_fee": "7"})]) + "\n")
+    db = str(tmp_path / "db")
+    run_ok(capsys, ["--db", db, "ingest", str(source), "--chain", "nmc"])
+    out = run_ok(capsys, ["--db", db, "nmc", "fees"])
+    assert parse_csv(out.out) == [
+        ["week", "kind", "fee_units"], ["9999-W51", "firstupdate", "5"],
+        ["9999-W51", "update", "0"], ["9999-W52", "firstupdate", "0"],
+        ["9999-W52", "update", "7"]]
+
+
 @pytest.mark.parametrize("argv", [
     ["ingest", "dump.ndjson", "--chain", "eth"],
     ["eth", "classify"],

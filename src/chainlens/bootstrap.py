@@ -1,8 +1,8 @@
 """Bootstrap-quality measurement: DNS seed harvesting and port probing.
 
 Resolver and Prober are small interfaces. Each has a scripted (exact
-fixtures), a simulated (seeded randomness) and a live (real DNS / TCP)
-implementation, and a round-robin resolver cycles through a fixed pool.
+fixtures) and a live (real DNS / TCP) implementation, and a round-robin
+resolver cycles through a fixed pool.
 The live ones exist for actual measurements and use conservative
 single-attempt probes. LiveProber is tested over loopback; LiveResolver
 is not tested, since any lookup it makes may leave the host.
@@ -11,7 +11,6 @@ is not tested, since any lookup it makes may leave the host.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import logging
 import socket
@@ -138,25 +137,6 @@ class RoundRobinResolver:
         return picks
 
 
-class SimulatedResolver:
-    """Seeded random resolver drawing a sample of a hidden pool per call."""
-
-    def __init__(self, pool: Sequence[str], per_round: int, rng_seed: int = 0,
-                 failure_rate: float = 0.0):
-        import numpy as np
-        self._pool = list(pool)
-        self._per_round = min(per_round, len(self._pool))
-        self._rng = np.random.default_rng(rng_seed)
-        self._failure_rate = failure_rate
-
-    def resolve_a(self, name: str) -> list[str]:
-        if self._failure_rate and self._rng.random() < self._failure_rate:
-            raise ResolveFailure(ResolveErrorKind.SERVFAIL)
-        picks = self._rng.choice(len(self._pool), size=self._per_round,
-                                 replace=False)
-        return [self._pool[int(i)] for i in picks]
-
-
 class LiveResolver:
     """Real A-record lookups through the OS resolver."""
 
@@ -194,28 +174,6 @@ class ScriptedProber:
 
     def connect(self, ip: str, port: int) -> ConnectResult:
         return self._script.get(ip, self._default)
-
-
-class SimulatedProber:
-    """Deterministic per-endpoint outcomes with roughly the given proportions."""
-
-    def __init__(self, rng_seed: int = 0, p_open: float = 0.4,
-                 p_closed: float = 0.2):
-        if p_open + p_closed > 1.0:
-            raise ValueError("probabilities exceed 1")
-        self._seed = rng_seed
-        self._p_open = p_open
-        self._p_closed = p_closed
-
-    def connect(self, ip: str, port: int) -> ConnectResult:
-        digest = hashlib.blake2b(f"{self._seed}|{ip}:{port}".encode(),
-                                 digest_size=8).digest()
-        roll = int.from_bytes(digest, "big") / float(1 << 64)
-        if roll < self._p_open:
-            return ConnectResult.ACCEPTED
-        if roll < self._p_open + self._p_closed:
-            return ConnectResult.REFUSED
-        return ConnectResult.TIMED_OUT
 
 
 class LiveProber:

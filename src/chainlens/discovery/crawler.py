@@ -6,8 +6,7 @@ query is ping-ponged exactly once before admission. The crawl takes up to
 max_in_flight tasks from the head of the queue, has the transport answer
 them as one batch (`DiscoveryTransport.run`), and handles the results in
 queue order, so no claim depends on timing. Each transport owns its own
-concurrency; one with only one-call methods answers a batch one call at a
-time. Either way the final peer set is the closure of the seed set.
+concurrency, and the final peer set is the closure of the seed set.
 
 The targets are drawn from a child of the configured seed, not the seed
 itself, so a simulated overlay built from the same seed shares no ids with
@@ -18,10 +17,8 @@ from __future__ import annotations
 
 import ipaddress
 import json
-import logging
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Protocol
 
@@ -32,8 +29,6 @@ from ..keccak import keccak256_batch
 from ..model import int_field, number_field, read_json
 from .identity import PeerInfo, hash_prefix, precompute_targets
 
-log = logging.getLogger(__name__)
-
 _PRIVATE_RANGES = (
     ipaddress.ip_network("10.0.0.0/8"),
     ipaddress.ip_network("172.16.0.0/12"),
@@ -42,17 +37,14 @@ _PRIVATE_RANGES = (
 
 
 class DiscoveryTransport(Protocol):
-    """A transport answers one call, and may also answer a batch with `run`.
+    """A transport answers a crawl's batch of tasks with `run`."""
 
-    run(tasks, targets) answers every task, each ("ping", peer) or
-    ("find", peer), and returns their results in task order: a bool for a
-    ping, and for a find the pair (peers found, whether any query failed)
-    over every target. It raises for no fault of one peer.
-    """
-
-    def ping_pong(self, peer: PeerInfo) -> bool: ...
-
-    def find_node(self, peer: PeerInfo, target: bytes) -> list[PeerInfo]: ...
+    def run(self, tasks: list[tuple[str, PeerInfo]],
+            targets: list[bytes]) -> list:
+        """Answer every task, each ("ping", peer) or ("find", peer), and
+        return their results in task order: a bool for a ping, and for a
+        find the pair (peers found, whether any query failed) over every
+        target. Raise for no fault of one peer."""
 
 
 @dataclass
@@ -102,30 +94,6 @@ class CrawlReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _call(method, *args):
-    """method(*args), or None if it raises: transport faults are data."""
-    try:
-        return method(*args)
-    except Exception as exc:  # noqa: BLE001
-        log.debug("transport call raised: %s", exc)
-        return None
-
-
-def _run_each(transport: DiscoveryTransport, tasks: list[tuple],
-              targets: list[bytes]) -> list:
-    """`run` for a transport without one: one call at a time, on this
-    thread. A find calls find_node once per target, and fails if one does."""
-    results: list = []
-    for kind, peer in tasks:
-        if kind == "ping":
-            results.append(bool(_call(transport.ping_pong, peer)))
-        else:
-            answers = [_call(transport.find_node, peer, t) for t in targets]
-            results.append(([p for answer in answers if answer is not None
-                             for p in answer], None in answers))
-    return results
-
-
 def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
           config: CrawlConfig) -> CrawlReport:
     """Run the full discovery crawl and return the finished report."""
@@ -145,12 +113,11 @@ def crawl(transport: DiscoveryTransport, seeds: list[PeerInfo],
             claimed.add(seed.node_id)
             work.append(("ping", seed))
 
-    run = getattr(transport, "run", None) or partial(_run_each, transport)
     while work:
         batch = [work.popleft()
                  for _ in range(min(len(work), config.max_in_flight))]
-        for (kind, peer), outcome in zip(batch, run(batch, target_list),
-                                         strict=True):
+        results = transport.run(batch, target_list)
+        for (kind, peer), outcome in zip(batch, results, strict=True):
             if kind == "ping":
                 if outcome:
                     known[peer.node_id] = peer

@@ -7,8 +7,9 @@ identity is its uncompressed public key (64 bytes), so every valid packet
 identifies its sender.
 
 This transport exists for real networks; its tests reach no further than
-127.0.0.1. It answers a crawl's batch of requests from one receive loop
-over its one socket, which gives each reply to the request it answers.
+127.0.0.1. Its one entry point, `run`, answers a crawl's batch of
+requests from one receive loop over its one socket, which gives each reply
+to the request it answers.
 """
 
 from __future__ import annotations
@@ -298,9 +299,3 @@ class UdpV4Transport:
                     close(sender)
         return [not failed[i] if kind == "ping" else (found[i], failed[i])
                 for i, (kind, _peer) in enumerate(tasks)]
-
-    def ping_pong(self, peer: PeerInfo) -> bool:
-        return self.run([("ping", peer)], [])[0]
-
-    def find_node(self, peer: PeerInfo, target: bytes) -> list[PeerInfo]:
-        return self.run([("find", peer)], [target])[0][0]

@@ -200,12 +200,11 @@ class Store:
         yield from map(Block._make, self._conn.execute(
             f"SELECT * FROM blocks WHERE {where} ORDER BY height", args))
 
-    def iter_txs(self, chain: ChainKind,
-                 max_height: int | None = None) -> Iterator[Transaction]:
-        """The stored txs of a chain up to `max_height`, in ledger order."""
-        where, args = _up_to(chain, max_height)
+    def iter_txs(self, chain: ChainKind) -> Iterator[Transaction]:
+        """The stored txs of a chain, in ledger order."""
         yield from map(Transaction._make, self._conn.execute(
-            f"SELECT * FROM txs WHERE {where} ORDER BY height, idx", args))
+            "SELECT * FROM txs WHERE chain=? ORDER BY height, idx",
+            (chain.value,)))
 
     def iter_name_ops(self) -> Iterator[
             tuple[int, int | None, str, str | None, str]]:

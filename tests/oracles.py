@@ -297,8 +297,8 @@ def dated_txs_reference(store, chain, max_height=None) -> list:
     in ledger order; the time is None for an orphan, a tx whose block is
     not stored."""
     times = store.block_times(chain)
-    return [(times.get(tx.height), tx)
-            for tx in store.iter_txs(chain, max_height)]
+    return [(times.get(tx.height), tx) for tx in store.iter_txs(chain)
+            if max_height is None or tx.height <= max_height]
 
 
 def weekly_fee_sums_reference(store) -> list:

@@ -12,7 +12,6 @@ from chainlens.bootstrap import (ConnectResult, LiveProber, ProbeOutcome,
                                  ResolveErrorKind, ResolveFailure,
                                  RoundRobinResolver, ScriptedProber,
                                  ScriptedResolver, SeedSource,
-                                 SimulatedProber, SimulatedResolver,
                                  harvest_seeds, load_seed_source,
                                  probe_ports)
 
@@ -119,17 +118,6 @@ def test_harvest_rejects_zero_rounds():
         harvest_seeds(ScriptedResolver({}), source, rounds=0)
 
 
-def test_simulated_resolver_is_deterministic():
-    pool = [ip(i) for i in range(40)]
-    source = SeedSource(port=8333, dns_names=["a", "b"])
-    first = harvest_seeds(SimulatedResolver(pool, 5, rng_seed=7), source, 6)
-    second = harvest_seeds(SimulatedResolver(pool, 5, rng_seed=7), source, 6)
-    assert first.rounds == second.rounds
-    assert first.all_ips == second.all_ips
-    other = harvest_seeds(SimulatedResolver(pool, 5, rng_seed=8), source, 6)
-    assert first.all_ips <= set(pool) and other.all_ips <= set(pool)
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_cumulative_counts_never_decrease(seed):
@@ -186,17 +174,15 @@ def test_probe_ports_empty_and_unknown_default():
 
 def test_probe_ports_parallel_matches_serial():
     ips = [ip(i) for i in range(50)]
-    prober = SimulatedProber(rng_seed=3, p_open=0.5, p_closed=0.3)
+    results = list(ConnectResult)
+    prober = ScriptedProber({address: results[i % len(results)]
+                             for i, address in enumerate(ips)})
     serial = probe_ports(prober, ips, 8333, workers=1)
     parallel = probe_ports(prober, ips, 8333, workers=8)
     assert serial.outcomes == parallel.outcomes
     assert serial.summary == parallel.summary
-    assert serial.summary.total == 50
-
-
-def test_simulated_prober_validation():
-    with pytest.raises(ValueError):
-        SimulatedProber(p_open=0.8, p_closed=0.3)
+    assert (serial.summary.open, serial.summary.closed,
+            serial.summary.filtered) == (17, 17, 16)
 
 
 def test_live_prober_on_loopback():

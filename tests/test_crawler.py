@@ -19,6 +19,7 @@ from chainlens.discovery.crawler import (CrawlConfig, CrawlReport, crawl,
 from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo,
                                           digest_lanes, hash_prefix,
                                           node_hash, precompute_targets)
+from chainlens.discovery.live import UdpV4Transport
 from chainlens.discovery.simulator import SimTransport, build_sim_overlay
 from chainlens.errors import NoSeedsReachable, QueryTimeout
 
@@ -194,36 +195,15 @@ def test_no_seeds_reachable():
 
 
 class _CountingTransport:
-    """Wraps a transport, recording the high-water mark of concurrent calls."""
+    """Wraps a transport, recording the largest batch it is handed."""
 
     def __init__(self, inner):
         self._inner = inner
-        self._lock = threading.Lock()
-        self._active = 0
         self.peak = 0
 
-    def _enter(self):
-        with self._lock:
-            self._active += 1
-            self.peak = max(self.peak, self._active)
-
-    def _exit(self):
-        with self._lock:
-            self._active -= 1
-
-    def ping_pong(self, peer):
-        self._enter()
-        try:
-            return self._inner.ping_pong(peer)
-        finally:
-            self._exit()
-
-    def find_node(self, peer, target):
-        self._enter()
-        try:
-            return self._inner.find_node(peer, target)
-        finally:
-            self._exit()
+    def run(self, tasks, targets):
+        self.peak = max(self.peak, len(tasks))
+        return self._inner.run(tasks, targets)
 
 
 def test_in_flight_cap_respected():
@@ -231,44 +211,30 @@ def test_in_flight_cap_respected():
     counting = _CountingTransport(transport)
     config = CrawlConfig(prefix_bits=5, max_in_flight=4, rng_seed=21)
     report = crawl(counting, truth.peers[:3], config)
-    assert counting.peak <= 4
+    # the cap is reached and never passed
+    assert counting.peak == 4
     assert len(report.known_peers) == 80
 
 
-def _pinged(transport, pings):
-    """Record every peer `transport` is asked to ping, in order."""
-    inner = transport.ping_pong
-
-    def ping_pong(peer):
-        pings.append(peer.node_id)
-        return inner(peer)
-    transport.ping_pong = ping_pong
-    return transport
-
-
-def test_batch_and_one_call_crawls_write_the_same_json():
-    # SimTransport.run answers a batch, a find by find_nodes over every
-    # target; a wrapper without run has one find_node called per target
-    for seed, prefix_bits, churn in ((17, 5, 0.05), (4, 3, 0.3), (29, 7, 0.0),
-                                     (8, 0, 0.1)):
-        transport, truth = build_sim_overlay(120, 10, unreachable_fraction=0.1,
-                                             churn_failure_rate=churn,
-                                             rng_seed=seed)
-        seeds = [p for p in truth.peers
-                 if p.node_id in truth.reachable_ids][:3]
-        config = CrawlConfig(prefix_bits=prefix_bits, max_in_flight=7,
-                             rng_seed=seed)
-        batch = crawl(transport, seeds, config)
-        one_call = crawl(_CountingTransport(transport), seeds, config)
-        assert batch.failed_endpoints
-        assert batch.to_json() == one_call.to_json()
-        # one task at a time, both claim new peers in the same order
-        config.max_in_flight = 1
-        one_call_pings, batch_pings = [], []
-        crawl(_pinged(_CountingTransport(transport), one_call_pings), seeds,
-              config)
-        crawl(_pinged(transport, batch_pings), seeds, config)
-        assert batch_pings == one_call_pings
+def test_crawl_talks_to_its_transport_through_run_alone():
+    tree = ast.parse(Path(crawler.__file__).read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "transport"}
+    # handed to no other call, so no getattr or partial reaches past run
+    handed = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and any(
+                  isinstance(arg, ast.Name) and arg.id == "transport"
+                  for arg in node.args)]
+    assert used == {"run"}
+    assert handed == []
+    [protocol] = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                  and node.name == "DiscoveryTransport"]
+    assert [node.name for node in protocol.body
+            if isinstance(node, ast.FunctionDef)] == ["run"]
+    for transport_class in (SimTransport, UdpV4Transport):
+        assert callable(vars(transport_class).get("run"))
 
 
 def test_crawls_start_no_thread(monkeypatch):
@@ -278,11 +244,6 @@ def test_crawls_start_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     report, truth = _crawl_overlay(40, 8, seed=3, churn_failure_rate=0.05)
     assert {p.node_id for p in report.known_peers} <= truth.reachable_ids
-    # a transport with only one-call methods is called on this thread
-    transport, truth = build_sim_overlay(10, 3, rng_seed=3)
-    report = crawl(_CountingTransport(transport), truth.peers[:1],
-                   CrawlConfig(prefix_bits=1, max_in_flight=8))
-    assert {p.node_id for p in report.known_peers} == truth.reachable_ids
 
 
 def test_discovery_imports_no_thread_module():

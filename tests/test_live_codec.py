@@ -115,7 +115,7 @@ def test_udp_transport_ping_timeout():
     try:
         # a port that nothing on localhost answers
         silent = PeerInfo(node_id=b"\x01" * 64, ip="127.0.0.1", port=9)
-        assert transport.ping_pong(silent) is False
+        assert transport.run([("ping", silent)], []) == [False]
     finally:
         transport.close()
 
@@ -167,14 +167,16 @@ def test_udp_transport_on_loopback():
     try:
         peer = PeerInfo(public_key(peer_key), "127.0.0.1",
                         responder.getsockname()[1])
-        assert transport.ping_pong(peer) is True
+        assert transport.run([("ping", peer)], []) == [True]
         # the stranger's list arrives first and is not taken as the answer
-        assert transport.find_node(peer, rng.randbytes(NODE_ID_LEN)) == \
-            neighbors
+        assert transport.run([("find", peer)], [
+            rng.randbytes(NODE_ID_LEN)]) == [(neighbors, False)]
         transport.ping_timeout = transport.query_timeout = 0.05
         silent = PeerInfo(peer.node_id, "127.0.0.1", closed_port)
-        assert transport.ping_pong(silent) is False
-        assert transport.find_node(silent, rng.randbytes(NODE_ID_LEN)) == []
+        assert transport.run([("ping", silent)], []) == [False]
+        [(found, _failed)] = transport.run([("find", silent)], [
+            rng.randbytes(NODE_ID_LEN)])
+        assert found == []
     finally:
         stop.set()
         thread.join(timeout=5.0)

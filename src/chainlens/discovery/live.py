@@ -231,11 +231,13 @@ class UdpV4Transport:
         A PONG answers the ping whose hash it echoes. A find asks its peer
         one target at a time, as NEIGHBORS names no target, and takes up to
         k entries from that peer alone until k or query_timeout. A failed
-        send or a malformed NEIGHBORS entry fails its own task only.
+        send, a malformed NEIGHBORS entry or a query that reaches its
+        deadline with no NEIGHBORS packet fails its own task only.
         """
         found: list[list[PeerInfo]] = [[] for _ in tasks]
         failed = [kind == "ping" for kind, _peer in tasks]  # until a PONG
-        # ping hash or peer id -> [deadline, task, targets asked, entries]
+        # ping hash or peer id -> [deadline, task, targets asked, entries],
+        # entries None until a NEIGHBORS packet comes
         waiting: dict[bytes, list] = {}
 
         def ask(i: int, asked: int = 0) -> None:
@@ -251,7 +253,8 @@ class UdpV4Transport:
             else:
                 return
             if self._send(packet, (peer.ip, peer.port)):
-                waiting[key] = [time.monotonic() + timeout, i, asked + 1, []]
+                waiting[key] = [time.monotonic() + timeout, i, asked + 1,
+                                None]
             else:
                 failed[i] = True
 
@@ -259,7 +262,7 @@ class UdpV4Transport:
             """End an open request; a find then asks its next target."""
             _deadline, i, asked, entries = waiting.pop(key)
             if tasks[i][0] == "find":
-                found[i] += entries[:self.neighbor_k]
+                found[i] += (entries or [])[:self.neighbor_k]
                 failed[i] |= fault
                 ask(i, asked)
 
@@ -269,7 +272,7 @@ class UdpV4Transport:
             key = min(waiting, key=lambda key: waiting[key][0])
             timeout = waiting[key][0] - time.monotonic()
             if timeout <= 0:
-                close(key)
+                close(key, fault=waiting[key][3] is None)
                 continue
             self._sock.settimeout(timeout)
             try:
@@ -288,14 +291,14 @@ class UdpV4Transport:
                     and payload[1] in waiting):
                 failed[waiting.pop(payload[1])[1]] = False
             elif ptype == NEIGHBORS and sender in waiting:
-                entries = waiting[sender][3]
+                request = waiting[sender]
                 try:
-                    entries += decode_neighbors(payload)
+                    request[3] = (request[3] or []) + decode_neighbors(payload)
                 except ValueError as exc:
                     log.debug("malformed NEIGHBORS from %s: %s", addr, exc)
                     close(sender, fault=True)
                     continue
-                if len(entries) >= self.neighbor_k:
+                if len(request[3]) >= self.neighbor_k:
                     close(sender)
         return [not failed[i] if kind == "ping" else (found[i], failed[i])
                 for i, (kind, _peer) in enumerate(tasks)]

@@ -65,8 +65,9 @@ class SimTransport:
 
     Only a reachable peer that owns a routing table answers; the tables of
     unreachable owners are dropped when the transport is built. Every id in
-    a kept table is hashed, in one batch, and every kept owner keyed for
-    churn, once; a query then only ranks precomputed digests.
+    a kept table is hashed, in one batch, into one `ranking_lanes` array
+    that each table slices, and every kept owner keyed for churn, once; a
+    query then only ranks precomputed digests.
     """
 
     def __init__(self, tables: dict[bytes, list[PeerInfo]],
@@ -79,11 +80,13 @@ class SimTransport:
                   if node_id not in unreachable}
         row = {node_id: i for i, node_id in enumerate(dict.fromkeys(
             p.node_id for table in tables.values() for p in table))}
-        lanes = digest_lanes(keccak256_batch(list(row)))
+        # one width that parts every distinct digest parts each table's;
+        # its extra lanes only break ties that distinct digests never have
+        top = ranking_lanes(digest_lanes(keccak256_batch(list(row))))
         # tables sorted stably by node id: `rank` keeps their order on ties
-        self._tables = {node_id: (table, ranking_lanes(
-            lanes[[row[p.node_id] for p in table]]))
-            for node_id, table in tables.items()}
+        self._tables = {node_id: (table, top[:, :, [row[p.node_id]
+                                                    for p in table]])
+                        for node_id, table in tables.items()}
         self._k = neighbor_k
         # a draw below this drops the query
         self._threshold = int(churn_failure_rate * (1 << 64))

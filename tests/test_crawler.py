@@ -18,7 +18,8 @@ from chainlens.discovery.crawler import (CrawlConfig, CrawlReport, crawl,
                                          endpoint_stats, load_topology)
 from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo,
                                           digest_lanes, hash_prefix,
-                                          node_hash, precompute_targets)
+                                          node_hash, precompute_targets,
+                                          ranking_lanes)
 from chainlens.discovery.live import UdpV4Transport
 from chainlens.discovery.simulator import SimTransport, build_sim_overlay
 from chainlens.errors import NoSeedsReachable, QueryTimeout
@@ -394,6 +395,41 @@ def test_find_node_matches_bruteforce_on_built_tables(monkeypatch):
                     oracles.brute_force_neighbors(
                         tables[owner.node_id], node_hash(target), k,
                         digests.__getitem__)
+
+
+def test_tables_rank_by_the_overlay_wide_lanes(monkeypatch):
+    # two ids in different tables share their top 64 bits: the overlay's
+    # one array of ranking lanes is 2 lanes wide, each table alone 1
+    rng = random.Random(47)
+    pool = [PeerInfo(rng.randbytes(NODE_ID_LEN), f"198.51.100.{i}", 30303)
+            for i in range(20)]
+    shared_top = oracles.keccak256_oracle(pool[1].node_id)[:8]
+
+    def digest_of(node_id):
+        digest = oracles.keccak256_oracle(node_id)
+        return shared_top + digest[8:] if node_id == pool[0].node_id \
+            else digest
+
+    tables = {pool[2].node_id: [pool[0]] + pool[4:12],
+              pool[3].node_id: [pool[1]] + pool[12:20]}
+    for table in tables.values():
+        assert len(ranking_lanes(digest_lanes(
+            [digest_of(p.node_id) for p in table]))) == 1
+    assert len(ranking_lanes(digest_lanes([digest_of(p.node_id)
+                                           for table in tables.values()
+                                           for p in table]))) == 2
+    monkeypatch.setattr(simulator, "keccak256_batch",
+                        lambda messages: [digest_of(m) for m in messages])
+    targets = [rng.randbytes(NODE_ID_LEN) for _ in range(30)]
+    for k in (1, 4, 12):
+        transport = SimTransport(tables, frozenset(), 0.0, k, b"wide")
+        _assert_chunks_agree(transport, pool[2:4], rng, targets)
+        for owner in pool[2:4]:
+            for target in targets:
+                assert transport.find_node(owner, target) == \
+                    oracles.brute_force_neighbors(
+                        tables[owner.node_id], node_hash(target), k,
+                        digest_of)
 
 
 def test_peer_without_table_never_answers():

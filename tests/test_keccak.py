@@ -1,5 +1,8 @@
 """Keccak-256 against the independent oracle and published vectors."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,8 +57,9 @@ def test_batch_matches_scalar():
     digests = keccak256_batch64(lanes)
     assert digests.shape == (257, 4)
     for i in range(257):
-        expected = keccak256(messages[64 * i:64 * (i + 1)])
-        assert digests[i].tobytes() == expected
+        message = messages[64 * i:64 * (i + 1)]
+        assert digests[i].tobytes() == keccak256(message) == \
+            oracles.keccak256_oracle(message)
 
 
 def test_batch_single_row():
@@ -88,3 +92,34 @@ def test_batch_empty():
 def test_batch_refuses_message_past_one_block():
     with pytest.raises(ValueError):
         keccak256_batch([b"ok", b"\x00" * 136])
+
+
+def test_batches_match_oracle_across_block_edges():
+    # the batch paths permute 512 messages at a time
+    rng = random.Random(512)
+    messages = [rng.randbytes(rng.randint(0, 135)) for _ in range(1025)]
+    expected = [oracles.keccak256_oracle(m) for m in messages]
+    ids = rng.randbytes(64 * 1025)
+    lanes = np.frombuffer(ids, dtype="<u8").reshape(1025, 8)
+    expected64 = [oracles.keccak256_oracle(ids[64 * i:64 * (i + 1)])
+                  for i in range(1025)]
+    for n in (0, 1, 511, 512, 513, 1025):
+        assert keccak256_batch(messages[:n]) == expected[:n]
+        digests = keccak256_batch64(lanes[:n])
+        assert digests.shape == (n, 4)
+        assert [row.astype("<u8").tobytes() for row in digests] == \
+            expected64[:n]
+
+
+def test_batch64_memory_stays_within_its_blocks():
+    # 32,768 messages: input 2 MiB, digests 1 MiB; the permutation's own
+    # buffers are sized by its 512-message blocks, not by the batch
+    lanes = np.frombuffer(np.random.default_rng(3).bytes(64 * 32768),
+                          dtype="<u8").reshape(32768, 8)
+    tracemalloc.start()
+    try:
+        keccak256_batch64(lanes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000

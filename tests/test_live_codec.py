@@ -183,3 +183,42 @@ def test_udp_transport_on_loopback():
         transport.close()
         responder.close()
     assert not thread.is_alive()
+
+
+def test_udp_find_fails_only_without_neighbors():
+    # a find whose queries all reach their deadline unanswered fails; one
+    # whose peer sent a NEIGHBORS packet, even a short one, does not
+    rng = random.Random(7)
+    peer_key = (11).to_bytes(32, "big")
+    neighbors = [PeerInfo(rng.randbytes(NODE_ID_LEN), "198.51.100.1", 30301)]
+    responder = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    responder.bind(("127.0.0.1", 0))
+    responder.settimeout(0.05)
+    closed = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    closed.bind(("127.0.0.1", 0))
+    closed_port = closed.getsockname()[1]
+    closed.close()
+    stop = threading.Event()
+    thread = threading.Thread(target=_respond, args=(
+        responder, peer_key, neighbors, peer_key, [], stop))
+    transport = UdpV4Transport(private_key=(7).to_bytes(32, "big"),
+                               bind=("127.0.0.1", 0), ping_timeout=0.05,
+                               query_timeout=0.05, neighbor_k=3)
+    thread.start()
+    try:
+        targets = [rng.randbytes(NODE_ID_LEN) for _ in range(2)]
+        silent = PeerInfo(public_key(peer_key), "127.0.0.1", closed_port)
+        assert transport.run([("ping", silent), ("find", silent)],
+                             targets) == [False, ([], True)]
+        # one entry of the k = 3 asked for: the query waits out its deadline
+        transport.query_timeout = 2.0
+        short = PeerInfo(public_key(peer_key), "127.0.0.1",
+                         responder.getsockname()[1])
+        assert transport.run([("find", short)], targets[:1]) == \
+            [(neighbors, False)]
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        transport.close()
+        responder.close()
+    assert not thread.is_alive()

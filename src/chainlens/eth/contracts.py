@@ -156,15 +156,19 @@ def build_contract_registry(store: Store,
 
 def find_precreation_funding(store: Store, registry: ContractRegistry
                              ) -> list[tuple[str, str, int]]:
-    """Value transfers toward addresses whose contract is created later.
+    """Value transfers toward addresses whose contract is created later,
+    by the (height, index) order `ContractRegistry.created_before` uses: a
+    send earlier in its contract's creation block counts, and an internal
+    creation (index -1) precedes every send in its block.
 
     Returns (funding_tx_hash, contract_address, creation_height) tuples in
     ledger order of the funding transaction.
     """
     hits = []
-    for tx_hash, recipient, height in store.iter_eth_transfers():
+    for tx_hash, recipient, height, index in store.iter_eth_transfers():
         record = registry.get(recipient)
-        if record is not None and record.creation_height > height:
+        if record is not None and (record.creation_height,
+                                   record.creation_index) > (height, index):
             hits.append((tx_hash, record.address, record.creation_height))
     return hits
 

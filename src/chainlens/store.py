@@ -241,12 +241,12 @@ class Store:
         for row in self._conn.execute(_ETH_CREATIONS):
             yield Transaction._make(row[:-1]), row[-1]
 
-    def iter_eth_transfers(self) -> Iterator[tuple[str, str, int]]:
-        """(hash, recipient, height) of each Ethereum tx that sends a non-zero
-        value to an address, in ledger order, orphans included."""
+    def iter_eth_transfers(self) -> Iterator[tuple[str, str, int, int]]:
+        """(hash, recipient, height, index) of each Ethereum tx that sends a
+        non-zero value to an address, in ledger order, orphans included."""
         # a value is stored as str(int), so the text '0' is its only zero
         yield from self._conn.execute(
-            "SELECT hash, recipient, height FROM txs WHERE chain = 'eth'"
+            "SELECT hash, recipient, height, idx FROM txs WHERE chain = 'eth'"
             " AND recipient IS NOT NULL AND value != '0' ORDER BY height, idx")
 
     def iter_monthly_eth_classes(self) -> Iterator[

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from chainlens.eth.classify import TxClass
@@ -12,6 +13,11 @@ from chainlens.model import ChainKind
 from chainlens.store import Store, ingest_blocks
 
 import oracles
+
+# No property test has a per-example deadline: an example that ingests a
+# store or runs the CLI takes as long as the shared host lets it.
+settings.register_profile("chainlens", deadline=None)
+settings.load_profile("chainlens")
 
 
 def h32(seed: int) -> str:

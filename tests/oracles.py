@@ -1,12 +1,21 @@
-"""Independent reference implementations used to freeze expected values.
+"""Independent reference implementations that tests compare the package with.
 
-Deliberately written in a different style from the package code: nested
-5x5 state with generator-derived constants for Keccak, a full dynamic
-programming matrix for edit distance, direct byte construction for RLP.
-A bug shared with the implementation under test should be unlikely.
+Deliberately written in a different style from the package code, so that
+a bug shared with the implementation under test is unlikely: nested 5x5
+state with generator-derived constants for Keccak, direct byte
+construction for RLP, a full dynamic programming matrix for edit
+distance, a brute-force neighbour sort, the ingest field readers and
+write rule as they read before their fast paths, and `LedgerModel`: one
+model of the ledger, in plain dicts and loops with no chainlens import,
+that predicts what every ledger command prints.
 """
 
 from __future__ import annotations
+
+import calendar
+import functools
+import json
+import time
 
 _MASK64 = (1 << 64) - 1
 
@@ -112,6 +121,7 @@ def _length_prefix(length: int, base: int) -> bytes:
     return bytes([base + 55 + len(encoded)]) + encoded
 
 
+@functools.cache  # a pure function that ledger tests call again and again
 def contract_address_oracle(sender_hex: str, nonce: int) -> str:
     sender = bytes.fromhex(sender_hex.removeprefix("0x"))
     digest = keccak256_oracle(rlp_encode_oracle([sender, nonce]))
@@ -288,107 +298,418 @@ def put_row_reference(conn, table: str, key: str, conflict, row: tuple) -> bool:
                               f"held by tx {holder}")
 
 
-# -- the nmc and ppc reports row by row -------------------------------------
-# Each decodes every row through Store.iter_txs, iter_blocks and
-# block_times, joins txs to block times and skips orphans in Python.
+# -- one model of every ledger report ----------------------------------------
+# The store that README's ingest rules build from NDJSON lines, and what
+# each ledger command prints about it, in plain dicts and loops. Nothing
+# here imports chainlens (test_ledger_model checks this), so a fault
+# shared with the package would have to be written twice.
 
-def dated_txs_reference(store, chain, max_height=None) -> list:
-    """(block time, tx) of each stored tx of a chain up to `max_height`,
-    in ledger order; the time is None for an orphan, a tx whose block is
-    not stored."""
-    times = store.block_times(chain)
-    return [(times.get(tx.height), tx) for tx in store.iter_txs(chain)
-            if max_height is None or tx.height <= max_height]
+_CLASSES = ("to_account", "to_contract", "create_contract", "zombie_create")
 
 
-def weekly_fee_sums_reference(store) -> list:
-    from chainlens.model import (NAME_OP_KINDS, ChainKind, iso_week_key,
-                                 tally_periods)
-
-    items = ((block_time, tx.op_kind, int(tx.op_fee))
-             for block_time, tx in dated_txs_reference(store,
-                                                       ChainKind.NAMECOIN)
-             if tx.op_kind is not None)
-    rows = tally_periods(items, iso_week_key)
-    kinds = [kind for kind in NAME_OP_KINDS
-             if any(kind in by_kind for _, by_kind in rows)]
-    return [(week, kind, by_kind[kind])
-            for week, by_kind in rows for kind in kinds]
+class ModelRefusal(Exception):
+    """A data error: the CLI prints `error: <message>` and exits 2."""
 
 
-def merge_mine_split_reference(store):
-    """`merge_mine_split` by a height-ordered scan of the blocks, which
-    raises at the first early auxpow block, then of the dated txs."""
-    from chainlens.chains.namecoin import (MERGE_MINING_START_HEIGHT,
-                                           MergeMineSplit)
-    from chainlens.errors import AuxPowBeforeActivation, EmptyChain
-    from chainlens.model import ChainKind
-
-    metrics = ("blocks", "txs", "name_new", "name_firstupdate", "name_update")
-    counts = {metric: [0, 0] for metric in metrics}
-    merged_heights = set()
-    for block in store.iter_blocks(ChainKind.NAMECOIN):
-        merged = bool(block.auxpow)
-        if merged and block.height < MERGE_MINING_START_HEIGHT:
-            raise AuxPowBeforeActivation(block.height,
-                                         MERGE_MINING_START_HEIGHT)
-        if merged:
-            merged_heights.add(block.height)
-        counts["blocks"][merged] += 1
-    if counts["blocks"] == [0, 0]:
-        raise EmptyChain(ChainKind.NAMECOIN.value)
-    for block_time, tx in dated_txs_reference(store, ChainKind.NAMECOIN):
-        if block_time is None:
-            continue
-        merged = tx.height in merged_heights
-        counts["txs"][merged] += 1
-        if tx.op_kind is not None:
-            counts[f"name_{tx.op_kind}"][merged] += 1
-    return MergeMineSplit(rows={m: (c[0], c[1]) for m, c in counts.items()})
+def _block_row(record: dict) -> dict:
+    """A block as stored: hex in lowercase without 0x, absent fields None."""
+    return {"hash": normalize_hex_reference(record["hash"]),
+            "parent": normalize_hex_reference(record["parent"]),
+            "time": record["time"], "auxpow": record.get("auxpow"),
+            "proof": record.get("proof"),
+            "txs": [normalize_hex_reference(tx_hash)
+                    for tx_hash in record.get("txs", [])]}
 
 
-def build_name_histories_reference(store) -> dict:
-    """name -> [(height, kind, block time or None)] of its firstupdate and
-    update ops, in ledger order."""
-    from chainlens.model import ChainKind
+def _tx_row(record: dict, chain: str) -> dict:
+    """A tx as stored: an eth address is hex, amounts are integers and a
+    name op is (kind, name, name hash, paid fee)."""
+    to, op, fee = record.get("to"), record.get("name_op"), record.get("fee")
+    address = normalize_hex_reference if chain == "eth" else str
+    return {"hash": normalize_hex_reference(record["hash"]),
+            "height": record["height"], "index": record["index"],
+            "from": address(record["from"]),
+            "to": None if to is None else address(to),
+            "value": int(record.get("value", 0)),
+            "input": normalize_hex_reference(record.get("input", "")),
+            "fee": None if fee is None else int(fee), "gas": record.get("gas"),
+            "op": None if op is None else (op["kind"], op.get("name"),
+                                           op.get("name_hash"),
+                                           int(op.get("paid_fee", 0)))}
 
-    histories: dict = {}
-    for block_time, tx in dated_txs_reference(store, ChainKind.NAMECOIN):
-        if tx.op_kind in ("firstupdate", "update"):
-            histories.setdefault(tx.op_name, []).append(
-                (tx.height, tx.op_kind, block_time))
-    return histories
+
+def _add(tallies: dict, period, label: str, amount: int = 1) -> None:
+    tally = tallies.setdefault(period, {})
+    tally[label] = tally.get(label, 0) + amount
 
 
-def detect_reregistrations_reference(store, schedule, day):
-    from chainlens.chains.namecoin import ReregReport
-    from chainlens.model import utc_date
+def _month(moment: int) -> tuple[int, int]:
+    tm = time.gmtime(moment)
+    return tm.tm_year, tm.tm_mon
 
-    report = ReregReport()
-    for name, events in sorted(build_name_histories_reference(store).items()):
-        for position, (height, kind, block_time) in enumerate(events):
-            if (kind != "firstupdate" or block_time is None
-                    or utc_date(block_time) != day):
-                continue
-            report.firstupdates_on_day += 1
-            prior = events[:position]
-            registrations = [h for h, k, _ in prior if k == "firstupdate"]
-            if not registrations:
-                continue
-            if prior[-1][0] + schedule.expiry_window_blocks < height:
-                report.reregistrations.append((name, registrations))
+
+def _month_rows(tallies: dict) -> list:
+    """(month, its tally or {}) for every month from the first key of
+    `tallies`, a (year, month), to the last."""
+    if not tallies:
+        return []
+    (year, month), last = min(tallies), max(tallies)
+    rows = []
+    while (year, month) <= last:
+        rows.append((f"{year}-{month:02d}", tallies.get((year, month), {})))
+        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
+    return rows
+
+
+def _week_thursday(moment: int) -> int:
+    """The day number of the Thursday of a moment's ISO week, which lies in
+    that week's ISO year; day 0, 1970-01-01, was a Thursday."""
+    day = moment // 86_400
+    return day - (day + 3) % 7 + 3
+
+
+def _week_rows(tallies: dict) -> list:
+    """(ISO week, its tally or {}) for every week from the first key of
+    `tallies`, a Thursday, to the last."""
+    if not tallies:
+        return []
+    rows = []
+    for thursday in range(min(tallies), max(tallies) + 1, 7):
+        tm = time.gmtime(thursday * 86_400)
+        rows.append((f"{tm.tm_year}-W{(tm.tm_yday - 1) // 7 + 1:02d}",
+                     tallies.get(thursday, {})))
+    return rows
+
+
+def signature_rows(table_text: str) -> list:
+    """(format, magic bytes, offset) of each row of a signature table CSV."""
+    rows = []
+    for line in table_text.splitlines()[1:]:
+        name, magic_hex, offset, _ = line.split(",")
+        rows.append((name, bytes.fromhex(magic_hex), int(offset)))
+    return rows
+
+
+class LedgerModel:
+    """A store built by README's ingest rules, and the exit code, stdout
+    and stderr lines of each ledger command run on it with the
+    --internal and --terminated side-files this model was given."""
+
+    def __init__(self, internal: list, terminated: list, signatures: list):
+        self.internal = [json.loads(line) for line in internal]
+        self.terminated = [json.loads(line) for line in terminated]
+        self.signatures = signatures
+        self.blocks = {"eth": {}, "nmc": {}, "ppc": {}}  # height -> row
+        self.txs = {"eth": {}, "nmc": {}, "ppc": {}}  # hash -> row
+
+    def ingest(self, chain: str, lines: list) -> tuple:
+        """`ingest FILE --chain chain` of a file of `lines`: the first
+        delivery of a block height or tx hash is stored, an identical
+        re-delivery is a no-op, and a changed one, or a new tx at a taken
+        (height, index), is rejected."""
+        loaded, rejected = {"block": 0, "tx": 0}, []
+        for line_no, line in enumerate(lines, start=1):
+            record = json.loads(line)
+            if record["type"] == "block":
+                table, key, row = (self.blocks[chain], record["height"],
+                                   _block_row(record))
+                fault = f"conflicting block at height {key}"
             else:
-                report.anomalies.append((name, registrations))
-    return report
+                table, row = self.txs[chain], _tx_row(record, chain)
+                key, spot = row["hash"], (row["height"], row["index"])
+                fault = f"conflicting tx {key}"
+                holder = [tx["hash"] for tx in table.values()
+                          if (tx["height"], tx["index"]) == spot]
+                if key not in table and holder:
+                    rejected.append(
+                        f"rejected line {line_no}: invalid field 'index': "
+                        f"position {spot} already held by tx {holder[0]}")
+                    continue
+            if key not in table:
+                table[key] = row
+                loaded[record["type"]] += 1
+            elif table[key] != row:
+                rejected.append(f"rejected line {line_no}: {fault}: "
+                                "different contents already stored")
+        return (0, f"blocks,txs,rejected\n{loaded['block']},{loaded['tx']},"
+                   f"{len(rejected)}\n", rejected)
 
+    def run(self, argv: list) -> tuple:
+        """(exit code, stdout, stderr lines) of a ledger command."""
+        options, words, args = {}, [], iter(argv)
+        for arg in args:
+            if arg == "--verify-full":
+                options[arg] = True
+            elif arg.startswith("--"):
+                options[arg] = next(args)
+            else:
+                words.append(arg)
+        report = {"summarize": self.summarize,
+                  "report tx-monthly": self.tx_monthly,
+                  "eth classify": self.classify, "eth zombies": self.zombies,
+                  "eth lifetimes": self.lifetimes,
+                  "eth precreation": self.precreation,
+                  "poison scan": self.poison_scan, "nmc fees": self.fees,
+                  "nmc mergemine": self.mergemine, "nmc rereg": self.rereg,
+                  "ppc pos-pow": self.pos_pow}[" ".join(words)]
+        notes: list = []
+        try:
+            rows = report(options, notes)
+        except ModelRefusal as refusal:
+            return 2, "", [f"error: {refusal}"]
+        return (0, "".join(",".join(map(str, row)) + "\n" for row in rows),
+                notes)
 
-def pos_pow_counts_reference(store) -> list:
-    from chainlens.errors import EmptyChain
-    from chainlens.model import ChainKind, month_key, tally_periods
+    # -- the ledger as the reports read it
 
-    rows = tally_periods(((block.time, block.proof, 1)
-                          for block in store.iter_blocks(ChainKind.PEERCOIN)),
-                         month_key)
-    if not rows:
-        raise EmptyChain(ChainKind.PEERCOIN.value)
-    return [(month, counts["pos"], counts["pow"]) for month, counts in rows]
+    def _ledger(self, chain: str) -> list:
+        """The stored txs of a chain by (height, index)."""
+        return sorted(self.txs[chain].values(),
+                      key=lambda tx: (tx["height"], tx["index"]))
+
+    def _time(self, chain: str, tx: dict):
+        """The time of a tx's block, None for an orphan."""
+        block = self.blocks[chain].get(tx["height"])
+        return None if block is None else block["time"]
+
+    def _blocks(self, chain: str) -> dict:
+        """A chain's blocks by height; a chain without any is refused."""
+        if not self.blocks[chain]:
+            raise ModelRefusal(f"no qualifying blocks for chain '{chain}'")
+        return self.blocks[chain]
+
+    def _cutoff_height(self, options: dict, chain: str):
+        """The highest height whose block time is before --cutoff."""
+        if "--cutoff" not in options:
+            return None
+        moment = calendar.timegm(time.strptime(options["--cutoff"],
+                                               "%Y-%m-%dT%H:%M:%SZ"))
+        before = [height for height, block in self.blocks[chain].items()
+                  if block["time"] < moment]
+        if not before:
+            raise ModelRefusal(f"no qualifying blocks for chain '{chain}' "
+                               f"(no block before timestamp {moment})")
+        return max(before)
+
+    def _creations(self) -> list:
+        """(creation tx, derived address) of each eth creation in ledger
+        order; the nonce counts the sender's earlier txs, orphans too."""
+        nonces: dict = {}
+        creations = []
+        for tx in self._ledger("eth"):
+            nonce = nonces.get(tx["from"], 0)
+            nonces[tx["from"]] = nonce + 1
+            if tx["to"] is None:
+                creations.append((tx, contract_address_oracle(tx["from"],
+                                                               nonce)))
+        return creations
+
+    def _contracts(self) -> dict:
+        """address -> {"at": (height, index), "end": termination height},
+        from the ledger's creations and the side-files; of two creations
+        of one address the earlier is kept, and an internal one comes
+        before every tx of its height."""
+        contracts: dict = {}
+        made = [(address, tx["height"], tx["index"])
+                for tx, address in self._creations()]
+        made += [(normalize_hex_reference(record["address"]),
+                  record["height"], -1) for record in self.internal]
+        for address, height, index in made:
+            if address not in contracts \
+                    or (height, index) < contracts[address]["at"]:
+                contracts[address] = {"at": (height, index), "end": None}
+        for line_no, record in enumerate(self.terminated, start=1):
+            address = normalize_hex_reference(record["address"])
+            height, contract = record["height"], contracts.get(address)
+            if contract is None:
+                continue
+            fault = f"line {line_no}: invalid field 'height': "
+            if height < contract["at"][0]:
+                raise ModelRefusal(f"{fault}termination at {height} precedes "
+                                   f"creation at {contract['at'][0]}")
+            if contract["end"] not in (None, height):
+                raise ModelRefusal(f"{fault}{address} is already terminated "
+                                   f"at {contract['end']}")
+            contract["end"] = height
+        return contracts
+
+    # -- the reports, each as rows under a header
+
+    def summarize(self, options, notes):
+        chain = options["--chain"]
+        top = self._cutoff_height(options, chain)
+        heights = [height for height in self._blocks(chain)
+                   if top is None or height <= top]
+        times = [self.blocks[chain][height]["time"] for height in heights]
+        txs = [tx for tx in self.txs[chain].values()
+               if top is None or tx["height"] <= top]
+        return [("chain", "first_block_time", "cutoff_time", "cutoff_height",
+                 "tx_count", "tx_volume"),
+                (chain, min(times), max(times), max(heights), len(txs),
+                 sum(tx["value"] for tx in txs))]
+
+    def tx_monthly(self, options, notes):
+        chain = options["--chain"]
+        top = self._cutoff_height(options, chain)
+        self._blocks(chain)
+        months: dict = {}
+        for tx in self.txs[chain].values():
+            moment = self._time(chain, tx)
+            if moment is not None and (top is None or tx["height"] <= top):
+                _add(months, _month(moment), "txs")
+        return [("month", "txs")] + [(month, tally.get("txs", 0))
+                                     for month, tally in _month_rows(months)]
+
+    def classify(self, options, notes):
+        contracts = self._contracts()
+        self._blocks("eth")
+        months: dict = {}
+        orphans = 0
+        for tx in self._ledger("eth"):
+            moment = self._time("eth", tx)
+            contract = contracts.get(tx["to"])
+            if moment is None:
+                orphans += 1
+                continue
+            if tx["to"] is None:
+                kind = "create_contract" if tx["input"] else "zombie_create"
+            elif contract and contract["at"] < (tx["height"], tx["index"]):
+                kind = "to_contract"
+            else:
+                kind = "to_account"
+            _add(months, _month(moment), kind)
+        if orphans:
+            notes.append(f"orphans: {orphans}")
+        return [("month",) + _CLASSES] + [
+            (month,) + tuple(tally.get(kind, 0) for kind in _CLASSES)
+            for month, tally in _month_rows(months)]
+
+    def zombies(self, options, notes):
+        zombies = [(tx["height"], address, tx["value"], tx["from"])
+                   for tx, address in self._creations() if not tx["input"]]
+        view = options.get("--view", "summary")
+        if view == "summary":
+            return [("zombie_count", "total_balance"),
+                    (len(zombies), sum(value for _, _, value, _ in zombies))]
+        if view == "cdf":
+            return [("height", "cumulative_zombies")] + [
+                (height, sum(z[0] <= height for z in zombies))
+                for height in sorted({z[0] for z in zombies})]
+        if view == "top":
+            ranked = sorted(((address, value) for _, address, value, _
+                             in zombies), key=lambda z: (-z[1], z[0]))
+            return [("address", "balance")] \
+                + ranked[:int(options.get("--top", 10))]
+        creators: dict = {}
+        for *_, sender in zombies:
+            creators[sender] = creators.get(sender, 0) + 1
+        return [("creator", "zombies")] + sorted(
+            creators.items(), key=lambda item: (-item[1], item[0]))
+
+    def lifetimes(self, options, notes):
+        edges = [int(edge) for edge
+                 in options.get("--edges", "100,10000").split(",")]
+        lives = [contract["end"] - contract["at"][0]
+                 for contract in self._contracts().values()
+                 if contract["end"] is not None]
+        if not lives:
+            return [("bucket", "contracts")]
+        lows = [-1] + edges  # a lifetime is never negative
+        return [("bucket", "contracts")] + [
+            (f"<={high}", sum(low < life <= high for life in lives))
+            for low, high in zip(lows, edges)] + [
+            (f">{edges[-1]}", sum(life > edges[-1] for life in lives))]
+
+    def precreation(self, options, notes):
+        contracts = self._contracts()
+        rows = [("funding_tx", "contract", "creation_height")]
+        for tx in self._ledger("eth"):
+            contract = contracts.get(tx["to"])
+            if tx["value"] and contract \
+                    and contract["at"] > (tx["height"], tx["index"]):
+                rows.append((tx["hash"], tx["to"], contract["at"][0]))
+        return rows
+
+    def poison_scan(self, options, notes):
+        rows = [("format", "tx_hash", "payload_size")]
+        for tx in self._ledger(options.get("--chain", "eth")):
+            payload = bytes.fromhex(tx["input"])
+            # the candidate filter compares a magic's first two bytes
+            names = [name for name, magic, offset in self.signatures
+                     if payload[offset:offset + min(len(magic), 2)]
+                     == magic[:2]]
+            if "--verify-full" in options:
+                full = {name for name, magic, offset in self.signatures
+                        if payload[offset:offset + len(magic)] == magic}
+                names = [name for name in names if name in full]
+            rows += [(name, tx["hash"], len(payload)) for name in names]
+        return rows
+
+    def fees(self, options, notes):
+        weeks: dict = {}
+        kinds = set()
+        for tx in self._ledger("nmc"):
+            moment = self._time("nmc", tx)
+            if tx["op"] is not None and moment is not None:
+                kinds.add(tx["op"][0])
+                _add(weeks, _week_thursday(moment), tx["op"][0], tx["op"][3])
+        return [("week", "kind", "fee_units")] + [
+            (week, kind, tally.get(kind, 0))
+            for week, tally in _week_rows(weeks)
+            for kind in ("new", "firstupdate", "update") if kind in kinds]
+
+    def mergemine(self, options, notes):
+        merged = {height for height, block in self._blocks("nmc").items()
+                  if block["auxpow"] is True}
+        if merged and min(merged) < 19_200:
+            raise ModelRefusal(f"merge-mined block at height {min(merged)} "
+                               "predates activation height 19200")
+        counts = {metric: [0, 0] for metric in (
+            "blocks", "txs", "name_new", "name_firstupdate", "name_update")}
+        for height in self.blocks["nmc"]:
+            counts["blocks"][height in merged] += 1
+        for tx in self._ledger("nmc"):
+            if self._time("nmc", tx) is not None:
+                counts["txs"][tx["height"] in merged] += 1
+                if tx["op"] is not None:
+                    counts[f"name_{tx['op'][0]}"][tx["height"] in merged] += 1
+        return [("metric", "normal", "merged", "total", "merged_pct")] + [
+            (metric, normal, merged, normal + merged,
+             f"{100.0 * merged / (normal + merged):.1f}"
+             if normal + merged else "0.0")
+            for metric, (normal, merged) in counts.items()]
+
+    def rereg(self, options, notes):
+        day, window = options["--day"], int(options.get("--window", 36_000))
+        events: dict = {}  # name -> [(height, kind, time or None)]
+        for tx in self._ledger("nmc"):
+            if tx["op"] is not None and tx["op"][0] != "new":
+                events.setdefault(tx["op"][1], []).append(
+                    (tx["height"], tx["op"][0], self._time("nmc", tx)))
+        on_day = 0
+        found = {"reregistration": [], "anomaly": []}
+        for name in sorted(events):
+            for position, (height, kind, moment) in enumerate(events[name]):
+                if kind != "firstupdate" or moment is None or time.strftime(
+                        "%Y-%m-%d", time.gmtime(moment)) != day:
+                    continue
+                on_day += 1
+                prior = events[name][:position]
+                registered = [str(h) for h, k, _ in prior
+                              if k == "firstupdate"]
+                if registered:
+                    lapsed = prior[-1][0] + window < height
+                    found["reregistration" if lapsed else "anomaly"].append(
+                        (name, ";".join(registered)))
+        notes.append(f"first-updates on {day}: {on_day}")
+        return [("name", "status", "prior_registration_heights")] + [
+            (name, status, heights) for status, hits in found.items()
+            for name, heights in hits]
+
+    def pos_pow(self, options, notes):
+        months: dict = {}
+        for block in self._blocks("ppc").values():
+            _add(months, _month(block["time"]), block["proof"])
+        return [("month", "pos", "pow")] + [
+            (month, tally.get("pos", 0), tally.get("pow", 0))
+            for month, tally in _month_rows(months)]

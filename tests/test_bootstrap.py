@@ -119,7 +119,7 @@ def test_harvest_rejects_zero_rounds():
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_cumulative_counts_never_decrease(seed):
     rng = random.Random(seed)
     pool = [ip(i) for i in range(rng.randint(1, 30))]

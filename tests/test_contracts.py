@@ -210,58 +210,29 @@ def test_precreation_funding():
     store.close()
 
 
-def _funding_by_decoding(store, registry):
-    """find_precreation_funding over every decoded eth tx, the reference."""
-    hits = []
-    for tx in store.iter_txs(ChainKind.ETHEREUM):
-        if tx.recipient is None or int(tx.value) <= 0:
-            continue
-        record = registry.get(tx.recipient)
-        if record is not None and record.creation_height > tx.height:
-            hits.append((tx.hash, record.address, record.creation_height))
-    return hits
-
-
-@st.composite
-def _funding_ledger(draw):
-    """Eth txs paying zero, small or past-2**63 values to contract addresses,
-    other addresses or none, some of them orphans; Namecoin txs to the same
-    addresses at the same heights; and contracts created at random heights."""
-    targets = [addr(0xC000 + i) for i in range(4)]
-    registry = ContractRegistry()
-    for address in targets[:3]:
-        registry.add(ContractRecord(address=address,
-                                    creation_height=draw(st.integers(0, 6)),
-                                    creator=SENDER_A,
-                                    creator_kind=CreatorKind.BY_TRANSACTION))
-    lines, nmc = [], []
-    for height in range(draw(st.integers(1, 6))):
-        hashes = [h32(0x6000 + 16 * height + index)
-                  for index in range(draw(st.integers(0, 4)))]
-        if draw(st.integers(0, 3)):  # else the txs of this height are orphans
-            lines.append(block_line("eth", height, 1_438_387_200 + height,
-                                    hashes))
-        for index, tx_hash in enumerate(hashes):
-            to = draw(st.none() | st.sampled_from(targets))
-            value = draw(st.sampled_from([0, 1, 2**63, 10**24]))
-            lines.append(tx_line("eth", tx_hash, height, index, SENDER_B, to,
-                                 str(value)))
-            nmc.append(tx_line("nmc", tx_hash, height, index, SENDER_B, to,
-                               str(value)))
-    return lines, nmc, registry
-
-
-@given(_funding_ledger())
-@settings(max_examples=60, deadline=None)
-def test_precreation_funding_matches_the_decoded_ledger(ledger):
-    lines, nmc_lines, registry = ledger
-    store = load_store(lines, ChainKind.ETHEREUM)
-    ingest_blocks(nmc_lines, ChainKind.NAMECOIN, store, strict=True)
-    try:
-        assert find_precreation_funding(store, registry) \
-            == _funding_by_decoding(store, registry)
-    finally:
-        store.close()
+def test_precreation_orders_sends_in_the_creation_block_by_index():
+    # C is created at (1, 1): the send at (1, 0) precedes it, as classify
+    # says (to_account), and the send at (1, 2) follows it; an internal
+    # creation at height 2 precedes the send at (2, 0)
+    c = oracles.contract_address_oracle(SENDER_A, 0)
+    sends = [h32(0x10), h32(0x12), h32(0x20)]
+    store = load_store([
+        block_line("eth", 1, 1_438_387_200, [sends[0], h32(0x11), sends[1]]),
+        tx_line("eth", sends[0], 1, 0, SENDER_B, c, "5"),
+        tx_line("eth", h32(0x11), 1, 1, SENDER_A, None, "0", "60"),
+        tx_line("eth", sends[1], 1, 2, SENDER_B, c, "6"),
+        block_line("eth", 2, 1_438_387_201, [sends[2]]),
+        tx_line("eth", sends[2], 2, 0, SENDER_B, addr(0xC1DE), "7")],
+        ChainKind.ETHEREUM)
+    registry = build_contract_registry(store, [json.dumps(
+        {"type": "internal_create", "address": addr(0xC1DE),
+         "parent": c, "height": 2})])
+    assert find_precreation_funding(store, registry) == [(sends[0], c, 1)]
+    assert [classify_transaction(tx, registry)
+            for tx in store.iter_txs(ChainKind.ETHEREUM)
+            if tx.hash in sends] == [TxClass.TO_ACCOUNT, TxClass.TO_CONTRACT,
+                                     TxClass.TO_CONTRACT]
+    store.close()
 
 
 def test_duplicate_registration_keeps_first():
@@ -371,7 +342,7 @@ def _creation_chain(draw):
 
 
 @given(_creation_chain())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_iter_creations_matches_scalar_derivation(chain):
     deliveries, nmc_lines, creations = chain
     store = Store(":memory:")

@@ -45,7 +45,7 @@ def test_matches_oracle_at_padding_boundaries(size):
 
 
 @given(st.binary(max_size=400))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_matches_oracle_random(data):
     assert keccak256(data) == oracles.keccak256_oracle(data)
 
@@ -78,7 +78,7 @@ def test_batch_every_single_block_length():
 
 
 @given(st.lists(st.binary(max_size=135), max_size=24))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_batch_mixed_lengths_match_scalar_and_oracle(messages):
     assert keccak256_batch(messages) == [keccak256(m) for m in messages]
     assert keccak256_batch(messages) == [oracles.keccak256_oracle(m)

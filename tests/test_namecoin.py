@@ -3,19 +3,15 @@
 from datetime import date, datetime, timezone
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from chainlens.chains.namecoin import (FeeSchedule, build_name_histories,
                                        detect_reregistrations,
                                        merge_mine_split, weekly_fee_sums)
-from chainlens.chains.peercoin import pos_pow_counts
 from chainlens.errors import AuxPowBeforeActivation, EmptyChain
-from chainlens.model import NAME_OP_KINDS, ChainKind, utc_date
-from chainlens.store import Store, ingest_blocks
+from chainlens.model import ChainKind
+from chainlens.store import Store
 
-import oracles
-from conftest import block_line, h32, load_store, outcome, tx_line
+from conftest import block_line, h32, load_store, tx_line
 
 NMC = UNITS = 10**8
 
@@ -190,118 +186,3 @@ def test_orphan_name_ops():
     assert (report.firstupdates_on_day, report.reregistrations) == \
         (1, [("d/alpha", [19201])])
     store.close()
-
-
-_LAST = 253_402_300_799  # 9999-12-31T23:59:59Z, the last block time
-
-
-def _at(text: str) -> int:
-    return int(datetime.fromisoformat(text).replace(
-        tzinfo=timezone.utc).timestamp())
-
-
-# the moments near which one drawn ledger's blocks fall: a span of weeks,
-# not of millennia. ISO week 2015-W53 with a month edge inside it; a month
-# edge and a Saturday of 2011; December 9999 up to the last block time
-_ERAS = [
-    [_at("2015-12-28T00:00:00"), _at("2016-01-01T00:00:00"),
-     _at("2016-01-04T00:00:00")],
-    [_at("2011-04-30T12:00:00"), _at("2011-05-01T00:00:00"),
-     _at("2011-05-07T12:00:00")],
-    [_at("9999-11-30T23:59:59"), _at("9999-12-25T12:00:00"),
-     _at("9999-12-27T00:00:00"), _LAST],
-]
-
-
-def _op_line(tx_hash, height, index, op) -> str:
-    """An nmc tx line; `op` is None or (kind, name or None, paid fee)."""
-    extra = {}
-    if op is not None:
-        kind, name, fee = op
-        extra["name_op"] = name_op(kind, fee, name,
-                                   "ab" * 16 if kind == "new" else None)
-    return tx_line("nmc", tx_hash, height, index, "n1", None, "0", **extra)
-
-
-@st.composite
-def _nmc_ppc_ledgers(draw):
-    """nmc lines at heights from 0 or from just below the merge-mining
-    activation, some of them orphans, each block with or without auxpow;
-    ppc lines; an expiry window and a day that a drawn nmc block falls on."""
-    era = draw(st.sampled_from(_ERAS))
-    time = st.tuples(st.sampled_from(era), st.sampled_from([-1, 0, 1])
-                     | st.integers(-9 * 86_400, 9 * 86_400)).map(
-        lambda pair: min(sum(pair), _LAST))
-    op = st.none() | st.tuples(
-        st.sampled_from(NAME_OP_KINDS), st.sampled_from(["d/a", "d/b"]),
-        st.sampled_from([0, 1, 500_000, 2**64])).flatmap(
-        lambda op: st.sampled_from([op, (op[0], None, op[2])])
-        if op[0] == "new" else st.just(op))
-    base = draw(st.sampled_from([0, 19_195]))
-    heights = draw(st.lists(st.tuples(
-        st.integers(0, 3), st.sampled_from([None, False, True]), time,
-        st.lists(op, max_size=3)), max_size=8))
-    nmc, days = [], [date(2011, 5, 7)]
-    for offset, (stored, auxpow, block_time, ops) in enumerate(heights):
-        height = base + offset
-        hashes = [h32(0xF000 + 4 * offset + index)
-                  for index in range(len(ops))]
-        if stored:  # else its txs are orphans
-            tag = {} if auxpow is None else {"auxpow": auxpow}
-            nmc.append(block_line("nmc", height, block_time, hashes, **tag))
-            days.append(utc_date(block_time))
-        nmc += [_op_line(tx_hash, height, index, tx_op)
-                for index, (tx_hash, tx_op) in enumerate(zip(hashes, ops))]
-    ppc = [block_line("ppc", height, block_time, [], proof=proof)
-           for height, (block_time, proof) in enumerate(draw(st.lists(
-               st.tuples(time, st.sampled_from(["pos", "pow"])),
-               max_size=6)))]
-    return nmc, ppc, draw(st.integers(0, 8)), draw(st.sampled_from(days))
-
-
-# d/a: an orphan registration at 19,195, lapsed at 19,199 (a one-block
-# window), then registered again inside the window at 19,200; d/b: a
-# renewal with no registration before it, then a first one at 19,200. The
-# blocks carry no auxpow, false and true on both sides of 19,200, and the
-# ppc blocks straddle a month edge
-_EXAMPLE = (
-    [_op_line(h32(0xF000), 19_195, 0, ("firstupdate", "d/a", 7)),
-     block_line("nmc", 19_196, _at("2011-04-30T12:00:00"), [h32(0xF004)]),
-     _op_line(h32(0xF004), 19_196, 0, ("update", "d/b", 3)),
-     block_line("nmc", 19_197, _at("2011-05-01T00:00:00"), [h32(0xF008)],
-                auxpow=False),
-     _op_line(h32(0xF008), 19_197, 0, ("new", None, 2**64)),
-     block_line("nmc", 19_199, _at("2011-05-07T12:00:00"), [h32(0xF010)]),
-     _op_line(h32(0xF010), 19_199, 0, ("firstupdate", "d/a", 5)),
-     block_line("nmc", 19_200, _at("2011-05-07T13:00:00"),
-                [h32(0xF014), h32(0xF015)], auxpow=True),
-     _op_line(h32(0xF014), 19_200, 0, ("firstupdate", "d/a", 1)),
-     _op_line(h32(0xF015), 19_200, 1, ("firstupdate", "d/b", 0))],
-    [block_line("ppc", 0, _at("2011-04-30T23:59:59"), [], proof="pow"),
-     block_line("ppc", 1, _at("2011-05-01T00:00:00"), [], proof="pos")],
-    1, date(2011, 5, 7))
-
-
-@given(_nmc_ppc_ledgers())
-@example(_EXAMPLE)
-@settings(max_examples=150, deadline=None)
-def test_ledger_reports_match_the_per_row_references(ledger):
-    # the same rows, or the same error class and message, as the reports
-    # that decoded every row and skipped orphans in Python
-    nmc, ppc, window, day = ledger
-    store = load_store(nmc, ChainKind.NAMECOIN)
-    try:
-        ingest_blocks(ppc, ChainKind.PEERCOIN, store, strict=True)
-        schedule = FeeSchedule(expiry_window_blocks=window)
-        for report, reference, args in [
-                (weekly_fee_sums, oracles.weekly_fee_sums_reference, ()),
-                (merge_mine_split, oracles.merge_mine_split_reference, ()),
-                (build_name_histories,
-                 oracles.build_name_histories_reference, ()),
-                (detect_reregistrations,
-                 oracles.detect_reregistrations_reference, (schedule, day)),
-                (pos_pow_counts, oracles.pos_pow_counts_reference, ())]:
-            assert outcome(report, store, *args) \
-                == outcome(reference, store, *args), report.__name__
-    finally:
-        store.close()

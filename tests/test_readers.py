@@ -163,7 +163,7 @@ _LIST_LINE = st.sampled_from([
     "  6.6.6.6\t", "6001"])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_files(_LIST_LINE))
 def test_list_reader_matches_the_reference(file):
     directory, path = _write(*file)
@@ -178,7 +178,7 @@ _SELECTOR_LINE = st.sampled_from([
     "0x1234", "0xzzzzzzzz", "destroy()", " end() "])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_files(_SELECTOR_LINE))
 def test_selector_reader_matches_the_reference(file):
     directory, path = _write(*file)
@@ -209,7 +209,7 @@ _RATE_FILE = _table(
                                "1e3", "Infinity", "2,3"])))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_RATE_FILE)
 def test_rate_table_matches_the_reference(file):
     directory, path = _write(*file)
@@ -228,7 +228,7 @@ _GEO_FILE = _table(
               st.sampled_from(["AA", " bb ", "", "CC,DD"])))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_GEO_FILE)
 def test_geo_table_matches_the_reference(file):
     directory, path = _write(*file)
@@ -248,7 +248,7 @@ _SIGNATURE_FILE = _table(
               st.sampled_from(["png", "", "bin,extra"])))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_SIGNATURE_FILE.map(lambda file: (
     [line for line in file[0] if line == "" or line.strip()], file[1])))
 def test_signature_table_matches_the_reference(file):

@@ -47,7 +47,7 @@ _nested = st.recursive(st.binary(max_size=40),
 
 
 @given(_nested)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_roundtrip_and_oracle(item):
     blob = encode(item)
     assert blob == oracles.rlp_encode_oracle(item)

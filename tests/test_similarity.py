@@ -36,13 +36,13 @@ def test_negative_cutoff_rejected():
 
 
 @given(HEX_TEXT, HEX_TEXT)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_unbounded_band_matches_oracle(a, b):
     assert levenshtein(a, b, 1000) == oracles.levenshtein_oracle(a, b)
 
 
 @given(HEX_TEXT, HEX_TEXT, st.integers(min_value=0, max_value=12))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_band_respects_cutoff(a, b, cutoff):
     true_distance = oracles.levenshtein_oracle(a, b)
     banded = levenshtein(a, b, cutoff)
@@ -83,7 +83,7 @@ def long_pairs(draw):
 
 
 @given(long_pairs(), st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_long_pairs_match_oracle_at_every_cutoff(pair, data):
     a, b = pair
     cutoff = data.draw(st.integers(min_value=0,

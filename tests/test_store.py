@@ -49,7 +49,7 @@ _BYTE_LENS = st.none() | st.sampled_from([0, 1, 2, 20, 32]) \
 
 
 @given(hex_like_text(), _BYTE_LENS)
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 def test_normalize_hex_matches_the_set_test_reference(text, byte_len):
     # the same digits, or the same error class and message
     assert outcome(normalize_hex, text, byte_len) \
@@ -57,7 +57,7 @@ def test_normalize_hex_matches_the_set_test_reference(text, byte_len):
 
 
 @given(st.lists(hex_like_text(), max_size=4), st.sampled_from([1, 20, 32]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_hex_list_field_matches_the_per_entry_reference(value, byte_len):
     # each entry alone through the set-test reference, its error naming
     # the list's key
@@ -102,7 +102,7 @@ _READERS = {
 
 @pytest.mark.parametrize("reader", sorted(_READERS))
 @given(data=st.data())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_field_readers_match_the_readers_they_replaced(reader, data):
     # the same value, or the same error class, key and message
     new, old, arguments, values = _READERS[reader]
@@ -405,7 +405,7 @@ def _chain_strategy(draw):
 
 
 @given(_chain_strategy())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_ingest_properties_random_chains(chain):
     lines, times = chain
     store = Store(":memory:")
@@ -588,7 +588,7 @@ def _lines(items) -> list[str]:
 
 
 @given(_redelivery_strategy())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_write_rule_matches_the_reference_model(deliveries):
     chain, first, second = deliveries
     model = _WriteRuleModel()
@@ -706,7 +706,7 @@ _CHUNKS = [1, 2, 3, store_module.WRITE_CHUNK]
 
 @pytest.mark.parametrize("chunk", _CHUNKS)
 @given(_redelivery_with_repeats())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_chunked_writes_match_the_per_row_rule(chunk, deliveries):
     chain, first, second = deliveries
     with mock.patch.object(store_module, "WRITE_CHUNK", chunk):
@@ -944,7 +944,7 @@ def _encoding_case(draw):
 
 
 @given(_encoding_case())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_ingest_stores_the_rows_of_the_dataclass_encoding(case):
     chain, records, blocks, txs = case
     with tempfile.TemporaryDirectory() as root:
@@ -959,111 +959,6 @@ def test_ingest_stores_the_rows_of_the_dataclass_encoding(case):
                 conn.execute("SELECT * FROM txs ORDER BY height, idx")
                 .fetchall())
     assert stored == (blocks, txs)
-
-
-@st.composite
-def _chain_with_orphans_strategy(draw):
-    """A ledger in which the txs of some heights have no stored block."""
-    n_heights = draw(st.integers(min_value=1, max_value=10))
-    stored = draw(st.lists(st.booleans(), min_size=n_heights,
-                           max_size=n_heights))
-    lines, orphans = [], set()
-    time = draw(st.integers(min_value=1, max_value=2**31))
-    for height, has_block in enumerate(stored):
-        time += draw(st.integers(min_value=1, max_value=40 * 86_400))
-        hashes = [h32(0xE000 + 8 * height + i)
-                  for i in range(draw(st.integers(min_value=0, max_value=3)))]
-        if has_block:
-            lines.append(block_line("eth", height, time, hashes))
-        else:
-            orphans.update(hashes)
-        lines += [tx_line("eth", tx_hash, height, index, "aa" * 20, None)
-                  for index, tx_hash in enumerate(hashes)]
-    max_height = draw(st.none() | st.integers(min_value=0,
-                                              max_value=n_heights))
-    return lines, orphans, max_height
-
-
-@given(_chain_with_orphans_strategy())
-@settings(max_examples=50, deadline=None)
-def test_dated_txs_match_the_block_time_join(chain):
-    lines, orphans, max_height = chain
-    store = load_store(lines, ChainKind.ETHEREUM)
-    try:
-        times = store.block_times(ChainKind.ETHEREUM)
-        dated = oracles.dated_txs_reference(store, ChainKind.ETHEREUM,
-                                            max_height)
-        undated = {tx.hash for block_time, tx in dated if block_time is None}
-        assert undated == {tx.hash for _, tx in dated} & orphans
-        if times and max_height is None:
-            # the store's orphan count is the join's; per-month counts
-            # skip orphans, and summarize counts them
-            assert store.orphan_count(ChainKind.ETHEREUM) == len(undated)
-            months = monthly_tx_counts(store, ChainKind.ETHEREUM)
-            assert sum(n for _, n in months) + len(undated) \
-                == store.summarize_chain(ChainKind.ETHEREUM).tx_count
-    finally:
-        store.close()
-
-
-def _month_edges(year: int, month: int) -> tuple[int, int]:
-    """First and last second of a UTC calendar month, the first no earlier
-    than the first block time ingest accepts (1)."""
-    def start(year: int, month: int) -> int:
-        return int(datetime(year, month, 1, tzinfo=timezone.utc).timestamp())
-    if (year, month) == (9999, 12):
-        last = 253_402_300_799
-    else:
-        last = start(year + month // 12, month % 12 + 1) - 1
-    return max(start(year, month), 1), last
-
-
-@st.composite
-def _monthly_chain_strategy(draw):
-    """Eth blocks at times on month edges or inside months of a span of at
-    most three years (one span reaches December 9999), orphan txs,
-    Namecoin blocks at the same heights with other times, and a cutoff."""
-    first_year = draw(st.sampled_from([1970, 2015, 9997]))
-    lines, nmc_lines = [], []
-    for height in range(draw(st.integers(min_value=1, max_value=10))):
-        year = first_year + draw(st.integers(min_value=0, max_value=2))
-        first, last = _month_edges(year, draw(st.integers(1, 12)))
-        time = draw(st.sampled_from([first, last]) | st.integers(first, last))
-        hashes = [h32(0xD000 + 8 * height + i)
-                  for i in range(draw(st.integers(min_value=0, max_value=3)))]
-        if draw(st.integers(min_value=0, max_value=3)):  # else orphans
-            lines.append(block_line("eth", height, time, hashes))
-        lines += [tx_line("eth", tx_hash, height, index, "aa" * 20, None)
-                  for index, tx_hash in enumerate(hashes)]
-        if draw(st.booleans()):
-            nmc_hash = h32(0xC000 + height)
-            nmc_lines += [block_line("nmc", height, draw(
-                st.integers(min_value=1, max_value=253_402_300_799)),
-                [nmc_hash]),
-                tx_line("nmc", nmc_hash, height, 0, "aa" * 20, None)]
-    max_height = draw(st.none() | st.integers(min_value=0, max_value=10))
-    return lines, nmc_lines, max_height
-
-
-@given(_monthly_chain_strategy())
-@settings(max_examples=80, deadline=None)
-def test_monthly_tx_counts_match_the_dated_tally(chain):
-    lines, nmc_lines, max_height = chain
-    store = load_store(lines, ChainKind.ETHEREUM)
-    ingest_blocks(nmc_lines, ChainKind.NAMECOIN, store, strict=True)
-    try:
-        if store.block_count(ChainKind.ETHEREUM) == 0:
-            with pytest.raises(EmptyChain):
-                monthly_tx_counts(store, ChainKind.ETHEREUM, max_height)
-            return
-        dated = oracles.dated_txs_reference(store, ChainKind.ETHEREUM,
-                                            max_height)
-        expected = [(month, tally["txs"]) for month, tally in tally_periods(
-            ((block_time, "txs", 1) for block_time, _ in dated), month_key)]
-        assert monthly_tx_counts(store, ChainKind.ETHEREUM, max_height) \
-            == expected
-    finally:
-        store.close()
 
 
 def _query_plans(store: Store, read) -> list[str]:

@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
 
 from chainlens.errors import EmptyChain
 from chainlens.eth.classify import (TxClass, classify_transaction,
@@ -11,6 +12,7 @@ from chainlens.eth.contracts import build_contract_registry
 from chainlens.model import ChainKind
 from chainlens.store import Store
 
+import ledgers
 from conftest import (SENDER_A, SENDER_B, ZOMBIE_Z1, ZOMBIE_Z2, ZOMBIE_Z3,
                       eth_labeled_fixture, eth_termination_sidefile,
                       load_store)
@@ -103,3 +105,31 @@ def test_zombie_report_top_k(labeled):
     report = zombie_report(store, top_k=1)
     assert report.top_by_balance == [(ZOMBIE_Z3, 21)]
     assert report.count == 3
+
+
+# -- the CLI's counts against the ledger model --------------------------------
+
+@given(ledgers.three_chain_ledgers())
+@example(ledgers.EXAMPLE)
+@settings(max_examples=150)
+def test_monthly_class_counts_match_the_per_tx_reference(ledger):
+    # the model classifies each stored tx on its own, then tallies
+    ledgers.check_reports(ledger, "eth classify")
+
+
+@given(ledgers.three_chain_ledgers())
+@example(ledgers.EXAMPLE)
+@settings(max_examples=40)
+def test_class_columns_and_orphans_add_up_to_the_tx_count(ledger):
+    # every stored eth tx is in one class column or on the orphans: line
+    files, internal, terminated, options = ledger
+    _, outputs = ledgers.check_reports(
+        (files, internal, terminated, {**options, "cutoff": None}),
+        "eth classify", "summarize --chain eth")
+    code, classes, notes = outputs["eth classify"]
+    if code:  # no eth block, or a side-file the model also refuses
+        return
+    orphans = sum(int(note.removeprefix("orphans: ")) for note in notes)
+    [_, summary] = ledgers.csv_rows(outputs["summarize --chain eth"][1])
+    assert sum(int(n) for row in ledgers.csv_rows(classes)[1:]
+               for n in row[1:]) + orphans == int(summary[4])

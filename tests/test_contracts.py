@@ -22,6 +22,7 @@ from conftest import (CONTRACT_C1, CONTRACT_C2, CONTRACT_C3, ZOMBIE_Z1,
                       ZOMBIE_Z2, ZOMBIE_Z3, SENDER_A, SENDER_B, addr,
                       block_line, eth_internal_sidefile, eth_labeled_fixture,
                       eth_termination_sidefile, h32, load_store, tx_line)
+import ledgers
 import oracles
 
 # frozen from the independent RLP+Keccak oracle; the first two pairs are
@@ -397,3 +398,11 @@ def test_side_file_height_must_be_a_natural_integer(kind, height):
         build_contract_registry(store, **{side: ["", json.dumps(record)]})
     assert caught.value.line_no == 2 and "height" in str(caught.value)
     store.close()
+
+
+@given(ledgers.three_chain_ledgers())
+@settings(max_examples=60)
+def test_precreation_funding_matches_the_decoded_ledger(ledger):
+    # the model decodes every stored eth tx and orders each paying send
+    # and its contract's creation by (height, index)
+    ledgers.check_reports(ledger, "eth precreation")

@@ -3,6 +3,7 @@
 from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
 
 from chainlens.chains.namecoin import (FeeSchedule, build_name_histories,
                                        detect_reregistrations,
@@ -11,6 +12,7 @@ from chainlens.errors import AuxPowBeforeActivation, EmptyChain
 from chainlens.model import ChainKind
 from chainlens.store import Store
 
+import ledgers
 from conftest import block_line, h32, load_store, tx_line
 
 NMC = UNITS = 10**8
@@ -186,3 +188,11 @@ def test_orphan_name_ops():
     assert (report.firstupdates_on_day, report.reregistrations) == \
         (1, [("d/alpha", [19201])])
     store.close()
+
+
+@given(ledgers.three_chain_ledgers())
+@example(ledgers.EXAMPLE)
+@settings(max_examples=150)
+def test_ledger_reports_match_the_per_row_references(ledger):
+    # the model reads the nmc and ppc ledgers row by row, orphans included
+    ledgers.check_reports(ledger, "nmc", "ppc")

@@ -12,6 +12,7 @@ from chainlens.poison import (MATCH_PREFIX_BYTES, SignatureDb, SignatureEntry,
                               _entry_matches, extract_payload, load_signatures,
                               match_signatures, scan_corpus)
 
+import ledgers
 import oracles
 from conftest import (addr, block_line, h32, hex_like_text, load_store,
                       outcome, tx_line)
@@ -218,3 +219,16 @@ def test_scan_corpus_writes_payload_files(tmp_path):
     assert (out / f"{t[4]}.avi").exists()
     assert not (out / f"{t[5]}.png").exists()
     store.close()
+
+
+@given(ledgers.three_chain_ledgers())
+@settings(max_examples=100)
+def test_scan_corpus_matches_the_full_decode_loop(ledger):
+    # the model decodes every stored tx of each chain; --verify-full keeps
+    # a subset of the candidate rows
+    _, outputs = ledgers.check_reports(ledger, "poison scan")
+    for chain in ledgers.CHAINS:
+        label = f"poison scan --chain {chain}"
+        verified = ledgers.csv_rows(outputs[f"{label} --verify-full"][1])
+        assert set(map(tuple, verified)) \
+            <= set(map(tuple, ledgers.csv_rows(outputs[label][1])))

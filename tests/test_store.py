@@ -28,6 +28,7 @@ from chainlens.model import (NAME_OP_KINDS, REQUIRED, Block, ChainKind,
 from chainlens.store import (Store, _parse_block, _parse_tx, ingest_blocks,
                              monthly_tx_counts, parse_rfc3339, read_records)
 
+import ledgers
 import oracles
 from conftest import (addr, block_line, eth_labeled_fixture, h32,
                       hex_like_text, load_store, outcome, tx_line)
@@ -1294,3 +1295,37 @@ def test_every_error_class_is_raised():
                  if isinstance(node, ast.Name) and node.id in classes
                  and id(node) not in caught}
     assert sorted(classes - used) == []
+
+
+# -- the CLI's dated counts against the ledger model --------------------------
+
+@given(ledgers.three_chain_ledgers())
+@settings(max_examples=50)
+def test_dated_txs_match_the_block_time_join(ledger):
+    # a tx is dated by its block's time; the txs of heights with no block
+    # are the orphans, which summarize counts, no month does, and eth
+    # classify reports on its orphans: line
+    files, internal, terminated, options = ledger
+    model, outputs = ledgers.check_reports(
+        (files, internal, terminated, {**options, "cutoff": None}),
+        "summarize", "report tx-monthly", "eth classify")
+    for chain in ledgers.CHAINS:
+        code, months, _ = outputs[f"report tx-monthly --chain {chain}"]
+        if code:  # no block: the chain is refused
+            continue
+        orphans = sum(tx["height"] not in model.blocks[chain]
+                      for tx in model.txs[chain].values())
+        [_, summary] = ledgers.csv_rows(
+            outputs[f"summarize --chain {chain}"][1])
+        assert sum(int(n) for _, n in ledgers.csv_rows(months)[1:]) \
+            + orphans == int(summary[4])
+        if chain == "eth" and outputs["eth classify"][0] == 0:
+            assert outputs["eth classify"][2] \
+                == ([f"orphans: {orphans}"] if orphans else [])
+
+
+@given(ledgers.three_chain_ledgers())
+@settings(max_examples=80)
+def test_monthly_tx_counts_match_the_dated_tally(ledger):
+    # with the drawn --cutoff, if any
+    ledgers.check_reports(ledger, "report tx-monthly")

@@ -11,7 +11,9 @@ import json
 import re
 import sqlite3
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
+from types import NoneType
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
@@ -23,7 +25,7 @@ from .model import (NAME_OP_KINDS, REQUIRED, Block, ChainKind, ChainSummary,
                     str_field, str_list_field, tally_periods)
 
 # the most parsed rows an ingest holds before it writes them, in one
-# statement per table
+# statement per table and set of filled columns
 WRITE_CHUNK = 256
 _SQLITE_INT_MAX = (1 << 63) - 1  # an INTEGER column holds at most 8 signed bytes
 # 9999-12-31T23:59:59Z: a later time has no datetime, so no month or week
@@ -142,23 +144,39 @@ class Store:
         `conflict`); with none there, a tx's (height, index) is taken (a
         FieldError on "index").
 
-        The chunk is inserted by one statement, which applies the rows in
-        order, so each outcome is the one the row has when written alone
-        after the rows before it. Only a key that two rows of the chunk
-        share would make the stored row under it ambiguous: such a chunk
-        goes one row at a time instead."""
+        Each outcome is the one the row has when written alone after the
+        rows before it. The chunk's rows are split by which of their
+        columns are NULL, and each group is inserted by one statement that
+        names only its filled columns, so no NULL and no NamedTuple is
+        bound: a column left out takes its default, NULL. The groups
+        change the order of the rows, which matters only when two of them
+        share a unique key, the primary key or a tx's (chain, height,
+        index): such a chunk goes one row at a time instead."""
         keys = {row[:2] for row in rows}
-        if len(rows) > 1 and len(keys) < len(rows):
+        positions = ({(row[0], row[2], row[3]) for row in rows}
+                     if table == "txs" else keys)
+        if len(rows) > 1 and min(len(keys), len(positions)) < len(rows):
             return [outcome for row in rows
                     for outcome in self._put(table, key, conflict, [row])]
-        # unlike OR IGNORE, DO NOTHING still fails a NULL in a NOT NULL column
-        inserted = self._conn.executemany(
-            f"INSERT INTO {table} VALUES ({','.join('?' * len(rows[0]))})"
-            " ON CONFLICT DO NOTHING", rows).rowcount
+        # a column's type is NoneType where it is NULL. (*...,) builds the
+        # key at its final size: tuple(map(...)) grows one, and each grown
+        # tuple freed parks in CPython's free list, up to ~0.3 MB of them
+        groups: dict[tuple, list[tuple]] = {}
+        for row in rows:
+            groups.setdefault((*map(type, row),), []).append(row)
+        columns = rows[0]._fields
+        inserted = 0
+        for types, group in groups.items():
+            kept = [i for i, kind in enumerate(types) if kind is not NoneType]
+            # DO NOTHING, unlike OR IGNORE, fails a NOT NULL column left out
+            inserted += self._conn.executemany(
+                f"INSERT INTO {table} ({','.join(columns[i] for i in kept)})"
+                f" VALUES ({','.join('?' * len(kept))}) ON CONFLICT DO NOTHING",
+                map(itemgetter(*kept), group)).rowcount
         if inserted == len(rows):
             return [True] * len(rows)
-        # a new row takes max(rowid) + 1, so the rows inserted just now are
-        # the `inserted` ones with the highest rowids
+        # a new row takes max(rowid) + 1, so the rows inserted just now, by
+        # every group, are the `inserted` ones with the highest rowids
         (last,) = self._conn.execute(
             f"SELECT max(rowid) FROM {table}").fetchone()
         chains = {chain for chain, _ in keys}
@@ -166,7 +184,7 @@ class Store:
             f"SELECT rowid, * FROM {table} WHERE chain IN"
             f" ({','.join('?' * len(chains))}) AND {key} IN"
             f" ({','.join('?' * len(keys))})",
-            [*chains, *(value for _, value in keys)])}
+            (*chains, *(value for _, value in keys)))}
         outcomes: list[bool | Exception] = []
         for row in rows:
             found = stored.get(row[:2])
@@ -255,12 +273,15 @@ class Store:
         creations without) of each UTC month that has a dated Ethereum tx;
         an orphan, a tx whose block is not stored, is in no month. A send
         is a tx with a recipient, a creation one without."""
+        # counted per block first, so each block's month is named once
         yield from self._conn.execute(
             "SELECT strftime('%Y-%m', time, 'unixepoch') AS month, MIN(time),"
-            " COUNT(recipient), SUM(recipient IS NULL AND input != ''),"
-            " SUM(recipient IS NULL AND input = '')"
-            " FROM txs JOIN blocks USING (chain, height) WHERE chain = 'eth'"
-            " GROUP BY month")
+            " SUM(sends), SUM(code), SUM(empty) FROM blocks JOIN"
+            " (SELECT chain, height, COUNT(recipient) AS sends,"
+            " SUM(recipient IS NULL AND input != '') AS code,"
+            " SUM(recipient IS NULL AND input = '') AS empty"
+            " FROM txs WHERE chain = 'eth' GROUP BY height)"
+            " USING (chain, height) GROUP BY month")
 
     def iter_dated_eth_sends(self, recipients: Iterable[str]
                              ) -> Iterator[tuple[str, str, int, int]]:
@@ -295,10 +316,12 @@ class Store:
         tx up to `max_height`; an orphan, a tx whose block is not stored,
         is in no month."""
         where, args = _up_to(chain, max_height)
+        # counted per block first, so each block's month is named once
         yield from self._conn.execute(
-            "SELECT MIN(time), COUNT(*) FROM txs JOIN blocks USING (chain, height)"
-            f" WHERE {where} GROUP BY strftime('%Y-%m', time, 'unixepoch')",
-            args)
+            "SELECT MIN(time), SUM(n) FROM blocks JOIN"
+            f" (SELECT chain, height, COUNT(*) AS n FROM txs WHERE {where}"
+            " GROUP BY height) USING (chain, height)"
+            " GROUP BY strftime('%Y-%m', time, 'unixepoch')", args)
 
     def block_times(self, chain: ChainKind) -> dict[int, int]:
         """Map height -> timestamp for the whole chain."""

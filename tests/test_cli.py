@@ -54,10 +54,39 @@ def test_unknown_command_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_empty_store_is_data_error(tmp_path, capsys):
-    db = str(tmp_path / "db")
-    assert run_cli(["--db", db, "summarize", "--chain", "eth"]) == 2
-    assert "error:" in capsys.readouterr().err
+def _refused(chain):
+    return 2, "", f"error: no qualifying blocks for chain '{chain}'\n"
+
+
+# on a store without a block, five ledger commands refuse the empty chain
+# and six print a report with no row of data, as README says
+_EMPTY_CHAIN = {
+    "summarize": (["summarize", "--chain", "eth"], *_refused("eth")),
+    "report tx-monthly": (["report", "tx-monthly", "--chain", "eth"],
+                          *_refused("eth")),
+    "eth classify": (["eth", "classify"], *_refused("eth")),
+    "nmc mergemine": (["nmc", "mergemine"], *_refused("nmc")),
+    "ppc pos-pow": (["ppc", "pos-pow"], *_refused("ppc")),
+    "eth zombies": (["eth", "zombies"], 0,
+                    "zombie_count,total_balance\n0,0\n", ""),
+    "eth lifetimes": (["eth", "lifetimes"], 0, "bucket,contracts\n", ""),
+    "eth precreation": (["eth", "precreation"], 0,
+                        "funding_tx,contract,creation_height\n", ""),
+    "poison scan": (["poison", "scan"], 0,
+                    "format,tx_hash,payload_size\n", ""),
+    "nmc fees": (["nmc", "fees"], 0, "week,kind,fee_units\n", ""),
+    "nmc rereg": (["nmc", "rereg", "--day", "2011-05-17"], 0,
+                  "name,status,prior_registration_heights\n",
+                  "first-updates on 2011-05-17: 0\n"),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", _EMPTY_CHAIN.values(),
+                         ids=_EMPTY_CHAIN)
+def test_an_empty_chain_is_refused_or_reported_without_rows(
+        tmp_path, capsys, argv, code, out, err):
+    assert run_cli(["--db", str(tmp_path / "db"), *argv]) == code
+    assert tuple(capsys.readouterr()) == (out, err)
 
 
 def test_ingest_reports_counts(eth_db, capsys):

@@ -753,6 +753,93 @@ def test_one_chunk_of_every_outcome_rejects_in_line_order(chunk):
         f"line 3: conflicting tx {h32(2)}: different contents already stored")
 
 
+# each chain's lines fill different sets of columns; the eth lines put a
+# send, then a creation, at one (height, index), behind an earlier creation
+# whose columns the later one shares, so that one statement per column set
+# in first-seen order would insert the later line first
+_COLUMN_SETS = {
+    ChainKind.ETHEREUM: [
+        tx_line("eth", h32(1), 0, 1, "aa" * 20, None, "0", "6001"),
+        tx_line("eth", h32(2), 0, 0, "aa" * 20, "bb" * 20, "5", gas=21000),
+        tx_line("eth", h32(3), 0, 0, "bb" * 20, None, "0", "6001"),
+        tx_line("eth", h32(4), 1, 0, "bb" * 20, "aa" * 20, "1", fee="7"),
+        block_line("eth", 0, 1000, [h32(2), h32(1)]),
+        block_line("eth", 1, 2000, [h32(4)])],
+    ChainKind.NAMECOIN: [
+        block_line("nmc", 0, 1000, [h32(5), h32(6), h32(7)]),
+        block_line("nmc", 1, 2000, auxpow=None),
+        block_line("nmc", 2, 3000, auxpow=True),
+        block_line("nmc", 3, 4000, auxpow=False),
+        tx_line("nmc", h32(5), 0, 0, "n1", None,
+                name_op={"kind": "new", "name_hash": "ab", "paid_fee": "1"}),
+        tx_line("nmc", h32(6), 0, 1, "n1", "n2",
+                name_op={"kind": "firstupdate", "name": "d/x"}),
+        tx_line("nmc", h32(7), 0, 2, "n2", "n1", "3", fee="1", gas=7)],
+    ChainKind.PEERCOIN: [
+        block_line("ppc", 0, 1000, [h32(8)], proof="pos"),
+        block_line("ppc", 1, 2000, proof="pow"),
+        tx_line("ppc", h32(8), 0, 0, "p1", "p2", "4")],
+}
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_column_sets_keep_line_order_and_store_the_parsed_rows(chunk):
+    for chain, lines in _COLUMN_SETS.items():
+        with mock.patch.object(store_module, "WRITE_CHUNK", chunk):
+            _, _, rejected, blocks, txs = \
+                _same_as_the_per_row_rule(chain, [], lines)
+        # the send came first, so the creation is the one refused
+        taken = [] if chain is not ChainKind.ETHEREUM else [
+            (3, SchemaViolation, "index",
+             f"line 3: invalid field 'index': position (0, 0) already held "
+             f"by tx {h32(2)}")]
+        assert rejected == taken
+        # SELECT * gives back each parsed row, its NULL columns included
+        parsed = [(_parse_block if obj["type"] == "block" else _parse_tx)(
+            obj, chain) for line_no, obj in enumerate(map(json.loads, lines), 1)
+            if line_no not in {line for line, *_ in taken}]
+        assert blocks == [row for row in parsed if type(row) is Block]
+        assert txs == sorted((row for row in parsed if type(row) is
+                              Transaction), key=lambda row: row[2:4])
+
+
+class _RecordingConnection:
+    """A sqlite3 connection that records every parameter row it binds."""
+
+    def __init__(self, conn: sqlite3.Connection):
+        self._conn = conn
+        self.bound: list = []
+
+    def execute(self, sql, params=()):
+        self.bound.append(params)
+        return self._conn.execute(sql, params)
+
+    def executemany(self, sql, rows):
+        rows = list(rows)
+        self.bound.extend(rows)
+        return self._conn.executemany(sql, rows)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def test_ingest_binds_plain_tuples_without_nulls():
+    rng = random.Random(29)
+    for chain in ChainKind:
+        first, second = _mutated_lines(rng, chain, 60)
+        with Store(":memory:") as store:
+            recorder = _RecordingConnection(store._conn)
+            with mock.patch.object(store, "_conn", recorder):
+                ingest_blocks(first, chain, store)
+                summary = ingest_blocks(second, chain, store)
+            # rows were loaded and rejected, and rows with NULLs stored
+            assert summary.txs_loaded and summary.rejected
+            assert any(None in row for row in store.iter_txs(chain))
+        assert recorder.bound
+        assert [params for params in recorder.bound
+                if type(params) is not tuple or None in params] == []
+
+
 def _mutated_lines(rng: random.Random, chain: ChainKind,
                    n_blocks: int) -> tuple[list[str], list[str]]:
     """(first delivery, second delivery) of a random ledger: the first is
@@ -993,6 +1080,14 @@ def test_reads_go_through_the_indexes():
     [plan] = _query_plans(store, lambda: list(store.iter_name_ops()))
     assert "USING INDEX sqlite_autoindex_txs_2" in plan
     assert "TEMP B-TREE" not in plan
+    # the monthly counts group txs by block along that index, then look
+    # each block up by its primary key
+    for read in (store.iter_monthly_eth_classes,
+                 lambda: store.iter_monthly_tx_counts(ChainKind.ETHEREUM, 3)):
+        [plan] = _query_plans(store, lambda: list(read()))
+        assert "INDEX sqlite_autoindex_txs_2 (chain=?" in plan
+        assert "SEARCH blocks USING INDEX sqlite_autoindex_blocks_1" in plan
+        assert plan.count("TEMP B-TREE") == 1  # for the months alone
     store.close()
 
 

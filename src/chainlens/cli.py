@@ -72,8 +72,9 @@ class AppState:
             return None
         try:
             moment = parse_rfc3339(self.cutoff)
-        except ValueError:
-            raise click.BadParameter(f"unparseable --cutoff {self.cutoff!r}")
+        except ValueError as exc:
+            raise click.BadParameter(
+                f"unparseable --cutoff {self.cutoff!r}: {exc}")
         return store.apply_cutoff(chain, moment)
 
     def emit_rows(self, header, rows) -> None:

@@ -123,9 +123,9 @@ def recover_node_id(msg_hash: bytes, signature: bytes) -> bytes:
         y = _P - y
     z = int.from_bytes(msg_hash, "big")
     r_inv = pow(r, -1, _N)
-    point = _point_add(_point_mul((r, y), s),
-                       _point_mul((_GX, _GY), (-z) % _N))
-    point = _point_mul(point, r_inv)
+    # Q = r^-1 (s R - z G), with r^-1 taken into both scalars
+    point = _point_add(_point_mul((r, y), s * r_inv % _N),
+                       _point_mul((_GX, _GY), -z * r_inv % _N))
     if point is None:
         raise ValueError("signature recovers to the point at infinity")
     return point[0].to_bytes(32, "big") + point[1].to_bytes(32, "big")

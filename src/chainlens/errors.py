@@ -15,7 +15,7 @@ class ChainLensError(Exception):
 
 class LineError(ChainLensError):
     """A fault in one input line; once `line_no` is known, the message
-    starts with `line N: `. The record reader sets it on a conflict."""
+    starts with `line N: `. `store._line_error` sets it on a conflict."""
 
     line_no: int | None = None
 

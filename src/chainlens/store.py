@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
 from types import NoneType
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                      EmptyChain, LineError, MalformedJson, SchemaViolation,
@@ -211,12 +211,11 @@ class Store:
 
     # -- reads ---------------------------------------------------------
 
-    def iter_blocks(self, chain: ChainKind,
-                    max_height: int | None = None) -> Iterator[Block]:
-        """The stored blocks of a chain up to `max_height`, by height."""
-        where, args = _up_to(chain, max_height)
+    def iter_blocks(self, chain: ChainKind) -> Iterator[Block]:
+        """The stored blocks of a chain, by height."""
         yield from map(Block._make, self._conn.execute(
-            f"SELECT * FROM blocks WHERE {where} ORDER BY height", args))
+            "SELECT * FROM blocks WHERE chain=? ORDER BY height",
+            (chain.value,)))
 
     def iter_txs(self, chain: ChainKind) -> Iterator[Transaction]:
         """The stored txs of a chain, in ledger order."""
@@ -381,61 +380,24 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 def read_records(source: RecordSource, types: tuple[str, ...],
                  parse: Callable[[dict], T],
-                 reject: Callable[[int, ChainLensError], None] | None = None,
-                 write: Callable[[list[T]], list[Any]] | None = None
-                 ) -> Iterator[tuple[int, Any]]:
+                 reject: Callable[[int, ChainLensError], None] | None = None
+                 ) -> Iterator[tuple[int, T]]:
     """(line number, parse(obj)) for each NDJSON object whose `type` is in `types`.
 
     `source` is a file path or an iterable of lines. Blank lines are
     skipped but counted, so line numbers are those of the file. A line that
     is not JSON raises MalformedJson; one that is not an object, or not of
-    an accepted type, raises SchemaViolation on field "type"; a FieldError
-    from `parse` or `write` is a SchemaViolation on its field, a LineError
-    from either (a conflict with the store) names the line, and any other
-    ChainLensError from them is raised as it is. With a `reject` callback,
+    an accepted type, raises SchemaViolation on field "type"; an error from
+    `parse` is raised as `_line_error` names it. With a `reject` callback,
     the error goes to it instead and reading goes on. A file is decoded
     line by line: a line that is not UTF-8 is MalformedJson.
-
-    With `write`, the parsed records are handed to it a chunk of at most
-    WRITE_CHUNK at a time, in line order. It returns for each record what
-    is yielded for its line, or the error that kept it out of the store.
-    The records read so far are written before a line's error is raised
-    or rejected, and after the last line, so every error comes in line
-    order.
     """
     if isinstance(source, (str, Path)):
         # an undecodable byte reads as a lone surrogate, found below
         with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-            yield from read_records(fh, types, parse, reject, write)
+            yield from read_records(fh, types, parse, reject)
         return
-    for line_no, value, exc in _outcomes(source, types, parse, write):
-        if exc is None:
-            yield line_no, value
-            continue
-        if isinstance(exc, json.JSONDecodeError):
-            err: ChainLensError = MalformedJson(line_no, exc.msg)
-        elif isinstance(exc, FieldError):
-            err = SchemaViolation(line_no, exc.key, exc.detail)
-        else:
-            if isinstance(exc, LineError):
-                exc.line_no = line_no  # a conflict with the store
-            err = exc
-        if reject is None:
-            raise err
-        reject(line_no, err)
-
-
-_LineOutcome = tuple[int, Any, Exception | None]
-
-
-def _outcomes(lines: Iterable[str], types: tuple[str, ...],
-              parse: Callable[[dict], T],
-              write: Callable[[list[T]], list[Any]] | None
-              ) -> Iterator[_LineOutcome]:
-    """(line number, value, None) for each record of `read_records`, or
-    (line number, None, error) for each line it rejects, in line order."""
-    pending: list[tuple[int, T]] = []  # parsed, not yet written
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
@@ -451,31 +413,26 @@ def _outcomes(lines: Iterable[str], types: tuple[str, ...],
                                          f", got {obj.get('type')!r}")
             record = parse(obj)
         except (json.JSONDecodeError, FieldError, ChainLensError) as exc:
-            yield from _written(pending, write)  # the earlier lines first
-            yield line_no, None, exc
+            err = _line_error(line_no, exc)
+            if reject is None:
+                raise err
+            reject(line_no, err)
             continue
-        if write is None:
-            yield line_no, record, None
-            continue
-        pending.append((line_no, record))
-        if len(pending) >= WRITE_CHUNK:
-            yield from _written(pending, write)
-    yield from _written(pending, write)
+        yield line_no, record
 
 
-def _written(pending: list[tuple[int, T]],
-             write: Callable[[list[T]], list[Any]] | None
-             ) -> list[_LineOutcome]:
-    """The outcome of each pending record after one `write` of them all,
-    which leaves none pending."""
-    if not pending:
-        return []
-    line_nos = [line_no for line_no, _ in pending]
-    results = write([record for _, record in pending])
-    pending.clear()
-    return [(line_no, None, result) if isinstance(result, Exception)
-            else (line_no, result, None)
-            for line_no, result in zip(line_nos, results)]
+def _line_error(line_no: int, exc: Exception) -> ChainLensError:
+    """The error that refuses line `line_no` for `exc`: bad JSON is
+    MalformedJson, a FieldError a SchemaViolation on its field, a
+    LineError (such as a conflict with the store) gets the line's number,
+    and any other ChainLensError is itself."""
+    if isinstance(exc, json.JSONDecodeError):
+        return MalformedJson(line_no, exc.msg)
+    if isinstance(exc, FieldError):
+        return SchemaViolation(line_no, exc.key, exc.detail)
+    if isinstance(exc, LineError):
+        exc.line_no = line_no
+    return exc
 
 
 def _address(obj: dict, key: str, chain: ChainKind, default=REQUIRED):
@@ -569,12 +526,13 @@ def _parse_tx(obj: dict, chain: ChainKind) -> Transaction:
 
 def ingest_blocks(source: RecordSource, chain: ChainKind,
                   store: Store, strict: bool = False) -> IngestSummary:
-    """Load an NDJSON dump into the store, its parsed rows written a chunk
-    at a time, in one transaction.
+    """Load an NDJSON dump into the store in one transaction, its parsed
+    rows written WRITE_CHUNK at a time by one put_block and one put_tx.
 
     Lines that fail to parse, violate an invariant or conflict with the
     store are rejected and counted, in line order, not fatal, unless
-    `strict` upgrades the first of them to an exception. A re-delivered
+    `strict` upgrades the first of them to an exception: the rows read
+    before a bad line are written before it is refused. A re-delivered
     block or tx is compared with the stored row as a whole: an equal one
     is a no-op, so re-ingesting a file already loaded reports zero loads;
     a different one is a conflict, as is a new tx at a stored tx's
@@ -583,11 +541,32 @@ def ingest_blocks(source: RecordSource, chain: ChainKind,
     of its own in the store.
     """
     summary = IngestSummary()
+    pending: list[tuple[int, Block | Transaction]] = []  # read, not written
 
-    def reject(line_no: int, err: ChainLensError) -> None:
+    def refuse(line_no: int, err: ChainLensError) -> None:
         if strict:
             raise err
         summary.rejected.append(RejectedLine(line_no, err))
+
+    def write() -> None:
+        """Write the pending rows, then count or refuse each in line order."""
+        outcomes = {}
+        for kind, put in ((Block, store.put_block), (Transaction, store.put_tx)):
+            chunk = [row for _, row in pending if type(row) is kind]
+            outcomes[kind] = iter(put(chunk) if chunk else ())
+        for line_no, row in pending:
+            outcome = next(outcomes[type(row)])
+            if isinstance(outcome, Exception):
+                refuse(line_no, _line_error(line_no, outcome))
+            elif outcome and type(row) is Block:
+                summary.blocks_loaded += 1
+            elif outcome:
+                summary.txs_loaded += 1
+        pending.clear()
+
+    def reject(line_no: int, err: ChainLensError) -> None:
+        write()  # the lines before it first
+        refuse(line_no, err)
 
     expected = chain.value
 
@@ -599,20 +578,13 @@ def ingest_blocks(source: RecordSource, chain: ChainKind,
             return _parse_block(obj, chain)
         return _parse_tx(obj, chain)
 
-    def write(rows: list[Block | Transaction]) -> list[bool | Exception]:
-        """The outcome of each row, from one put_block and one put_tx."""
-        outcomes = {}
-        for kind, put in ((Block, store.put_block), (Transaction, store.put_tx)):
-            chunk = [row for row in rows if type(row) is kind]
-            outcomes[kind] = put(chunk) if chunk else []
-        summary.blocks_loaded += outcomes[Block].count(True)
-        summary.txs_loaded += outcomes[Transaction].count(True)
-        ordered = {kind: iter(done) for kind, done in outcomes.items()}
-        return [next(ordered[type(row)]) for row in rows]
-
     try:
-        for _ in read_records(source, ("block", "tx"), parse, reject, write):
-            pass
+        for line_no, row in read_records(source, ("block", "tx"), parse,
+                                         reject):
+            pending.append((line_no, row))
+            if len(pending) >= WRITE_CHUNK:
+                write()
+        write()
     except BaseException:
         store.rollback()
         raise
@@ -634,7 +606,10 @@ def monthly_tx_counts(store: Store, chain: ChainKind,
 def parse_rfc3339(text: str) -> int:
     """RFC 3339 timestamp (or epoch seconds) to Unix seconds, UTC."""
     if text.isdigit():
-        return int(text)
+        seconds = int(text)
+        if seconds > _SQLITE_INT_MAX:
+            raise ValueError(f"{text} is past SQLite's INTEGER range")
+        return seconds
     normalized = text.replace("Z", "+00:00")
     moment = datetime.fromisoformat(normalized)
     if moment.tzinfo is None:

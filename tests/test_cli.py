@@ -290,8 +290,14 @@ def test_cutoff_flag(eth_db, capsys):
     out = run_ok(capsys, ["--db", eth_db, "--cutoff", "2015-10-01T00:00:00Z",
                           "summarize", "--chain", "eth"])
     assert parse_csv(out.out)[1][3] == "3"
-    assert run_cli(["--db", eth_db, "--cutoff", "whenever", "summarize",
-                    "--chain", "eth"]) == 1
+    # an unparseable time, or one past SQLite's INTEGER range, is a
+    # usage error, not a traceback
+    for cutoff in ("whenever", "9223372036854775808"):
+        assert run_cli(["--db", eth_db, "--cutoff", cutoff, "summarize",
+                        "--chain", "eth"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "--cutoff" in err and "Traceback" not in err
 
 
 def test_cutoff_keeps_lower_blocks_with_later_times(tmp_path, capsys):

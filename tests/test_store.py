@@ -1330,8 +1330,8 @@ def test_ledger_analyses_read_narrow_rows():
 
 
 def test_store_writes_through_one_rule():
-    # one function holds the INSERT, and read_records alone gives an
-    # error its line number
+    # one function holds the INSERT, _line_error alone gives an error its
+    # line number, and ingest_blocks alone sizes its chunks
     tree = ast.parse((Path(chainlens.__file__).parent / "store.py")
                      .read_text(encoding="utf-8"))
     owner = {}
@@ -1344,8 +1344,12 @@ def test_store_writes_through_one_rule():
     violations = {owner.get(id(node)) for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "id", None) == "SchemaViolation"}
+    chunked = {owner.get(id(node)) for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "WRITE_CHUNK"
+               and isinstance(node.ctx, ast.Load)}
     assert inserts == ["_put"]
-    assert violations == {"read_records"}
+    assert violations == {"_line_error"}
+    assert chunked == {"ingest_blocks"}
     # a record is built by the parser alone; a read gives the fetched row
     built = {owner.get(id(node)) for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None)

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; report data goes to stdout or the --out file, and is byte-stable
 across runs on the same store.
+
+Each command that hashes (the four contract-registry commands, `eth probe`
+and `crawl`) imports its analysis in its own body, because those modules
+reach numpy through `keccak`; every other command starts without numpy.
 """
 
 from __future__ import annotations
@@ -26,16 +30,8 @@ from .bootstrap import (LiveProber, LiveResolver, ScriptedProber,
 from .chains.namecoin import (FeeSchedule, detect_reregistrations,
                               merge_mine_split, weekly_fee_sums)
 from .chains.peercoin import pos_pow_counts
-from .discovery.crawler import CrawlConfig, crawl, load_topology
-from .discovery.identity import PeerInfo
-from .discovery.simulator import build_sim_overlay
 from .errors import ChainLensError
-from .eth.classify import TxClass, monthly_class_counts, zombie_report
-from .eth.contracts import (NULL_ADDRESS, ContractRecord, CreatorKind,
-                            build_contract_registry, check_lifetime_edges,
-                            find_precreation_funding, lifetime_histogram)
-from .eth.probe import (DEFAULT_PROBE_CALLER, FixtureExecutor, GasPolicy,
-                        RpcExecutor, SelectorDictionary, probe_suicidal)
+from .eth import DEFAULT_PROBE_CALLER
 from .eth.similarity import SimilarityBuckets, bucket_similarity
 from .model import (ChainKind, bool_field, normalize_hex, read_json,
                     read_lines, str_field)
@@ -219,6 +215,8 @@ def eth_group() -> None:
 @pass_state
 def cmd_eth_classify(state: AppState, internal_path, terminated_path) -> None:
     """Monthly transaction counts split into the four interaction classes."""
+    from .eth.classify import TxClass, monthly_class_counts
+    from .eth.contracts import build_contract_registry
     with state.open_store() as store:
         registry = build_contract_registry(store, internal_path,
                                            terminated_path)
@@ -240,6 +238,7 @@ def cmd_eth_classify(state: AppState, internal_path, terminated_path) -> None:
 @pass_state
 def cmd_eth_zombies(state: AppState, top: int, view: str) -> None:
     """Contracts created with empty code: counts, endowments, creators."""
+    from .eth.classify import zombie_report
     with state.open_store() as store:
         report = zombie_report(store, top_k=top)
     if view == "summary":
@@ -261,6 +260,8 @@ def cmd_eth_zombies(state: AppState, top: int, view: str) -> None:
 def cmd_eth_lifetimes(state: AppState, internal_path, terminated_path,
                       edges: str) -> None:
     """Histogram of block distance between creation and termination."""
+    from .eth.contracts import (build_contract_registry, check_lifetime_edges,
+                                lifetime_histogram)
     try:
         edge_values = tuple(int(part) for part in edges.split(","))
     except ValueError:
@@ -281,6 +282,7 @@ def cmd_eth_lifetimes(state: AppState, internal_path, terminated_path,
 @pass_state
 def cmd_eth_precreation(state: AppState, internal_path, terminated_path) -> None:
     """Value sent to contract addresses before the contract existed."""
+    from .eth.contracts import build_contract_registry, find_precreation_funding
     with state.open_store() as store:
         registry = build_contract_registry(store, internal_path,
                                            terminated_path)
@@ -288,9 +290,19 @@ def cmd_eth_precreation(state: AppState, internal_path, terminated_path) -> None
     state.emit_rows(("funding_tx", "contract", "creation_height"), rows)
 
 
+def _gas_fixture(path: str):
+    from .eth.probe import FixtureExecutor
+    return FixtureExecutor.from_file(path)
+
+
+def _selector_dictionary(path: str):
+    from .eth.probe import SelectorDictionary
+    return SelectorDictionary.from_lines(path)
+
+
 @eth_group.command("probe")
 @click.option("--gas-fixture", "executor", default=None,
-              type=LoadedFile(FixtureExecutor.from_file),
+              type=LoadedFile(_gas_fixture),
               help="Scripted executor fixture (NDJSON).")
 @click.option("--rpc", "rpc_url", default=None,
               help="JSON-RPC endpoint of a node you control.")
@@ -300,13 +312,16 @@ def cmd_eth_precreation(state: AppState, internal_path, terminated_path) -> None
               help="Address list, one per line; defaults to every address "
                    "in the gas fixture.")
 @click.option("--selectors", "dictionary", default=None,
-              type=LoadedFile(SelectorDictionary.from_lines),
+              type=LoadedFile(_selector_dictionary),
               help="Alternative termination-selector dictionary.")
 @click.option("--caller", default=DEFAULT_PROBE_CALLER, show_default=True)
 @pass_state
 def cmd_eth_probe(state: AppState, executor, rpc_url, contracts, dictionary,
                   caller: str) -> None:
     """Find contracts anyone can terminate, and confirm by invoking them."""
+    from .eth.contracts import NULL_ADDRESS, ContractRecord, CreatorKind
+    from .eth.probe import (GasPolicy, RpcExecutor, SelectorDictionary,
+                            probe_suicidal)
     if (executor is None) == (rpc_url is None):
         raise click.UsageError("exactly one of --gas-fixture / --rpc required")
     if dictionary is None:
@@ -487,16 +502,22 @@ def cmd_poison(state: AppState, action: str, chain: str, save_dir,
 
 # -- discovery crawl -------------------------------------------------------------
 
-def _bootnode(text: str) -> PeerInfo:
+def _bootnode(text: str):
+    from .discovery.identity import PeerInfo
     node_hex, endpoint = text.split("@", 1)
     ip, port_text = endpoint.rsplit(":", 1)
     return PeerInfo(node_id=bytes.fromhex(node_hex),
                     ip=str(ipaddress.ip_address(ip)), port=int(port_text))
 
 
+def _topology(path: str):
+    from .discovery.crawler import load_topology
+    return load_topology(path)
+
+
 @cli.command("crawl")
 @click.option("--sim", "topology", default=None,
-              type=LoadedFile(load_topology),
+              type=LoadedFile(_topology),
               help="Simulated overlay topology JSON.")
 @click.option("--live", "bootnodes", default=None,
               type=LoadedFile(partial(read_lines, parse=_bootnode)),
@@ -518,6 +539,7 @@ def _bootnode(text: str) -> PeerInfo:
 def cmd_crawl(state: AppState, topology, bootnodes, prefix_bits: int,
               neighbor_k: int, max_inflight: int, rng_seed, geo) -> None:
     """Enumerate a discovery overlay and report endpoint statistics (JSON)."""
+    from .discovery.crawler import CrawlConfig, crawl
     if (topology is None) == (bootnodes is None):
         raise click.UsageError("exactly one of --sim / --live required")
     if topology is not None and rng_seed is None:
@@ -525,6 +547,7 @@ def cmd_crawl(state: AppState, topology, bootnodes, prefix_bits: int,
     config = CrawlConfig(prefix_bits=prefix_bits, max_in_flight=max_inflight,
                          rng_seed=rng_seed)
     if topology is not None:
+        from .discovery.simulator import build_sim_overlay
         topology["rng_seed"] = rng_seed
         try:
             transport, truth = build_sim_overlay(**topology,

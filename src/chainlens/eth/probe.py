@@ -25,11 +25,11 @@ from ..keccak import keccak256
 from ..model import (LineSource, bool_field, hex_field, int_field,
                      read_lines, strip_0x)
 from ..store import RecordSource, read_records
+from . import DEFAULT_PROBE_CALLER
 from .contracts import NULL_ADDRESS, ContractRecord
 
 log = logging.getLogger(__name__)
 
-DEFAULT_PROBE_CALLER = "00000000000000000000000000000000000000aa"
 _SELECTOR_FILE = "termination_selectors.txt"
 BASE_CALL_GAS = 21_000  # intrinsic gas of a plain call
 _HEX_DATA = re.compile(r"0x(?:[0-9a-fA-F]{2})*")  # a JSON-RPC DATA string

@@ -15,6 +15,7 @@ import pytest
 
 from chainlens import cli as cli_module
 from chainlens.cli import run_cli
+from chainlens.eth import contracts
 from chainlens.model import ChainKind
 from chainlens.store import Store
 
@@ -709,8 +710,8 @@ def test_lifetimes_edges_checked_before_registry(eth_db, tmp_path,
         built.append(len(registry))
         return registry
 
-    real_build = cli_module.build_contract_registry
-    monkeypatch.setattr(cli_module, "build_contract_registry", spy)
+    real_build = contracts.build_contract_registry
+    monkeypatch.setattr(contracts, "build_contract_registry", spy)
     argv = ["--db", eth_db, "eth", "lifetimes", "--terminated", str(side)]
     assert run_cli(argv + ["--edges", "10,20"]) == 0
     assert len(built) == 1 and built[0] > 0

@@ -1,0 +1,71 @@
+"""A command imports only what it runs: numpy loads only for the commands
+that hash (the contract-registry commands, `eth probe` and `crawl`)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import chainlens
+from chainlens.cli import run_cli
+
+from conftest import eth_labeled_fixture
+
+# Runs each argv as `python -m chainlens.cli ARGV` would, through runpy in
+# one interpreter, and prints [argv, exit code, numpy loaded] for each as
+# the last line. `import chainlens.cli` is the first step.
+_CHILD = """
+import json, runpy, sys, warnings
+
+steps = []
+import chainlens.cli
+steps.append(["import chainlens.cli", 0, "numpy" in sys.modules])
+# the module runs again as __main__, as it does under -m
+warnings.filterwarnings("ignore", "'chainlens.cli' found in sys.modules",
+                        RuntimeWarning)
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["chainlens", *argv]
+    try:
+        runpy.run_module("chainlens.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        steps.append([" ".join(argv), exc.code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def _numpy_after(cwd: Path, commands: list[list[str]]) -> list[list]:
+    src = str(Path(chainlens.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_the_hashing_commands_load_numpy(tmp_path):
+    lines, _ = eth_labeled_fixture()
+    (tmp_path / "eth.ndjson").write_text("\n".join(lines) + "\n")
+    (tmp_path / "refs.json").write_text(json.dumps(
+        [{"name": "token", "bytecode": "6001", "optimized": False}]))
+    (tmp_path / "corpus.txt").write_text("6001\n6002\n")
+    (tmp_path / "topo.json").write_text(json.dumps(
+        {"n_peers": 10, "degree": 4, "seed": 1}))
+    no_hash = [["--version"], ["--help"],
+               ["ingest", "eth.ndjson", "--chain", "eth"],
+               ["summarize", "--chain", "eth"], ["nmc", "fees"],
+               ["poison", "scan"],
+               ["eth", "similarity", "--references", "refs.json",
+                "--corpus", "corpus.txt"]]
+    steps = _numpy_after(tmp_path, no_hash + [["eth", "classify"]])
+    assert steps == ([["import chainlens.cli", 0, False]]
+                     + [[" ".join(argv), 0, False] for argv in no_hash]
+                     + [["eth classify", 0, True]])
+    assert _numpy_after(tmp_path, [["crawl", "--sim", "topo.json"]]) == [
+        ["import chainlens.cli", 0, False], ["crawl --sim topo.json", 0, True]]
+
+
+def test_probe_help_shows_the_default_caller(capsys):
+    assert run_cli(["eth", "probe", "--help"]) == 0
+    assert f"[default: {'0' * 38}aa]" in capsys.readouterr().out

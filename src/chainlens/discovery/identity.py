@@ -6,7 +6,7 @@ is the big-endian integer value of the XOR of their digests.
 
 `rank` is the one XOR ranking: neighbor selection and the simulated
 overlay's find_node and find_nodes all sort by it, over digests held as
-64-bit lanes.
+64-bit lanes, one table at a time or a stack of tables at once.
 """
 
 from __future__ import annotations
@@ -69,14 +69,17 @@ def ranking_lanes(rows: np.ndarray) -> np.ndarray:
 def rank(lanes: np.ndarray, target_lanes: np.ndarray, k: int) -> np.ndarray:
     """Row t: the positions of the k table entries closest to target t.
 
-    `lanes` is the table's `ranking_lanes`, `target_lanes` the targets'
-    digests as `digest_lanes` gives them. Positions are sorted stably by
-    XOR distance, so equal distances keep the table's order; a table kept
-    in node-id order thus ranks by (distance, node id, position in the
-    caller's list).
+    `lanes` is the table's `ranking_lanes`, of shape (w, 1, N), or a stack
+    of equal-size tables' with a leading peer axis, (w, P, 1, N), whose
+    result is then (P, T, k): row [p, t] ranks table p against target t.
+    `target_lanes` holds the targets' digests as `digest_lanes` gives them.
+    Positions are sorted stably by XOR distance, so equal distances keep
+    the table's order; a table kept in node-id order thus ranks by
+    (distance, node id, position in the caller's list).
     """
-    wanted = target_lanes[:, len(lanes) - 1::-1].T[:, :, None]
-    return np.lexsort(wanted ^ lanes, axis=-1)[:, :k]
+    wanted = target_lanes[:, len(lanes) - 1::-1].T
+    wanted = wanted.reshape(len(lanes), *[1] * (lanes.ndim - 3), -1, 1)
+    return np.lexsort(wanted ^ lanes, axis=-1)[..., :k]
 
 
 def select_neighbors(candidates: Sequence[PeerInfo], target: bytes,

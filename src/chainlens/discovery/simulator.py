@@ -10,13 +10,16 @@ its Keccak digest. A find query is dropped when splitmix64(peer key ^
 target key) falls below churn * 2**64, a ping when splitmix64(peer key ^
 _PING) does.
 
-find_node and find_nodes rank a table by `identity.rank`, the one XOR
-ranking. find_nodes answers a whole list of targets for one peer: it draws
-churn for every target and ranks the peer's table against every answered
-one in one vectorised pass, over target digests the caller hashed
-beforehand, so it makes no Keccak or blake2b call itself. `run` answers a
-crawl's batches with them, and hashes the crawl's targets once, in one
-Keccak batch.
+find_node and find_nodes rank tables by `identity.rank`, the one XOR
+ranking. find_nodes answers a batch of peers, each over a whole list of
+targets, from target digests the caller hashed beforehand, so it makes no
+Keccak or blake2b call itself. It draws churn for every peer and target at
+once, and ranks the tables of one size together, a bounded chunk of peers
+at a time. A peer's answer is settled once every entry of its table has
+been seen, since no later target can move an entry already seen; so it
+ranks only the unsettled peers, over a block of targets that doubles each
+round. `run` answers each crawl batch's finds with one find_nodes call,
+and hashes the crawl's targets once, in one Keccak batch.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .identity import (NODE_ID_LEN, PeerInfo, digest_lanes, node_hash, rank,
 
 _MASK64 = (1 << 64) - 1
 _PING = 0x70696E67_00000000  # b"ping": the target key a ping draws against
+_CHUNK_CELLS = 1 << 17  # bounds a find chunk's peers x targets x entries
 
 
 def _splitmix64(z: int) -> int:
@@ -66,8 +70,8 @@ class SimTransport:
     Only a reachable peer that owns a routing table answers; the tables of
     unreachable owners are dropped when the transport is built. Every id in
     a kept table is hashed, in one batch, into one `ranking_lanes` array
-    that each table slices, and every kept owner keyed for churn, once; a
-    query then only ranks precomputed digests.
+    that each table indexes by its rows, and every kept owner keyed for
+    churn, once; a query then only ranks precomputed digests.
     """
 
     def __init__(self, tables: dict[bytes, list[PeerInfo]],
@@ -82,11 +86,11 @@ class SimTransport:
             p.node_id for table in tables.values() for p in table))}
         # one width that parts every distinct digest parts each table's;
         # its extra lanes only break ties that distinct digests never have
-        top = ranking_lanes(digest_lanes(keccak256_batch(list(row))))
+        self._lanes = ranking_lanes(digest_lanes(keccak256_batch(list(row))))
         # tables sorted stably by node id: `rank` keeps their order on ties
-        self._tables = {node_id: (table, top[:, :, [row[p.node_id]
-                                                    for p in table]])
-                        for node_id, table in tables.items()}
+        self._tables = {node_id: (table, np.array(
+            [row[p.node_id] for p in table], dtype=int))
+            for node_id, table in tables.items()}
         self._k = neighbor_k
         # a draw below this drops the query
         self._threshold = int(churn_failure_rate * (1 << 64))
@@ -104,14 +108,16 @@ class SimTransport:
 
     def run(self, tasks: list[tuple[str, PeerInfo]],
             targets: list[bytes]) -> list:
-        """`DiscoveryTransport.run`: each task in turn, a ping by
-        `ping_pong` and a find by `find_nodes` over all of `targets`, hashed
+        """`DiscoveryTransport.run`: each ping by `ping_pong`, and every find
+        of the batch by one `find_nodes` call over all of `targets`, hashed
         in one batch when a list of targets is first seen."""
         if targets != self._targets:
             self._targets = list(targets)
             self._target_lanes = digest_lanes(keccak256_batch(targets))
-        return [self.ping_pong(peer) if kind == "ping"
-                else self.find_nodes(peer, self._target_lanes)
+        finds = iter(self.find_nodes(
+            [peer for kind, peer in tasks if kind == "find"],
+            self._target_lanes))
+        return [self.ping_pong(peer) if kind == "ping" else next(finds)
                 for kind, peer in tasks]
 
     def find_node(self, peer: PeerInfo, target: bytes) -> list[PeerInfo]:
@@ -121,41 +127,88 @@ class SimTransport:
         target_lanes = digest_lanes([node_hash(target)])
         if self._drops(peer, int(target_lanes[0, 0])):
             raise QueryTimeout(f"query to {peer.ip}:{peer.port} dropped")
-        peers, lanes = self._tables[peer.node_id]
-        return [peers[i]
-                for i in rank(lanes, target_lanes, self._k)[0].tolist()]
+        peers, rows = self._tables[peer.node_id]
+        return [peers[i] for i in rank(self._lanes[:, :, rows], target_lanes,
+                                       self._k)[0].tolist()]
 
-    def find_nodes(self, peer: PeerInfo,
-                   target_lanes: np.ndarray) -> tuple[list[PeerInfo], bool]:
-        """`find_node(peer, t)` for every target t, answered in one pass.
+    def find_nodes(self, peers: list[PeerInfo], target_lanes: np.ndarray
+                   ) -> list[tuple[list[PeerInfo], bool]]:
+        """`find_node(peer, t)` for every peer and every target t.
 
         `target_lanes` holds the targets' Keccak digests, one row each, as
-        `digest_lanes` gives them, and `rank` ranks the table against all
-        of them at once. Returns the distinct table entries that the
-        answered queries return, first seen in target order and then in
-        rank order, and whether any query failed (the peer has no table or
-        churn dropped it), where find_node would have raised.
+        `digest_lanes` gives them. Returns one answer per peer, in order:
+        the distinct table entries that the answered queries return, first
+        seen in target order and then in rank order, and whether any query
+        failed (the peer has no table or churn dropped it), where find_node
+        would have raised. Owners of equal-size tables are answered
+        together, in chunks of at most `_CHUNK_CELLS` (peer, target, entry)
+        cells.
         """
-        if peer.node_id not in self._tables:
-            return [], len(target_lanes) > 0
-        answered = target_lanes
-        failed = False
+        answers: list = [None] * len(peers)
+        owners: dict[int, list[int]] = {}
+        for i, peer in enumerate(peers):
+            if peer.node_id in self._tables:
+                owners.setdefault(len(self._tables[peer.node_id][0]),
+                                  []).append(i)
+            else:
+                answers[i] = [], len(target_lanes) > 0
+        for size, rows in owners.items():
+            step = max(1, _CHUNK_CELLS // max(1, size * len(target_lanes)))
+            for at in range(0, len(rows), step):
+                chunk = rows[at:at + step]
+                for i, answer in zip(chunk, self._find_chunk(
+                        [peers[i] for i in chunk], target_lanes)):
+                    answers[i] = answer
+        return answers
+
+    def _find_chunk(self, peers: list[PeerInfo], target_lanes: np.ndarray
+                    ) -> list[tuple[list[PeerInfo], bool]]:
+        """`find_nodes` for owners of tables of one size.
+
+        Each (peer, entry) cell keeps the lowest place (target, rank) at
+        which it is seen. Only the peers with a cell not yet seen are
+        ranked, over a block of targets that doubles each round, since a
+        crawl's targets run in prefix order and an entry can stay unseen
+        until late.
+        """
+        tables = [self._tables[peer.node_id] for peer in peers]
+        n_targets = len(target_lanes)
+        kept = np.ones((len(peers), n_targets), dtype=bool)
         if self._threshold > 0:
-            # _drops for every target at once: its key is the top lane
-            draws = _splitmix64_array(
-                target_lanes[:, 0] ^ np.uint64(self._keys[peer.node_id]))
-            kept = draws >= np.uint64(self._threshold)
-            failed = not kept.all()
-            if failed:
-                answered = target_lanes[kept]
-        peers, lanes = self._tables[peer.node_id]
-        ranked = rank(lanes, answered, self._k).ravel()
-        # each position once, in the order of its first place in `ranked`
-        first = np.full(len(peers), ranked.size)
-        np.minimum.at(first, ranked, np.arange(ranked.size))
-        seen = np.flatnonzero(first < ranked.size)
-        seen = seen[np.argsort(first[seen])].tolist()
-        return [peers[i] for i in seen], failed
+            # _drops for every peer and target at once: a target's key is
+            # its top lane
+            keys = np.array([self._keys[peer.node_id] for peer in peers],
+                            dtype=np.uint64)
+            kept = _splitmix64_array(keys[:, None] ^ target_lanes[:, 0]) \
+                >= np.uint64(self._threshold)
+        lanes = self._lanes[:, 0, np.array([rows for _, rows in tables])]
+        size = lanes.shape[-1]
+        width = min(self._k, size)
+        unseen = n_targets * width  # above every place
+        first = np.full((len(peers), size), unseen)
+        cells = first.reshape(-1)
+        open_rows = np.arange(len(peers))
+        start, block = 0, 4
+        while start < n_targets:
+            open_rows = open_rows[(first[open_rows] == unseen).any(axis=1)]
+            if not open_rows.size:
+                break
+            stop = min(n_targets, start + block)
+            ranked = rank(lanes[:, open_rows, None], target_lanes[start:stop],
+                          self._k)
+            hits = ranked + (open_rows * size)[:, None, None]
+            places = np.broadcast_to(np.arange(start * width, stop * width)
+                                     .reshape(-1, width), ranked.shape)
+            answered = kept[open_rows, start:stop]
+            np.minimum.at(cells, hits[answered].ravel(),
+                          places[answered].ravel())
+            start, block = stop, 2 * block
+        order = np.argsort(first, axis=1).tolist()
+        seen = (first < unseen).sum(axis=1).tolist()
+        failed = (~kept.all(axis=1)).tolist()
+        return [([table[i] for i in row[:n]], fails)
+                for (table, _), row, n, fails
+                in zip(tables, order, seen, failed)]
 
 
 def build_sim_overlay(n_peers: int, degree: int,
@@ -172,7 +225,9 @@ def build_sim_overlay(n_peers: int, degree: int,
     if not 0.0 <= churn_failure_rate < 1.0:
         raise ValueError("churn_failure_rate must be in [0, 1)")
     rng = np.random.default_rng(rng_seed)
-    peers = [PeerInfo(node_id=rng.bytes(NODE_ID_LEN),
+    # one draw, the same stream as one rng.bytes(NODE_ID_LEN) per peer
+    ids = rng.bytes(NODE_ID_LEN * n_peers)
+    peers = [PeerInfo(node_id=ids[NODE_ID_LEN * i:NODE_ID_LEN * (i + 1)],
                       ip=f"198.51.{i >> 8}.{i & 0xFF}",
                       port=30000 + (i % 20000) + 1)
              for i in range(n_peers)]

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -171,9 +172,9 @@ def test_sim_crawl_asks_each_admitted_peer_once(monkeypatch):
             admitted.append(peer.node_id)
         return answered
 
-    def counting_find(peer, lanes):
-        asked.append((peer.node_id, len(lanes)))
-        return find_nodes(peer, lanes)
+    def counting_find(peers, lanes):
+        asked.extend((peer.node_id, len(lanes)) for peer in peers)
+        return find_nodes(peers, lanes)
 
     transport.ping_pong, transport.find_nodes = counting_ping, counting_find
     seeds = [p for p in truth.peers if p.node_id in truth.reachable_ids][:3]
@@ -311,15 +312,28 @@ def _slow_find(transport, peer, targets):
     return list(found.values()), failed
 
 
-def _assert_chunks_agree(transport, peers, rng, targets):
+def _assert_batch_agrees(transport, peers, rng, targets, rows):
+    """One `find_nodes` call over the targets at `rows`, asked of every
+    peer in `peers` and of some of them twice, in shuffled order, agrees
+    with `_slow_find` for each."""
+    batch = peers + rng.choices(peers, k=len(peers) // 2 + 1)
+    rng.shuffle(batch)
     lanes = digest_lanes(keccak.keccak256_batch(targets))
-    for peer in peers:
-        for _ in range(3):
-            rows = [rng.randrange(len(targets))
-                    for _ in range(rng.randint(1, 40))]
-            chunk = tuple(targets[i] for i in rows)
-            assert transport.find_nodes(peer, lanes[rows]) == \
-                _slow_find(transport, peer, chunk)
+    chunk = tuple(targets[i] for i in rows)
+    answers = transport.find_nodes(batch, lanes[rows])
+    assert len(answers) == len(batch)
+    slow = {}
+    for peer, answer in zip(batch, answers):
+        if peer not in slow:
+            slow[peer] = _slow_find(transport, peer, chunk)
+        assert answer == slow[peer]
+
+
+def _assert_chunks_agree(transport, peers, rng, targets):
+    for _ in range(3):
+        rows = [rng.randrange(len(targets))
+                for _ in range(rng.randint(1, 40))]
+        _assert_batch_agrees(transport, peers, rng, targets, rows)
 
 
 def test_find_nodes_matches_find_node_per_target():
@@ -334,8 +348,85 @@ def test_find_nodes_matches_find_node_per_target():
         outsider = PeerInfo(rng.randbytes(NODE_ID_LEN), "192.0.2.1", 1)
         _assert_chunks_agree(transport, truth.peers + [outsider], rng,
                              targets)
-    assert transport.find_nodes(truth.peers[0], digest_lanes([])) == \
-        ([], False)
+    assert transport.find_nodes([truth.peers[0]], digest_lanes([])) == \
+        [([], False)]
+
+
+def _settled_at(transport, peer, targets):
+    """How many of `targets`, in order, `peer` must be asked before its
+    answers hold every one of its table entries (None: they never do)."""
+    table = {id(entry) for entry in transport._tables[peer.node_id][0]}
+    seen = set()
+    for i, target in enumerate(targets):
+        try:
+            seen |= {id(entry) for entry in transport.find_node(peer, target)}
+        except QueryTimeout:
+            continue
+        if seen == table:
+            return i + 1
+    return None
+
+
+def test_find_nodes_matches_find_node_on_targets_in_prefix_order():
+    # a crawl's targets run in prefix order, so a table's last entry is
+    # often first seen late; ranked in growing blocks, it is still found
+    transport, truth = build_sim_overlay(200, 20, unreachable_fraction=0.05,
+                                         churn_failure_rate=0.002,
+                                         rng_seed=23)
+    targets = _crawl_targets(7, 23)
+    owners = [p for p in truth.peers if p.node_id in truth.reachable_ids]
+    settled = [_settled_at(transport, peer, targets) for peer in owners]
+    assert max(n for n in settled if n is not None) > 64
+    outsider = PeerInfo(random.Random(23).randbytes(NODE_ID_LEN),
+                        "192.0.2.1", 1)
+    _assert_batch_agrees(transport, truth.peers + [outsider],
+                         random.Random(24), targets, list(range(128)))
+
+
+def test_find_nodes_ranks_to_the_end_past_an_entry_no_target_returns():
+    # k = 1, tables of up to 15 entries and 30 targets: some entry is in
+    # no target's top k, so its peer never settles and is ranked against
+    # every target
+    rng = random.Random(49)
+    pool, tables = _twin_tables(rng, 20)
+    transport = SimTransport(tables, frozenset(), 0.0, 1, b"unsettled")
+    targets = [rng.randbytes(NODE_ID_LEN) for _ in range(30)]
+    assert any(_settled_at(transport, owner, targets) is None
+               for owner in pool[:20] if tables[owner.node_id])
+    _assert_batch_agrees(transport, pool, rng, targets, list(range(30)))
+
+
+def test_batch_find_memory_stays_within_its_chunks():
+    # the bench topology, every table owner asked for 128 targets in one
+    # call: the ranking temporaries are sized by a chunk, not by the batch
+    seed = random.Random("sim-crawl:2").randrange(1 << 31)
+    transport, truth = build_sim_overlay(1000, 20, unreachable_fraction=0.05,
+                                         churn_failure_rate=0.002,
+                                         rng_seed=seed)
+    owners = [p for p in truth.peers if p.node_id in truth.reachable_ids]
+    lanes = digest_lanes(keccak.keccak256_batch(_crawl_targets(7, seed)))
+    tracemalloc.start()
+    try:
+        answers = transport.find_nodes(owners, lanes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(answers) == len(owners)
+    assert peak <= 2_000_000
+
+
+def test_overlay_ids_are_one_draw_per_peer():
+    # one rng.bytes call for every id leaves the stream where one call per
+    # peer leaves it: the ids and the table draws after them are the same
+    for seed in (0, 1, 2, 17):
+        transport, truth = build_sim_overlay(30, 5, rng_seed=seed)
+        rng = np.random.default_rng(seed)
+        ids = [rng.bytes(NODE_ID_LEN) for _ in range(30)]
+        assert [p.node_id for p in truth.peers] == ids
+        first_table = [ids[j + 1] for j in rng.choice(29, size=5,
+                                                      replace=False)]
+        assert [p.node_id for p in transport._tables[ids[0]][0]] == \
+            sorted(first_table)
 
 
 def _twin_tables(rng, n_tables):
@@ -446,7 +537,7 @@ def test_peer_without_table_never_answers():
         assert not transport.ping_pong(peer)
         with pytest.raises(QueryTimeout):
             transport.find_node(peer, targets[0])
-        assert transport.find_nodes(peer, lanes) == ([], True)
+        assert transport.find_nodes([peer], lanes) == [([], True)]
     owner = next(p for p in pool[1:5] if tables[p.node_id])
     assert transport.ping_pong(owner)
     assert transport.find_node(owner, targets[0])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import json
-import logging
 import socket
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,8 +19,6 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .model import int_field, is_str_list, read_json, str_list_field
-
-log = logging.getLogger(__name__)
 
 
 class ResolveErrorKind(str, enum.Enum):
@@ -110,6 +107,10 @@ class ScriptedResolver:
         self._script = script
         self._calls: dict[str, int] = {}
 
+    @classmethod
+    def from_file(cls, path: str | Path) -> "ScriptedResolver":
+        return cls(read_json(path))
+
     def resolve_a(self, name: str) -> list[str]:
         rounds = self._script.get(name)
         if rounds is None:
@@ -171,6 +172,10 @@ class ScriptedProber:
         self._script = {ip: ConnectResult(result)
                         for ip, result in script.items()}
         self._default = default
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "ScriptedProber":
+        return cls(read_json(path))
 
     def connect(self, ip: str, port: int) -> ConnectResult:
         return self._script.get(ip, self._default)

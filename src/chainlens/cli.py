@@ -4,43 +4,34 @@ Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; report data goes to stdout or the --out file, and is byte-stable
 across runs on the same store.
 
-Each command that hashes (the four contract-registry commands, `eth probe`
-and `crawl`) imports its analysis in its own body, because those modules
-reach numpy through `keccak`; every other command starts without numpy.
+At load this module imports only click and the data model, so `--version`
+and `--help` start without the rest of chainlens. Each command imports its
+own analysis, the store and the report writers in its body, and an option
+whose value a deferred module reads names its loader as "module:attribute"
+(see `LoadedFile`); a command that hashes thus loads numpy, and one that
+reads a store loads sqlite3, only when it runs.
 """
 
 from __future__ import annotations
 
-import ipaddress
-import logging
 import os
 import sys
 from contextlib import closing
-from datetime import date
 from functools import partial
-from typing import Any, Callable
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable
 
 import click
 from click.core import ParameterSource
 
 from . import __version__
-from .bootstrap import (LiveProber, LiveResolver, ScriptedProber,
-                        ScriptedResolver, harvest_seeds, load_seed_source,
-                        probe_ports)
-from .chains.namecoin import (FeeSchedule, detect_reregistrations,
-                              merge_mine_split, weekly_fee_sums)
-from .chains.peercoin import pos_pow_counts
 from .errors import ChainLensError
 from .eth import DEFAULT_PROBE_CALLER
-from .eth.similarity import SimilarityBuckets, bucket_similarity
 from .model import (ChainKind, bool_field, normalize_hex, read_json,
                     read_lines, str_field)
-from .poison import load_signatures, scan_corpus
-from .report import (emit, emit_rows, join_country, join_usd, read_geo_table,
-                     read_rate_table, write_stamp)
-from .store import Store, ingest_blocks, monthly_tx_counts, parse_rfc3339
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .store import Store
 
 _CHAIN_CHOICE = click.Choice([kind.value for kind in ChainKind])
 # Top-level commands whose analyses honour --cutoff (every `report`
@@ -61,11 +52,13 @@ class AppState:
         self.argv = argv
 
     def open_store(self) -> Store:
+        from .store import Store
         return Store(self.db_path)
 
     def cutoff_height(self, store: Store, chain: ChainKind) -> int | None:
         if self.cutoff is None:
             return None
+        from .store import parse_rfc3339
         try:
             moment = parse_rfc3339(self.cutoff)
         except ValueError as exc:
@@ -74,15 +67,18 @@ class AppState:
         return store.apply_cutoff(chain, moment)
 
     def emit_rows(self, header, rows) -> None:
+        from .report import emit_rows
         emit_rows(header, rows, fmt=self.fmt, out=self.out)
         self._maybe_stamp()
 
     def emit_text(self, text: str) -> None:
+        from .report import emit
         emit(text, self.out)
         self._maybe_stamp()
 
     def _maybe_stamp(self) -> None:
         if self.stamp:
+            from .report import write_stamp
             write_stamp(self.out, self.argv)
 
 
@@ -92,18 +88,27 @@ pass_state = click.make_pass_decorator(AppState)
 class LoadedFile(click.Path):
     """An existing file option whose value is `load(path)`.
 
-    A ValueError, KeyError or TypeError from the loader is a usage error
-    naming the option; a ChainLensError stays a data error.
+    `load` is a callable or names one as "module:attribute", the module
+    relative to this package; a named loader is imported only when the
+    option converts, so declaring the option loads nothing. A ValueError,
+    KeyError or TypeError from the loader is a usage error naming the
+    option; a ChainLensError stays a data error.
     """
 
-    def __init__(self, load: Callable[[str], Any]):
+    def __init__(self, load: Callable[[str], Any] | str):
         super().__init__(exists=True, dir_okay=False)
         self.load = load
 
     def convert(self, value, param, ctx):
         path = super().convert(value, param, ctx)
+        load = self.load
+        if isinstance(load, str):
+            module, _, attribute = load.partition(":")
+            load = import_module(module, __package__)
+            for name in attribute.split("."):
+                load = getattr(load, name)
         try:
-            return self.load(path)
+            return load(path)
         except (ValueError, KeyError, TypeError) as exc:
             self.fail(str(exc), param, ctx)
 
@@ -149,6 +154,7 @@ def cli(ctx: click.Context, db_path: str, out: str | None, fmt: str,
 @pass_state
 def cmd_ingest(state: AppState, source: str, chain: str, strict: bool) -> None:
     """Load an NDJSON block/transaction file into the store."""
+    from .store import ingest_blocks
     with state.open_store() as store:
         summary = ingest_blocks(source, ChainKind(chain), store, strict=strict)
     for rejected in summary.rejected:
@@ -184,6 +190,7 @@ def report_group() -> None:
 @pass_state
 def cmd_tx_monthly(state: AppState, chain: str) -> None:
     """Transactions per UTC month, zero-filled, ascending."""
+    from .store import monthly_tx_counts
     kind = ChainKind(chain)
     with state.open_store() as store:
         height = state.cutoff_height(store, kind)
@@ -290,19 +297,9 @@ def cmd_eth_precreation(state: AppState, internal_path, terminated_path) -> None
     state.emit_rows(("funding_tx", "contract", "creation_height"), rows)
 
 
-def _gas_fixture(path: str):
-    from .eth.probe import FixtureExecutor
-    return FixtureExecutor.from_file(path)
-
-
-def _selector_dictionary(path: str):
-    from .eth.probe import SelectorDictionary
-    return SelectorDictionary.from_lines(path)
-
-
 @eth_group.command("probe")
 @click.option("--gas-fixture", "executor", default=None,
-              type=LoadedFile(_gas_fixture),
+              type=LoadedFile(".eth.probe:FixtureExecutor.from_file"),
               help="Scripted executor fixture (NDJSON).")
 @click.option("--rpc", "rpc_url", default=None,
               help="JSON-RPC endpoint of a node you control.")
@@ -312,7 +309,7 @@ def _selector_dictionary(path: str):
               help="Address list, one per line; defaults to every address "
                    "in the gas fixture.")
 @click.option("--selectors", "dictionary", default=None,
-              type=LoadedFile(_selector_dictionary),
+              type=LoadedFile(".eth.probe:SelectorDictionary.from_lines"),
               help="Alternative termination-selector dictionary.")
 @click.option("--caller", default=DEFAULT_PROBE_CALLER, show_default=True)
 @pass_state
@@ -388,6 +385,7 @@ def _read_references(path: str) -> list[tuple[str, str, bool]]:
 def cmd_eth_similarity(state: AppState, references, corpus, minor: int,
                        heavy: int) -> None:
     """Bucket corpus contracts by edit distance to reference bytecodes."""
+    from .eth.similarity import SimilarityBuckets, bucket_similarity
     try:
         buckets = SimilarityBuckets(minor_max=minor, heavy_max=heavy)
     except ValueError as exc:
@@ -406,11 +404,14 @@ def nmc_group() -> None:
 
 
 @nmc_group.command("fees")
-@click.option("--rates", default=None, type=LoadedFile(read_rate_table),
+@click.option("--rates", default=None,
+              type=LoadedFile(".report:read_rate_table"),
               help="Weekly USD-per-NMC rate CSV to join.")
 @pass_state
 def cmd_nmc_fees(state: AppState, rates) -> None:
     """Weekly sums of fees actually paid, by operation kind."""
+    from .chains.namecoin import weekly_fee_sums
+    from .report import join_usd
     with state.open_store() as store:
         rows = weekly_fee_sums(store)
     if rates is None:
@@ -424,6 +425,7 @@ def cmd_nmc_fees(state: AppState, rates) -> None:
 @pass_state
 def cmd_nmc_mergemine(state: AppState) -> None:
     """Blocks, txs, and name ops split by merge-mined vs normally mined."""
+    from .chains.namecoin import merge_mine_split
     with state.open_store() as store:
         split = merge_mine_split(store)
     state.emit_rows(
@@ -440,6 +442,9 @@ def cmd_nmc_mergemine(state: AppState) -> None:
 @pass_state
 def cmd_nmc_rereg(state: AppState, day_text: str, window: int | None) -> None:
     """Registrations on a day whose name had previously expired."""
+    from datetime import date
+
+    from .chains.namecoin import FeeSchedule, detect_reregistrations
     try:
         day = date.fromisoformat(day_text)
     except ValueError:
@@ -467,6 +472,7 @@ def ppc_group() -> None:
 @pass_state
 def cmd_ppc_pos_pow(state: AppState) -> None:
     """Monthly proof-of-stake vs proof-of-work block counts."""
+    from .chains.peercoin import pos_pow_counts
     with state.open_store() as store:
         rows = pos_pow_counts(store)
     state.emit_rows(("month", "pos", "pow"), rows)
@@ -483,12 +489,14 @@ def cmd_ppc_pos_pow(state: AppState) -> None:
               help="Also write each candidate payload into this directory.")
 @click.option("--verify-full", is_flag=True,
               help="Drop candidates whose complete magic does not match.")
-@click.option("--signatures", default=None, type=LoadedFile(load_signatures),
+@click.option("--signatures", default=None,
+              type=LoadedFile(".poison:load_signatures"),
               help="Alternative signature table CSV.")
 @pass_state
 def cmd_poison(state: AppState, action: str, chain: str, save_dir,
                verify_full: bool, signatures) -> None:
     """Scan transaction payloads for embedded file-format signatures."""
+    from .poison import load_signatures, scan_corpus
     db = signatures or load_signatures()
     with state.open_store() as store:
         report = scan_corpus(store, ChainKind(chain), db, out_dir=save_dir,
@@ -503,6 +511,8 @@ def cmd_poison(state: AppState, action: str, chain: str, save_dir,
 # -- discovery crawl -------------------------------------------------------------
 
 def _bootnode(text: str):
+    import ipaddress
+
     from .discovery.identity import PeerInfo
     node_hex, endpoint = text.split("@", 1)
     ip, port_text = endpoint.rsplit(":", 1)
@@ -510,14 +520,9 @@ def _bootnode(text: str):
                     ip=str(ipaddress.ip_address(ip)), port=int(port_text))
 
 
-def _topology(path: str):
-    from .discovery.crawler import load_topology
-    return load_topology(path)
-
-
 @cli.command("crawl")
 @click.option("--sim", "topology", default=None,
-              type=LoadedFile(_topology),
+              type=LoadedFile(".discovery.crawler:load_topology"),
               help="Simulated overlay topology JSON.")
 @click.option("--live", "bootnodes", default=None,
               type=LoadedFile(partial(read_lines, parse=_bootnode)),
@@ -533,13 +538,15 @@ def _topology(path: str):
               help="Seed for the simulated overlay and, through a seed "
                    "spawned from it, the crawl targets; a --sim crawl "
                    "without it uses the topology's \"seed\".")
-@click.option("--geo", default=None, type=LoadedFile(read_geo_table),
+@click.option("--geo", default=None,
+              type=LoadedFile(".report:read_geo_table"),
               help="CIDR-to-country CSV; adds a country histogram.")
 @pass_state
 def cmd_crawl(state: AppState, topology, bootnodes, prefix_bits: int,
               neighbor_k: int, max_inflight: int, rng_seed, geo) -> None:
     """Enumerate a discovery overlay and report endpoint statistics (JSON)."""
     from .discovery.crawler import CrawlConfig, crawl
+    from .report import join_country
     if (topology is None) == (bootnodes is None):
         raise click.UsageError("exactly one of --sim / --live required")
     if topology is not None and rng_seed is None:
@@ -575,17 +582,18 @@ def bootstrap_group() -> None:
 
 @bootstrap_group.command("harvest")
 @click.option("--seeds", "source", required=True,
-              type=LoadedFile(load_seed_source),
+              type=LoadedFile(".bootstrap:load_seed_source"),
               help="Seed source JSON: {port, hardcoded, dns}.")
 @click.option("--rounds", default=1, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--script", "resolver", default=None,
-              type=LoadedFile(lambda path: ScriptedResolver(read_json(path))),
+              type=LoadedFile(".bootstrap:ScriptedResolver.from_file"),
               help="Scripted resolver answers (JSON) instead of live DNS.")
 @pass_state
 def cmd_bootstrap_harvest(state: AppState, source, rounds: int,
                           resolver) -> None:
     """Resolve seed names repeatedly and measure address-set growth."""
+    from .bootstrap import LiveResolver, harvest_seeds
     harvest = harvest_seeds(resolver or LiveResolver(), source, rounds)
     if state.fmt == "csv":
         state.emit_rows(("round", "new_ips", "cumulative_ips"), harvest.rounds)
@@ -595,14 +603,14 @@ def cmd_bootstrap_harvest(state: AppState, source, rounds: int,
 
 @bootstrap_group.command("probe")
 @click.option("--seeds", "source", default=None,
-              type=LoadedFile(load_seed_source),
+              type=LoadedFile(".bootstrap:load_seed_source"),
               help="Seed source JSON; probes its hardcoded list on its port.")
 @click.option("--ips", "ip_list", default=None, type=LoadedFile(read_lines),
               help="Address list, one per line (overrides the seed list).")
 @click.option("--port", default=None, type=click.IntRange(1, 65535),
               help="Port to probe (overrides the seed source port).")
 @click.option("--script", "prober", default=None,
-              type=LoadedFile(lambda path: ScriptedProber(read_json(path))),
+              type=LoadedFile(".bootstrap:ScriptedProber.from_file"),
               help="Scripted prober outcomes (JSON) instead of live TCP.")
 @click.option("--workers", default=1, show_default=True,
               type=click.IntRange(min=1))
@@ -610,6 +618,7 @@ def cmd_bootstrap_harvest(state: AppState, source, rounds: int,
 def cmd_bootstrap_probe(state: AppState, source, ip_list, port, prober,
                         workers: int) -> None:
     """TCP-probe a set of addresses and classify open/filtered/closed."""
+    from .bootstrap import LiveProber, probe_ports
     ips: list[str] = []
     if source is not None:
         ips = list(source.hardcoded_ips)
@@ -655,6 +664,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    import logging
     logging.basicConfig(level=os.environ.get("CHAINLENS_LOG", "WARNING"),
                         stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")

@@ -11,7 +11,6 @@ import csv
 import io
 import ipaddress
 import json
-import logging
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -19,8 +18,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .model import LineSource, read_table
-
-log = logging.getLogger(__name__)
 
 _UNITS_PER_COIN = Decimal(10) ** 8
 

@@ -25,9 +25,8 @@ from typing import Protocol
 import numpy as np
 
 from ..errors import NoSeedsReachable
-from ..keccak import keccak256_batch
 from ..model import int_field, number_field, read_json
-from .identity import PeerInfo, hash_prefix, precompute_targets
+from .identity import PeerInfo, hash_prefix, node_hash, precompute_targets
 
 _PRIVATE_RANGES = (
     ipaddress.ip_network("10.0.0.0/8"),
@@ -154,13 +153,27 @@ def endpoint_stats(report: CrawlReport) -> CrawlReport:
     report.node_ids_per_ip = sorted(per_ip.items(),
                                     key=lambda kv: (-kv[1], kv[0]))
     histogram = {p: 0 for p in range(1 << report.prefix_bits)}
-    for digest in keccak256_batch([p.node_id for p in peers]):
+    # a sim crawl's peers were memoised when its transport was built
+    for digest in node_hash.many([p.node_id for p in peers]):
         histogram[hash_prefix(digest, report.prefix_bits)] += 1
     report.prefix_histogram = histogram
     return report
 
 
 def _is_private(ip: str) -> bool:
+    """Whether `ip` is an IPv4 address in a private range.
+
+    A dotted quad of canonical decimal octets is read with `split`; any
+    other text goes through `ipaddress`.
+    """
+    parts = ip.split(".")
+    if len(parts) == 4 and all(
+            part.isascii() and part.isdigit() and len(part) <= 3
+            and (part[0] != "0" or part == "0") for part in parts):
+        a, b, c, d = (int(part) for part in parts)
+        if max(a, b, c, d) <= 255:
+            return a == 10 or (a == 172 and 16 <= b <= 31) or \
+                (a == 192 and b == 168)
     try:
         addr = ipaddress.ip_address(ip)
     except ValueError:

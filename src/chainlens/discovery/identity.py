@@ -4,6 +4,14 @@ A node is identified by 64 raw bytes; its position in the discovery metric
 space is the Keccak-256 digest of that identity. Distance between two nodes
 is the big-endian integer value of the XOR of their digests.
 
+`node_hash` is the one memo of those digests, bounded and emptied by its
+`cache_clear`. A simulated crawl fills it with two batches: the overlay's
+ids when its transport is built, and the targets `precompute_targets`
+chose, whose digests it computed while drawing. The crawl's target lanes
+and its prefix histogram then read every digest from the memo, so each id
+is hashed once; ids the memo lacks (a live crawl's peers) are hashed there
+in one batch.
+
 `rank` is the one XOR ranking: neighbor selection and the simulated
 overlay's find_node and find_nodes all sort by it, over digests held as
 64-bit lanes, one table at a time or a stack of tables at once.
@@ -11,18 +19,20 @@ overlay's find_node and find_nodes all sort by it, over digests held as
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from ..keccak import keccak256, keccak256_batch64
+from ..keccak import keccak256_batch, keccak256_batch64
 
 NODE_ID_LEN = 64
 HASH_LEN = 32
 _LANES = HASH_LEN // 8
+_DRAW = 512  # target candidates drawn and hashed at a time
 
 
 @dataclass(frozen=True)
@@ -38,11 +48,57 @@ class PeerInfo:
             raise ValueError(f"port out of range: {self.port}")
 
 
-@lru_cache(maxsize=1 << 17)
-def node_hash(node_id: bytes) -> bytes:
-    if len(node_id) != NODE_ID_LEN:
-        raise ValueError(f"node id must be {NODE_ID_LEN} bytes")
-    return keccak256(node_id)
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _DigestMemo:
+    """node id -> Keccak-256 digest, for at most `maxsize` ids; the ids
+    memoised first are dropped first."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._memo: dict[bytes, bytes] = {}
+        self._hits = self._misses = 0
+
+    def __call__(self, node_id: bytes) -> bytes:
+        return self.many([node_id])[0]
+
+    def many(self, node_ids: Sequence[bytes]) -> list[bytes]:
+        """The digests of `node_ids`, in order. The ids not memoised are
+        hashed together in one Keccak batch, and memoised."""
+        memo = self._memo
+        missing = [i for i in dict.fromkeys(node_ids) if i not in memo]
+        self._hits += len(node_ids) - len(missing)
+        self._misses += len(missing)
+        if not missing:
+            return [memo[i] for i in node_ids]
+        if any(len(i) != NODE_ID_LEN for i in missing):
+            raise ValueError(f"node id must be {NODE_ID_LEN} bytes")
+        fresh = dict(zip(missing, keccak256_batch(missing)))
+        digests = [fresh[i] if i in fresh else memo[i] for i in node_ids]
+        self.remember(fresh)
+        return digests
+
+    def remember(self, digests: dict[bytes, bytes]) -> None:
+        """Memoise digests a caller computed: node id -> digest."""
+        memo = self._memo
+        memo.update(digests)
+        for node_id in list(islice(memo, max(0, len(memo) - self.maxsize))):
+            del memo[node_id]
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxsize,
+                         len(self._memo))
+
+    def cache_clear(self) -> None:
+        self._memo.clear()
+        self._hits = self._misses = 0
+
+
+node_hash = _DigestMemo(maxsize=1 << 17)
+# only the one memo stays a module name: code that empties every cache it
+# finds in chainlens's modules (bench/run.py) would call the class unbound
+del _DigestMemo
 
 
 def digest_lanes(digests: Sequence[bytes]) -> np.ndarray:
@@ -89,8 +145,8 @@ def select_neighbors(candidates: Sequence[PeerInfo], target: bytes,
     if k < 1:
         raise ValueError("k must be >= 1")
     ordered = sorted(candidates, key=attrgetter("node_id"))
-    lanes = ranking_lanes(digest_lanes([node_hash(p.node_id)
-                                        for p in ordered]))
+    lanes = ranking_lanes(digest_lanes(node_hash.many(
+        [p.node_id for p in ordered])))
     return [ordered[i]
             for i in rank(lanes, digest_lanes([target]), k)[0].tolist()]
 
@@ -110,9 +166,9 @@ def precompute_targets(prefix_bits: int,
     """One 64-byte identity per hash prefix in [0, 2**prefix_bits).
 
     Identities are drawn at random and bucketed by the leading bits of
-    their digest until every bucket holds one (coupon-collector search).
-    Hashing runs through the vectorised batch path; callers can re-verify
-    any entry with the scalar node_hash.
+    their digest until every bucket holds one (coupon-collector search):
+    each bucket keeps the first candidate of the stream that falls in it.
+    The chosen identities' digests go into `node_hash`'s memo.
     """
     if not 0 <= prefix_bits <= 32:
         raise ValueError("prefix_bits must be in [0, 32]")
@@ -120,16 +176,23 @@ def precompute_targets(prefix_bits: int,
     if prefix_bits == 0:
         return {0: rng.bytes(NODE_ID_LEN)}
     total = 1 << prefix_bits
-    # ~ N ln N draws expected; oversized batches just waste a little hashing
-    batch = max(2048, min(total * 4, 1 << 17))
     found: dict[int, bytes] = {}
+    chosen: dict[bytes, bytes] = {}
     shift = np.uint64(64 - prefix_bits)
+    # ~ N ln N candidates expected, hashed a block at a time until the set
+    # is full. Successive rng.bytes calls continue one stream, so the first
+    # candidate of each prefix, and the result, do not depend on the block
+    # size; a block only bounds the candidates hashed past the last prefix.
     while len(found) < total:
-        buf = rng.bytes(NODE_ID_LEN * batch)
-        lanes = np.frombuffer(buf, dtype="<u8").reshape(batch, 8)
+        ids = rng.bytes(NODE_ID_LEN * _DRAW)
+        lanes = np.frombuffer(ids, dtype="<u8").reshape(_DRAW, 8)
         digests = keccak256_batch64(lanes)
+        raw = digests.astype("<u8").tobytes()
         prefixes = (digests[:, 0].byteswap() >> shift).tolist()
         for i, prefix in enumerate(prefixes):
             if prefix not in found:
-                found[prefix] = buf[NODE_ID_LEN * i:NODE_ID_LEN * (i + 1)]
+                node_id = ids[NODE_ID_LEN * i:NODE_ID_LEN * (i + 1)]
+                found[prefix] = node_id
+                chosen[node_id] = raw[HASH_LEN * i:HASH_LEN * (i + 1)]
+    node_hash.remember(chosen)
     return found

@@ -18,8 +18,11 @@ once, and ranks the tables of one size together, a bounded chunk of peers
 at a time. A peer's answer is settled once every entry of its table has
 been seen, since no later target can move an entry already seen; so it
 ranks only the unsettled peers, over a block of targets that doubles each
-round. `run` answers each crawl batch's finds with one find_nodes call,
-and hashes the crawl's targets once, in one Keccak batch.
+round. `run` answers each crawl batch's finds with one find_nodes call.
+
+Every digest goes through `identity.node_hash`'s memo: building the
+transport hashes the overlay's ids there in one batch, and `run` reads the
+crawl's targets, which `precompute_targets` memoised when it drew them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from operator import attrgetter
 import numpy as np
 
 from ..errors import QueryTimeout
-from ..keccak import keccak256_batch
 from .identity import (NODE_ID_LEN, PeerInfo, digest_lanes, node_hash, rank,
                        ranking_lanes)
 
@@ -69,9 +71,10 @@ class SimTransport:
 
     Only a reachable peer that owns a routing table answers; the tables of
     unreachable owners are dropped when the transport is built. Every id in
-    a kept table is hashed, in one batch, into one `ranking_lanes` array
-    that each table indexes by its rows, and every kept owner keyed for
-    churn, once; a query then only ranks precomputed digests.
+    a kept table is hashed, in one `node_hash.many` batch that memoises
+    the digests, into one `ranking_lanes` array that each table indexes by
+    its rows, and every kept owner keyed for churn, once; a query then only
+    ranks precomputed digests.
     """
 
     def __init__(self, tables: dict[bytes, list[PeerInfo]],
@@ -86,7 +89,7 @@ class SimTransport:
             p.node_id for table in tables.values() for p in table))}
         # one width that parts every distinct digest parts each table's;
         # its extra lanes only break ties that distinct digests never have
-        self._lanes = ranking_lanes(digest_lanes(keccak256_batch(list(row))))
+        self._lanes = ranking_lanes(digest_lanes(node_hash.many(list(row))))
         # tables sorted stably by node id: `rank` keeps their order on ties
         self._tables = {node_id: (table, np.array(
             [row[p.node_id] for p in table], dtype=int))
@@ -109,11 +112,11 @@ class SimTransport:
     def run(self, tasks: list[tuple[str, PeerInfo]],
             targets: list[bytes]) -> list:
         """`DiscoveryTransport.run`: each ping by `ping_pong`, and every find
-        of the batch by one `find_nodes` call over all of `targets`, hashed
-        in one batch when a list of targets is first seen."""
+        of the batch by one `find_nodes` call over all of `targets`, whose
+        digests are read from `node_hash` when a list is first seen."""
         if targets != self._targets:
             self._targets = list(targets)
-            self._target_lanes = digest_lanes(keccak256_batch(targets))
+            self._target_lanes = digest_lanes(node_hash.many(targets))
         finds = iter(self.find_nodes(
             [peer for kind, peer in tasks if kind == "find"],
             self._target_lanes))
@@ -236,12 +239,14 @@ def build_sim_overlay(n_peers: int, degree: int,
         if degree == 0:
             tables[peer.node_id] = []
             continue
-        choices = rng.choice(n_peers - 1, size=degree, replace=False)
+        choices = rng.choice(n_peers - 1, size=degree,
+                             replace=False).tolist()
         # indices skip the peer itself
         tables[peer.node_id] = [peers[j if j < i else j + 1] for j in choices]
     n_unreachable = int(round(n_peers * unreachable_fraction))
     unreachable_idx = rng.choice(n_peers, size=n_unreachable, replace=False)
-    unreachable = frozenset(peers[int(j)].node_id for j in unreachable_idx)
+    unreachable = frozenset(peers[j].node_id
+                            for j in unreachable_idx.tolist())
     seed_tag = hashlib.blake2b(repr(rng_seed).encode(),
                                digest_size=16).digest()
     transport = SimTransport(tables, unreachable, churn_failure_rate,

@@ -34,6 +34,11 @@ _SELECTOR_FILE = "termination_selectors.txt"
 BASE_CALL_GAS = 21_000  # intrinsic gas of a plain call
 _HEX_DATA = re.compile(r"0x(?:[0-9a-fA-F]{2})*")  # a JSON-RPC DATA string
 _UNSCRIPTED = (100_000, False, None)  # FixtureExecutor, unscripted pairs
+# name(type,...) with no spaces; a type is a name like uint256 with any
+# array suffixes. A tuple-typed function is listed by its raw selector.
+_TYPE = r"[a-z][a-z0-9]*(?:\[[0-9]*\])*"
+_SIGNATURE = re.compile(
+    rf"[A-Za-z_$][A-Za-z0-9_$]*\((?:{_TYPE}(?:,{_TYPE})*)?\)")
 
 
 def function_selector(signature_text: str) -> bytes:
@@ -57,6 +62,9 @@ def _selector_entry(text: str) -> SelectorEntry:
         if len(selector) != 4:
             raise ValueError(f"selector {text!r} is not 4 bytes")
         return SelectorEntry(selector=selector)
+    if not _SIGNATURE.fullmatch(text):
+        raise ValueError(f"{text!r} is neither a 0x selector nor a "
+                         f"canonical function signature")
     return SelectorEntry(selector=function_selector(text), name=text)
 
 
@@ -75,7 +83,8 @@ class SelectorDictionary:
     @classmethod
     def from_lines(cls, source: LineSource) -> "SelectorDictionary":
         """Parse one entry per line of a file path or list of lines: either
-        `name()` or a raw `0x`-hex selector.
+        a canonical signature such as `kill()` or `f(address,uint256)`, or a
+        raw `0x`-hex selector.
 
         A bad or duplicate entry raises ValueError naming its line.
         """

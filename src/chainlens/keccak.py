@@ -14,8 +14,10 @@ The permutation runs numpy over a lane-major (25, n) state, one column per
 message, in whole-state operations written into buffers allocated once per
 call. The batch entry points feed it blocks of at most 512 messages, so its
 buffers (about half a megabyte) stay in cache. Contract-address derivation
-hashes every creation's RLP(sender, nonce), target-ID precomputation
-thousands of 64-byte candidates and the simulated overlay every node id.
+hashes every creation's RLP(sender, nonce); target-ID precomputation hashes
+64-byte candidates 512 at a time until every prefix bucket holds one (a few
+blocks for a few hundred targets); the node-id memo hashes the simulated
+overlay's ids in one batch.
 """
 
 from __future__ import annotations

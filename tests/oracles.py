@@ -5,7 +5,9 @@ a bug shared with the implementation under test is unlikely: nested 5x5
 state with generator-derived constants for Keccak, direct byte
 construction for RLP, a full dynamic programming matrix for edit
 distance, a brute-force neighbour sort, the ingest field readers and
-write rule as they read before their fast paths, and `LedgerModel`: one
+write rule as they read before their fast paths, the crawl's target draw,
+private-range check and endpoint statistics as they read before theirs,
+and `LedgerModel`: one
 model of the ledger, in plain dicts and loops with no chainlens import,
 that predicts what every ledger command prints.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import calendar
 import functools
+import ipaddress
 import json
 import time
 
@@ -296,6 +299,63 @@ def put_row_reference(conn, table: str, key: str, conflict, row: tuple) -> bool:
         (row[0], row[2], row[3])).fetchone()
     raise FieldError("index", f"position ({row[2]}, {row[3]}) already "
                               f"held by tx {holder}")
+
+
+def precompute_targets_reference(prefix_bits: int, rng_seed, batch64) -> dict:
+    """`identity.precompute_targets` as it drew before its block-wise draw:
+    batches of at least 2,048 candidates, each hashed whole by `batch64`
+    (the package's `keccak256_batch64`, passed in)."""
+    import numpy as np
+
+    rng = np.random.default_rng(rng_seed)
+    if prefix_bits == 0:
+        return {0: rng.bytes(64)}
+    total = 1 << prefix_bits
+    batch = max(2048, min(total * 4, 1 << 17))
+    found = {}
+    shift = np.uint64(64 - prefix_bits)
+    while len(found) < total:
+        buf = rng.bytes(64 * batch)
+        digests = batch64(np.frombuffer(buf, dtype="<u8").reshape(batch, 8))
+        prefixes = (digests[:, 0].byteswap() >> shift).tolist()
+        for i, prefix in enumerate(prefixes):
+            if prefix not in found:
+                found[prefix] = buf[64 * i:64 * (i + 1)]
+    return found
+
+
+_PRIVATE_RANGES = tuple(ipaddress.ip_network(net) for net in
+                        ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16"))
+
+
+def is_private_reference(ip: str) -> bool:
+    """The crawler's private-range rule read wholly through `ipaddress`."""
+    try:
+        addr = ipaddress.ip_address(ip)
+    except ValueError:
+        return False
+    return addr.version == 4 and any(addr in net for net in _PRIVATE_RANGES)
+
+
+def endpoint_stats_reference(peers, prefix_bits: int) -> dict:
+    """`crawler.endpoint_stats`' fields for `peers`, each id hashed here by
+    `keccak256_oracle` and each address checked by `is_private_reference`."""
+    ips = sorted({p.ip for p in peers})
+    per_ip = {ip: sum(p.ip == ip for p in peers) for ip in ips}
+    histogram = dict.fromkeys(range(1 << prefix_bits), 0)
+    for peer in peers:
+        top = int.from_bytes(keccak256_oracle(peer.node_id)[:8], "big")
+        histogram[top >> (64 - prefix_bits) if prefix_bits else 0] += 1
+    return {
+        "unique_node_ids": len({p.node_id for p in peers}),
+        "unique_ips": len(ips),
+        "unique_ports": len({p.port for p in peers}),
+        "ip_port_combos": len({(p.ip, p.port) for p in peers}),
+        "private_range_ips": sum(map(is_private_reference, ips)),
+        "node_ids_per_ip": sorted(per_ip.items(),
+                                  key=lambda kv: (-kv[1], kv[0])),
+        "prefix_histogram": histogram,
+    }
 
 
 # -- one model of every ledger report ----------------------------------------

@@ -473,6 +473,9 @@ PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
     ("selectors.txt", "kill()\n0x1234\n",
      ["eth", "probe", "--gas-fixture", "gas.ndjson", "--selectors",
       "selectors.txt"], ("--selectors", "line 2:", "0x1234")),
+    ("selectors.txt", "kill()\nnope(\n",
+     ["eth", "probe", "--gas-fixture", "gas.ndjson", "--selectors",
+      "selectors.txt"], ("--selectors", "line 2:", "'nope('")),
     ("sigs.csv", "format,magic_hex,offset,extension\npng,4D5Z,0,png\n",
      ["poison", "scan", "--signatures", "sigs.csv"], ("--signatures",)),
     ("sigs.csv", "format,magic_hex,offset,extension\ngif,zz,0,gif\n",
@@ -503,7 +506,8 @@ PROBE = ["bootstrap", "probe", "--seeds", "seeds.json", "--script",
         "resolver script not json", "resolver script a list",
         "resolver rounds a string", "prober script not json",
         "prober script a list", "prober outcome unknown",
-        "selector not 4 bytes", "signature magic not hex",
+        "selector not 4 bytes", "selector not a signature",
+        "signature magic not hex",
         "signature row named by line", "ips line not UTF-8",
         "rate row named by line", "geo row named by line",
         "contract address repeated", "rate week repeated",

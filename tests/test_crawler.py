@@ -1,6 +1,7 @@
 """Overlay crawler on simulated transports."""
 
 import ast
+import dataclasses
 import json
 import math
 import random
@@ -8,15 +9,18 @@ import sys
 import threading
 import tracemalloc
 from collections import deque
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlens import keccak
-from chainlens.discovery import crawler, simulator
-from chainlens.discovery.crawler import (CrawlConfig, CrawlReport, crawl,
-                                         endpoint_stats, load_topology)
+from chainlens.discovery import crawler, identity, simulator
+from chainlens.discovery.crawler import (CrawlConfig, CrawlReport, _is_private,
+                                         crawl, endpoint_stats, load_topology)
 from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo,
                                           digest_lanes, hash_prefix,
                                           node_hash, precompute_targets,
@@ -26,6 +30,31 @@ from chainlens.discovery.simulator import SimTransport, build_sim_overlay
 from chainlens.errors import NoSeedsReachable, QueryTimeout
 
 import oracles
+
+
+@pytest.fixture(autouse=True)
+def _empty_digest_memo():
+    """Each test starts and ends with an empty node-id digest memo, so no
+    digest that a test plants outlives it."""
+    node_hash.cache_clear()
+    yield
+    node_hash.cache_clear()
+
+
+def _plant(monkeypatch, batch):
+    """Hash node ids with `batch` from here on, into an emptied memo."""
+    node_hash.cache_clear()
+    monkeypatch.setattr(identity, "keccak256_batch", batch)
+
+
+# the overlay seed of the bench's sim-crawl workload at its seed 2
+_BENCH_SEED = random.Random("sim-crawl:2").randrange(1 << 31)
+
+
+def _bench_overlay():
+    """The bench's sim-crawl topology and overlay at seed 2."""
+    return build_sim_overlay(1000, 20, unreachable_fraction=0.05,
+                             churn_failure_rate=0.002, rng_seed=_BENCH_SEED)
 
 
 def _crawl_overlay(n_peers, degree, seed, prefix_bits=6, **overlay_kwargs):
@@ -266,38 +295,94 @@ def test_discovery_imports_no_thread_module():
     assert found == []
 
 
-def test_sim_crawl_hashes_each_target_once_and_no_peer(monkeypatch):
-    scalar = keccak.keccak256
+def _count_hashes(monkeypatch):
+    """Every Keccak call from here on, in order, as (entry point, the
+    messages hashed), through whichever chainlens module calls it."""
     calls = []
 
-    def counting(data):
-        calls.append(data)
-        return scalar(data)
+    def counting(kind, original, messages_of):
+        def wrapper(data):
+            calls.append((kind, messages_of(data)))
+            return original(data)
+        return wrapper
 
+    def rows(lanes):
+        raw = lanes.astype("<u8").tobytes()
+        return [raw[NODE_ID_LEN * i:NODE_ID_LEN * (i + 1)]
+                for i in range(len(lanes))]
+
+    wrappers = {
+        "keccak256": counting("scalar", keccak.keccak256,
+                              lambda data: [bytes(data)]),
+        "keccak256_batch": counting("batch", keccak.keccak256_batch, list),
+        "keccak256_batch64": counting("batch64", keccak.keccak256_batch64,
+                                      rows)}
+    originals = {name: getattr(keccak, name) for name in wrappers}
     for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("chainlens")
-                and getattr(module, "keccak256", None) is scalar):
-            monkeypatch.setattr(module, "keccak256", counting)
-    batch = crawler.keccak256_batch
-    batches = []
+        if getattr(module, "__name__", "").startswith("chainlens"):
+            for name, wrapper in wrappers.items():
+                if getattr(module, name, None) is originals[name]:
+                    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
-    def counting_batch(messages):
-        batches.append(list(messages))
-        return batch(messages)
 
-    # SimTransport.run hashes the targets, endpoint_stats the peer ids
-    for module in (crawler, simulator):
-        monkeypatch.setattr(module, "keccak256_batch", counting_batch)
-    # the crawl draws its targets from a seed spawned from its own, so that
-    # no target is a peer id that endpoint_stats hashes as well
-    target_list = _crawl_targets(4, 10)
-    transport, truth = build_sim_overlay(80, 10, rng_seed=9)
+def test_sim_crawl_hashes_each_target_once_and_no_peer(monkeypatch):
+    # the bench topology: building the overlay hashes its ids in one
+    # batch, drawing the targets hashes candidates in blocks, and the crawl
+    # reads every other digest it needs from the memo
+    targets = set(_crawl_targets(7, _BENCH_SEED))
     node_hash.cache_clear()
-    crawl(transport, truth.peers[:3], CrawlConfig(prefix_bits=4, rng_seed=10))
-    assert calls == []
-    assert node_hash.cache_info().misses == 0
-    # all targets hashed in one batch, and in no other
-    assert [b for b in batches if set(b) & set(target_list)] == [target_list]
+    calls = _count_hashes(monkeypatch)
+    transport, truth = _bench_overlay()
+    [(kind, overlay)] = calls
+    assert kind == "batch" and len(overlay) == len(truth.all_ids)
+    del calls[:]
+    misses = node_hash.cache_info().misses
+    reachable = [p for p in truth.peers if p.node_id in truth.reachable_ids]
+    report = crawl(transport, reachable[:3],
+                   CrawlConfig(prefix_bits=7, rng_seed=_BENCH_SEED))
+    assert node_hash.cache_info().misses == misses
+    # the crawl hashes only target candidates, 512 a call, none twice and
+    # none an overlay id: no found peer and no target is hashed again
+    assert {kind for kind, _ in calls} == {"batch64"}
+    candidates = [m for _, messages in calls for m in messages]
+    assert [len(messages) for _, messages in calls] == [512] * len(calls)
+    assert len(set(candidates + overlay)) == len(candidates) + len(overlay)
+    assert targets <= set(candidates)
+    assert {p.node_id for p in report.known_peers} <= set(overlay)
+
+
+def test_cache_clear_makes_the_next_overlay_hash_again(monkeypatch):
+    # the bench empties every chainlens cache before a pass, so every pass
+    # hashes its overlay; without the clear the memo would answer
+    calls = _count_hashes(monkeypatch)
+
+    def hashed_by_a_crawl():
+        del calls[:]
+        transport, truth = build_sim_overlay(60, 8, rng_seed=12)
+        crawl(transport, truth.peers[:3],
+              CrawlConfig(prefix_bits=3, rng_seed=12))
+        return sorted(m for kind, messages in calls if kind == "batch"
+                      for m in messages)
+
+    first = hashed_by_a_crawl()
+    assert len(first) == 60
+    assert node_hash.cache_info().currsize == 60 + 8
+    assert hashed_by_a_crawl() == []
+    node_hash.cache_clear()
+    assert node_hash.cache_info() == (0, 0, node_hash.maxsize, 0)
+    assert hashed_by_a_crawl() == first
+
+
+def test_digest_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(node_hash, "maxsize", 50)
+    transport, truth = build_sim_overlay(80, 10, rng_seed=14)
+    assert node_hash.cache_info().currsize == 50
+    # the ids memoised first were dropped, and are hashed again on a read
+    # that mixes them with memoised ones
+    ids = random.Random(14).sample([p.node_id for p in truth.peers], 80)
+    assert node_hash.many(ids) == [oracles.keccak256_oracle(i) for i in ids]
+    assert node_hash.cache_info().currsize == 50
 
 
 def _slow_find(transport, peer, targets):
@@ -318,7 +403,7 @@ def _assert_batch_agrees(transport, peers, rng, targets, rows):
     with `_slow_find` for each."""
     batch = peers + rng.choices(peers, k=len(peers) // 2 + 1)
     rng.shuffle(batch)
-    lanes = digest_lanes(keccak.keccak256_batch(targets))
+    lanes = digest_lanes(node_hash.many(targets))
     chunk = tuple(targets[i] for i in rows)
     answers = transport.find_nodes(batch, lanes[rows])
     assert len(answers) == len(batch)
@@ -460,8 +545,7 @@ def test_find_nodes_matches_find_node_on_built_tables(monkeypatch):
     pool, tables = _twin_tables(rng, 20)
     for churn, k, bits in ((0.0, 3, 0), (0.25, 8, 0), (0.1, 40, 0),
                            (0.1, 6, 64), (0.0, 40, 64), (0.2, 5, 192)):
-        monkeypatch.setattr(simulator, "keccak256_batch",
-                            _sharing_top_bits(bits))
+        _plant(monkeypatch, _sharing_top_bits(bits))
         transport = SimTransport(tables, frozenset([pool[0].node_id]), churn,
                                  k, b"twins")
         _assert_chunks_agree(transport, pool, rng, targets)
@@ -475,8 +559,7 @@ def test_find_node_matches_bruteforce_on_built_tables(monkeypatch):
     pool, tables = _twin_tables(rng, 20)
     assert not all(tables.values())
     for k, bits in ((3, 0), (40, 0), (6, 64), (40, 64), (5, 192)):
-        monkeypatch.setattr(simulator, "keccak256_batch",
-                            _sharing_top_bits(bits))
+        _plant(monkeypatch, _sharing_top_bits(bits))
         transport = SimTransport(tables, frozenset(), 0.0, k, b"twins")
         digests = {p.node_id: oracles.shared_top(
             oracles.keccak256_oracle(p.node_id), bits // 8) for p in pool}
@@ -509,8 +592,7 @@ def test_tables_rank_by_the_overlay_wide_lanes(monkeypatch):
     assert len(ranking_lanes(digest_lanes([digest_of(p.node_id)
                                            for table in tables.values()
                                            for p in table]))) == 2
-    monkeypatch.setattr(simulator, "keccak256_batch",
-                        lambda messages: [digest_of(m) for m in messages])
+    _plant(monkeypatch, lambda messages: [digest_of(m) for m in messages])
     targets = [rng.randbytes(NODE_ID_LEN) for _ in range(30)]
     for k in (1, 4, 12):
         transport = SimTransport(tables, frozenset(), 0.0, k, b"wide")
@@ -556,6 +638,55 @@ def test_endpoint_stats():
     for peer in report.known_peers:
         recount[hash_prefix(node_hash(peer.node_id), 3)] += 1
     assert stats.prefix_histogram == recount
+
+
+# addresses of every kind the private check meets: each range's edges,
+# leading zeros, octets past 255, non-ASCII digits, IPv6, empty and junk
+_ADDRESSES = [
+    "10.0.0.1", "10.255.255.255", "9.255.255.255", "11.0.0.0", "0.0.0.0",
+    "172.16.0.0", "172.31.255.255", "172.15.255.255", "172.32.0.0",
+    "192.168.0.0", "192.168.255.255", "192.167.1.1", "192.169.0.0",
+    "255.255.255.255", "8.8.8.8", "010.0.0.1", "10.00.0.1", "10.0.0.01",
+    "192.168.1.001", "0010.0.0.1", "256.0.0.1", "10.0.0.256",
+    "192.168.999.1", "1000.0.0.1", "\u0661.1.1.1", "1\u0660.0.0.1",
+    "\uff11\uff10.0.0.1", "\u00b9\u2070.0.0.1", "::1", "fd00::1",
+    "::ffff:10.0.0.1", "::ffff:192.168.0.1", "fe80::1%eth0", "", ".", "...",
+    "10.0.0", "10.0.0.1.2", "10..0.1", " 10.0.0.1", "10.0.0.1 ",
+    "10.0.0.1\n", "+10.0.0.1", "10.-0.0.1", "1_0.0.0.1", "0x0a.0.0.1",
+    "10.0.0.1/8", "junk", "localhost"]
+
+
+def test_private_check_matches_the_ipaddress_rule():
+    for ip in _ADDRESSES:
+        assert _is_private(ip) == oracles.is_private_reference(ip), ip
+    assert sum(map(_is_private, _ADDRESSES)) == 6
+
+
+_OCTET = st.one_of(st.integers(0, 999).map(str),
+                   st.sampled_from(["", "00", "01", "010", "0010", "+1", "-1",
+                                    " 1", "1_0", "\u0661", "\uff11", "1e2"]))
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.lists(_OCTET, min_size=1, max_size=5).map(".".join),
+                 st.ip_addresses().map(str),
+                 st.text(alphabet="0123456789.:abf \u0661", max_size=16)))
+def test_private_check_matches_the_ipaddress_rule_on_drawn_text(ip):
+    assert _is_private(ip) == oracles.is_private_reference(ip)
+
+
+@pytest.mark.parametrize("prefix_bits", [0, 1, 3, 8])
+def test_endpoint_stats_match_the_reference(prefix_bits):
+    # once with the memo a sim crawl filled, once empty as on a live crawl
+    report, _ = _crawl_overlay(40, 10, seed=31, prefix_bits=prefix_bits)
+    peers = [dataclasses.replace(peer, ip=ip) for peer, ip
+             in zip(report.known_peers, cycle(_ADDRESSES[:20] + ["::1"]))]
+    expected = oracles.endpoint_stats_reference(peers, prefix_bits)
+    filled = endpoint_stats(CrawlReport(prefix_bits, list(peers)))
+    node_hash.cache_clear()
+    empty = endpoint_stats(CrawlReport(prefix_bits, list(peers)))
+    for stats in (filled, empty):
+        assert {name: getattr(stats, name) for name in expected} == expected
 
 
 def test_private_range_counting():

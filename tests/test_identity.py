@@ -2,13 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlens.discovery.identity import (NODE_ID_LEN, PeerInfo,
                                           digest_lanes, hash_prefix,
                                           node_hash, precompute_targets, rank,
                                           ranking_lanes, select_neighbors)
-from chainlens.keccak import keccak256
+from chainlens.keccak import keccak256, keccak256_batch64
 
 import oracles
 
@@ -132,3 +135,22 @@ def test_precompute_targets_small():
 
 def test_precompute_targets_deterministic_per_seed():
     assert precompute_targets(4, rng_seed=3) == precompute_targets(4, rng_seed=3)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, (1 << 64) - 1), prefix_bits=st.integers(0, 10),
+       spawned=st.booleans())
+def test_block_draw_matches_the_batch_draw(seed, prefix_bits, spawned):
+    # successive rng.bytes calls continue one stream, so candidates hashed
+    # 512 at a time fill the buckets as batches of 2,048 or more did
+    rng_seed = np.random.SeedSequence(seed).spawn(1)[0] if spawned else seed
+    node_hash.cache_clear()
+    targets = precompute_targets(prefix_bits, rng_seed)
+    assert targets == oracles.precompute_targets_reference(
+        prefix_bits, rng_seed, keccak256_batch64)
+    # every chosen target's digest is memoised, and is its Keccak digest
+    if prefix_bits:
+        assert node_hash.cache_info().currsize == len(targets)
+        for node_id in list(targets.values())[::max(1, len(targets) // 16)]:
+            assert node_hash(node_id) == keccak256(node_id)
+    node_hash.cache_clear()

@@ -81,6 +81,23 @@ def test_dictionary_error_names_its_line(lines, message):
     assert str(caught.value).startswith(message)
 
 
+@pytest.mark.parametrize("text", [
+    "kill()", "transfer(address,uint256)", "f(uint256[],bytes32[2][])",
+    "$x_1(bool)", "_(string)"])
+def test_plain_entry_is_a_canonical_signature(text):
+    assert SelectorDictionary.from_lines([text]).entries[0].name == text
+
+
+@pytest.mark.parametrize("text", [
+    "nope(", "nope", "kill", "(uint256)", "1f()", "f(a,,b)", "f(a,)",
+    "f(,a)", "f(a[]b)", "f(a, b)", "f (a)", "f(Uint)", "f((uint,bool))",
+    "f(a)x", "f(a)()", "f(a[)", "kïll()"])
+def test_plain_entry_that_is_no_signature_names_its_line(text):
+    with pytest.raises(ValueError) as caught:
+        SelectorDictionary.from_lines(["kill()", text])
+    assert str(caught.value).startswith(f"line 2: {text!r} is neither")
+
+
 def test_gas_policy_guard():
     with pytest.raises(ValueError):
         GasPolicy(vulnerability_threshold=25_000)

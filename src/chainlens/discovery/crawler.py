@@ -15,7 +15,6 @@ them.
 
 from __future__ import annotations
 
-import ipaddress
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -27,13 +26,6 @@ import numpy as np
 from ..errors import NoSeedsReachable
 from ..model import int_field, number_field, read_json
 from .identity import PeerInfo, hash_prefix, node_hash, precompute_targets
-
-_PRIVATE_RANGES = (
-    ipaddress.ip_network("10.0.0.0/8"),
-    ipaddress.ip_network("172.16.0.0/12"),
-    ipaddress.ip_network("192.168.0.0/16"),
-)
-
 
 class DiscoveryTransport(Protocol):
     """A transport answers a crawl's batch of tasks with `run`."""
@@ -161,10 +153,11 @@ def endpoint_stats(report: CrawlReport) -> CrawlReport:
 
 
 def _is_private(ip: str) -> bool:
-    """Whether `ip` is an IPv4 address in a private range.
+    """Whether `ip` is an IPv4 address in 10/8, 172.16/12 or 192.168/16.
 
-    A dotted quad of canonical decimal octets is read with `split`; any
-    other text goes through `ipaddress`.
+    An IPv4 address is four ASCII decimal octets of at most 255, none with
+    a leading zero: the texts `ipaddress.IPv4Address` accepts. Any other
+    text, IPv6 included, is not private.
     """
     parts = ip.split(".")
     if len(parts) == 4 and all(
@@ -174,13 +167,7 @@ def _is_private(ip: str) -> bool:
         if max(a, b, c, d) <= 255:
             return a == 10 or (a == 172 and 16 <= b <= 31) or \
                 (a == 192 and b == 168)
-    try:
-        addr = ipaddress.ip_address(ip)
-    except ValueError:
-        return False
-    if addr.version != 4:
-        return False
-    return any(addr in net for net in _PRIVATE_RANGES)
+    return False
 
 
 def load_topology(path: str | Path) -> dict:

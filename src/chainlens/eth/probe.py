@@ -34,11 +34,11 @@ _SELECTOR_FILE = "termination_selectors.txt"
 BASE_CALL_GAS = 21_000  # intrinsic gas of a plain call
 _HEX_DATA = re.compile(r"0x(?:[0-9a-fA-F]{2})*")  # a JSON-RPC DATA string
 _UNSCRIPTED = (100_000, False, None)  # FixtureExecutor, unscripted pairs
-# name(type,...) with no spaces; a type is a name like uint256 with any
-# array suffixes. A tuple-typed function is listed by its raw selector.
-_TYPE = r"[a-z][a-z0-9]*(?:\[[0-9]*\])*"
-_SIGNATURE = re.compile(
-    rf"[A-Za-z_$][A-Za-z0-9_$]*\((?:{_TYPE}(?:,{_TYPE})*)?\)")
+# name(type,...) with no spaces; a type is a name like uint256, or a
+# parenthesised type list (a tuple), with any array suffixes
+_SIGNATURE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*(\([a-z0-9\[\](),]*\))")
+_TYPE = r"(?:[a-z][a-z0-9]*|@)(?:\[[0-9]*\])*"  # @ is a reduced tuple
+_TYPE_LIST = re.compile(rf"\((?:{_TYPE}(?:,{_TYPE})*)?\)")
 
 
 def function_selector(signature_text: str) -> bytes:
@@ -62,10 +62,27 @@ def _selector_entry(text: str) -> SelectorEntry:
         if len(selector) != 4:
             raise ValueError(f"selector {text!r} is not 4 bytes")
         return SelectorEntry(selector=selector)
-    if not _SIGNATURE.fullmatch(text):
+    if not _is_signature(text):
         raise ValueError(f"{text!r} is neither a 0x selector nor a "
                          f"canonical function signature")
     return SelectorEntry(selector=function_selector(text), name=text)
+
+
+def _is_signature(text: str) -> bool:
+    """Whether `text` is a canonical signature: a name and a type list.
+
+    Innermost type lists are reduced to one `@` type at a time, so the
+    text is well formed when its whole argument list reduces to `@`.
+    """
+    match = _SIGNATURE.fullmatch(text)
+    if not match:
+        return False
+    types = match[1]
+    while True:
+        reduced = _TYPE_LIST.sub("@", types)
+        if reduced == types:
+            return reduced == "@"
+        types = reduced
 
 
 class SelectorDictionary:

@@ -83,15 +83,17 @@ def test_dictionary_error_names_its_line(lines, message):
 
 @pytest.mark.parametrize("text", [
     "kill()", "transfer(address,uint256)", "f(uint256[],bytes32[2][])",
-    "$x_1(bool)", "_(string)"])
+    "$x_1(bool)", "_(string)", "f((uint256,bool))", "f((uint256,bool)[])",
+    "g((address,uint256)[2],bytes)", "h(((uint8,bool)[],string),address)"])
 def test_plain_entry_is_a_canonical_signature(text):
     assert SelectorDictionary.from_lines([text]).entries[0].name == text
 
 
 @pytest.mark.parametrize("text", [
     "nope(", "nope", "kill", "(uint256)", "1f()", "f(a,,b)", "f(a,)",
-    "f(,a)", "f(a[]b)", "f(a, b)", "f (a)", "f(Uint)", "f((uint,bool))",
-    "f(a)x", "f(a)()", "f(a[)", "kïll()"])
+    "f(,a)", "f(a[]b)", "f(a, b)", "f (a)", "f(Uint)", "f((uint, bool))",
+    "f(a)x", "f(a)()", "f(a[)", "kïll()", "f((a)(b))", "f((a)b)", "f(a(b))",
+    "f((a,))", "f((,a))", "f((a)", "f(a))", "f((a)[)", "f(a)(b)", "f(@)"])
 def test_plain_entry_that_is_no_signature_names_its_line(text):
     with pytest.raises(ValueError) as caught:
         SelectorDictionary.from_lines(["kill()", text])

@@ -38,17 +38,19 @@ def monthly_class_counts(store: Store, registry: ContractRegistry
                          ) -> list[tuple[str, dict[TxClass, int]]]:
     """Per-UTC-month transaction counts split by class, zero-filled.
 
-    The store counts each month's sends and creations. A send to a
+    The store counts each month's sends and creations. A dated send to a
     registry address after its creation is TO_CONTRACT, as
-    `classify_transaction` decides, and any other send TO_ACCOUNT.
-    Orphans count in no month.
+    `classify_transaction` decides, and any other send TO_ACCOUNT; the
+    sends to registry addresses are the read `find_precreation_funding`
+    makes too. Orphans count in no month.
     """
     if store.block_count(ChainKind.ETHEREUM) == 0:
         raise EmptyChain(ChainKind.ETHEREUM.value)
     calls = Counter(
-        month for month, recipient, height, index
-        in store.iter_dated_eth_sends(record.address for record in registry)
-        if registry.created_before(recipient, height, index))
+        month for month, _, recipient, height, index, _
+        in store.iter_eth_sends_to(record.address for record in registry)
+        if month is not None
+        and registry.created_before(recipient, height, index))
     items: list[tuple[int, TxClass, int]] = []
     for month, first_time, sends, creations, zombies in \
             store.iter_monthly_eth_classes():

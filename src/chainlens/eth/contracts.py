@@ -156,21 +156,19 @@ def build_contract_registry(store: Store,
 
 def find_precreation_funding(store: Store, registry: ContractRegistry
                              ) -> list[tuple[str, str, int]]:
-    """Value transfers toward addresses whose contract is created later,
-    by the (height, index) order `ContractRegistry.created_before` uses: a
-    send earlier in its contract's creation block counts, and an internal
-    creation (index -1) precedes every send in its block.
+    """Sends of a non-zero value to registry addresses that were not yet
+    contracts, by `ContractRegistry.created_before`: a send earlier in its
+    contract's creation block counts, and an internal creation (index -1)
+    precedes every send in its block. An orphan send counts too, though
+    `monthly_class_counts` puts it in no month.
 
     Returns (funding_tx_hash, contract_address, creation_height) tuples in
     ledger order of the funding transaction.
     """
-    hits = []
-    for tx_hash, recipient, height, index in store.iter_eth_transfers():
-        record = registry.get(recipient)
-        if record is not None and (record.creation_height,
-                                   record.creation_index) > (height, index):
-            hits.append((tx_hash, record.address, record.creation_height))
-    return hits
+    return [(tx_hash, recipient, registry.get(recipient).creation_height)
+            for _, tx_hash, recipient, height, index, paid
+            in store.iter_eth_sends_to(record.address for record in registry)
+            if paid and not registry.created_before(recipient, height, index)]
 
 
 def check_lifetime_edges(bucket_edges: tuple[int, ...]) -> None:

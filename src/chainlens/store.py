@@ -258,14 +258,6 @@ class Store:
         for row in self._conn.execute(_ETH_CREATIONS):
             yield Transaction._make(row[:-1]), row[-1]
 
-    def iter_eth_transfers(self) -> Iterator[tuple[str, str, int, int]]:
-        """(hash, recipient, height, index) of each Ethereum tx that sends a
-        non-zero value to an address, in ledger order, orphans included."""
-        # a value is stored as str(int), so the text '0' is its only zero
-        yield from self._conn.execute(
-            "SELECT hash, recipient, height, idx FROM txs WHERE chain = 'eth'"
-            " AND recipient IS NOT NULL AND value != '0' ORDER BY height, idx")
-
     def iter_monthly_eth_classes(self) -> Iterator[
             tuple[str, int, int, int, int]]:
         """(month, its first block time, sends, creations with code,
@@ -282,16 +274,18 @@ class Store:
             " FROM txs WHERE chain = 'eth' GROUP BY height)"
             " USING (chain, height) GROUP BY month")
 
-    def iter_dated_eth_sends(self, recipients: Iterable[str]
-                             ) -> Iterator[tuple[str, str, int, int]]:
-        """(month, recipient, height, index) of each dated Ethereum tx sent
-        to one of `recipients`, its month as `iter_monthly_eth_classes`
-        names it; orphans are left out."""
+    def iter_eth_sends_to(self, recipients: Iterable[str]) -> Iterator[
+            tuple[str | None, str, str, int, int, int]]:
+        """(month, hash, recipient, height, index, 1 if the value is not
+        zero else 0) of each Ethereum tx sent to one of `recipients`, in
+        ledger order. The month is as `iter_monthly_eth_classes` names it,
+        and None for an orphan."""
+        # a value is stored as str(int), so the text '0' is its only zero
         yield from self._conn.execute(
-            "SELECT strftime('%Y-%m', time, 'unixepoch'), recipient, height,"
-            " idx FROM txs JOIN blocks USING (chain, height)"
-            " WHERE chain = 'eth' AND recipient IN"
-            " (SELECT value FROM json_each(?))",
+            "SELECT strftime('%Y-%m', time, 'unixepoch'), txs.hash, recipient,"
+            " height, idx, value != '0' FROM txs LEFT JOIN blocks"
+            " USING (chain, height) WHERE chain = 'eth' AND recipient IN"
+            " (SELECT value FROM json_each(?)) ORDER BY height, idx",
             (json.dumps(list(recipients)),))
 
     def iter_tx_inputs(self, chain: ChainKind) -> Iterator[tuple[str, str]]:

@@ -212,27 +212,40 @@ def test_precreation_funding():
 
 
 def test_precreation_orders_sends_in_the_creation_block_by_index():
-    # C is created at (1, 1): the send at (1, 0) precedes it, as classify
-    # says (to_account), and the send at (1, 2) follows it; an internal
-    # creation at height 2 precedes the send at (2, 0)
+    # C is created at (1, 2): the sends at (1, 0) and (1, 1) precede it, as
+    # classify says (to_account), and the send at (1, 3) follows it; an
+    # internal creation at height 2 precedes the send at (2, 0). The orphan
+    # at height 0 pays C before its creation, and the send at (1, 0) pays
+    # nothing.
     c = oracles.contract_address_oracle(SENDER_A, 0)
+    orphan, unpaid = h32(0x05), h32(0x0F)
     sends = [h32(0x10), h32(0x12), h32(0x20)]
     store = load_store([
-        block_line("eth", 1, 1_438_387_200, [sends[0], h32(0x11), sends[1]]),
-        tx_line("eth", sends[0], 1, 0, SENDER_B, c, "5"),
-        tx_line("eth", h32(0x11), 1, 1, SENDER_A, None, "0", "60"),
-        tx_line("eth", sends[1], 1, 2, SENDER_B, c, "6"),
+        tx_line("eth", orphan, 0, 0, SENDER_B, c, "4"),
+        block_line("eth", 1, 1_438_387_200,
+                   [unpaid, sends[0], h32(0x11), sends[1]]),
+        tx_line("eth", unpaid, 1, 0, SENDER_B, c, "0"),
+        tx_line("eth", sends[0], 1, 1, SENDER_B, c, "5"),
+        tx_line("eth", h32(0x11), 1, 2, SENDER_A, None, "0", "60"),
+        tx_line("eth", sends[1], 1, 3, SENDER_B, c, "6"),
         block_line("eth", 2, 1_438_387_201, [sends[2]]),
         tx_line("eth", sends[2], 2, 0, SENDER_B, addr(0xC1DE), "7")],
         ChainKind.ETHEREUM)
     registry = build_contract_registry(store, [json.dumps(
         {"type": "internal_create", "address": addr(0xC1DE),
          "parent": c, "height": 2})])
-    assert find_precreation_funding(store, registry) == [(sends[0], c, 1)]
+    assert find_precreation_funding(store, registry) == [(orphan, c, 1),
+                                                         (sends[0], c, 1)]
     assert [classify_transaction(tx, registry)
             for tx in store.iter_txs(ChainKind.ETHEREUM)
             if tx.hash in sends] == [TxClass.TO_ACCOUNT, TxClass.TO_CONTRACT,
                                      TxClass.TO_CONTRACT]
+    # the orphan is in no month, but in the `orphans: N` that classify
+    # prints; the unpaid send is to_account
+    assert monthly_class_counts(store, registry) == [("2015-08", {
+        TxClass.TO_ACCOUNT: 2, TxClass.TO_CONTRACT: 2,
+        TxClass.CREATE_CONTRACT: 1, TxClass.ZOMBIE_CREATE: 0})]
+    assert store.orphan_count(ChainKind.ETHEREUM) == 1
     store.close()
 
 

@@ -18,7 +18,7 @@ import chainlens
 from chainlens import errors
 from chainlens.errors import (ChainLensError, ConflictingBlock, ConflictingTx,
                               EmptyChain, MalformedJson, SchemaViolation)
-from chainlens.eth.contracts import iter_creations
+from chainlens.eth.contracts import build_contract_registry, iter_creations
 from chainlens import store as store_module
 from chainlens.model import (NAME_OP_KINDS, REQUIRED, Block, ChainKind,
                              FieldError, IngestSummary, RejectedLine,
@@ -1079,6 +1079,14 @@ def test_reads_go_through_the_indexes():
     # so do the name ops, each joined to its block by the primary key
     [plan] = _query_plans(store, lambda: list(store.iter_name_ops()))
     assert "USING INDEX sqlite_autoindex_txs_2" in plan
+    assert "TEMP B-TREE" not in plan
+    # and the sends to registry addresses, whose order precreation keeps
+    addresses = [record.address for record in build_contract_registry(store)]
+    [plan] = _query_plans(store, lambda: list(
+        store.iter_eth_sends_to(addresses)))
+    assert "SEARCH txs USING INDEX sqlite_autoindex_txs_2 (chain=?)" in plan
+    assert "SEARCH blocks USING INDEX sqlite_autoindex_blocks_1" \
+        " (chain=? AND height=?)" in plan
     assert "TEMP B-TREE" not in plan
     # the monthly counts group txs by block along that index, then look
     # each block up by its primary key

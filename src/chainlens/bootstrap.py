@@ -163,22 +163,20 @@ class LiveResolver:
 
 
 class ScriptedProber:
-    """Outcomes from an ip -> connect result map; others get `default`."""
+    """Outcomes from an ip -> connect result map; others time out."""
 
-    def __init__(self, script: dict[str, ConnectResult | str],
-                 default: ConnectResult = ConnectResult.TIMED_OUT):
+    def __init__(self, script: dict[str, ConnectResult | str]):
         if not isinstance(script, dict):
             raise ValueError("prober script must map addresses to outcomes")
         self._script = {ip: ConnectResult(result)
                         for ip, result in script.items()}
-        self._default = default
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedProber":
         return cls(read_json(path))
 
     def connect(self, ip: str, port: int) -> ConnectResult:
-        return self._script.get(ip, self._default)
+        return self._script.get(ip, ConnectResult.TIMED_OUT)
 
 
 class LiveProber:

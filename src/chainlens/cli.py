@@ -43,7 +43,7 @@ class AppState:
     """Per-invocation settings shared by every subcommand."""
 
     def __init__(self, db_path: str, out: str | None, fmt: str,
-                 cutoff: str | None, stamp: bool, argv: list[str]):
+                 cutoff: int | None, stamp: bool, argv: list[str]):
         self.db_path = db_path
         self.out = out
         self.fmt = fmt
@@ -58,13 +58,7 @@ class AppState:
     def cutoff_height(self, store: Store, chain: ChainKind) -> int | None:
         if self.cutoff is None:
             return None
-        from .store import parse_rfc3339
-        try:
-            moment = parse_rfc3339(self.cutoff)
-        except ValueError as exc:
-            raise click.BadParameter(
-                f"unparseable --cutoff {self.cutoff!r}: {exc}")
-        return store.apply_cutoff(chain, moment)
+        return store.apply_cutoff(chain, self.cutoff)
 
     def emit_rows(self, header, rows) -> None:
         from .report import emit_rows
@@ -137,11 +131,18 @@ def cli(ctx: click.Context, db_path: str, out: str | None, fmt: str,
             f"not by {ctx.invoked_subcommand}")
     if stamp and out is None:
         raise click.UsageError("--stamp requires --out")
+    moment = None
+    if cutoff is not None:  # refused before any command opens its store
+        from .store import parse_rfc3339
+        try:
+            moment = parse_rfc3339(cutoff)
+        except ValueError as exc:
+            raise click.BadParameter(f"unparseable --cutoff {cutoff!r}: {exc}")
     if (ctx.invoked_subcommand == "crawl" and fmt == "csv"
             and ctx.get_parameter_source("fmt") is not ParameterSource.DEFAULT):
         raise click.UsageError("crawl writes JSON only; --format csv is refused")
     argv = sys.argv[1:] if sys.argv else []
-    ctx.obj = AppState(db_path, out, fmt, cutoff, stamp, argv)
+    ctx.obj = AppState(db_path, out, fmt, moment, stamp, argv)
 
 
 # -- ingestion and chain-agnostic reports -------------------------------------

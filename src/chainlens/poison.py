@@ -4,8 +4,8 @@ Matching is a cheap candidate filter: by default only the first two
 payload bytes are compared against each signature (at its offset), which
 is deliberately permissive and can fire on several formats at once; the
 shipped table, for instance, cannot tell a gzip stream from a gzipped tar
-and labels both "gzip". An optional second pass re-checks the entire magic
-sequence for payloads the filter caught.
+and labels both "gzip". An optional check keeps only the rows the filter
+caught whose entire magic sequence sits at the row's offset.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ class SignatureEntry:
 @dataclass
 class SignatureDb:
     entries: list[SignatureEntry]
-    # (offset, compared length) -> {leading magic bytes: [(row, format)]},
+    # (offset, compared length) -> {leading magic bytes: [(row, entry)]},
     # the candidate filter's view of the table
-    _prefix_index: dict[tuple[int, int], dict[bytes, list[tuple[int, str]]]] = \
+    _prefix_index: dict[tuple[int, int],
+                        dict[bytes, list[tuple[int, SignatureEntry]]]] = \
         field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -75,7 +76,7 @@ class SignatureDb:
             length = min(len(entry.magic), MATCH_PREFIX_BYTES)
             by_prefix = self._prefix_index.setdefault((entry.offset, length), {})
             by_prefix.setdefault(entry.magic[:length], []).append(
-                (row, entry.format_name))
+                (row, entry))
 
     def extension_for(self, format_name: str) -> str:
         for entry in self.entries:
@@ -98,30 +99,20 @@ def load_signatures(path: str | Path | None = None) -> SignatureDb:
     return SignatureDb(entries=read_table(path, ("format",), 4, _signature_row))
 
 
-def _entry_matches(payload: bytes, entry: SignatureEntry,
-                   prefix_bytes: int | None) -> bool:
-    length = len(entry.magic) if prefix_bytes is None \
-        else min(len(entry.magic), prefix_bytes)
-    segment = payload[entry.offset:entry.offset + length]
-    return len(segment) == length and segment == entry.magic[:length]
-
-
 def match_signatures(payload: bytes, db: SignatureDb,
                      full_magic: bool = False) -> list[str]:
-    """Names of all candidate formats, in table order.
+    """Names of all candidate formats, one per matching row, in table order.
 
     The default mode compares only MATCH_PREFIX_BYTES leading magic
     bytes and is a high-recall, false-positive-prone filter; full_magic
-    re-checks complete magic sequences instead.
+    keeps only the rows whose complete magic sits at the row's offset.
     """
-    if full_magic:
-        return [entry.format_name for entry in db.entries
-                if _entry_matches(payload, entry, None)]
-    hits: list[tuple[int, str]] = []
+    hits: list[tuple[int, SignatureEntry]] = []
     for (offset, length), by_prefix in db._prefix_index.items():
         hits += by_prefix.get(payload[offset:offset + length], ())
-    hits.sort()
-    return [name for _, name in hits]
+    hits.sort()  # by row: rows are distinct, so no two entries are compared
+    return [entry.format_name for _, entry in hits
+            if not full_magic or payload.startswith(entry.magic, entry.offset)]
 
 
 @dataclass
@@ -154,11 +145,7 @@ def scan_corpus(store: Store, chain: ChainKind, db: SignatureDb,
         directory.mkdir(parents=True, exist_ok=True)
     for tx_hash, input_hex in store.iter_tx_inputs(chain):
         payload = extract_payload(input_hex)
-        names = match_signatures(payload, db)
-        if verify_full and names:
-            full = set(match_signatures(payload, db, full_magic=True))
-            names = [n for n in names if n in full]
-        for name in names:
+        for name in match_signatures(payload, db, full_magic=verify_full):
             report.rows.append(ScanRow(format_name=name, tx_hash=tx_hash,
                                        payload_size=len(payload)))
             if directory is not None:

@@ -450,6 +450,21 @@ def signature_rows(table_text: str) -> list:
     return rows
 
 
+def signature_hits_reference(payload: bytes, rows: list,
+                             full_magic: bool) -> list:
+    """Format names of the (format, magic, offset) rows that match
+    `payload`, one per row, in table order. A row matches when its
+    magic's first two bytes sit at its offset, or with `full_magic`, when
+    its whole magic does: each row is judged on its own magic, whatever
+    the other rows of its format say."""
+    names = []
+    for name, magic, offset in rows:
+        length = len(magic) if full_magic else min(len(magic), 2)
+        if payload[offset:offset + length] == magic[:length]:
+            names.append(name)
+    return names
+
+
 class LedgerModel:
     """A store built by README's ingest rules, and the exit code, stdout
     and stderr lines of each ledger command run on it with the
@@ -694,14 +709,8 @@ class LedgerModel:
         rows = [("format", "tx_hash", "payload_size")]
         for tx in self._ledger(options.get("--chain", "eth")):
             payload = bytes.fromhex(tx["input"])
-            # the candidate filter compares a magic's first two bytes
-            names = [name for name, magic, offset in self.signatures
-                     if payload[offset:offset + min(len(magic), 2)]
-                     == magic[:2]]
-            if "--verify-full" in options:
-                full = {name for name, magic, offset in self.signatures
-                        if payload[offset:offset + len(magic)] == magic}
-                names = [name for name in names if name in full]
+            names = signature_hits_reference(payload, self.signatures,
+                                             "--verify-full" in options)
             rows += [(name, tx["hash"], len(payload)) for name in names]
         return rows
 

@@ -9,6 +9,7 @@ import socket
 import sqlite3
 import sys
 from contextlib import closing
+from pathlib import Path
 
 import click
 import pytest
@@ -292,13 +293,17 @@ def test_cutoff_flag(eth_db, capsys):
                           "summarize", "--chain", "eth"])
     assert parse_csv(out.out)[1][3] == "3"
     # an unparseable time, or one past SQLite's INTEGER range, is a
-    # usage error, not a traceback
+    # usage error, not a traceback, and is refused before a store is
+    # opened, so a new --db is not created
+    new_db = Path(eth_db).parent / "new"
     for cutoff in ("whenever", "9223372036854775808"):
-        assert run_cli(["--db", eth_db, "--cutoff", cutoff, "summarize",
-                        "--chain", "eth"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and err.count("\n") == 1
-        assert "--cutoff" in err and "Traceback" not in err
+        for db in (eth_db, str(new_db)):
+            assert run_cli(["--db", db, "--cutoff", cutoff, "summarize",
+                            "--chain", "eth"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and err.count("\n") == 1
+            assert "--cutoff" in err and "Traceback" not in err
+    assert not new_db.exists()
 
 
 def test_cutoff_keeps_lower_blocks_with_later_times(tmp_path, capsys):

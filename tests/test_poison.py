@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from chainlens.errors import InvalidHex
 from chainlens.model import ChainKind
-from chainlens.poison import (MATCH_PREFIX_BYTES, SignatureDb, SignatureEntry,
-                              _entry_matches, extract_payload, load_signatures,
-                              match_signatures, scan_corpus)
+from chainlens.poison import (SignatureDb, SignatureEntry, extract_payload,
+                              load_signatures, match_signatures, scan_corpus)
 
 import ledgers
 import oracles
@@ -21,6 +20,7 @@ PNG_MAGIC = bytes.fromhex("89504e470d0a1a0a")
 JPG_PAYLOAD = bytes.fromhex("ffd8ffe000104a46494600")
 GZIP_PAYLOAD = bytes.fromhex("1f8b08080011223344")
 RIFF_WAVE = b"RIFF" + b"\x24\x08\x00\x00" + b"WAVE" + b"fmt "
+RIFF_WEBP = b"RIFF" + b"\x00\x00\x00\x00" + b"WEBP" + b"VP8 "
 
 
 def test_extract_payload_roundtrip_prefix_and_case():
@@ -119,8 +119,7 @@ def test_riff_container_collision():
     # table order is preserved
     assert names.index("wav") < names.index("avi")
     # an actual WEBP container also trips the RIFF pair at offset 0
-    webp = b"RIFF" + b"\x00\x00\x00\x00" + b"WEBP" + b"VP8 "
-    names = match_signatures(webp, db)
+    names = match_signatures(RIFF_WEBP, db)
     assert {"wav", "avi", "webp"} <= set(names)
 
 
@@ -148,10 +147,12 @@ _TABLES = st.lists(
 @settings(max_examples=200)
 def test_indexed_filter_matches_linear_scan(entries, payloads):
     db = SignatureDb(entries=entries)
+    rows = [(entry.format_name, entry.magic, entry.offset)
+            for entry in entries]
     for payload in payloads:
-        assert match_signatures(payload, db) == [
-            entry.format_name for entry in entries
-            if _entry_matches(payload, entry, MATCH_PREFIX_BYTES)]
+        for full_magic in (False, True):
+            assert match_signatures(payload, db, full_magic) == \
+                oracles.signature_hits_reference(payload, rows, full_magic)
 
 
 def _poison_store():
@@ -193,18 +194,33 @@ def test_scan_corpus_counts_and_rows():
 
 
 def test_scan_corpus_verify_full_drops_prefix_only_hits():
-    t = [h32(0xF100 + i) for i in range(3)]
+    t = [h32(0xF100 + i) for i in range(5)]
     lines = [
-        block_line("eth", 0, 1438387200, t[1:3]),
+        block_line("eth", 0, 1438387200, t[1:5]),
         tx_line_eth(t[1], 0, 0, "8950aaaa"),  # prefix-only impostor
         tx_line_eth(t[2], 0, 1, PNG_MAGIC.hex()),
+        tx_line_eth(t[3], 0, 2, RIFF_WEBP.hex()),  # webp's magic at offset 8
+        tx_line_eth(t[4], 0, 3, "504b0304cafe"),
     ]
     store = load_store(lines, ChainKind.ETHEREUM)
     db = load_signatures()
     loose = scan_corpus(store, ChainKind.ETHEREUM, db)
-    assert {row.tx_hash for row in loose.rows} == {t[1], t[2]}
+    assert {row.tx_hash for row in loose.rows} == set(t[1:5])
     strict = scan_corpus(store, ChainKind.ETHEREUM, db, verify_full=True)
-    assert {row.tx_hash for row in strict.rows} == {t[2]}
+    assert [(row.tx_hash, row.format_name) for row in strict.rows] == [
+        (t[2], "png"), (t[3], "webp"), (t[3], "wav"), (t[3], "avi"),
+        (t[4], "zip")]
+    # one format on two rows with the same first two bytes: both rows are
+    # candidates, and only the row whose whole magic matches is kept
+    zips = SignatureDb(entries=[
+        SignatureEntry(format_name="zip", magic=bytes.fromhex(magic),
+                       offset=0, extension="zip")
+        for magic in ("504b0304", "504b0506")])
+    for verify_full, count in ((False, 2), (True, 1)):
+        report = scan_corpus(store, ChainKind.ETHEREUM, zips,
+                             verify_full=verify_full)
+        assert [(row.tx_hash, row.format_name) for row in report.rows] \
+            == [(t[4], "zip")] * count
     store.close()
 
 
